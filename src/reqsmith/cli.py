@@ -77,7 +77,7 @@ def _cmd_fmt(args) -> int:
 def _cmd_check(args) -> int:
     model = _load_model(args.file)
     findings = []
-    for diag in check_strength_tags(model, args.bound):
+    for diag in check_strength_tags(model):
         findings.append(
             LintFinding(
                 f"application[{diag.application_index}]",
@@ -85,7 +85,7 @@ def _cmd_check(args) -> int:
                 diag.message,
             )
         )
-    consistency = check_consistency(model, args.bound)
+    consistency = check_consistency(model)
     if consistency.status is ConsistencyStatus.INCONSISTENT:
         for line in consistency.explanation:
             findings.append(LintFinding("world", Issue.INCONSISTENT, line))
@@ -255,7 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--bound",
         type=int,
         default=None,
-        help="counter-model size limit (default from DESIREE_BOUND)",
+        help="accepted for compatibility; check reads only proofs",
     )
     lint = command("lint", "review the model against the issue taxonomy")
     lint.add_argument("--config", default=None, help="lexicon config file")

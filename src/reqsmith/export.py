@@ -281,7 +281,7 @@ def emit_owl(model: Model) -> str:
 
     if model.fulfilled_marks:
         lines.append("")
-        for marked in model.fulfilled_marks:
+        for marked in sorted(model.fulfilled_marks):
             lines.append(f"SubClassOf(:{marked} :Fulfilled_Thing)")
 
     lines.append(")")

@@ -34,7 +34,7 @@ from .model import (
     UAnnotation,
     Union,
 )
-from .reasoner import VerdictStatus, collect_axioms, subsumes
+from .reasoner import _Derivation, collect_axioms
 from .semantics import DLAtomic, PathMismatch, expand_u
 
 
@@ -267,10 +267,7 @@ def apply_focus(
 
 
 def _ordered(model: Model, narrow: str, wide: str) -> bool:
-    verdict = subsumes(
-        DLAtomic(narrow), DLAtomic(wide), axioms=collect_axioms(model), bound=1
-    )
-    return verdict.status is VerdictStatus.PROVEN
+    return _Derivation(collect_axioms(model)).proves(DLAtomic(narrow), DLAtomic(wide))
 
 
 def _scaled_interval(

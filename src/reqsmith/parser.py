@@ -127,6 +127,9 @@ class Token:
     span: SourceSpan
 
 
+_COUNTED = {"<=": at_most, ">=": at_least, "=": exactly}
+
+
 def tokenize(text: str, file: str) -> tuple[list[Token], list[ParseDiagnostic]]:
     tokens: list[Token] = []
     diagnostics: list[ParseDiagnostic] = []
@@ -345,15 +348,15 @@ class _Parser:
         self.expect(":")
         modifier = EXACTLY_ONE
         token = self.peek()
-        if token.value == "<=" and self.peek(1).type == "num":
+        if token.value in _COUNTED and self.peek(1).type == "num":
             self.advance()
-            modifier = at_most(int(self.advance().value))
-        elif token.value == ">=" and self.peek(1).type == "num":
+            count = self.peek().value
+            if not count.isdigit() or int(count) < 1:
+                raise self.error(
+                    f"a cardinality count must be a whole number >= 1, found {count}"
+                )
             self.advance()
-            modifier = at_least(int(self.advance().value))
-        elif token.value == "=" and self.peek(1).type == "num":
-            self.advance()
-            modifier = exactly(int(self.advance().value))
+            modifier = _COUNTED[token.value](int(count))
         elif token.value == "SOME":
             self.advance()
             modifier = SOME

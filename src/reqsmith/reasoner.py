@@ -1,10 +1,11 @@
 """Decision procedures over the logic fragment.
 
-`subsumes` is the workhorse: a sound structural derivation first, then a
+A sound structural derivation proves subsumptions; `subsumes` adds a
 bounded hunt for a finite counter-world when the derivation fails, with
-Unknown as the honest fallback. On top of it sit model-level services:
-consistency checking by axiom saturation, interrelation queries, strength
-tag auditing for operator applications, and fulfillment propagation.
+Unknown as the honest fallback. Beside them sit model-level services:
+consistency checking by axiom saturation, interrelation queries and strength
+tag auditing for operator applications (both read only proofs), and
+fulfillment propagation.
 """
 
 from __future__ import annotations
@@ -188,25 +189,140 @@ _PURE = 1
 _VIA_AXIOM = 2
 
 
+def _told(c: DLConcept) -> list:
+    """Names of the atoms at the top of c, through and/or; None marks Nothing."""
+    if isinstance(c, (DLAnd, DLOr)):
+        return [name for arg in c.args for name in _told(arg)]
+    if isinstance(c, DLAtomic):
+        return [c.name]
+    if isinstance(c, DLNothing):
+        return [None]
+    return []
+
+
 class _Derivation:
+    """Structural derivation of sub ⊑ sup under one list of axioms.
+
+    A goal's value is the least fixpoint of the rules over _NO < _PURE <
+    _VIA_AXIOM, so it depends neither on the order of the axioms nor on the
+    goals asked before, and one derivation can serve many queries. Goals
+    are tabled (Chen & Warren, JACM 1996): a goal met again while on the
+    stack yields its frame's current value, and a frame that read its own
+    value runs again until that value stops rising. A result below
+    _VIA_AXIOM that read a frame still on the stack is provisional: it is
+    reused only while that frame is unchanged, and when the frame completes
+    with the value the result read, the result takes over the frame's own
+    dependencies, becoming final with it.
+    """
+
     def __init__(self, axioms: list[DLSubClassOf]):
         self.axioms = axioms
-        self.memo: dict = {}
-        self.active: set = set()
+        self.headed: dict[str, list] = {}  # atom -> the axioms it is the left side of
+        self.unheaded: list = []  # axioms whose left side is not an atom
+        for ax in axioms:
+            if isinstance(ax.sub, DLAtomic):
+                self.headed.setdefault(ax.sub.name, []).append(ax)
+            else:
+                self.unheaded.append(ax)
+        self.general = self._close(n for ax in self.unheaded for n in _told(ax.sup))
+        self.reached: dict = {}  # sub -> what _reach found
+        # goal -> final value, or provisional (value, mask of the stack frames
+        # it read, deepest of them, that frame's serial); a goal on the stack
+        # is provisional on its own frame
+        self.table: dict = {}
+        # per stack frame: a serial, new on every run, and the goals whose
+        # provisional result has the frame as deepest dependency
+        self.serials: list[int] = []
+        self.dependents: list[list] = []
+        self.serial = itertools.count()
+        self.deps = 0  # mask of the stack frames the current goal has read
+
+    def proves(self, sub: DLConcept, sup: DLConcept) -> bool:
+        return bool(self.entails(_norm(sub), _norm(sup)))
 
     def entails(self, sub: DLConcept, sup: DLConcept) -> int:
-        key = (sub, sup)
-        if key in self.memo:
-            return self.memo[key]
-        if key in self.active:
-            return _NO
-        self.active.add(key)
-        try:
-            result = self._rules(sub, sup)
-        finally:
-            self.active.discard(key)
-        self.memo[key] = result
+        goal = (sub, sup)
+        entry = self.table.get(goal)
+        if entry is None:
+            return self._solve(goal)
+        if entry.__class__ is int:
+            return entry
+        value, mask, deepest, serial = entry
+        if deepest < len(self.serials) and self.serials[deepest] == serial:
+            self.deps |= mask
+            return value
+        return self._solve(goal)
+
+    def _solve(self, goal) -> int:
+        outer = self.deps
+        index = len(self.serials)
+        bit = 1 << index
+        self.serials.append(next(self.serial))
+        self.dependents.append([])
+        value = _NO
+        while True:
+            self.table[goal] = (value, bit, index, self.serials[index])
+            self.deps = 0
+            result = self._rules(*goal)
+            # nothing is above _VIA_AXIOM, so that result is final whatever
+            # it read, and another run could not raise it
+            if result in (value, _VIA_AXIOM) or not self.deps & bit:
+                break
+            value = result
+            self.serials[index] = next(self.serial)
+        below = self.deps & (bit - 1) if result != _VIA_AXIOM else 0
+        serial = self.serials.pop()
+        for dependent in self.dependents.pop():
+            entry = self.table[dependent]
+            # a result kept across the frame must have read its final value
+            if result == value and entry.__class__ is tuple and entry[2:] == (index, serial):
+                self._tabled(dependent, entry[0], entry[1] & ~bit | below)
+        self._tabled(goal, result, below)
+        self.deps = outer | below
         return result
+
+    def _tabled(self, goal, value: int, mask: int) -> None:
+        if mask:
+            deepest = mask.bit_length() - 1
+            self.table[goal] = (value, mask, deepest, self.serials[deepest])
+            self.dependents[deepest].append(goal)
+        else:
+            self.table[goal] = value
+
+    def _close(self, names) -> dict:
+        """`names` and every name the atomic axioms lead to from them, as
+        the keys of a dict in the order found."""
+        reached = dict.fromkeys(names)
+        todo = list(reached)
+        while todo:
+            for ax in self.headed.get(todo.pop(), ()):
+                for name in _told(ax.sup):
+                    if name not in reached:
+                        reached[name] = None
+                        todo.append(name)
+        return reached
+
+    def _reach(self, sub: DLConcept) -> tuple:
+        """The atoms sub may be below, and the axioms it may fire.
+
+        sub ⊑ A for an atom A needs A among the told names of sub closed
+        under the atomic axioms, plus those of every right side of an axiom
+        whose left side is not an atom. A reachable Nothing may put sub below
+        every atom: the atoms are then None and every axiom may fire. The
+        axioms headed by the atoms of sub itself come first, as their left
+        premise mostly holds outright; that keeps chains of atoms shallow.
+        """
+        found = self.reached.get(sub)
+        if found is None:
+            reached = self._close(_told(sub))
+            reached.update(self.general)
+            if None in reached:
+                found = (None, self.axioms)
+            else:
+                headed = [ax for name in reached for ax in self.headed.get(name, ())]
+                found = (reached, headed + self.unheaded)
+            self.reached[sub] = found
+        return found
 
     def _all(self, pairs) -> int:
         best = _PURE
@@ -217,34 +333,44 @@ class _Derivation:
             best = max(best, r)
         return best
 
+    def _any(self, pairs) -> int:
+        # the best value, not the first: with the first, proving one more
+        # pair could lower the value, and the rules would lose their least
+        # fixpoint
+        best = _NO
+        for sub, sup in pairs:
+            best = max(best, self.entails(sub, sup))
+            if best == _VIA_AXIOM:
+                break
+        return best
+
     def _rules(self, sub: DLConcept, sup: DLConcept) -> int:
         if sub == sup:
             return _PURE
         if isinstance(sup, DLThing) or isinstance(sub, DLNothing):
             return _PURE
+        if isinstance(sup, DLAtomic):
+            atoms = self._reach(sub)[0]
+            if atoms is not None and sup.name not in atoms:
+                return _NO
         if isinstance(sub, DLOr):
             return self._all((arg, sup) for arg in sub.args)
         if isinstance(sup, DLAnd):
             return self._all((sub, arg) for arg in sup.args)
         if isinstance(sub, DLAnd):
-            for arg in sub.args:
-                r = self.entails(arg, sup)
-                if r:
-                    return r
+            r = self._any((arg, sup) for arg in sub.args)
+            if r:
+                return r
         if isinstance(sup, DLOr):
-            for arg in sup.args:
-                r = self.entails(sub, arg)
-                if r:
-                    return r
+            r = self._any((sub, arg) for arg in sup.args)
+            if r:
+                return r
         r = self._pair_rule(sub, sup)
         if r:
             return r
-        for ax in self.axioms:
-            left = self.entails(sub, ax.sub)
-            if left:
-                right = self.entails(ax.sup, sup)
-                if right:
-                    return _VIA_AXIOM
+        for ax in self._reach(sub)[1]:
+            if self.entails(sub, ax.sub) and self.entails(ax.sup, sup):
+                return _VIA_AXIOM
         return _NO
 
     def _pair_rule(self, sub: DLConcept, sup: DLConcept) -> int:
@@ -839,7 +965,7 @@ class ConsistencyResult:
     explanation: tuple[str, ...] = ()
 
 
-def check_consistency(model: Model, bound: Optional[int] = None) -> ConsistencyResult:
+def check_consistency(model: Model) -> ConsistencyResult:
     """Saturate the model's world under all axioms and look for a clash."""
     axioms = collect_axioms(model)
     world = model.world if model.world is not None else World()
@@ -934,13 +1060,11 @@ def query(model: Model, pattern: Description) -> frozenset[str]:
     element_ids = {e.id for e in model.elements}
     matches = set(eval_description(pattern, _reified_world(model))) & element_ids
     pattern_dl = translate_description(pattern)
-    axioms = collect_axioms(model)
+    derivation = _Derivation(collect_axioms(model))
     for element in model.elements:
         if element.id in matches or isinstance(element.body, NaturalLanguage):
             continue
-        concept, _ = translate_element(element)
-        verdict = subsumes(concept, pattern_dl, axioms, bound=1)
-        if verdict.status is VerdictStatus.PROVEN:
+        if derivation.proves(translate_element(element)[0], pattern_dl):
             matches.add(element.id)
     return frozenset(matches)
 
@@ -975,17 +1099,15 @@ _FIXED_STRENGTH = {
 }
 
 
-def check_strength_tags(model: Model, bound: Optional[int] = None):
+def check_strength_tags(model: Model):
     """Audit declared strength tags against derivable subsumption directions.
 
     Each application yields at most one diagnostic: either its tag is
     illegal for the operator outright, or the declared direction is
     refutable (the opposite direction is Proven while the declared one is
-    not). Unknown directions stay silent.
+    not). Only proofs are read, so no counter-model is searched for.
     """
-    if bound is None:
-        bound = default_bound()
-    axioms = collect_axioms(model)
+    derivation = _Derivation(collect_axioms(model))
     concepts: dict[str, Optional[DLConcept]] = {}
     for element in model.elements:
         if isinstance(element.body, NaturalLanguage):
@@ -1018,10 +1140,8 @@ def check_strength_tags(model: Model, bound: Optional[int] = None):
             combined = output_concepts[0]
         else:
             combined = DLAnd(tuple(output_concepts))
-        forward = subsumes(combined, input_concept, axioms, bound)
-        backward = subsumes(input_concept, combined, axioms, bound)
-        proven_f = forward.status is VerdictStatus.PROVEN
-        proven_b = backward.status is VerdictStatus.PROVEN
+        proven_f = derivation.proves(combined, input_concept)
+        proven_b = derivation.proves(input_concept, combined)
         message = None
         if app.strength is Strength.STRENGTHENING and not proven_f and proven_b:
             message = (

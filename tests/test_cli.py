@@ -1,9 +1,15 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import reqsmith
 from reqsmith.cli import main
 from reqsmith.parser import parse_model, print_model
 
@@ -66,6 +72,21 @@ def test_parse_errors_exit_two_with_span(tmp_path, capsys):
     err = capsys.readouterr().err
     assert ":2:" in err
     assert "error" in err
+
+
+@pytest.mark.parametrize("command", ["fmt", "check"])
+@pytest.mark.parametrize(("restriction", "count"), [("<=0", "0"), (">=1.5", "1.5")])
+def test_counts_below_one_or_fractional_exit_two_with_span(
+    tmp_path, capsys, command, restriction, count
+):
+    path = write(tmp_path, f"model m;\nfunc F1 := Book <object: {restriction} Ticket>;\n")
+    assert main([command, path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"{path}:2:28: error: a cardinality count must be a whole number >= 1, "
+        f"found {count}\n"
+    )
 
 
 def test_unknown_flag_exits_two(tmp_path, capsys):
@@ -228,6 +249,22 @@ def test_query_json_reports_matches_as_subsumptions(tmp_path, capsys):
     ]
 
 
+def test_query_proves_matches_in_a_large_flat_model(tmp_path, capsys):
+    elements = []
+    for g in range(300):
+        elements += [
+            f'goal G{g} := "keep record {g} current";',
+            f"fg FG{g} := Record{g} :< Kept;",
+            f"func F{g} := Keep <actor: SOME User> <object: Record{g}>;",
+            f"qg QG{g} := Speed (F{g}.object) :: Fast;",
+            f"qc QC{g} := Processing_time (F{g}.object) :: [0, 30 (Sec)];",
+        ]
+    random.Random(5).shuffle(elements)
+    path = write(tmp_path, "model flat;\n" + "\n".join(elements) + "\n")
+    assert main(["query", path, "--pattern", "<object: Record3>"]) == 0
+    assert capsys.readouterr().out == "F3\n"
+
+
 # ===== fulfill =====
 
 
@@ -284,6 +321,26 @@ def test_translate_writes_the_ontology(tmp_path, capsys):
     assert text.startswith("Prefix(")
     assert "SubClassOf(:F3 :Fulfilled_Thing)" in text
     assert capsys.readouterr().out == ""
+
+
+def test_translate_output_ignores_the_hash_seed(tmp_path):
+    ids = [f"F{i}" for i in range(12)]
+    text = "model marks;\n"
+    text += "".join(f"func {i} := Book <object: Ticket{i}>;\n" for i in ids)
+    text += f"fulfilled {', '.join(ids)};\n"
+    path = write(tmp_path, text)
+    env = dict(os.environ, PYTHONPATH=str(Path(reqsmith.__file__).parents[1]))
+    outputs = set()
+    for seed in ("0", "1", "5"):
+        out_path = tmp_path / f"marks-{seed}.ofn"
+        subprocess.run(
+            [sys.executable, "-m", "reqsmith.cli", "translate", path, "--out", str(out_path)],
+            env=dict(env, PYTHONHASHSEED=seed),
+            check=True,
+            timeout=60,
+        )
+        outputs.add(out_path.read_bytes())
+    assert len(outputs) == 1
 
 
 def test_translate_stacked_annotations_exit_one(tmp_path, capsys):

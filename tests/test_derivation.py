@@ -1,0 +1,144 @@
+"""Differential tests of the structural derivation.
+
+A verdict must not depend on the order of the axioms or on the goals a
+derivation answered before, and it must equal the least fixpoint of the
+derivation rules, computed here by plain round-robin iteration.
+"""
+
+import random
+
+from reqsmith.reasoner import _VIA_AXIOM, _Derivation, _as_dl_axiom, _norm
+from reqsmith.semantics import (
+    DLAnd,
+    DLAtomic,
+    DLCard,
+    DLExists,
+    DLForAll,
+    DLNot,
+    DLOr,
+    DLSubClassOf,
+)
+
+
+def _concept(rng, depth):
+    roll = rng.random()
+    if depth == 0 or roll < 0.35:
+        return DLAtomic(rng.choice("ABCD"))
+    if roll < 0.5:
+        return DLAnd((_concept(rng, depth - 1), _concept(rng, depth - 1)))
+    if roll < 0.6:
+        return DLOr((_concept(rng, depth - 1), _concept(rng, depth - 1)))
+    if roll < 0.68:
+        return DLNot(_concept(rng, depth - 1))
+    slot = rng.choice("rs")
+    filler = _concept(rng, depth - 1)
+    if roll < 0.8:
+        return DLExists(slot, filler)
+    if roll < 0.88:
+        return DLForAll(slot, filler)
+    kind = rng.choice(("min", "max", "exact"))
+    return DLCard(slot, kind, rng.randint(1, 2), filler)
+
+
+def _case(seed):
+    rng = random.Random(seed)
+    axioms = [
+        _as_dl_axiom(DLSubClassOf(_concept(rng, 2), _concept(rng, 2)))
+        for _ in range(rng.randint(2, 6))
+    ]
+    goals = [(_norm(_concept(rng, 2)), _norm(_concept(rng, 2))) for _ in range(8)]
+    return axioms, goals
+
+
+class _RoundRobin(_Derivation):
+    """The same rules, evaluated by iterating every goal seen so far until
+    no value changes: the least fixpoint, with no stack, memo or axiom
+    index."""
+
+    def __init__(self, axioms):
+        super().__init__(axioms)
+        self.table = {}
+
+    def entails(self, sub, sup):
+        return self.table.setdefault((sub, sup), 0)
+
+    def _reach(self, sub):
+        return None, self.axioms
+
+    def solve(self, goal):
+        self.table[goal] = 0
+        while True:
+            seen = len(self.table)
+            changed = False
+            for g in list(self.table):
+                value = self._rules(*g)
+                if value != self.table[g]:
+                    self.table[g] = value
+                    changed = True
+            if not changed and len(self.table) == seen:
+                return self.table[goal]
+
+
+def test_verdicts_ignore_axiom_order_and_memo_state():
+    proven = 0
+    for seed in range(150):
+        axioms, goals = _case(seed)
+        shuffled = list(axioms)
+        random.Random(seed).shuffle(shuffled)
+        fresh = [_Derivation(axioms).entails(*g) for g in goals]
+        shared = _Derivation(axioms)
+        backwards = _Derivation(shuffled)
+        assert [shared.entails(*g) for g in goals] == fresh, seed
+        assert [backwards.entails(*g) for g in reversed(goals)] == fresh[::-1], seed
+        proven += sum(1 for value in fresh if value)
+    assert proven >= 60
+
+
+def test_verdicts_are_the_least_fixpoint_of_the_rules():
+    for seed in range(40):
+        axioms, goals = _case(seed)
+        derivation = _Derivation(axioms)
+        for goal in goals:
+            assert derivation.entails(*goal) == _RoundRobin(axioms).solve(goal), (
+                seed,
+                goal,
+            )
+
+
+def test_an_earlier_goal_cannot_hide_a_proof():
+    # D :< not D empties D, so D :< C holds through the second axiom. Asking
+    # the first goal below used to table D :< C as unprovable while it was
+    # cut short by a goal on the stack, and a shared derivation then lost it.
+    c, d = DLAtomic("C"), DLAtomic("D")
+    axioms = [
+        _as_dl_axiom(DLSubClassOf(d, DLNot(d))),
+        _as_dl_axiom(DLSubClassOf(DLOr((DLAnd((c, d)), DLNot(d))), c)),
+    ]
+    earlier = (
+        _norm(DLNot(DLForAll("r", c))),
+        _norm(DLExists("s", DLExists("s", d))),
+    )
+    shared = _Derivation(axioms)
+    shared.entails(*earlier)
+    assert shared.entails(d, c) == _Derivation(axioms).entails(d, c) == _VIA_AXIOM
+
+
+def test_a_proof_found_under_an_assumption_keeps_nothing_derived_from_it():
+    # D :< B is proven while D :< (B and D) is still open below it; that
+    # open result must not outlive the frame, or D :< only s.(B or C),
+    # which needs D :< (B and D), is lost
+    a, b, c, d = (DLAtomic(n) for n in "ABCD")
+    axioms = [
+        _as_dl_axiom(DLSubClassOf(sub, sup))
+        for sub, sup in (
+            (a, c),
+            (c, DLAnd((b, d))),
+            (b, DLExists("s", d)),
+            (DLOr((a, d)), DLAnd((a, c, DLNot(a)))),
+            (DLExists("s", DLAnd((b, d))), DLForAll("s", d)),
+        )
+    ]
+    goal = (d, _norm(DLForAll("s", DLOr((b, c)))))
+    shared = _Derivation(axioms)
+    assert shared.entails(d, b) == _VIA_AXIOM
+    assert shared.entails(*goal) == _Derivation(axioms).entails(*goal) == _VIA_AXIOM
