@@ -66,6 +66,13 @@ from .model import (
 )
 
 MAX_DIAGNOSTICS = 20
+# Deepest description the parser accepts: parentheses and slot restrictions
+# may nest this deep, and a description's tree may have this many levels.
+# It keeps the parser and the recursive passes over one description
+# (validation, translation, evaluation, printing) inside Python's default
+# recursion limit.
+MAX_NESTING = 100
+_TOO_DEEP = f"description nested more than {MAX_NESTING} levels deep"
 
 KIND_KEYWORDS = {kind.value: kind for kind in Kind}
 OPERATOR_KEYWORDS = {
@@ -163,6 +170,21 @@ def tokenize(text: str, file: str) -> tuple[list[Token], list[ParseDiagnostic]]:
     return tokens, diagnostics
 
 
+def _height(desc: Description) -> int:
+    """Operator levels above the deepest leaf, counted without recursion."""
+    height, stack = 0, [(desc, 0)]
+    while stack:
+        node, level = stack.pop()
+        height = max(height, level)
+        if isinstance(node, (Intersection, Union, Difference)):
+            stack += [(node.left, level + 1), (node.right, level + 1)]
+        elif isinstance(node, SlotRestriction):
+            stack.append((node.filler, level + 1))
+        elif isinstance(node, InverseProjection):
+            stack.append((node.source, level + 1))
+    return height
+
+
 def _unquote(raw: str) -> str:
     body = raw[1:-1]
     return body.replace('\\"', '"').replace("\\\\", "\\")
@@ -184,6 +206,7 @@ class _Parser:
         self.tokens = tokens
         self.file = file
         self.pos = 0
+        self.nesting = 0
         self.diagnostics: list[ParseDiagnostic] = []
 
     # --- token plumbing ---
@@ -201,10 +224,15 @@ class _Parser:
     def at(self, value: str) -> bool:
         return self.peek().value == value and self.peek().type in ("punct", "id")
 
-    def error(self, message: str, expected: Optional[str] = None) -> _Abort:
+    def error(
+        self,
+        message: str,
+        expected: Optional[str] = None,
+        span: Optional[SourceSpan] = None,
+    ) -> _Abort:
         if len(self.diagnostics) < MAX_DIAGNOSTICS:
             self.diagnostics.append(
-                ParseDiagnostic(self.peek().span, "error", message, expected)
+                ParseDiagnostic(span or self.peek().span, "error", message, expected)
             )
         return _Abort()
 
@@ -253,7 +281,17 @@ class _Parser:
     # --- descriptions ---
 
     def parse_description(self) -> Description:
-        return self._parse_difference()
+        if self.nesting > MAX_NESTING:
+            raise self.error(_TOO_DEEP)
+        start = self.peek().span
+        self.nesting += 1
+        try:
+            desc = self._parse_difference()
+        finally:
+            self.nesting -= 1
+        if not self.nesting and _height(desc) > MAX_NESTING:
+            raise self.error(_TOO_DEEP, span=start)
+        return desc
 
     def _parse_difference(self) -> Description:
         left = self._parse_union()
@@ -782,6 +820,7 @@ def _parse_statements(parser: _Parser) -> _Builder:
                 parser.expect(";")
                 build.conflicts.append(frozenset(ids))
             elif keyword == "fulfilled":
+                build.spans.setdefault("fulfilled_marks", token.span)
                 parser.advance()
                 build.marks.update(parser.parse_id_list())
                 parser.expect(";")

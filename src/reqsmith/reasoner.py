@@ -61,6 +61,7 @@ from .semantics import (
     DL_THING,
     _eval_dl,
     _is_dataish,
+    _slot_counts,
     _value_test,
     eval_description,
     translate_description,
@@ -931,14 +932,7 @@ class _Saturator:
         if isinstance(c, DLExists):
             c = DLCard(c.slot, "min", 1, c.filler)
         assert isinstance(c, DLCard)
-        if _is_dataish(c.filler):
-            value = self.data.get((x, c.slot))
-            count = 1 if value is not None and _value_test(c.filler, value) else 0
-        else:
-            targets = _eval_dl(c.filler, snapshot)
-            count = sum(
-                1 for (s, y) in snapshot.tuples(c.slot) if s == x and y in targets
-            )
+        count = _slot_counts(c.slot, c.filler, snapshot).get(x, (0, 0))[1]
         if c.kind in ("max", "exact") and count > c.n:
             self._clash(
                 f"{origin}: {x} has {count} {c.slot} fillers in "

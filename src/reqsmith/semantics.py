@@ -1,11 +1,12 @@
-"""Finite-world evaluation and logic translation for structured elements.
+"""Logic translation and finite-world evaluation for structured elements.
 
-Two complementary views of the same meaning live here. `eval_description`
-computes the exact extension of a description over a small closed world, and
-`element_holds` checks a structured element against such a world, including
-the counting rule for percentage annotations. `translate_description` and
-`translate_element` map the same syntax into a small description-logic
-fragment used by the subsumption reasoner and the exporter.
+`translate_description` and `translate_element` map descriptions and
+elements into a small description-logic fragment used by the subsumption
+reasoner and the exporter. One evaluator computes the exact extension of a
+fragment concept over a finite closed world (`eval_dl`); `eval_description`
+evaluates a description through its translation, and `element_holds` checks
+a structured element against a world with it, including the counting rule
+for percentage annotations.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .model import (
     Thing,
     UAnnotation,
     Union,
-    ValueSet,
     World,
     ModifierKind,
     SOME,
@@ -79,93 +79,12 @@ def violated(witnesses) -> HoldsResult:
     return HoldsResult(HoldsStatus.VIOLATED, tuple(sorted(witnesses)))
 
 
-# ===== PART 2: set-theoretic evaluation =====
-
-
-def _value_in_region(value, expr: RegionExpr) -> bool:
-    if isinstance(expr, NamedRegion):
-        return False
-    raw, unit = value, None
-    if isinstance(value, Quantity):
-        raw, unit = value.value, value.unit
-    if isinstance(expr, Interval):
-        if isinstance(raw, str):
-            return False
-        if expr.unit and unit and expr.unit != unit:
-            return False
-        return expr.low <= raw <= expr.high
-    return raw in expr.values
-
-
-def _modifier_ok(modifier, count: int) -> bool:
-    kind = modifier.kind
-    if kind is ModifierKind.EXACTLY_ONE:
-        return count == 1
-    if kind is ModifierKind.SOME:
-        return count >= 1
-    if kind is ModifierKind.AT_MOST:
-        return count <= modifier.n
-    if kind is ModifierKind.AT_LEAST:
-        return count >= modifier.n
-    return count == modifier.n  # EXACTLY; ONLY is handled separately
-
-
-def _eval(d: Description, w: World) -> frozenset[str]:
-    if isinstance(d, AtomicConcept):
-        return w.extension(d.name)
-    if isinstance(d, Thing):
-        return frozenset(w.individuals)
-    if isinstance(d, Nothing):
-        return frozenset()
-    if isinstance(d, Enumeration):
-        return frozenset(d.ids) & w.individuals
-    if isinstance(d, Intersection):
-        return _eval(d.left, w) & _eval(d.right, w)
-    if isinstance(d, Union):
-        return _eval(d.left, w) | _eval(d.right, w)
-    if isinstance(d, Difference):
-        return _eval(d.left, w) - _eval(d.right, w)
-    if isinstance(d, Region):
-        return frozenset()
-    if isinstance(d, InverseProjection):
-        sources = _eval(d.source, w)
-        return frozenset(y for (x, y) in w.tuples(d.slot) if x in sources)
-    assert isinstance(d, SlotRestriction)
-    return _eval_restriction(d, w)
-
-
-def _eval_restriction(d: SlotRestriction, w: World) -> frozenset[str]:
-    result = set()
-    if isinstance(d.filler, Region):
-        expr = d.filler.expr
-        for x in w.individuals:
-            value = w.data_values.get((x, d.slot))
-            present = 0 if value is None else 1
-            count = 1 if present and _value_in_region(value, expr) else 0
-            if d.modifier.kind is ModifierKind.ONLY:
-                if count == present:
-                    result.add(x)
-            elif _modifier_ok(d.modifier, count):
-                result.add(x)
-        return frozenset(result)
-    targets = _eval(d.filler, w)
-    outgoing: dict[str, list[str]] = {}
-    for x, y in w.tuples(d.slot):
-        outgoing.setdefault(x, []).append(y)
-    for x in w.individuals:
-        succ = outgoing.get(x, [])
-        count = sum(1 for y in succ if y in targets)
-        if d.modifier.kind is ModifierKind.ONLY:
-            if count == len(succ):
-                result.add(x)
-        elif _modifier_ok(d.modifier, count):
-            result.add(x)
-    return frozenset(result)
+# ===== PART 2: evaluating descriptions =====
 
 
 def eval_description(d: Description, world: World) -> frozenset[str]:
     """Compute the exact extension of `d` over a finite closed world."""
-    return _eval(d, world.materialize())
+    return _eval_dl(translate_description(d), world.materialize())
 
 
 # ===== PART 3: checking elements against a world =====
@@ -208,7 +127,9 @@ def element_holds(e: Element, world: World) -> HoldsResult:
         return NOT_APPLICABLE
     flat = world.materialize()
     if isinstance(body, Subsumption):
-        extra = _eval(body.subsumee, flat) - _eval(body.subsumer, flat)
+        extra = eval_description(body.subsumee, flat) - eval_description(
+            body.subsumer, flat
+        )
         return HOLDS if not extra else violated(extra)
     assert isinstance(body, QualityStatement)
     return _quality_holds(body, flat)
@@ -221,11 +142,11 @@ def _quality_holds(body: QualityStatement, flat: World) -> HoldsResult:
             "stacked percentage annotations on one path cannot be checked "
             "against a world; expand them syntactically instead"
         )
-    subjects = _eval(body.subject, flat)
+    subjects = eval_description(body.subject, flat)
     if not subjects:
         return NOT_APPLICABLE
 
-    quality_ext = _eval(body.quality, flat)
+    quality_ext = eval_description(body.quality, flat)
     bearer_of: dict[str, set[str]] = {}
     for q, x in flat.tuples("inheres_in"):
         if q in quality_ext and x in subjects:
@@ -235,7 +156,7 @@ def _quality_holds(body: QualityStatement, flat: World) -> HoldsResult:
     if body.observers:
         allowed: list[frozenset[str]] = []
         for observer in body.observers:
-            members = _eval(observer, flat)
+            members = eval_description(observer, flat)
             if not members:
                 return NOT_APPLICABLE
             allowed.append(members)
@@ -249,7 +170,7 @@ def _quality_holds(body: QualityStatement, flat: World) -> HoldsResult:
         if isinstance(body.region, NamedRegion):
             return q in flat.extension(body.region.name)
         value = flat.data_values.get((q, "has_value_in"))
-        return value is not None and _value_in_region(value, body.region)
+        return value is not None and _value_test(translate_region(body.region), value)
 
     if not annotations:
         bad = [q for q in bearer_of if not good(q)]
@@ -289,7 +210,7 @@ def _counted_fraction(
     elif path == ("observed_by",):
         members: set[str] = set()
         for observer in body.observers:
-            members |= _eval(observer, flat)
+            members |= eval_description(observer, flat)
         if not members:
             return None
         observed = flat.tuples("observed_by")
@@ -302,7 +223,7 @@ def _counted_fraction(
         filler = _find_slot_filler(body.subject, path[1])
         if filler is None:
             raise PathMismatch(f"no slot {path[1]!r} in the subject description")
-        group = _eval(filler, flat)
+        group = eval_description(filler, flat)
         if not group:
             return None
         pairs = flat.tuples(path[1])
@@ -416,12 +337,6 @@ class DLNominal(DLConcept):
 class DLSubClassOf:
     sub: DLConcept
     sup: DLConcept
-
-
-@dataclass(frozen=True)
-class DLDisjoint:
-    a: DLConcept
-    b: DLConcept
 
 
 DL_THING = DLThing()
@@ -622,16 +537,20 @@ def _value_test(c: DLConcept, value) -> bool:
     return raw >= c.value if c.facet == "min" else raw <= c.value
 
 
-def _slot_count(x: str, slot: str, filler: DLConcept, w: World) -> tuple[int, int]:
-    """How many slot successors x has, and how many land in the filler."""
+def _slot_counts(slot: str, filler: DLConcept, w: World) -> dict[str, tuple[int, int]]:
+    """For each individual with a slot successor: how many it has, and how
+    many land in the filler. The filler is evaluated once for the whole slot."""
+    counts: dict[str, tuple[int, int]] = {}
     if _is_dataish(filler):
-        value = w.data_values.get((x, slot))
-        present = 0 if value is None else 1
-        inside = 1 if present and _value_test(filler, value) else 0
-        return present, inside
+        for (x, s), value in w.data_values.items():
+            if s == slot:
+                counts[x] = (1, int(_value_test(filler, value)))
+        return counts
     targets = _eval_dl(filler, w)
-    succ = [y for (sx, y) in w.tuples(slot) if sx == x]
-    return len(succ), sum(1 for y in succ if y in targets)
+    for x, y in w.tuples(slot):
+        total, inside = counts.get(x, (0, 0))
+        counts[x] = (total + 1, inside + (y in targets))
+    return counts
 
 
 def _eval_dl(c: DLConcept, w: World) -> frozenset[str]:
@@ -658,21 +577,16 @@ def _eval_dl(c: DLConcept, w: World) -> frozenset[str]:
     if isinstance(c, DLExistsInverse):
         sources = _eval_dl(c.filler, w)
         return frozenset(y for (x, y) in w.tuples(c.slot) if x in sources)
+    counts = _slot_counts(c.slot, c.filler, w)
     if isinstance(c, DLExists):
-        return frozenset(
-            x for x in w.individuals if _slot_count(x, c.slot, c.filler, w)[1] >= 1
-        )
+        return w.individuals & {x for x, (_, inside) in counts.items() if inside}
     if isinstance(c, DLForAll):
-        result = set()
-        for x in w.individuals:
-            total, inside = _slot_count(x, c.slot, c.filler, w)
-            if total == inside:
-                result.add(x)
-        return frozenset(result)
+        missed = {x for x, (total, inside) in counts.items() if inside < total}
+        return w.individuals - missed
     assert isinstance(c, DLCard)
     result = set()
     for x in w.individuals:
-        count = _slot_count(x, c.slot, c.filler, w)[1]
+        count = counts.get(x, (0, 0))[1]
         if c.kind == "min":
             ok = count >= c.n
         elif c.kind == "max":

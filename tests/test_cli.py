@@ -58,6 +58,21 @@ def write(tmp_path, text, name="input.dsr"):
     return str(path)
 
 
+def run_cli(args, hash_seed="0"):
+    """Run the CLI in a fresh interpreter, as a user would."""
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(Path(reqsmith.__file__).parents[1]),
+        PYTHONHASHSEED=hash_seed,
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "reqsmith.cli", *args],
+        env=env,
+        capture_output=True,
+        timeout=60,
+    )
+
+
 # ===== shared behavior =====
 
 
@@ -87,6 +102,73 @@ def test_counts_below_one_or_fractional_exit_two_with_span(
         f"{path}:2:28: error: a cardinality count must be a whole number >= 1, "
         f"found {count}\n"
     )
+
+
+def _some_chain(depth: int) -> str:
+    return "<s: SOME " * depth + "A" + ">" * depth
+
+
+TWO_INDIVIDUALS = (
+    "world {\n  individual a : A;\n  individual b;\n"
+    "  slot s (a, b);\n  slot s (b, a);\n}\n"
+)
+
+
+@pytest.mark.parametrize("command", ["check", "lint"])
+def test_deeply_nested_restrictions_are_checked_quickly(tmp_path, command):
+    # Evaluating each filler once per restriction keeps this linear in depth.
+    text = f"model deep;\naxiom {_some_chain(60)} :< B;\n" + TWO_INDIVIDUALS
+    run = run_cli([command, write(tmp_path, text)])
+    assert (run.returncode, run.stdout, run.stderr) == (0, b"", b"")
+
+
+@pytest.mark.parametrize("command", ["fmt", "check", "lint", "translate"])
+@pytest.mark.parametrize(
+    "description",
+    [
+        _some_chain(101),
+        _some_chain(140),
+        " | ".join(f"A{i}" for i in range(1500)),
+        "(" * 150 + "A" + ")" * 150,
+    ],
+    ids=["some-101", "some-140", "or-1500", "parens-150"],
+)
+def test_over_deep_descriptions_exit_two_with_span(
+    tmp_path, capsys, command, description
+):
+    path = write(tmp_path, f"model deep;\naxiom {description} :< B;\n")
+    args = [command, path]
+    if command == "translate":
+        args += ["--out", str(tmp_path / "deep.ofn")]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"{path}:2:")
+    assert captured.err.endswith(": error: description nested more than 100 levels deep\n")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["fmt", "check", "lint", "translate"])
+@pytest.mark.parametrize(
+    "description",
+    [
+        _some_chain(100),
+        "<s: ONLY " * 100 + "A" + ">" * 100,
+        " | ".join(f"A{i}" for i in range(101)),
+        "(" + " ".join(f"A{i}" for i in range(101)) + ")",
+        " - ".join(f"A{i}" for i in range(101)),
+    ],
+    ids=["some", "only", "or", "and", "minus"],
+)
+def test_descriptions_at_the_nesting_limit_are_accepted(
+    tmp_path, capsys, command, description
+):
+    path = write(tmp_path, f"model deep;\naxiom A :< {description};\n" + TWO_INDIVIDUALS)
+    args = [command, path]
+    if command == "translate":
+        args += ["--out", str(tmp_path / "deep.ofn")]
+    assert main(args) in (0, 1)
+    assert capsys.readouterr().err == ""
 
 
 def test_unknown_flag_exits_two(tmp_path, capsys):
@@ -310,6 +392,14 @@ def test_fulfill_json_maps_ids_to_states(tmp_path, capsys):
     assert data["fulfillment"]["G1"] == "fulfilled"
 
 
+def test_dangling_fulfilled_mark_points_at_its_statement(tmp_path, capsys):
+    path = write(tmp_path, CLEAN + "  fulfilled G9;\n")
+    assert main(["fulfill", path]) == 2
+    assert capsys.readouterr().err == (
+        f"{path}:3:3: error: fulfilled_marks: [dangling-reference] unknown id G9\n"
+    )
+
+
 # ===== translate =====
 
 
@@ -323,23 +413,31 @@ def test_translate_writes_the_ontology(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_translate_output_ignores_the_hash_seed(tmp_path):
+@pytest.mark.parametrize(
+    "command",
+    ["fmt", "check", "check --json", "lint", "query", "fulfill", "translate"],
+)
+def test_output_ignores_the_hash_seed(tmp_path, command):
     ids = [f"F{i}" for i in range(12)]
-    text = "model marks;\n"
+    text = "model marks;\naxiom Airline_ticket :< Ticket;\naxiom Hot Cold :< Nothing;\n"
     text += "".join(f"func {i} := Book <object: Ticket{i}>;\n" for i in ids)
+    text += "func G1 := Book <object: Ticket>;\n"
+    text += "func G2 := Book <object: Airline_ticket>;\n"
+    text += "reduce G1 -> G2 [weaken];\n"
     text += f"fulfilled {', '.join(ids)};\n"
+    text += "world {\n  individual x1 : Hot, Cold;\n  individual x2 : Hot;\n}\n"
     path = write(tmp_path, text)
-    env = dict(os.environ, PYTHONPATH=str(Path(reqsmith.__file__).parents[1]))
+    args = command.split() + [path]
+    if command == "query":
+        args += ["--pattern", "<object: Ticket> | <object: TicketF3>"]
     outputs = set()
     for seed in ("0", "1", "5"):
         out_path = tmp_path / f"marks-{seed}.ofn"
-        subprocess.run(
-            [sys.executable, "-m", "reqsmith.cli", "translate", path, "--out", str(out_path)],
-            env=dict(env, PYTHONHASHSEED=seed),
-            check=True,
-            timeout=60,
-        )
-        outputs.add(out_path.read_bytes())
+        out = ["--out", str(out_path)] if command == "translate" else []
+        run = run_cli(args + out, hash_seed=seed)
+        assert run.returncode in (0, 1), run.stderr
+        written = out_path.read_bytes() if command == "translate" else b""
+        outputs.add((run.returncode, run.stdout, run.stderr, written))
     assert len(outputs) == 1
 
 

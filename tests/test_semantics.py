@@ -20,14 +20,17 @@ from reqsmith.model import (
     Interval,
     InverseProjection,
     Kind,
+    ModifierKind,
     NamedRegion,
     NaturalLanguage,
+    Nothing,
     QualityRecord,
     QualityStatement,
     Quantity,
     Region,
     SlotRestriction,
     Subsumption,
+    Thing,
     UAnnotation,
     Union,
     ValueSet,
@@ -694,16 +697,115 @@ def _random_world(rng: random.Random) -> World:
     )
 
 
-def test_translated_concepts_agree_with_direct_evaluation():
+def _is_data_filler(d) -> bool:
+    if isinstance(d, Region):
+        return isinstance(d.expr, (Interval, ValueSet))
+    if isinstance(d, (Intersection, Union)):
+        return _is_data_filler(d.left) and _is_data_filler(d.right)
+    return False
+
+
+def _value_member(d, value) -> bool:
+    if isinstance(d, Intersection):
+        return _value_member(d.left, value) and _value_member(d.right, value)
+    if isinstance(d, Union):
+        return _value_member(d.left, value) or _value_member(d.right, value)
+    raw, unit = value, None
+    if isinstance(value, Quantity):
+        raw, unit = value.value, value.unit
+    expr = d.expr
+    if isinstance(expr, ValueSet):
+        return raw in expr.values
+    if isinstance(raw, str) or (expr.unit and unit and expr.unit != unit):
+        return False
+    return expr.low <= raw <= expr.high
+
+
+def _member(d, x: str, w: World) -> bool:
+    """Pointwise oracle: is `x` in the extension of `d`? Decides one
+    individual at a time and counts its successors directly."""
+    if isinstance(d, AtomicConcept):
+        return x in w.extension(d.name)
+    if isinstance(d, Thing):
+        return True
+    if isinstance(d, (Nothing, Region)):
+        return False
+    if isinstance(d, Enumeration):
+        return x in d.ids
+    if isinstance(d, Intersection):
+        return _member(d.left, x, w) and _member(d.right, x, w)
+    if isinstance(d, Union):
+        return _member(d.left, x, w) or _member(d.right, x, w)
+    if isinstance(d, Difference):
+        return _member(d.left, x, w) and not _member(d.right, x, w)
+    if isinstance(d, InverseProjection):
+        return any(_member(d.source, s, w) for s, y in w.tuples(d.slot) if y == x)
+    assert isinstance(d, SlotRestriction)
+    if _is_data_filler(d.filler):
+        value = w.data_values.get((x, d.slot))
+        total = 0 if value is None else 1
+        inside = 1 if total and _value_member(d.filler, value) else 0
+    else:
+        successors = [y for s, y in w.tuples(d.slot) if s == x]
+        total = len(successors)
+        inside = sum(1 for y in successors if _member(d.filler, y, w))
+    kind, n = d.modifier.kind, d.modifier.n
+    if kind is ModifierKind.ONLY:
+        return inside == total
+    if kind is ModifierKind.SOME:
+        return inside >= 1
+    if kind is ModifierKind.EXACTLY_ONE:
+        return inside == 1
+    if kind is ModifierKind.AT_MOST:
+        return inside <= n
+    if kind is ModifierKind.AT_LEAST:
+        return inside >= n
+    return inside == n
+
+
+def _oracle_extension(d, w: World) -> frozenset:
+    flat = w.materialize()
+    return frozenset(x for x in flat.individuals if _member(d, x, flat))
+
+
+# Seeded worlds seldom give an individual several successors on one slot,
+# so this one is added to exercise counting.
+FAN_OUT_WORLD = world(
+    individuals={"i1", "i2", "i3"},
+    concept_extensions={"A": {"i1"}, "B": {"i2", "i3"}},
+    slot_tuples={
+        "r": {("i1", "i1"), ("i1", "i2"), ("i1", "i3"), ("i2", "i1"), ("i2", "i3")},
+        "s": {("i3", "i1"), ("i3", "i2"), ("i2", "i2")},
+    },
+    data_values={("i1", "r"): Fraction(4), ("i3", "s"): Fraction(25)},
+)
+
+
+def test_evaluation_agrees_with_a_pointwise_membership_oracle():
     rng = random.Random(20260815)
-    worlds = [_random_world(rng) for _ in range(8)]
+    worlds = [_random_world(rng) for _ in range(8)] + [FAN_OUT_WORLD]
     for _ in range(250):
         d = _random_description(rng, rng.randint(0, 3))
         concept = translate_description(d)
         for w in worlds:
-            assert eval_dl(concept, w) == eval_description(d, w), (
-                f"disagreement on {d!r}"
-            )
+            expected = _oracle_extension(d, w)
+            assert eval_description(d, w) == expected, f"disagreement on {d!r}"
+            assert eval_dl(concept, w) == expected, f"disagreement on {d!r}"
+
+
+def test_a_union_of_regions_filler_reads_as_a_data_range():
+    # Both regions test the slot's data value, as in the logic translation.
+    d = SlotRestriction(
+        "r",
+        SOME,
+        Union(
+            Region(Interval(Fraction(0), Fraction(5))),
+            Region(Interval(Fraction(10), Fraction(20))),
+        ),
+    )
+    w = world(individuals={"a", "b"}, data_values={("a", "r"): Fraction(3)})
+    assert _oracle_extension(d, w) == frozenset({"a"})
+    assert eval_description(d, w) == frozenset({"a"})
 
 
 def test_normalize_preserves_evaluation():
