@@ -289,6 +289,15 @@ def main(argv: Optional[list] = None) -> int:
     except _CliError as err:
         print(err, file=sys.stderr)
         return 2
+    except RecursionError:
+        # The parser bounds nesting, but the structural derivation can still
+        # recurse past Python's limit on deep, wide models.
+        print(
+            f"{args.file}: error: the model nests too deeply for the reasoner "
+            "(recursion limit reached)",
+            file=sys.stderr,
+        )
+        return 2
     except BrokenPipeError:
         return 0
 

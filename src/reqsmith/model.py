@@ -671,9 +671,9 @@ def validate_model(model: Model) -> list[ValidationDiagnostic]:
             )
         )
     diags.extend(_check_acyclic(model))
-    for axiom in model.axioms:
+    for index, axiom in enumerate(model.axioms):
         for desc in (axiom.subsumee, axiom.subsumer):
-            diags.extend(_validate_description(desc, "axiom"))
+            diags.extend(_validate_description(desc, f"axiom[{index}]"))
     return diags
 
 

@@ -114,24 +114,44 @@ class ParseDiagnostic:
 
 # ===== PART 1: lexer =====
 
+# One match per token: the leading group skips the whitespace and comments
+# before it, and the alternation ends in a catch-all for an unexpected
+# character and a match at the end of the text, so the pattern matches at
+# every position and `finditer` scans the whole text without a gap. Tokens
+# never contain a newline; only the skipped prefix moves the line count.
 _TOKEN_RE = re.compile(
     r"""
-      (?P<ws>\s+)
-    | (?P<comment>//[^\n]*)
-    | (?P<number>\d+\.\d+|\d+/\d+|\d+)
-    | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
-    | (?P<string>"(?:[^"\\\n]|\\.)*")
+    (?:\s+|//[^\n]*)*
+    (?:
+      (?P<num>\d+\.\d+|\d+/\d+|\d+)
+    | (?P<id>[A-Za-z_][A-Za-z0-9_']*)
+    | (?P<str>"(?:[^"\\\n]|\\.)*")
     | (?P<punct>:=|:<|::|<=|>=|->|[;,{}()\[\]<>:=|\-.?%])
+    | (?P<bad>.)
+    | (?P<eof>\Z)
+    )
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
 class Token:
-    type: str  # one of: num, id, str, punct, eof
-    value: str
-    span: SourceSpan
+    """One lexeme: its type (num, id, str, punct or eof), its text, and where
+    it starts. The `SourceSpan` is built only when someone asks for it."""
+
+    __slots__ = ("type", "value", "offset", "line", "column", "file")
+
+    def __init__(self, type: str, value: str, offset: int, line: int, column: int, file: str):
+        self.type = type
+        self.value = value
+        self.offset = offset
+        self.line = line
+        self.column = column
+        self.file = file
+
+    @property
+    def span(self) -> SourceSpan:
+        return SourceSpan(self.file, self.line, self.column, self.offset)
 
 
 _COUNTED = {"<=": at_most, ">=": at_least, "=": exactly}
@@ -140,33 +160,26 @@ _COUNTED = {"<=": at_most, ">=": at_least, "=": exactly}
 def tokenize(text: str, file: str) -> tuple[list[Token], list[ParseDiagnostic]]:
     tokens: list[Token] = []
     diagnostics: list[ParseDiagnostic] = []
-    pos = 0
     line = 1
     line_start = 0
-    while pos < len(text):
-        span = SourceSpan(file, line, pos - line_start + 1, pos)
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
+    for match in _TOKEN_RE.finditer(text):
+        kind = match.lastgroup
+        start = match.start(kind)
+        gap = match.start()
+        if start != gap:
+            newlines = text.count("\n", gap, start)
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", gap, start) + 1
+        if kind == "bad":
+            span = SourceSpan(file, line, start - line_start + 1, start)
             diagnostics.append(
-                ParseDiagnostic(span, "error", f"unexpected character {text[pos]!r}")
+                ParseDiagnostic(span, "error", f"unexpected character {text[start]!r}")
             )
-            pos += 1
             continue
-        lexeme = match.group(0)
-        if match.lastgroup == "number":
-            tokens.append(Token("num", lexeme, span))
-        elif match.lastgroup == "ident":
-            tokens.append(Token("id", lexeme, span))
-        elif match.lastgroup == "string":
-            tokens.append(Token("str", lexeme, span))
-        elif match.lastgroup == "punct":
-            tokens.append(Token("punct", lexeme, span))
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            line_start = pos + lexeme.rindex("\n") + 1
-        pos = match.end()
-    tokens.append(Token("eof", "", SourceSpan(file, line, pos - line_start + 1, pos)))
+        tokens.append(Token(kind, match[kind], start, line, start - line_start + 1, file))
+        if kind == "eof":
+            break
     return tokens, diagnostics
 
 
@@ -202,27 +215,32 @@ class _Abort(Exception):
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], file: str):
+    def __init__(self, tokens: list[Token]):
         self.tokens = tokens
-        self.file = file
+        self.last = len(tokens) - 1
         self.pos = 0
         self.nesting = 0
         self.diagnostics: list[ParseDiagnostic] = []
 
     # --- token plumbing ---
+    # The token list ends in `eof` and `advance` never moves past it, so the
+    # current token is always `tokens[pos]`; only a look-ahead is clamped.
 
     def peek(self, ahead: int = 0) -> Token:
-        index = min(self.pos + ahead, len(self.tokens) - 1)
-        return self.tokens[index]
+        if ahead:
+            return self.tokens[min(self.pos + ahead, self.last)]
+        return self.tokens[self.pos]
 
     def advance(self) -> Token:
         token = self.tokens[self.pos]
-        if token.type != "eof":
+        if self.pos < self.last:
             self.pos += 1
         return token
 
     def at(self, value: str) -> bool:
-        return self.peek().value == value and self.peek().type in ("punct", "id")
+        # Only punctuation and identifiers can equal a keyword or symbol: a
+        # string keeps its quotes, a number starts with a digit, eof is "".
+        return self.tokens[self.pos].value == value
 
     def error(
         self,
@@ -236,17 +254,23 @@ class _Parser:
             )
         return _Abort()
 
+    # A token that matches is not `eof`, so these two step past it directly.
+
     def expect(self, value: str) -> Token:
-        if not self.at(value):
-            found = self.peek().value or "end of input"
+        token = self.tokens[self.pos]
+        if token.value != value:
+            found = token.value or "end of input"
             raise self.error(f"expected {value!r}, found {found!r}", expected=repr(value))
-        return self.advance()
+        self.pos += 1
+        return token
 
     def expect_ident(self, what: str = "identifier") -> Token:
-        if self.peek().type != "id":
-            found = self.peek().value or "end of input"
+        token = self.tokens[self.pos]
+        if token.type != "id":
+            found = token.value or "end of input"
             raise self.error(f"expected {what}, found {found!r}", expected=what)
-        return self.advance()
+        self.pos += 1
+        return token
 
     def sync_statement(self) -> None:
         depth = 0
@@ -283,14 +307,21 @@ class _Parser:
     def parse_description(self) -> Description:
         if self.nesting > MAX_NESTING:
             raise self.error(_TOO_DEEP)
-        start = self.peek().span
+        start = self.pos
         self.nesting += 1
         try:
             desc = self._parse_difference()
         finally:
             self.nesting -= 1
-        if not self.nesting and _height(desc) > MAX_NESTING:
-            raise self.error(_TOO_DEEP, span=start)
+        # Each level of a tree owns at least one token outside the subtree
+        # below it, so a description of at most MAX_NESTING tokens is never
+        # too high and its tree need not be walked.
+        if (
+            not self.nesting
+            and self.pos - start > MAX_NESTING
+            and _height(desc) > MAX_NESTING
+        ):
+            raise self.error(_TOO_DEEP, span=self.tokens[start].span)
         return desc
 
     def _parse_difference(self) -> Description:
@@ -781,8 +812,10 @@ class _Builder:
     marks: set[str] = field(default_factory=set)
     world: Optional[World] = None
     specs: list[MembershipSpec] = field(default_factory=list)
-    spans: dict[str, SourceSpan] = field(default_factory=dict)
-    app_spans: list[SourceSpan] = field(default_factory=list)
+    # The token each validation subject starts at: an element's id, the
+    # first `fulfilled`, and the keyword of `application[i]`, `conflict[i]`
+    # and `axiom[i]`.
+    starts: dict[str, Token] = field(default_factory=dict)
 
 
 def _parse_statements(parser: _Parser) -> _Builder:
@@ -804,23 +837,23 @@ def _parse_statements(parser: _Parser) -> _Builder:
                 body = parser.parse_body(KIND_KEYWORDS[keyword])
                 parser.expect(";")
                 build.elements.append(Element(ident.value, KIND_KEYWORDS[keyword], body))
-                build.spans[ident.value] = ident.span
+                build.starts[ident.value] = ident
             elif keyword in OPERATOR_KEYWORDS:
-                span = token.span
                 parser.advance()
                 app = parser.parse_operator_statement(keyword)
                 parser.expect(";")
+                build.starts[f"application[{len(build.applications)}]"] = token
                 build.applications.append(app)
-                build.app_spans.append(span)
             elif keyword == "conflict":
                 parser.advance()
                 parser.expect("{")
                 ids = parser.parse_id_list()
                 parser.expect("}")
                 parser.expect(";")
+                build.starts[f"conflict[{len(build.conflicts)}]"] = token
                 build.conflicts.append(frozenset(ids))
             elif keyword == "fulfilled":
-                build.spans.setdefault("fulfilled_marks", token.span)
+                build.starts.setdefault("fulfilled_marks", token)
                 parser.advance()
                 build.marks.update(parser.parse_id_list())
                 parser.expect(";")
@@ -830,6 +863,7 @@ def _parse_statements(parser: _Parser) -> _Builder:
                 parser.expect(":<")
                 subsumer = parser.parse_description()
                 parser.expect(";")
+                build.starts[f"axiom[{len(build.axioms)}]"] = token
                 build.axioms.append(Subsumption(subsumee, subsumer))
             elif keyword == "world":
                 parser.advance()
@@ -851,7 +885,7 @@ def parse_model(
 ) -> TypingUnion[Model, list[ParseDiagnostic]]:
     """Parse a model file; return the model or all error diagnostics."""
     tokens, diagnostics = tokenize(text, file)
-    parser = _Parser(tokens, file)
+    parser = _Parser(tokens)
     parser.diagnostics.extend(diagnostics)
     build = _parse_statements(parser)
     if parser.diagnostics:
@@ -871,10 +905,8 @@ def parse_model(
         fallback = SourceSpan(file, 1, 1, 0)
         result = []
         for problem in problems:
-            span = build.spans.get(problem.subject_id, fallback)
-            match = re.fullmatch(r"application\[(\d+)\]", problem.subject_id)
-            if match and int(match.group(1)) < len(build.app_spans):
-                span = build.app_spans[int(match.group(1))]
+            start = build.starts.get(problem.subject_id)
+            span = fallback if start is None else start.span
             result.append(ParseDiagnostic(span, "error", str(problem)))
         return result
     return model
@@ -885,7 +917,7 @@ def parse_description(
 ) -> TypingUnion[Description, list[ParseDiagnostic]]:
     """Parse a lone description; return it or all error diagnostics."""
     tokens, diagnostics = tokenize(text, file)
-    parser = _Parser(tokens, file)
+    parser = _Parser(tokens)
     parser.diagnostics.extend(diagnostics)
     result: Optional[Description] = None
     try:

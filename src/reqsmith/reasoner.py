@@ -849,6 +849,14 @@ class _Saturator:
         self.clashes: list[str] = []
         self.incomplete = False
         self.changed = False
+        # Saturation adds memberships, never tuples, so a slot's successor
+        # lists hold for every round; they keep the order of the slot's
+        # tuples, so assertions run in the order a scan of the slot gives.
+        self.successors: dict[str, dict[str, list[str]]] = {}
+        # Per round: extensions and slot counts over the round's snapshot,
+        # keyed by concept. `_assert` reads only the snapshot, so they are exact.
+        self.snapshot = World()
+        self.memo: dict = {}
 
     def current(self) -> World:
         return World(
@@ -861,22 +869,44 @@ class _Saturator:
     def run(self, max_rounds: int = 50) -> _Saturation:
         for _ in range(max_rounds):
             self.changed = False
-            snapshot = self.current()
+            self.snapshot = self.current()
+            self.memo = {}
             for ax in self.axioms:
-                for x in sorted(_eval_dl(ax.sub, snapshot)):
-                    self._assert(x, ax.sup, ax, snapshot)
+                for x in sorted(self._extension(ax.sub)):
+                    self._assert(x, ax.sup, ax)
             if self.clashes:
                 return _Saturation(None, tuple(self.clashes), self.incomplete)
             if not self.changed:
                 break
         return _Saturation(self.current(), (), self.incomplete)
 
-    def _clash(self, message: str):
+    def _extension(self, c: DLConcept) -> frozenset[str]:
+        ext = self.memo.get(c)
+        if ext is None:
+            ext = self.memo[c] = _eval_dl(c, self.snapshot)
+        return ext
+
+    def _count(self, x: str, slot: str, filler: DLConcept) -> int:
+        key = (slot, filler)
+        counts = self.memo.get(key)
+        if counts is None:
+            counts = self.memo[key] = _slot_counts(slot, filler, self.snapshot)
+        return counts.get(x, (0, 0))[1]
+
+    def _successors(self, slot: str, x: str) -> list[str]:
+        index = self.successors.get(slot)
+        if index is None:
+            index = self.successors[slot] = {}
+            for subject, target in self.tuples.get(slot, ()):
+                index.setdefault(subject, []).append(target)
+        return index.get(x, [])
+
+    def _clash(self, ax: DLSubClassOf, text: str):
+        message = f"axiom {_axiom_repr(ax)}{text}"
         if message not in self.clashes:
             self.clashes.append(message)
 
-    def _assert(self, x: str, c: DLConcept, ax: DLSubClassOf, snapshot: World):
-        origin = f"axiom {_axiom_repr(ax)}"
+    def _assert(self, x: str, c: DLConcept, ax: DLSubClassOf):
         if isinstance(c, DLAtomic):
             members = self.extensions.setdefault(c.name, set())
             if x not in members:
@@ -886,57 +916,52 @@ class _Saturator:
         if isinstance(c, DLThing):
             return
         if isinstance(c, DLNothing):
-            self._clash(f"{origin} forces {x} into Nothing")
+            self._clash(ax, f" forces {x} into Nothing")
             return
         if isinstance(c, DLAnd):
             for arg in c.args:
-                self._assert(x, arg, ax, snapshot)
+                self._assert(x, arg, ax)
             return
-        if isinstance(c, DLOr):
-            if any(x in _eval_dl(arg, snapshot) for arg in c.args):
-                return
-            self.incomplete = True
+        if isinstance(c, (DLOr, DLExistsInverse)):
+            # One of the disjuncts, or a source in the filler, may hold
+            # already; otherwise the world would need a guess.
+            if x not in self._extension(c):
+                self.incomplete = True
             return
         if isinstance(c, DLNominal):
             if x not in c.ids:
                 self._clash(
-                    f"{origin} forces {x} to be one of {{{', '.join(c.ids)}}}, "
-                    "but distinct names denote distinct individuals"
+                    ax,
+                    f" forces {x} to be one of {{{', '.join(c.ids)}}}, "
+                    "but distinct names denote distinct individuals",
                 )
             return
         if isinstance(c, DLNot):
-            if x in _eval_dl(c.inner, snapshot):
-                self._clash(
-                    f"{origin} forbids {x} from {_dl_repr(c.inner)}, which it inhabits"
-                )
+            if x in self._extension(c.inner):
+                self._clash(ax, f" forbids {x} from {_dl_repr(c.inner)}, which it inhabits")
             return
         if isinstance(c, DLForAll):
             if _is_dataish(c.filler):
                 value = self.data.get((x, c.slot))
                 if value is not None and not _value_test(c.filler, value):
                     self._clash(
-                        f"{origin}: value {value!r} of {x}.{c.slot} falls outside "
-                        f"{_dl_repr(c.filler)}"
+                        ax,
+                        f": value {value!r} of {x}.{c.slot} falls outside "
+                        f"{_dl_repr(c.filler)}",
                     )
                 return
-            for subject, target in snapshot.tuples(c.slot):
-                if subject == x:
-                    self._assert(target, c.filler, ax, snapshot)
-            return
-        if isinstance(c, DLExistsInverse):
-            sources = _eval_dl(c.filler, snapshot)
-            if any((s, x) in snapshot.tuples(c.slot) for s in sources):
-                return
-            self.incomplete = True
+            for target in self._successors(c.slot, x):
+                self._assert(target, c.filler, ax)
             return
         if isinstance(c, DLExists):
             c = DLCard(c.slot, "min", 1, c.filler)
         assert isinstance(c, DLCard)
-        count = _slot_counts(c.slot, c.filler, snapshot).get(x, (0, 0))[1]
+        count = self._count(x, c.slot, c.filler)
         if c.kind in ("max", "exact") and count > c.n:
             self._clash(
-                f"{origin}: {x} has {count} {c.slot} fillers in "
-                f"{_dl_repr(c.filler)}, more than {c.n}"
+                ax,
+                f": {x} has {count} {c.slot} fillers in "
+                f"{_dl_repr(c.filler)}, more than {c.n}",
             )
         if c.kind in ("min", "exact") and count < c.n:
             self.incomplete = True

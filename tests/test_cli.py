@@ -400,6 +400,57 @@ def test_dangling_fulfilled_mark_points_at_its_statement(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    ("statements", "diagnostic"),
+    [
+        (
+            "  conflict {F1};\n",
+            "4:3: error: conflict[0]: [conflict-size] conflict sets need >= 2 ids",
+        ),
+        (
+            "conflict {F1, F2};\n\n    conflict {F1, G9};\n",
+            "6:5: error: conflict[1]: [dangling-reference] unknown id G9",
+        ),
+        (
+            "\n   axiom A :< [0, 5] | B;\n",
+            "5:4: error: axiom[0]: [region-mixing] "
+            "regions combine only with regions, not with concepts",
+        ),
+        (
+            "axiom A :< B;\n\taxiom C <reduce_to: D> :< E;\n",
+            "5:2: error: axiom[1]: [reserved-slot] slot reduce_to is reserved for reasoning",
+        ),
+    ],
+    ids=["conflict-size", "conflict-dangling", "axiom-regions", "axiom-reserved"],
+)
+def test_conflict_and_axiom_diagnostics_point_at_their_statement(
+    tmp_path, capsys, statements, diagnostic
+):
+    path = write(tmp_path, "model m;\nfunc F1 := Book;\nfunc F2 := Book;\n" + statements)
+    assert main(["check", path]) == 2
+    assert capsys.readouterr().err == f"{path}:{diagnostic}\n"
+
+
+def test_reasoner_recursion_overflow_exits_two_without_a_traceback(tmp_path):
+    # Inside the parser's nesting limit, but the structural derivation's
+    # recursion grows with nesting times disjunct hops.
+    terms = " | ".join(f"A{i}" for i in range(21))
+    inner = "(" + " | ".join(f"A{i}" for i in range(10)) + ")"
+    text = (
+        f"fc FC1 := {terms} :< {'<s: SOME ' * 10}{inner}{'>' * 10};\n"
+        f"fc FC2 := {'<s: SOME ' * 20}A{'>' * 20} :< {terms};\n"
+        "reduce FC1 -> FC2 [strengthen];\n"
+    )
+    path = write(tmp_path, text)
+    run = run_cli(["check", path])
+    assert run.returncode == 2
+    assert run.stdout == b""
+    assert run.stderr.decode() == (
+        f"{path}: error: the model nests too deeply for the reasoner "
+        "(recursion limit reached)\n"
+    )
+
+
 # ===== translate =====
 
 

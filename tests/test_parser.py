@@ -1,6 +1,11 @@
 """Tests for the textual model format: lexer, parser, and printer."""
 
+import importlib.util
+import random
+import re
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -49,7 +54,10 @@ from reqsmith.parser import (
     parse_description,
     parse_model,
     print_model,
+    tokenize,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def parsed(text):
@@ -433,6 +441,132 @@ def test_diagnostic_cap():
 
 def test_unterminated_string_is_an_error():
     failed('goal G := "oops;')
+
+
+# ---- lexer ----
+
+# The lexer before tokens became one match each: whitespace runs and
+# comments were matches of their own, and every match built its span. It is
+# the reference the single-pass lexer must agree with, token for token.
+_REFERENCE_TOKEN_RE = re.compile(
+    r"""
+      (?P<ws>\s+)
+    | (?P<comment>//[^\n]*)
+    | (?P<number>\d+\.\d+|\d+/\d+|\d+)
+    | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
+    | (?P<string>"(?:[^"\\\n]|\\.)*")
+    | (?P<punct>:=|:<|::|<=|>=|->|[;,{}()\[\]<>:=|\-.?%])
+    """,
+    re.VERBOSE,
+)
+_REFERENCE_TYPES = {"number": "num", "ident": "id", "string": "str", "punct": "punct"}
+
+
+def reference_tokenize(text):
+    """(type, value, offset, line, column) per token; (offset, line, column,
+    message) per diagnostic."""
+    tokens, diagnostics = [], []
+    pos, line, line_start = 0, 1, 0
+    while pos < len(text):
+        column = pos - line_start + 1
+        match = _REFERENCE_TOKEN_RE.match(text, pos)
+        if match is None:
+            message = f"unexpected character {text[pos]!r}"
+            diagnostics.append((pos, line, column, message))
+            pos += 1
+            continue
+        lexeme = match.group(0)
+        if match.lastgroup in _REFERENCE_TYPES:
+            tokens.append((_REFERENCE_TYPES[match.lastgroup], lexeme, pos, line, column))
+        newlines = lexeme.count("\n")
+        if newlines:
+            line += newlines
+            line_start = pos + lexeme.rindex("\n") + 1
+        pos = match.end()
+    tokens.append(("eof", "", pos, line, pos - line_start + 1))
+    return tokens, diagnostics
+
+
+def lexed(text, file="lexed.dsr"):
+    """`tokenize` in the reference's terms, after checking that each token's
+    own position agrees with the span it builds."""
+    tokens, diagnostics = tokenize(text, file)
+    rows = []
+    for token in tokens:
+        span = token.span
+        assert span.file == file
+        assert (span.offset, span.line, span.column) == (token.offset, token.line, token.column)
+        rows.append((token.type, token.value, span.offset, span.line, span.column))
+    diags = []
+    for diag in diagnostics:
+        assert (diag.span.file, diag.severity, diag.expected) == (file, "error", None)
+        diags.append((diag.span.offset, diag.span.line, diag.span.column, diag.message))
+    return rows, diags
+
+
+def _bench_models():
+    """Every model file the benchmark generator writes, for two seeds."""
+    spec = importlib.util.spec_from_file_location("reqsmith_bench_gen", ROOT / "bench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = gen
+    try:
+        spec.loader.exec_module(gen)
+        return [
+            text
+            for name in gen.WORKLOADS
+            for seed in (1, 2)
+            for text in gen.generate(name, seed, ROOT / "unused").files.values()
+        ]
+    finally:
+        del sys.modules[spec.name]
+
+
+@pytest.mark.parametrize(
+    "path", sorted((ROOT / "tests" / "fixtures").glob("*.dsr")), ids=lambda p: p.name
+)
+def test_lexer_agrees_with_the_reference_on_fixtures(path):
+    text = path.read_text(encoding="utf-8")
+    assert lexed(text) == reference_tokenize(text)
+
+
+def test_lexer_agrees_with_the_reference_on_generated_models():
+    models = _bench_models()
+    assert len(models) >= 16
+    for text in models:
+        assert lexed(text) == reference_tokenize(text)
+
+
+_LEXER_PIECES = (
+    # tokens
+    "A", "Thing", "x_1'", "SOME", "ONLY", "_", "12", "3.5", "1/2", "007", "4.",
+    ":=", ":<", "::", "<=", ">=", "->", ";", ",", "{", "}", "(", ")", "[", "]",
+    "<", ">", ":", "=", "|", "-", ".", "?", "%",
+    '"ab"', '"a\\"b"', '"a\\\\"', '""',
+    # unterminated strings, strings broken by a newline
+    '"oops', '"a\nb"', '"\\',
+    # comments, whitespace, blank lines
+    "// note", "//", "/", " ", "  ", "\t", "\n", "\n\n", "\r\n", "\x0b", "\xa0",
+    # characters outside the token alphabet
+    "$", "@", "#", "!", "&", "~", "^", "\\", "\x00", "\u00e9", "\u2028",
+)
+
+
+def test_lexer_agrees_with_the_reference_on_random_text():
+    for seed in range(400):
+        rng = random.Random(seed)
+        text = "".join(rng.choice(_LEXER_PIECES) for _ in range(rng.randrange(60)))
+        assert lexed(text) == reference_tokenize(text), repr(text)
+
+
+def test_bad_character_deep_in_a_large_model_reports_its_line_and_column():
+    text = max(_bench_models(), key=len)
+    lines = text.split("\n")
+    assert len(lines) > 1200
+    row = lines[1199]
+    column = len(row) - len(row.lstrip()) + 1
+    lines[1199] = row[: column - 1] + "$" + row[column - 1 :]
+    result = failed("\n".join(lines))
+    assert [str(d) for d in result] == [f"<input>:1200:{column}: error: unexpected character '$'"]
 
 
 # ---- printing and round-trips ----

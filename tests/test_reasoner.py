@@ -30,6 +30,7 @@ from reqsmith.model import (
     exactly,
     normalize,
 )
+from reqsmith import reasoner
 from reqsmith.parser import parse_description, parse_model
 from reqsmith.reasoner import (
     ConsistencyStatus,
@@ -455,6 +456,44 @@ def test_unforceable_existential_is_unknown():
     result = check_consistency(m)
     assert result.status is ConsistencyStatus.UNKNOWN
     assert "could not establish" in " ".join(result.explanation)
+
+
+def _ring_world(size: int):
+    """A ring of Nodes, every tenth a Hub, under axioms whose right-hand
+    sides reach every branch of saturation that reads the world."""
+    lines = [
+        "axiom <accessed_by: SOME <accessed_by: SOME Hub>> :< Near;",
+        "axiom Near :< <accessed_by: ONLY Watched>;",
+        "axiom Node :< <accessed_by: <=1 Thing> (Hub | Node) (Node.accessed_by) - Blocked;",
+        "world {",
+    ]
+    for i in range(size):
+        lines.append(f"  individual r{i} : {'Hub, Node' if i % 10 == 0 else 'Node'};")
+        lines.append(f"  slot accessed_by(r{i}, r{(i + 1) % size});")
+    return parsed("\n".join(lines + ["}"]))
+
+
+def test_saturation_work_per_round_does_not_grow_with_the_world(monkeypatch):
+    # Extensions and slot counts are computed once per round and concept,
+    # not once per individual the axiom fires on.
+    def counted(size):
+        calls = {"_eval_dl": 0, "_slot_counts": 0}
+        for name, original in [(n, getattr(reasoner, n)) for n in calls]:
+
+            def wrapper(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(reasoner, name, wrapper)
+        result = check_consistency(_ring_world(size))
+        monkeypatch.undo()
+        assert result.status is ConsistencyStatus.CONSISTENT
+        assert len(result.witness.extension("Watched")) == size // 10
+        return calls
+
+    small, large = counted(100), counted(400)
+    assert small == large
+    assert small["_slot_counts"] > 0 and small["_eval_dl"] > 0
 
 
 # ----- interrelation queries -----
