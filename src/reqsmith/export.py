@@ -8,15 +8,16 @@ verdicts into one versioned JSON document for scripting.
 
 import json
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Sequence
 
 from .lint import LintFinding
 from .model import (
     ONE_TO_MANY_OPS,
-    ONE_TO_ONE_OPS,
     Model,
     NaturalLanguage,
+    Operator,
     QualityStatement,
+    exact_decimal,
 )
 from .reasoner import SubsumptionVerdict
 from .semantics import (
@@ -98,22 +99,12 @@ def _decimal_digits(value) -> str:
     fixed 12-place rounding keeps the output deterministic.
     """
     f = Fraction(value)
+    exact = exact_decimal(f)
+    if exact is not None:
+        return exact
     sign = "-" if f < 0 else ""
-    f = abs(f)
-    denominator = f.denominator
-    twos = fives = 0
-    while denominator % 2 == 0:
-        denominator //= 2
-        twos += 1
-    while denominator % 5 == 0:
-        denominator //= 5
-        fives += 1
-    places = max(twos, fives) if denominator == 1 else 12
-    scaled = round(f * 10**places)
-    digits = str(scaled).rjust(places + 1, "0")
-    if not places:
-        return f"{sign}{digits}"
-    text = f"{sign}{digits[:-places]}.{digits[-places:]}".rstrip("0")
+    digits = str(round(abs(f) * 10**12)).rjust(13, "0")
+    text = f"{sign}{digits[:-12]}.{digits[-12:]}".rstrip("0")
     return text + "0" if text.endswith(".") else text
 
 
@@ -259,18 +250,15 @@ def emit_owl(model: Model) -> str:
 
     edge_lines: list[str] = []
     for app in model.applications:
+        if app.op is Operator.RESOLVE:
+            continue
         source = app.inputs[0]
         prop = f"{app.op.value}_to"
-        if app.op in ONE_TO_ONE_OPS:
-            for out in app.outputs:
-                edge_lines.append(
-                    f"SubClassOf(:{source} ObjectSomeValuesFrom(:{prop} :{out}))"
-                )
-        elif app.op in ONE_TO_MANY_OPS:
-            for out in app.outputs:
-                edge_lines.append(
-                    f"SubClassOf(:{source} ObjectSomeValuesFrom(:{prop} :{out}))"
-                )
+        for out in app.outputs:
+            edge_lines.append(
+                f"SubClassOf(:{source} ObjectSomeValuesFrom(:{prop} :{out}))"
+            )
+        if app.op in ONE_TO_MANY_OPS:
             edge_lines.append(
                 f"SubClassOf(:{source} "
                 f"ObjectExactCardinality({len(app.outputs)} :{prop}))"

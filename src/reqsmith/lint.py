@@ -21,12 +21,9 @@ from .model import (
     QUALITY_KINDS,
     AtomicConcept,
     Description,
-    Difference,
-    Element,
     Enumeration,
     FunctionDesc,
     Intersection,
-    InverseProjection,
     Kind,
     Model,
     NamedRegion,
@@ -36,10 +33,12 @@ from .model import (
     QualityStatement,
     SlotRestriction,
     Subsumption,
-    Union,
+    body_descriptions,
+    mentions,
     normalize,
+    subterms,
 )
-from .reasoner import ConsistencyStatus, _mentions, check_consistency
+from .reasoner import ConsistencyStatus, check_consistency
 
 
 class Issue(Enum):
@@ -152,7 +151,7 @@ def _universal_risks(live, successors, config) -> list[LintFinding]:
         if not isinstance(body, QualityStatement) or body.pct_annotations:
             continue
         name_tokens = set()
-        for name in sorted(_mentions(body.subject)):
+        for name in sorted(mentions(body.subject)):
             name_tokens |= {part.casefold() for part in name.split("_")}
         hits = sorted(name_tokens & config.universal_tokens)
         if hits:
@@ -323,25 +322,6 @@ def _intersection_atoms(d: Description) -> set[str]:
     return set()
 
 
-def _element_mentions(e: Element) -> set[str]:
-    body = e.body
-    if isinstance(body, NaturalLanguage):
-        return set()
-    if isinstance(body, FunctionDesc):
-        names = {body.head}
-        for slot in body.slots:
-            names |= _mentions(slot)
-        return names
-    if isinstance(body, Subsumption):
-        return _mentions(body.subsumee) | _mentions(body.subsumer)
-    names = _mentions(body.quality) | _mentions(body.subject)
-    for observer in body.observers:
-        names |= _mentions(observer)
-    if isinstance(body.region, NamedRegion):
-        names.add(body.region.name)
-    return names
-
-
 def _inconsistent(model: Model, live) -> list[LintFinding]:
     """World clashes, plus terms filed under declared-disjoint classes."""
     out = []
@@ -379,9 +359,17 @@ def _inconsistent(model: Model, live) -> list[LintFinding]:
                     stack.append(parent)
         return seen
 
+    if not disjoint:
+        return out
     first_mention: dict[str, str] = {}
     for e in live:
-        for name in sorted(_element_mentions(e)):
+        body = e.body
+        names = set().union(*map(mentions, body_descriptions(body)))
+        if isinstance(body, FunctionDesc):
+            names.add(body.head)
+        elif isinstance(body, QualityStatement) and isinstance(body.region, NamedRegion):
+            names.add(body.region.name)
+        for name in sorted(names):
             first_mention.setdefault(name, e.id)
 
     for term in sorted(supers):
@@ -402,32 +390,6 @@ def _inconsistent(model: Model, live) -> list[LintFinding]:
     return out
 
 
-def _slot_nodes(d: Description) -> list[SlotRestriction]:
-    if isinstance(d, SlotRestriction):
-        return [d] + _slot_nodes(d.filler)
-    if isinstance(d, (Intersection, Union, Difference)):
-        return _slot_nodes(d.left) + _slot_nodes(d.right)
-    if isinstance(d, InverseProjection):
-        return _slot_nodes(d.source)
-    return []
-
-
-def _body_slot_nodes(body) -> list[SlotRestriction]:
-    if isinstance(body, FunctionDesc):
-        nodes = []
-        for slot in body.slots:
-            nodes.extend(_slot_nodes(slot))
-        return nodes
-    if isinstance(body, Subsumption):
-        return _slot_nodes(body.subsumee) + _slot_nodes(body.subsumer)
-    if isinstance(body, QualityStatement):
-        nodes = _slot_nodes(body.quality) + _slot_nodes(body.subject)
-        for observer in body.observers:
-            nodes.extend(_slot_nodes(observer))
-        return nodes
-    return []
-
-
 def _ambiguous(live, config) -> list[LintFinding]:
     """Attachment words and double-reading terms admit rival parses."""
     out = []
@@ -446,7 +408,9 @@ def _ambiguous(live, config) -> list[LintFinding]:
                     )
                 )
             continue
-        for node in _body_slot_nodes(body):
+        for node in (n for d in body_descriptions(body) for n in subterms(d)):
+            if not isinstance(node, SlotRestriction):
+                continue
             filler = node.filler
             if not isinstance(filler, AtomicConcept):
                 continue

@@ -27,6 +27,7 @@ from .model import (
     PointPrototypes,
     PrototypeRegion,
     QualityStatement,
+    exact_decimal,
 )
 
 DEFAULT_COMPLETION_CAP = 1_000_000
@@ -335,20 +336,6 @@ def satisfaction_degree(
 
 def format_degree(value: Fraction) -> str:
     """Render a degree: exact decimal when terminating, fraction otherwise."""
-    num, den = value.numerator, value.denominator
-    rest = den
-    twos = fives = 0
-    while rest % 2 == 0:
-        rest //= 2
-        twos += 1
-    while rest % 5 == 0:
-        rest //= 5
-        fives += 1
-    if rest == 1:
-        places = max(twos, fives)
-        scaled = num * 10**places // den
-        text = str(scaled).rjust(places + 1, "0")
-        if places:
-            text = (text[: -places] + "." + text[-places:]).rstrip("0").rstrip(".")
-        return text
-    return f"{num}/{den} (~{float(value):.4f})"
+    return exact_decimal(value) or (
+        f"{value.numerator}/{value.denominator} (~{float(value):.4f})"
+    )

@@ -3,13 +3,12 @@
 Defines the description algebra (the expression language element bodies are
 written in), the nine requirement element kinds, operator application
 records, finite instance worlds, prototype region specifications, and the
-model container, together with model validation, symbol collection, and
-description normalization.
+model container, together with model validation, description traversal,
+symbol collection, and description normalization.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
@@ -397,30 +396,7 @@ ONE_TO_ONE_OPS = frozenset(
 )
 ONE_TO_MANY_OPS = frozenset({Operator.REDUCE, Operator.FOCUS, Operator.OPERATIONALIZE})
 
-# Slots with special meaning. The reasoning-internal subset may not be used
-# as an ordinary slot in user-written descriptions.
-RESERVED_SLOTS = frozenset(
-    {
-        "inheres_in",
-        "has_value_in",
-        "observed_by",
-        "pct",
-        "subsumee",
-        "subsumer",
-        "exhibited_by",
-        "has_function",
-        "has_quality",
-        "relate_to",
-        "relate_to_one",
-        "relate_to_many",
-        "interpret_to",
-        "reduce_to",
-        "operationalize_to",
-        "focus_to",
-        "object",
-        "actor",
-    }
-)
+# Slots reserved for reasoning; user-written descriptions may not use them.
 REASONING_INTERNAL_SLOTS = frozenset(
     {
         "relate_to",
@@ -445,6 +421,27 @@ class Quantity:
 
     value: Fraction
     unit: Optional[str] = None
+
+
+def exact_decimal(value: Fraction) -> Optional[str]:
+    """`value` as an exact decimal (`3`, `-0.25`), or None when its decimal
+    expansion does not terminate."""
+    num, den = value.numerator, value.denominator
+    rest, twos, fives = den, 0, 0
+    while rest % 2 == 0:
+        rest //= 2
+        twos += 1
+    while rest % 5 == 0:
+        rest //= 5
+        fives += 1
+    if rest != 1:
+        return None
+    places = max(twos, fives)
+    digits = str(abs(num) * 10**places // den).rjust(places + 1, "0")
+    sign = "-" if num < 0 else ""
+    if not places:
+        return sign + digits
+    return f"{sign}{digits[:-places]}.{digits[-places:]}"
 
 
 @dataclass(frozen=True)
@@ -672,8 +669,7 @@ def validate_model(model: Model) -> list[ValidationDiagnostic]:
         )
     diags.extend(_check_acyclic(model))
     for index, axiom in enumerate(model.axioms):
-        for desc in (axiom.subsumee, axiom.subsumer):
-            diags.extend(_validate_description(desc, f"axiom[{index}]"))
+        diags.extend(_validate_descriptions(axiom, f"axiom[{index}]"))
     return diags
 
 
@@ -685,46 +681,30 @@ def _validate_element(element: Element) -> list[ValidationDiagnostic]:
     if isinstance(body, NaturalLanguage):
         return diags
     if isinstance(body, FunctionDesc):
-        if kind is not Kind.F and kind is not Kind.GOAL:
-            diags.append(
-                ValidationDiagnostic(
-                    element.id, "kind-body", f"{kind.display} cannot carry a function body"
-                )
-            )
-        for slot in body.slots:
-            diags.extend(_validate_description(slot, element.id))
+        shape, allowed = "function", kind is Kind.F
     elif isinstance(body, Subsumption):
-        if kind not in SUBSUMPTION_KINDS and kind is not Kind.GOAL:
+        shape, allowed = "subsumption", kind in SUBSUMPTION_KINDS
+    else:
+        shape, allowed = "quality", kind in QUALITY_KINDS
+    if not allowed and kind is not Kind.GOAL:
+        diags.append(
+            ValidationDiagnostic(
+                element.id, "kind-body", f"{kind.display} cannot carry a {shape} body"
+            )
+        )
+    quality = isinstance(body, QualityStatement)
+    if quality and kind is Kind.QC:
+        region = body.region
+        if isinstance(region, NamedRegion) and region.qualitative:
             diags.append(
                 ValidationDiagnostic(
                     element.id,
-                    "kind-body",
-                    f"{kind.display} cannot carry a subsumption body",
+                    "qc-region",
+                    "a quality constraint needs a measurable region",
                 )
             )
-        diags.extend(_validate_description(body.subsumee, element.id))
-        diags.extend(_validate_description(body.subsumer, element.id))
-    elif isinstance(body, QualityStatement):
-        if kind not in QUALITY_KINDS and kind is not Kind.GOAL:
-            diags.append(
-                ValidationDiagnostic(
-                    element.id, "kind-body", f"{kind.display} cannot carry a quality body"
-                )
-            )
-        if kind is Kind.QC:
-            region = body.region
-            if isinstance(region, NamedRegion) and region.qualitative:
-                diags.append(
-                    ValidationDiagnostic(
-                        element.id,
-                        "qc-region",
-                        "a quality constraint needs a measurable region",
-                    )
-                )
-        diags.extend(_validate_description(body.quality, element.id))
-        diags.extend(_validate_description(body.subject, element.id))
-        for obs in body.observers:
-            diags.extend(_validate_description(obs, element.id))
+    diags.extend(_validate_descriptions(body, element.id))
+    if quality:
         paths = [ann.matched_path for ann in body.pct_annotations]
         if len(set(paths)) != len(paths):
             diags.append(
@@ -898,45 +878,79 @@ def _check_acyclic(model: Model) -> list[ValidationDiagnostic]:
     return []
 
 
-def _validate_description(desc: Description, owner: str) -> list[ValidationDiagnostic]:
+def _validate_descriptions(body: ElementBody, owner: str) -> list[ValidationDiagnostic]:
+    """Reserved slots and region mixing in the body's descriptions, in pre-order."""
     diags: list[ValidationDiagnostic] = []
-
-    def walk(d: Description) -> None:
-        if isinstance(d, SlotRestriction):
-            if d.slot in REASONING_INTERNAL_SLOTS:
-                diags.append(
-                    ValidationDiagnostic(
-                        owner, "reserved-slot", f"slot {d.slot} is reserved for reasoning"
-                    )
-                )
-            walk(d.filler)
-        elif isinstance(d, InverseProjection):
-            if d.slot in REASONING_INTERNAL_SLOTS:
-                diags.append(
-                    ValidationDiagnostic(
-                        owner, "reserved-slot", f"slot {d.slot} is reserved for reasoning"
-                    )
-                )
-            walk(d.source)
-        elif isinstance(d, (Intersection, Union, Difference)):
-            left_region = isinstance(d.left, Region)
-            right_region = isinstance(d.right, Region)
-            if left_region != right_region:
-                diags.append(
-                    ValidationDiagnostic(
-                        owner,
-                        "region-mixing",
-                        "regions combine only with regions, not with concepts",
-                    )
-                )
-            walk(d.left)
-            walk(d.right)
-
-    walk(desc)
+    for desc in body_descriptions(body):
+        for d in subterms(desc):
+            if isinstance(d, (SlotRestriction, InverseProjection)):
+                if d.slot in REASONING_INTERNAL_SLOTS:
+                    message = f"slot {d.slot} is reserved for reasoning"
+                    diags.append(ValidationDiagnostic(owner, "reserved-slot", message))
+            elif isinstance(d, (Intersection, Union, Difference)):
+                if isinstance(d.left, Region) != isinstance(d.right, Region):
+                    message = "regions combine only with regions, not with concepts"
+                    diags.append(ValidationDiagnostic(owner, "region-mixing", message))
     return diags
 
 
-# ===== PART 6: symbol collection and normalization =====
+# ===== PART 6: traversal, symbol collection and normalization =====
+
+
+def children(d: Description) -> tuple[Description, ...]:
+    """The descriptions directly inside `d`, left to right."""
+    if isinstance(d, (Intersection, Union, Difference)):
+        return (d.left, d.right)
+    if isinstance(d, SlotRestriction):
+        return (d.filler,)
+    if isinstance(d, InverseProjection):
+        return (d.source,)
+    return ()
+
+
+def subterms(d: Description) -> list[Description]:
+    """`d` and every description inside it, in pre-order, left to right.
+
+    The walk keeps its own stack, so nesting depth is not bounded by the
+    interpreter's recursion limit.
+    """
+    out: list[Description] = []
+    stack = [d]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        inner = children(node)
+        if inner:
+            stack += inner[::-1]
+    return out
+
+
+def body_descriptions(body: ElementBody) -> tuple[Description, ...]:
+    """The descriptions a body is written with, in source order.
+
+    A function's head and a quality statement's region are not descriptions;
+    callers that want them add them.
+    """
+    if isinstance(body, FunctionDesc):
+        return body.slots
+    if isinstance(body, Subsumption):
+        return (body.subsumee, body.subsumer)
+    if isinstance(body, QualityStatement):
+        return (body.quality, body.subject, *body.observers)
+    return ()
+
+
+def mentions(d: Description) -> set[str]:
+    """Atom names, enumerated ids and named regions written in `d`."""
+    names: set[str] = set()
+    for node in subterms(d):
+        if isinstance(node, AtomicConcept):
+            names.add(node.name)
+        elif isinstance(node, Enumeration):
+            names.update(node.ids)
+        elif isinstance(node, Region) and isinstance(node.expr, NamedRegion):
+            names.add(node.expr.name)
+    return names
 
 
 def free_symbols(
@@ -948,54 +962,31 @@ def free_symbols(
     slots: set[str] = set()
     regions: set[str] = set()
     individuals: set[str] = set()
-
-    def walk(d: Description) -> None:
-        if isinstance(d, AtomicConcept):
-            concepts.add(d.name)
-        elif isinstance(d, Enumeration):
-            individuals.update(d.ids)
-        elif isinstance(d, SlotRestriction):
-            slots.add(d.slot)
-            walk(d.filler)
-        elif isinstance(d, InverseProjection):
-            slots.add(d.slot)
-            walk(d.source)
-        elif isinstance(d, (Intersection, Union, Difference)):
-            walk(d.left)
-            walk(d.right)
-        elif isinstance(d, Region):
-            if isinstance(d.expr, NamedRegion):
-                regions.add(d.expr.name)
-
-    def walk_region(r: RegionExpr) -> None:
-        if isinstance(r, NamedRegion):
-            regions.add(r.name)
-
+    descriptions: list[Description] = []
     for element in model.elements:
         body = element.body
         if isinstance(body, FunctionDesc):
             concepts.add(body.head)
-            for slot in body.slots:
-                walk(slot)
-        elif isinstance(body, Subsumption):
-            walk(body.subsumee)
-            walk(body.subsumer)
-        elif isinstance(body, QualityStatement):
-            walk(body.quality)
-            walk(body.subject)
-            walk_region(body.region)
-            for obs in body.observers:
-                walk(obs)
+        elif isinstance(body, QualityStatement) and isinstance(body.region, NamedRegion):
+            regions.add(body.region.name)
+        descriptions += body_descriptions(body)
     for axiom in model.axioms:
-        walk(axiom.subsumee)
-        walk(axiom.subsumer)
+        descriptions += body_descriptions(axiom)
     for app in model.applications:
         if isinstance(app.args, ObserveArgs):
-            walk(app.args.observer)
+            descriptions.append(app.args.observer)
         elif isinstance(app.args, FocusArgs):
-            for target in app.args.targets:
-                if isinstance(target, Description):
-                    walk(target)
+            descriptions += [t for t in app.args.targets if isinstance(t, Description)]
+    for desc in descriptions:
+        for d in subterms(desc):
+            if isinstance(d, AtomicConcept):
+                concepts.add(d.name)
+            elif isinstance(d, Enumeration):
+                individuals.update(d.ids)
+            elif isinstance(d, (SlotRestriction, InverseProjection)):
+                slots.add(d.slot)
+            elif isinstance(d, Region) and isinstance(d.expr, NamedRegion):
+                regions.add(d.expr.name)
     return (
         tuple(sorted(concepts)),
         tuple(sorted(slots)),

@@ -61,6 +61,8 @@ from .model import (
     World,
     at_least,
     at_most,
+    children,
+    exact_decimal,
     exactly,
     validate_model,
 )
@@ -189,12 +191,7 @@ def _height(desc: Description) -> int:
     while stack:
         node, level = stack.pop()
         height = max(height, level)
-        if isinstance(node, (Intersection, Union, Difference)):
-            stack += [(node.left, level + 1), (node.right, level + 1)]
-        elif isinstance(node, SlotRestriction):
-            stack.append((node.filler, level + 1))
-        elif isinstance(node, InverseProjection):
-            stack.append((node.source, level + 1))
+        stack += [(child, level + 1) for child in children(node)]
     return height
 
 
@@ -812,10 +809,12 @@ class _Builder:
     marks: set[str] = field(default_factory=set)
     world: Optional[World] = None
     specs: list[MembershipSpec] = field(default_factory=list)
-    # The token each validation subject starts at: an element's id, the
-    # first `fulfilled`, and the keyword of `application[i]`, `conflict[i]`
-    # and `axiom[i]`.
+    # The token each validation subject starts at: an element's id and the
+    # keyword of `application[i]`, `conflict[i]` and `axiom[i]`. The first
+    # `fulfilled` keyword is kept apart, since an element may be named
+    # `fulfilled_marks`.
     starts: dict[str, Token] = field(default_factory=dict)
+    fulfilled: Optional[Token] = None
 
 
 def _parse_statements(parser: _Parser) -> _Builder:
@@ -853,7 +852,7 @@ def _parse_statements(parser: _Parser) -> _Builder:
                 build.starts[f"conflict[{len(build.conflicts)}]"] = token
                 build.conflicts.append(frozenset(ids))
             elif keyword == "fulfilled":
-                build.starts.setdefault("fulfilled_marks", token)
+                build.fulfilled = build.fulfilled or token
                 parser.advance()
                 build.marks.update(parser.parse_id_list())
                 parser.expect(";")
@@ -905,7 +904,11 @@ def parse_model(
         fallback = SourceSpan(file, 1, 1, 0)
         result = []
         for problem in problems:
-            start = build.starts.get(problem.subject_id)
+            subject, rule = problem.subject_id, problem.rule
+            if subject == "fulfilled_marks" and rule == "dangling-reference":
+                start = build.fulfilled
+            else:
+                start = build.starts.get(subject)
             span = fallback if start is None else start.span
             result.append(ParseDiagnostic(span, "error", str(problem)))
         return result
@@ -938,26 +941,10 @@ _PREC_DIFFERENCE = 0
 _PREC_UNION = 1
 _PREC_ADJACENCY = 2
 _PREC_POSTFIX = 3
-_PREC_PRIMARY = 4
 
 
 def format_rational(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    num, den = value.numerator, value.denominator
-    rest = den
-    while rest % 2 == 0:
-        rest //= 2
-    while rest % 5 == 0:
-        rest //= 5
-    if rest == 1:
-        places = 1
-        while (10**places) % den != 0:
-            places += 1
-        digits = str(abs(num) * 10**places // den).rjust(places + 1, "0")
-        sign = "-" if num < 0 else ""
-        return f"{sign}{digits[:-places]}.{digits[-places:]}"
-    return f"{num}/{den}"
+    return exact_decimal(value) or f"{value.numerator}/{value.denominator}"
 
 
 def format_percent(value: Fraction) -> str:

@@ -19,13 +19,8 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .model import (
-    AtomicConcept,
     Description,
-    Difference,
-    Enumeration,
     FunctionDesc,
-    Intersection,
-    InverseProjection,
     Kind,
     Model,
     NamedRegion,
@@ -35,12 +30,10 @@ from .model import (
     Operator,
     QualityStatement,
     Quantity,
-    Region,
-    SlotRestriction,
     Strength,
     Subsumption,
-    Union,
     World,
+    mentions,
 )
 from .semantics import (
     DLAnd,
@@ -835,7 +828,6 @@ def _axiom_repr(ax: DLSubClassOf) -> str:
 class _Saturation:
     world: Optional[World]
     clashes: tuple[str, ...] = ()
-    incomplete: bool = False
 
 
 class _Saturator:
@@ -847,7 +839,6 @@ class _Saturator:
         self.data = flat.data_values
         self.axioms = axioms
         self.clashes: list[str] = []
-        self.incomplete = False
         self.changed = False
         # Saturation adds memberships, never tuples, so a slot's successor
         # lists hold for every round; they keep the order of the slot's
@@ -875,10 +866,10 @@ class _Saturator:
                 for x in sorted(self._extension(ax.sub)):
                     self._assert(x, ax.sup, ax)
             if self.clashes:
-                return _Saturation(None, tuple(self.clashes), self.incomplete)
+                return _Saturation(None, tuple(self.clashes))
             if not self.changed:
                 break
-        return _Saturation(self.current(), (), self.incomplete)
+        return _Saturation(self.current())
 
     def _extension(self, c: DLConcept) -> frozenset[str]:
         ext = self.memo.get(c)
@@ -922,11 +913,9 @@ class _Saturator:
             for arg in c.args:
                 self._assert(x, arg, ax)
             return
-        if isinstance(c, (DLOr, DLExistsInverse)):
-            # One of the disjuncts, or a source in the filler, may hold
-            # already; otherwise the world would need a guess.
-            if x not in self._extension(c):
-                self.incomplete = True
+        if isinstance(c, (DLOr, DLExistsInverse, DLExists)):
+            # A missing disjunct, source or filler would need a guess, and
+            # saturation never guesses.
             return
         if isinstance(c, DLNominal):
             if x not in c.ids:
@@ -953,18 +942,16 @@ class _Saturator:
             for target in self._successors(c.slot, x):
                 self._assert(target, c.filler, ax)
             return
-        if isinstance(c, DLExists):
-            c = DLCard(c.slot, "min", 1, c.filler)
         assert isinstance(c, DLCard)
+        if c.kind == "min":
+            return
         count = self._count(x, c.slot, c.filler)
-        if c.kind in ("max", "exact") and count > c.n:
+        if count > c.n:
             self._clash(
                 ax,
                 f": {x} has {count} {c.slot} fillers in "
                 f"{_dl_repr(c.filler)}, more than {c.n}",
             )
-        if c.kind in ("min", "exact") and count < c.n:
-            self.incomplete = True
 
 
 def _saturate(world: World, axioms: list[DLSubClassOf]) -> _Saturation:
@@ -1009,22 +996,6 @@ def check_consistency(model: Model) -> ConsistencyResult:
 # ===== PART 6: interrelation queries =====
 
 
-def _mentions(d: Description) -> set[str]:
-    if isinstance(d, AtomicConcept):
-        return {d.name}
-    if isinstance(d, Enumeration):
-        return set(d.ids)
-    if isinstance(d, (Intersection, Union, Difference)):
-        return _mentions(d.left) | _mentions(d.right)
-    if isinstance(d, SlotRestriction):
-        return _mentions(d.filler)
-    if isinstance(d, InverseProjection):
-        return _mentions(d.source)
-    if isinstance(d, Region) and isinstance(d.expr, NamedRegion):
-        return {d.expr.name}
-    return set()
-
-
 def _reified_world(model: Model) -> World:
     individuals: set[str] = set()
     extensions: dict[str, set[str]] = {}
@@ -1044,22 +1015,22 @@ def _reified_world(model: Model) -> World:
         if isinstance(body, FunctionDesc):
             extensions.setdefault(body.head, set()).add(element.id)
             for slot in body.slots:
-                names = _mentions(slot.filler)
+                names = mentions(slot.filler)
                 edge(slot.slot, element.id, names)
                 referenced |= names
         elif isinstance(body, Subsumption):
-            left, right = _mentions(body.subsumee), _mentions(body.subsumer)
+            left, right = mentions(body.subsumee), mentions(body.subsumer)
             edge("subsumee", element.id, left)
             edge("subsumer", element.id, right)
             referenced = left | right
         elif isinstance(body, QualityStatement):
-            subject_names = _mentions(body.subject)
+            subject_names = mentions(body.subject)
             edge("inheres_in", element.id, subject_names)
             referenced |= subject_names
-            for name in _mentions(body.quality):
+            for name in mentions(body.quality):
                 extensions.setdefault(name, set()).add(element.id)
             for observer in body.observers:
-                names = _mentions(observer)
+                names = mentions(observer)
                 edge("observed_by", element.id, names)
                 referenced |= names
             if isinstance(body.region, NamedRegion):

@@ -43,6 +43,7 @@ from .model import (
     ModifierKind,
     SOME,
     EXACTLY_ONE,
+    subterms,
 )
 
 
@@ -88,21 +89,6 @@ def eval_description(d: Description, world: World) -> frozenset[str]:
 
 
 # ===== PART 3: checking elements against a world =====
-
-
-def _find_slot_filler(d: Description, slot: str) -> Optional[Description]:
-    if isinstance(d, SlotRestriction):
-        if d.slot == slot:
-            return d.filler
-        return _find_slot_filler(d.filler, slot)
-    if isinstance(d, (Intersection, Union, Difference)):
-        found = _find_slot_filler(d.left, slot)
-        if found is not None:
-            return found
-        return _find_slot_filler(d.right, slot)
-    if isinstance(d, InverseProjection):
-        return _find_slot_filler(d.source, slot)
-    return None
 
 
 def _nested_pair(annotations) -> bool:
@@ -220,7 +206,14 @@ def _counted_fraction(
             return all(good(q) for q in bearer_of if (q, u) in observed)
 
     elif path[0] == "inheres_in" and len(path) == 2:
-        filler = _find_slot_filler(body.subject, path[1])
+        filler = next(
+            (
+                d.filler
+                for d in subterms(body.subject)
+                if isinstance(d, SlotRestriction) and d.slot == path[1]
+            ),
+            None,
+        )
         if filler is None:
             raise PathMismatch(f"no slot {path[1]!r} in the subject description")
         group = eval_description(filler, flat)

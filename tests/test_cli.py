@@ -400,6 +400,32 @@ def test_dangling_fulfilled_mark_points_at_its_statement(tmp_path, capsys):
     )
 
 
+FULFILLED_MARKS_ELEMENT = "qc fulfilled_marks := Cost (Product) :: Low;\n"
+QC_REGION = (
+    "error: fulfilled_marks: [qc-region] a quality constraint needs a measurable region"
+)
+DANGLING_MARK = "error: fulfilled_marks: [dangling-reference] unknown id G9"
+
+
+@pytest.mark.parametrize(
+    ("text", "expected"),
+    [
+        (
+            "model m;\n" + FULFILLED_MARKS_ELEMENT + "func F1 := Book;\nfulfilled G9;\n",
+            [f"2:4: {QC_REGION}", f"4:1: {DANGLING_MARK}"],
+        ),
+        (
+            "model m;\nfulfilled G9;\nfunc F1 := Book;\n" + FULFILLED_MARKS_ELEMENT,
+            [f"4:4: {QC_REGION}", f"2:1: {DANGLING_MARK}"],
+        ),
+    ],
+)
+def test_an_element_named_fulfilled_marks_keeps_its_own_span(tmp_path, capsys, text, expected):
+    path = write(tmp_path, text)
+    assert main(["fmt", path]) == 2
+    assert capsys.readouterr().err == "".join(f"{path}:{line}\n" for line in expected)
+
+
 @pytest.mark.parametrize(
     ("statements", "diagnostic"),
     [

@@ -268,6 +268,20 @@ def test_double_reading_fillers_need_declared_vocabularies():
     assert "Color" in hits[0].detail
 
 
+def test_the_first_nested_double_reading_filler_is_reported():
+    m = parsed(
+        "model a;\n"
+        "func F1 := Render <object: <part: Color> - <part: Shade>> <means: Hue>;\n"
+    )
+    terms = frozenset({"color", "shade", "hue"})
+    hits = findings(
+        m, Issue.AMBIGUOUS, config=LintConfig(entity_terms=terms, quality_terms=terms)
+    )
+    assert [f.detail for f in hits] == [
+        "slot part filler Color reads as both an entity and a quality; pick one reading"
+    ]
+
+
 # ===== shared behavior =====
 
 

@@ -1,9 +1,13 @@
 """Tests for the core data model: validation, symbols, normalization."""
 
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from reqsmith.export import _decimal_digits
+from reqsmith.membership import format_degree
 from reqsmith.model import (
     EXACTLY_ONE,
     NOTHING,
@@ -13,14 +17,17 @@ from reqsmith.model import (
     Difference,
     Element,
     Enumeration,
+    FocusArgs,
     FunctionDesc,
     Intersection,
     Interval,
+    InverseProjection,
     Kind,
     Model,
     ModifierKind,
     NamedRegion,
     NaturalLanguage,
+    ObserveArgs,
     Operator,
     OperatorApplication,
     QualityStatement,
@@ -30,13 +37,21 @@ from reqsmith.model import (
     Subsumption,
     UAnnotation,
     Union,
+    ValueSet,
     at_least,
+    body_descriptions,
+    children,
+    exact_decimal,
     free_symbols,
+    mentions,
     normalize,
+    subterms,
     validate_model,
 )
+from reqsmith.parser import format_rational, parse_model
 
 A = AtomicConcept
+F = Fraction
 
 
 def slot(name, filler, modifier=EXACTLY_ONE):
@@ -140,6 +155,44 @@ def test_reserved_slot_flagged():
     assert any(d.rule == "reserved-slot" for d in validate_model(model))
 
 
+def test_element_diagnostics_keep_their_order():
+    region = Region(Interval(Fraction(0), Fraction(1)))
+    subject = Intersection(
+        Union(slot("pct", A("X")), region),
+        InverseProjection(Difference(region, A("Y")), "subsumer"),
+    )
+    quality = QualityStatement(
+        A("Cost"),
+        subject,
+        NamedRegion("low"),
+        observers=(slot("relate_to", A("Z")),),
+        pct_annotations=(
+            UAnnotation("X", ("inheres_in",), Fraction(1, 2)),
+            UAnnotation("Y", ("inheres_in",), Fraction(1, 3)),
+        ),
+    )
+    model = Model(
+        elements=(
+            Element("QC1", Kind.QC, quality),
+            Element(
+                "F1", Kind.F, Subsumption(slot("reduce_to", A("X")), Union(A("X"), region))
+            ),
+        )
+    )
+    assert [(d.subject_id, d.rule, d.message) for d in validate_model(model)] == [
+        ("QC1", "qc-region", "a quality constraint needs a measurable region"),
+        ("QC1", "region-mixing", "regions combine only with regions, not with concepts"),
+        ("QC1", "reserved-slot", "slot pct is reserved for reasoning"),
+        ("QC1", "reserved-slot", "slot subsumer is reserved for reasoning"),
+        ("QC1", "region-mixing", "regions combine only with regions, not with concepts"),
+        ("QC1", "reserved-slot", "slot relate_to is reserved for reasoning"),
+        ("QC1", "pct-paths", "two pct annotations share one path"),
+        ("F1", "kind-body", "F cannot carry a subsumption body"),
+        ("F1", "reserved-slot", "slot reduce_to is reserved for reasoning"),
+        ("F1", "region-mixing", "regions combine only with regions, not with concepts"),
+    ]
+
+
 def test_cyclic_applications_flagged():
     model = Model(
         elements=(goal("G1"), goal("G2")),
@@ -203,6 +256,210 @@ def test_free_symbols_enumeration():
     assert free_symbols(model)[3] == ("MySQL", "Oracle")
 
 
+FIXTURES = Path(__file__).parent / "fixtures"
+
+FIXTURE_SYMBOLS = {
+    "booking.dsr": (
+        ("Airline_ticket", "Book", "Booked", "Bus_ticket", "Cash", "Credit_card", "Ticket"),
+        ("means", "object"),
+        (),
+        (),
+    ),
+    "cost.dsr": (("Cost",), (), ("Low",), ("the_service",)),
+    "entity_kinds.dsr": (
+        ("Information_entity", "Real_world_entity", "System_function", "User"),
+        ("object",),
+        (),
+        (),
+    ),
+    "nursing.dsr": (
+        ("Authorized", "Student_info", "Unauthorized"),
+        ("accessed_by",),
+        (),
+        ("Dr_Julie", "Dr_Susan"),
+    ),
+    "scheduler.dsr": (
+        (
+            "Available",
+            "Date",
+            "Email_server",
+            "Meeting",
+            "Meeting_date",
+            "Participant",
+            "Scheduled",
+            "Send",
+        ),
+        ("actor", "date", "object", "target"),
+        (),
+        ("the_scheduler",),
+    ),
+    "traffic.dsr": (
+        (
+            "Accuracy",
+            "Collect",
+            "Collected",
+            "F5",
+            "Fixed_sensor",
+            "Installed",
+            "Operation_cost",
+            "Reduced",
+            "Traffic_info",
+        ),
+        ("actor", "means", "object"),
+        ("High",),
+        ("the_system",),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_SYMBOLS))
+def test_free_symbols_of_fixtures(name):
+    path = FIXTURES / name
+    model = parse_model(path.read_text(), str(path))
+    assert free_symbols(model) == FIXTURE_SYMBOLS[name]
+
+
+def test_free_symbols_reach_regions_projections_and_application_arguments():
+    quality = QualityStatement(
+        Union(A("Speed"), A("Latency")),
+        InverseProjection(A("F1"), "object"),
+        NamedRegion("Fast"),
+        observers=(A("Tester"), Enumeration(("u1",))),
+    )
+    interval = Region(Interval(F(0), F(5)))
+    function = FunctionDesc(
+        "Run",
+        (
+            slot("rate", Region(NamedRegion("Quick", qualitative=False))),
+            slot("load", Intersection(interval, Region(NamedRegion("Slow")))),
+            slot("mode", Region(ValueSet(("eco",)))),
+        ),
+    )
+    model = Model(
+        elements=(
+            Element("QG1", Kind.QG, quality),
+            Element("F1", Kind.F, function),
+            Element(
+                "FC1",
+                Kind.FC,
+                Subsumption(Difference(A("X"), Enumeration(("i9",))), slot("by", A("Y"))),
+            ),
+            Element("QC2", Kind.QC, QualityStatement(A("Cost"), A("Task"), interval.expr)),
+            Element("G0", Kind.GOAL, NaturalLanguage("Prose names nothing")),
+        ),
+        axioms=(Subsumption(A("Ax"), InverseProjection(Enumeration(("i7",)), "links")),),
+        applications=(
+            OperatorApplication(
+                Operator.OBSERVE,
+                ("QG1",),
+                ("QC2",),
+                Strength.STRENGTHENING,
+                ObserveArgs(A("Auditor")),
+            ),
+            OperatorApplication(
+                Operator.FOCUS,
+                ("QG1",),
+                ("QG3",),
+                Strength.WEAKENING,
+                FocusArgs(("Quality", A("Hot_path"), InverseProjection(A("F1"), "actor"))),
+            ),
+        ),
+    )
+    assert free_symbols(model) == (
+        ("Auditor", "Ax", "Cost", "F1", "Hot_path", "Latency", "Run", "Speed")
+        + ("Task", "Tester", "X", "Y"),
+        ("actor", "by", "links", "load", "mode", "object", "rate"),
+        ("Fast", "Quick", "Slow"),
+        ("i7", "i9", "u1"),
+    )
+
+
+def _deep_description(levels):
+    d = A("Leaf")
+    for i in range(levels):
+        if i % 3 == 0:
+            d = slot("part", d)
+        elif i % 3 == 1:
+            d = Intersection(A(f"C{i % 7}"), d)
+        else:
+            d = InverseProjection(d, "via")
+    return d
+
+
+def test_deep_descriptions_validate_and_collect_without_recursion():
+    deep = _deep_description(5000)
+    model = Model(
+        elements=(Element("FC1", Kind.FC, Subsumption(deep, A("Top"))),),
+        axioms=(Subsumption(A("Top"), deep),),
+    )
+    assert validate_model(model) == []
+    concepts, slots, regions, individuals = free_symbols(model)
+    assert concepts == ("C0", "C1", "C2", "C3", "C4", "C5", "C6", "Leaf", "Top")
+    assert slots == ("part", "via")
+    assert regions == () and individuals == ()
+
+
+# ===== traversal =====
+
+
+def _preorder(d):
+    """Reference pre-order walk, written recursively and independently."""
+    if isinstance(d, (Intersection, Union, Difference)):
+        return [d] + _preorder(d.left) + _preorder(d.right)
+    if isinstance(d, SlotRestriction):
+        return [d] + _preorder(d.filler)
+    if isinstance(d, InverseProjection):
+        return [d] + _preorder(d.source)
+    return [d]
+
+
+def test_subterms_match_a_recursive_preorder_walk():
+    from test_acceptance import _random_description
+
+    rng = random.Random(5)
+    for _ in range(300):
+        d = _random_description(rng, rng.randint(0, 4))
+        walked = subterms(d)
+        reference = _preorder(d)
+        assert len(walked) == len(reference)
+        assert all(a is b for a, b in zip(walked, reference))
+    # the leaf, one node per level and one atom per intersection level
+    assert len(subterms(_deep_description(5000))) == 1 + 5000 + 1667
+
+
+def test_children_are_the_direct_operands_left_to_right():
+    left, right = A("L"), slot("s", A("R"))
+    for cls in (Intersection, Union, Difference):
+        assert children(cls(left, right)) == (left, right)
+    assert children(right) == (A("R"),)
+    assert children(InverseProjection(left, "s")) == (left,)
+    for leaf in (A("X"), Enumeration(("i",)), THING, NOTHING, Region(NamedRegion("Fast"))):
+        assert children(leaf) == ()
+
+
+def test_body_descriptions_follow_source_order():
+    s1, s2 = slot("actor", A("User")), slot("object", A("Ticket"))
+    assert body_descriptions(FunctionDesc("Book", (s1, s2))) == (s1, s2)
+    assert body_descriptions(Subsumption(A("X"), A("Y"))) == (A("X"), A("Y"))
+    quality = QualityStatement(
+        A("Speed"), A("Task"), NamedRegion("Fast"), observers=(A("U"), A("V"))
+    )
+    assert body_descriptions(quality) == (A("Speed"), A("Task"), A("U"), A("V"))
+    assert body_descriptions(NaturalLanguage("prose")) == ()
+
+
+def test_mentions_collects_atoms_ids_and_named_regions():
+    d = Union(
+        Intersection(A("X"), slot("s", Region(NamedRegion("Fast")))),
+        InverseProjection(
+            Difference(Enumeration(("i1", "i2")), Region(Interval(Fraction(0), Fraction(1)))),
+            "r",
+        ),
+    )
+    assert mentions(d) == {"X", "Fast", "i1", "i2"}
+    assert mentions(THING) == set()
+
+
 # ===== normalize =====
 
 
@@ -247,3 +504,42 @@ def test_normalize_idempotent(desc):
 def test_normalize_nested_flattening():
     deep = Intersection(Intersection(A("C"), A("B")), Intersection(A("A"), A("B")))
     assert normalize(deep) == normalize(Intersection(A("A"), Intersection(A("B"), A("C"))))
+
+
+# ===== exact decimals =====
+
+# value, format_rational, OWL literal digits, format_degree
+DECIMAL_TABLE = [
+    (F(0), "0", "0", "0"),
+    (F(3), "3", "3", "3"),
+    (F(-3), "-3", "-3", "-3"),
+    (F(1, 2), "0.5", "0.5", "0.5"),
+    (F(-1, 2), "-0.5", "-0.5", "-0.5"),
+    (F(1, 4), "0.25", "0.25", "0.25"),
+    (F(-5, 4), "-1.25", "-1.25", "-1.25"),
+    (F(1, 3), "1/3", "0.333333333333", "1/3 (~0.3333)"),
+    (F(-2, 3), "-2/3", "-0.666666666667", "-2/3 (~-0.6667)"),
+    (F(1, 8), "0.125", "0.125", "0.125"),
+    (F(123, 1000), "0.123", "0.123", "0.123"),
+    (F(7, 25), "0.28", "0.28", "0.28"),
+    (F(1, 1024), "0.0009765625", "0.0009765625", "0.0009765625"),
+    (F(12345, 100), "123.45", "123.45", "123.45"),
+    (F(22, 7), "22/7", "3.142857142857", "22/7 (~3.1429)"),
+    (
+        1 + F(1, 3 * 10**13),
+        "30000000000001/30000000000000",
+        "1.0",
+        "30000000000001/30000000000000 (~1.0000)",
+    ),
+    (F(-1, 3 * 10**13), "-1/30000000000000", "-0.0", "-1/30000000000000 (~-0.0000)"),
+    (F(2, 3 * 10**13), "1/15000000000000", "0.0", "1/15000000000000 (~0.0000)"),
+]
+
+
+@pytest.mark.parametrize(("value", "rational", "literal", "degree"), DECIMAL_TABLE)
+def test_decimal_renderers_agree_on_the_pinned_table(value, rational, literal, degree):
+    assert format_rational(value) == rational
+    assert _decimal_digits(value) == literal
+    assert format_degree(value) == degree
+    exact = exact_decimal(value)
+    assert exact == (rational if "/" not in rational else None)

@@ -397,6 +397,53 @@ def test_two_step_annotation_counts_over_slot_targets():
     assert result.status is HoldsStatus.VIOLATED and result.witnesses == ("sf1",)
 
 
+@pytest.mark.parametrize(
+    ("first", "second", "witness"),
+    [("System_function", "Batch", "sf1"), ("Batch", "System_function", "b1")],
+)
+def test_slot_path_annotation_counts_the_first_matching_restriction(first, second, witness):
+    # Two run_of restrictions in the subject: the first in pre-order fixes
+    # the group the annotation counts over.
+    w = world(
+        individuals={"sf1", "sf2", "b1", "r1", "r2", "r3"},
+        concept_extensions={
+            "System_function": {"sf1", "sf2"},
+            "Batch": {"b1"},
+            "Run": {"r1", "r2", "r3"},
+        },
+        slot_tuples={
+            "run_of": {
+                ("r1", "sf1"),
+                ("r2", "sf1"),
+                ("r3", "sf2"),
+                ("r1", "b1"),
+                ("r2", "b1"),
+                ("r3", "b1"),
+            }
+        },
+        quality_records=(
+            QualityRecord("q1", "Processing_time", "r1", Fraction(10), "Sec"),
+            QualityRecord("q2", "Processing_time", "r2", Fraction(50), "Sec"),
+            QualityRecord("q3", "Processing_time", "r3", Fraction(10), "Sec"),
+        ),
+    )
+    subject = Intersection(
+        A("Run"),
+        Intersection(
+            SlotRestriction("run_of", SOME, A(first)),
+            SlotRestriction("run_of", SOME, A(second)),
+        ),
+    )
+    body = QualityStatement(
+        A("Processing_time"),
+        subject,
+        Interval(Fraction(0), Fraction(30), "Sec"),
+        pct_annotations=(UAnnotation("F", ("inheres_in", "run_of"), Fraction(4, 5)),),
+    )
+    result = element_holds(Element("QG6", Kind.QG, body), w)
+    assert result.status is HoldsStatus.VIOLATED and result.witnesses == (witness,)
+
+
 def test_stacked_annotations_on_one_path_are_rejected():
     body = QualityStatement(
         A("Processing_time"),
