@@ -13,43 +13,35 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from .export import NestedUNotExportable, emit_owl, emit_report
-from .lint import Issue, LintConfig, LintFinding, lint_model
-from .membership import (
-    MembershipError,
-    format_degree,
-    membership_intervals,
-    membership_points,
-)
-from .model import Model, PointPrototypes
-from .parser import parse_description, parse_model, print_model
-from .reasoner import (
-    ConsistencyStatus,
-    SubsumptionVerdict,
-    VerdictStatus,
-    check_consistency,
-    check_strength_tags,
-    propagate_fulfillment,
-    query,
-)
+# Each command imports the modules it runs inside its own function, so a
+# short command such as `fmt` never loads the reasoner, lint or export.
 
 
 class _CliError(Exception):
     """A usage or input problem; maps to exit code 2."""
 
 
-def _load_model(path: str) -> Model:
+def _read_text(path: str) -> str:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except OSError as err:
         raise _CliError(str(err)) from err
+    except UnicodeDecodeError as err:
+        message = f"{path}: error: not UTF-8 text: {err.reason} at offset {err.start}"
+        raise _CliError(message) from err
+
+
+def _load_model(path: str):
+    from .parser import parse_model
+
+    text = _read_text(path)
     result = parse_model(text, file=path)
     if isinstance(result, list):
         raise _CliError("\n".join(str(d) for d in result))
     return result
 
 
-def _finding_line(finding: LintFinding) -> str:
+def _finding_line(finding) -> str:
     line = f"{finding.element_id}: {finding.issue.value}: {finding.detail}"
     if finding.suggested_operator is not None:
         line += f" [suggest {finding.suggested_operator}]"
@@ -58,6 +50,8 @@ def _finding_line(finding: LintFinding) -> str:
 
 def _print_findings(findings, as_json: bool) -> int:
     if as_json:
+        from .export import emit_report
+
         print(emit_report(findings, {}, []), end="")
     else:
         for finding in findings:
@@ -68,13 +62,20 @@ def _print_findings(findings, as_json: bool) -> int:
 def _cmd_fmt(args) -> int:
     model = _load_model(args.file)
     if args.json:
+        from .export import emit_report
+
         print(emit_report([], {}, []), end="")
     else:
+        from .parser import print_model
+
         print(print_model(model), end="")
     return 0
 
 
 def _cmd_check(args) -> int:
+    from .lint import Issue, LintFinding
+    from .reasoner import ConsistencyStatus, check_consistency, check_strength_tags
+
     model = _load_model(args.file)
     findings = []
     for diag in check_strength_tags(model):
@@ -99,8 +100,10 @@ _SET_KEYS = _CASEFOLDED_KEYS | {"communicative_heads"}
 _TUPLE_KEYS = frozenset({"required_slots", "communicative_slots", "concern_joiners"})
 
 
-def _parse_lint_config(text: str) -> LintConfig:
+def _parse_lint_config(text: str):
     """Read `key = value, value` lines into a lint configuration."""
+    from .lint import LintConfig
+
     values = {}
     for number, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -127,24 +130,28 @@ def _parse_lint_config(text: str) -> LintConfig:
 
 
 def _cmd_lint(args) -> int:
+    from .lint import LintConfig, lint_model
+
     model = _load_model(args.file)
     config = LintConfig()
     if args.config is not None:
-        try:
-            text = Path(args.config).read_text(encoding="utf-8")
-        except OSError as err:
-            raise _CliError(str(err)) from err
-        config = _parse_lint_config(text)
+        config = _parse_lint_config(_read_text(args.config))
     return _print_findings(lint_model(model, config), args.json)
 
 
 def _cmd_query(args) -> int:
+    from .parser import parse_description
+    from .reasoner import query
+
     model = _load_model(args.file)
     pattern = parse_description(args.pattern)
     if isinstance(pattern, list):
         raise _CliError("\n".join(str(d) for d in pattern))
     matches = sorted(query(model, pattern))
     if args.json:
+        from .export import emit_report
+        from .reasoner import SubsumptionVerdict, VerdictStatus
+
         verdict = SubsumptionVerdict(VerdictStatus.PROVEN, method="query")
         triples = [(match, args.pattern, verdict) for match in matches]
         print(emit_report([], {}, triples), end="")
@@ -155,11 +162,15 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_fulfill(args) -> int:
+    from .reasoner import propagate_fulfillment
+
     model = _load_model(args.file)
     state = propagate_fulfillment(model, args.threshold)
     for warning in state.warnings:
         print(warning, file=sys.stderr)
     if args.json:
+        from .export import emit_report
+
         print(emit_report([], state.states, []), end="")
     else:
         for element in model.elements:
@@ -168,6 +179,8 @@ def _cmd_fulfill(args) -> int:
 
 
 def _cmd_translate(args) -> int:
+    from .export import NestedUNotExportable, emit_owl, emit_report
+
     model = _load_model(args.file)
     try:
         document = emit_owl(model)
@@ -184,9 +197,17 @@ def _cmd_translate(args) -> int:
 
 
 def _cmd_membership(args) -> int:
+    from .membership import (
+        MembershipError,
+        format_degree,
+        membership_intervals,
+        membership_points,
+    )
+    from .model import PointPrototypes
+
     model = _load_model(args.file)
     spec = model.spec_for(args.quality)
-    if spec is None:
+    if spec is None or not spec.regions:
         raise _CliError(
             f"no membership regions are declared for quality {args.quality!r}"
         )
@@ -207,12 +228,16 @@ def _cmd_membership(args) -> int:
                 f"region {args.region!r} is not declared for {args.quality}"
             )
         if args.json:
+            from .export import emit_report
+
             report = {args.region: format_degree(degrees[args.region])}
             print(emit_report([], report, []), end="")
         else:
             print(format_degree(degrees[args.region]))
         return 0
     if args.json:
+        from .export import emit_report
+
         report = {name: format_degree(d) for name, d in degrees.items()}
         print(emit_report([], report, []), end="")
     else:

@@ -6,11 +6,12 @@ back. `emit_report` bundles findings, fulfillment states, and subsumption
 verdicts into one versioned JSON document for scripting.
 """
 
+from __future__ import annotations
+
 import json
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .lint import LintFinding
 from .model import (
     ONE_TO_MANY_OPS,
     Model,
@@ -19,7 +20,6 @@ from .model import (
     QualityStatement,
     exact_decimal,
 )
-from .reasoner import SubsumptionVerdict
 from .semantics import (
     DLAnd,
     DLAtomic,
@@ -38,6 +38,10 @@ from .semantics import (
     translate_description,
     translate_element,
 )
+
+if TYPE_CHECKING:
+    from .lint import LintFinding
+    from .reasoner import SubsumptionVerdict
 
 
 class NestedUNotExportable(ValueError):

@@ -58,7 +58,7 @@ def write(tmp_path, text, name="input.dsr"):
     return str(path)
 
 
-def run_cli(args, hash_seed="0"):
+def run_cli(args, hash_seed="0", extra_options=()):
     """Run the CLI in a fresh interpreter, as a user would."""
     env = dict(
         os.environ,
@@ -66,7 +66,7 @@ def run_cli(args, hash_seed="0"):
         PYTHONHASHSEED=hash_seed,
     )
     return subprocess.run(
-        [sys.executable, "-m", "reqsmith.cli", *args],
+        [sys.executable, *extra_options, "-m", "reqsmith.cli", *args],
         env=env,
         capture_output=True,
         timeout=60,
@@ -79,6 +79,25 @@ def run_cli(args, hash_seed="0"):
 def test_missing_file_exits_two(tmp_path, capsys):
     assert main(["check", str(tmp_path / "nope.dsr")]) == 2
     assert capsys.readouterr().err.strip()
+
+
+def test_non_utf8_model_exits_two_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "bad.dsr"
+    path.write_bytes(b"\xff\xfe")
+    assert main(["fmt", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{path}: error: not UTF-8 text")
+    assert err.count("\n") == 1
+
+
+def test_non_utf8_lint_config_exits_two_naming_the_file(tmp_path, capsys):
+    path = write(tmp_path, CLEAN)
+    config = tmp_path / "lint.cfg"
+    config.write_bytes(b"required_slots = \xff\n")
+    assert main(["lint", path, "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{config}: error: not UTF-8 text")
+    assert err.count("\n") == 1
 
 
 def test_parse_errors_exit_two_with_span(tmp_path, capsys):
@@ -568,9 +587,84 @@ def test_membership_rejects_non_numeric_values(tmp_path, capsys):
     assert "cheap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_membership_on_an_empty_regions_block_exits_two(tmp_path, capsys, json_flag):
+    path = write(tmp_path, "model m;\nregions Cost { }\n")
+    args = ["membership", path, "--quality", "Cost", "--value", "3", *json_flag]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "no membership regions are declared for quality 'Cost'\n"
+
+
 def test_membership_json_maps_regions_to_degrees(tmp_path, capsys):
     path = write(tmp_path, COST_REGIONS)
     args = ["membership", path, "--quality", "Cost", "--value", "740", "--json"]
     assert main(args) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["fulfillment"] == {"low": "0.595", "medium": "0.405", "high": "0"}
+
+
+# ===== import budget =====
+
+_PARSING = {"reqsmith", "reqsmith.cli", "reqsmith.model", "reqsmith.parser"}
+_REASONING = _PARSING | {"reqsmith.semantics", "reqsmith.reasoner"}
+_EXPORT = {"reqsmith.semantics", "reqsmith.export"}
+
+# The reqsmith modules each command loads; any `--json` run adds _EXPORT.
+IMPORT_BUDGET = {
+    "fmt": _PARSING,
+    "membership": _PARSING | {"reqsmith.membership"},
+    "translate": _PARSING | _EXPORT,
+    "query": _REASONING,
+    "fulfill": _REASONING,
+    "check": _REASONING | {"reqsmith.lint"},
+    "lint": _REASONING | {"reqsmith.lint"},
+}
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("command", sorted(IMPORT_BUDGET))
+def test_each_command_imports_only_the_modules_it_runs(tmp_path, command, json_flag):
+    path = write(tmp_path, BOOKING + COST_REGIONS.split("\n", 1)[1])
+    argv = [command, path, *json_flag]
+    if command == "query":
+        argv += ["--pattern", "<object: Ticket>"]
+    elif command == "translate":
+        argv += ["--out", str(tmp_path / "out.ofn")]
+    elif command == "membership":
+        argv += ["--quality", "Cost", "--value", "600"]
+    script = (
+        "import json, sys; from reqsmith import cli; code = cli.main(sys.argv[1:]); "
+        "print(json.dumps([code, [m for m in sys.modules if m.startswith('reqsmith')]]))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(reqsmith.__file__).parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    code, modules = json.loads(run.stdout.splitlines()[-1])
+    assert code in (0, 1)
+    assert set(modules) == IMPORT_BUDGET[command] | (_EXPORT if json_flag else set())
+
+
+def test_fmt_run_as_a_module_imports_neither_reasoner_nor_semantics(tmp_path):
+    path = write(tmp_path, CLEAN)
+    run = run_cli(["fmt", path], extra_options=["-X", "importtime"])
+    assert run.returncode == 0
+    assert run.stdout.decode() == print_model(parse_model(CLEAN))
+    imported = {
+        line.rsplit("|", 1)[1].strip()
+        for line in run.stderr.decode().splitlines()
+        if line.startswith("import time:")
+    }
+    # The command module itself runs as __main__, so it is not imported.
+    assert {m for m in imported if m.startswith("reqsmith")} == {
+        "reqsmith",
+        "reqsmith.model",
+        "reqsmith.parser",
+    }
