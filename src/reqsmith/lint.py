@@ -14,7 +14,6 @@ text can be routed to a first-draft declaration.
 import re
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
 from typing import Optional
 
 from .model import (
@@ -331,13 +330,14 @@ def _inconsistent(model: Model, live) -> list[LintFinding]:
             out.append(LintFinding("world", Issue.INCONSISTENT, line))
 
     supers: dict[str, set[str]] = {}
+    # atom sets declared jointly empty; only a term under all of a set clashes
     disjoint: set[frozenset[str]] = set()
 
     def record(subsumee: Description, subsumer: Description):
         if isinstance(subsumer, Nothing):
-            atoms = _intersection_atoms(subsumee)
-            for pair in combinations(sorted(atoms), 2):
-                disjoint.add(frozenset(pair))
+            atoms = frozenset(_intersection_atoms(subsumee))
+            if len(atoms) > 1:
+                disjoint.add(atoms)
         elif isinstance(subsumee, AtomicConcept) and isinstance(
             subsumer, AtomicConcept
         ):
@@ -374,15 +374,17 @@ def _inconsistent(model: Model, live) -> list[LintFinding]:
 
     for term in sorted(supers):
         reachable = ancestors(term) | {term}
-        for pair in sorted(disjoint, key=sorted):
-            if pair <= reachable:
-                a, b = sorted(pair)
+        for group in sorted(disjoint, key=sorted):
+            if group <= reachable:
+                *rest, last = sorted(group)
+                count = "two" if len(group) == 2 else len(group)
                 out.append(
                     LintFinding(
                         first_mention.get(term, "model"),
                         Issue.INCONSISTENT,
-                        f"term {term} falls under {a} and {b}, which are "
-                        f"declared disjoint; the two uses need distinct names",
+                        f"term {term} falls under {', '.join(rest)} and {last}, "
+                        f"which are declared disjoint; the {count} uses need "
+                        f"distinct names",
                         "interpret",
                     )
                 )

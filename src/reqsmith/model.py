@@ -3,8 +3,8 @@
 Defines the description algebra (the expression language element bodies are
 written in), the nine requirement element kinds, operator application
 records, finite instance worlds, prototype region specifications, and the
-model container, together with model validation, description traversal,
-symbol collection, and description normalization.
+model container, together with operator signatures, model validation,
+description traversal, symbol collection, and description normalization.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Union as TypingUnion
+from typing import NamedTuple, Optional, Union as TypingUnion
 
 
 # ===== PART 1: the description algebra =====
@@ -396,6 +396,105 @@ ONE_TO_ONE_OPS = frozenset(
 )
 ONE_TO_MANY_OPS = frozenset({Operator.REDUCE, Operator.FOCUS, Operator.OPERATIONALIZE})
 
+# Operator signatures: validation, the strength audit and the operators all
+# read the tables below.
+
+_OPERATIONALIZE_TARGETS = {
+    Kind.FG: frozenset({Kind.F, Kind.FC, Kind.DA}),
+    Kind.QG: frozenset({Kind.QC, Kind.F, Kind.FC, Kind.DA}),
+    Kind.CTG: frozenset({Kind.SC, Kind.DA}),
+    Kind.GOAL: frozenset({Kind.DA}),
+}
+
+
+class _Signature(NamedTuple):
+    """Where an operator may take an element.
+
+    `inputs` are the kinds it reads; another input kind is reported with
+    `input_message`. `outputs[k]` are the kinds an input of kind `k` may
+    produce; each other output is reported with `output_message`, and the
+    outputs of an input kind missing from `outputs` are not checked. The
+    messages are formatted with `op`, `input`, `output` and `eid`.
+    """
+
+    inputs: frozenset[Kind]
+    input_message: str
+    outputs: dict[Kind, frozenset[Kind]]
+    output_message: str
+
+
+_ALL_KINDS = frozenset(Kind)
+_STAYS_QUALITY = _Signature(
+    QUALITY_KINDS,
+    "{op} applies to quality elements",
+    {kind: QUALITY_KINDS for kind in Kind},
+    "output {eid} must stay a quality element",
+)
+
+# Resolution selects among its inputs, so it has no kind routing.
+_SIGNATURES = {
+    Operator.REDUCE: _Signature(
+        _ALL_KINDS,
+        "",
+        {kind: frozenset({kind, Kind.DA}) for kind in Kind},
+        "reduction output {eid} must keep kind {input}",
+    ),
+    Operator.INTERPRET: _Signature(
+        _ALL_KINDS,
+        "",
+        {kind: _ALL_KINDS if kind is Kind.GOAL else frozenset({kind}) for kind in Kind},
+        "interpretation cannot change a non-goal kind",
+    ),
+    Operator.OPERATIONALIZE: _Signature(
+        frozenset(_OPERATIONALIZE_TARGETS),
+        "{input} cannot be operationalized",
+        _OPERATIONALIZE_TARGETS,
+        "operationalization of {input} cannot produce {output} ({eid})",
+    ),
+    Operator.FOCUS: _STAYS_QUALITY,
+    Operator.DEUNIVERSALIZE: _STAYS_QUALITY,
+    Operator.SCALE: _Signature(
+        QUALITY_KINDS,
+        "scaling applies to quality elements",
+        {kind: frozenset({kind}) for kind in Kind},
+        "scaled output {eid} must keep its kind",
+    ),
+    Operator.OBSERVE: _Signature(
+        QUALITY_KINDS,
+        "observation applies to quality elements",
+        {kind: frozenset({Kind.QC}) for kind in Kind},
+        "observed output {eid} must be a quality constraint",
+    ),
+}
+
+# The strengths an operator's semantics allows, whatever the tag says, and
+# why. An operator missing here may carry any tag; the audit checks it
+# against the provable directions instead.
+_FIXED_STRENGTH = {
+    Operator.OBSERVE: (
+        frozenset({Strength.STRENGTHENING}),
+        "observation always strengthens",
+    ),
+    Operator.DEUNIVERSALIZE: (
+        frozenset({Strength.WEAKENING}),
+        "dropping universality always weakens",
+    ),
+    Operator.INTERPRET: (
+        frozenset({Strength.STRENGTHENING, Strength.EQUATING}),
+        "interpretation cannot weaken",
+    ),
+    Operator.FOCUS: (
+        frozenset({Strength.WEAKENING, Strength.EQUATING}),
+        "narrowing focus cannot strengthen",
+    ),
+}
+# Assumptions hold under any solution, so an operationalization whose outputs
+# are all assumptions only weakens.
+_ASSUMPTIONS_ONLY = (
+    frozenset({Strength.WEAKENING}),
+    "operationalizing into assumptions only always weakens",
+)
+
 # Slots reserved for reasoning; user-written descriptions may not use them.
 REASONING_INTERNAL_SLOTS = frozenset(
     {
@@ -614,13 +713,6 @@ class ValidationDiagnostic:
 
 # ===== PART 5: validation =====
 
-_OPERATIONALIZE_TARGETS = {
-    Kind.FG: {Kind.F, Kind.FC, Kind.DA},
-    Kind.QG: {Kind.QC, Kind.F, Kind.FC, Kind.DA},
-    Kind.CTG: {Kind.SC, Kind.DA},
-    Kind.GOAL: {Kind.DA},
-}
-
 
 def validate_model(model: Model) -> list[ValidationDiagnostic]:
     """Check every structural model invariant; return one diagnostic each.
@@ -641,7 +733,7 @@ def validate_model(model: Model) -> list[ValidationDiagnostic]:
     by_id = model.by_id()
     for index, app in enumerate(model.applications):
         app_id = f"application[{index}]"
-        diags.extend(_validate_application(app, app_id, by_id))
+        diags.extend(application_diagnostics(app, by_id, app_id))
     for index, conflict in enumerate(model.conflicts):
         cid = f"conflict[{index}]"
         if len(conflict) < 2:
@@ -715,129 +807,62 @@ def _validate_element(element: Element) -> list[ValidationDiagnostic]:
     return diags
 
 
-def _validate_application(
-    app: OperatorApplication, app_id: str, by_id: dict[str, Element]
+def application_diagnostics(
+    app: OperatorApplication,
+    by_id: dict[str, Element],
+    app_id: str = "application",
 ) -> list[ValidationDiagnostic]:
+    """Where `app` breaks its operator's signature: dangling ids, arity and
+    kind routing, in that order."""
     diags: list[ValidationDiagnostic] = []
+
+    def flag(rule: str, message: str) -> None:
+        diags.append(ValidationDiagnostic(app_id, rule, message))
+
     for eid in app.inputs + app.outputs:
         if eid not in by_id:
-            diags.append(
-                ValidationDiagnostic(app_id, "dangling-reference", f"unknown id {eid}")
-            )
+            flag("dangling-reference", f"unknown id {eid}")
+    dangling = bool(diags)
     if app.op is Operator.RESOLVE:
         if len(app.inputs) < 2:
-            diags.append(
-                ValidationDiagnostic(
-                    app_id, "arity", "resolution takes at least two inputs"
-                )
-            )
+            flag("arity", "resolution takes at least two inputs")
     else:
         if len(app.inputs) != 1:
-            diags.append(
-                ValidationDiagnostic(
-                    app_id, "arity", f"{app.op.value} takes exactly one input"
-                )
-            )
+            flag("arity", f"{app.op.value} takes exactly one input")
         if not app.outputs:
-            diags.append(
-                ValidationDiagnostic(
-                    app_id, "arity", f"{app.op.value} needs at least one output"
-                )
-            )
+            flag("arity", f"{app.op.value} needs at least one output")
     if app.op in ONE_TO_ONE_OPS and len(app.outputs) != 1:
-        diags.append(
-            ValidationDiagnostic(
-                app_id, "arity", f"{app.op.value} produces exactly one output"
-            )
-        )
-    if any(eid not in by_id for eid in app.inputs + app.outputs):
+        flag("arity", f"{app.op.value} produces exactly one output")
+    signature = _SIGNATURES.get(app.op)
+    if dangling or signature is None or not app.inputs:
         return diags
-
-    in_kinds = [by_id[eid].kind for eid in app.inputs]
-    out_kinds = [by_id[eid].kind for eid in app.outputs]
-    if app.op is Operator.REDUCE and in_kinds:
-        for eid, kind in zip(app.outputs, out_kinds):
-            if kind is not Kind.DA and kind is not in_kinds[0]:
-                diags.append(
-                    ValidationDiagnostic(
-                        app_id,
-                        "kind-routing",
-                        f"reduction output {eid} must keep kind {in_kinds[0].display}",
-                    )
-                )
-    elif app.op is Operator.INTERPRET and in_kinds and out_kinds:
-        if in_kinds[0] is not Kind.GOAL and out_kinds[0] is not in_kinds[0]:
-            diags.append(
-                ValidationDiagnostic(
-                    app_id, "kind-routing", "interpretation cannot change a non-goal kind"
-                )
+    source = by_id[app.inputs[0]].kind
+    if source not in signature.inputs:
+        flag(
+            "kind-routing",
+            signature.input_message.format(op=app.op.value, input=source.display),
+        )
+    allowed = signature.outputs.get(source, _ALL_KINDS)
+    for eid in app.outputs:
+        kind = by_id[eid].kind
+        if kind not in allowed:
+            message = signature.output_message.format(
+                op=app.op.value, input=source.display, output=kind.display, eid=eid
             )
-    elif app.op is Operator.OPERATIONALIZE and in_kinds:
-        allowed = _OPERATIONALIZE_TARGETS.get(in_kinds[0])
-        if allowed is None:
-            diags.append(
-                ValidationDiagnostic(
-                    app_id,
-                    "kind-routing",
-                    f"{in_kinds[0].display} cannot be operationalized",
-                )
-            )
-        else:
-            for eid, kind in zip(app.outputs, out_kinds):
-                if kind not in allowed:
-                    diags.append(
-                        ValidationDiagnostic(
-                            app_id,
-                            "kind-routing",
-                            f"operationalization of {in_kinds[0].display} cannot "
-                            f"produce {kind.display} ({eid})",
-                        )
-                    )
-    elif app.op in (Operator.FOCUS, Operator.DEUNIVERSALIZE) and in_kinds:
-        if in_kinds[0] not in QUALITY_KINDS:
-            diags.append(
-                ValidationDiagnostic(
-                    app_id, "kind-routing", f"{app.op.value} applies to quality elements"
-                )
-            )
-        for eid, kind in zip(app.outputs, out_kinds):
-            if kind not in QUALITY_KINDS:
-                diags.append(
-                    ValidationDiagnostic(
-                        app_id, "kind-routing", f"output {eid} must stay a quality element"
-                    )
-                )
-    elif app.op is Operator.SCALE and in_kinds:
-        if in_kinds[0] not in QUALITY_KINDS:
-            diags.append(
-                ValidationDiagnostic(
-                    app_id, "kind-routing", "scaling applies to quality elements"
-                )
-            )
-        for eid, kind in zip(app.outputs, out_kinds):
-            if kind is not in_kinds[0]:
-                diags.append(
-                    ValidationDiagnostic(
-                        app_id, "kind-routing", f"scaled output {eid} must keep its kind"
-                    )
-                )
-    elif app.op is Operator.OBSERVE and in_kinds:
-        if in_kinds[0] not in QUALITY_KINDS:
-            diags.append(
-                ValidationDiagnostic(
-                    app_id, "kind-routing", "observation applies to quality elements"
-                )
-            )
-        for eid, kind in zip(app.outputs, out_kinds):
-            if kind is not Kind.QC:
-                diags.append(
-                    ValidationDiagnostic(
-                        app_id,
-                        "kind-routing",
-                        f"observed output {eid} must be a quality constraint",
-                    )
-                )
+            flag("kind-routing", message)
     return diags
+
+
+def strength_error(app: OperatorApplication, by_id: dict[str, Element]) -> Optional[str]:
+    """Why `app`'s strength tag is illegal for its operator, or None."""
+    legal, reason = _FIXED_STRENGTH.get(app.op, (None, ""))
+    if app.op is Operator.OPERATIONALIZE and app.outputs and all(
+        eid in by_id and by_id[eid].kind is Kind.DA for eid in app.outputs
+    ):
+        legal, reason = _ASSUMPTIONS_ONLY
+    if legal is None or app.strength in legal:
+        return None
+    return f"{app.op.value} cannot be tagged {app.strength.value}: {reason}"
 
 
 def _check_acyclic(model: Model) -> list[ValidationDiagnostic]:
@@ -951,48 +976,6 @@ def mentions(d: Description) -> set[str]:
         elif isinstance(node, Region) and isinstance(node.expr, NamedRegion):
             names.add(node.expr.name)
     return names
-
-
-def free_symbols(
-    model: Model,
-) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
-    """Collect (concept names, slot names, region names, individual ids)
-    appearing in any description of the model, each sorted."""
-    concepts: set[str] = set()
-    slots: set[str] = set()
-    regions: set[str] = set()
-    individuals: set[str] = set()
-    descriptions: list[Description] = []
-    for element in model.elements:
-        body = element.body
-        if isinstance(body, FunctionDesc):
-            concepts.add(body.head)
-        elif isinstance(body, QualityStatement) and isinstance(body.region, NamedRegion):
-            regions.add(body.region.name)
-        descriptions += body_descriptions(body)
-    for axiom in model.axioms:
-        descriptions += body_descriptions(axiom)
-    for app in model.applications:
-        if isinstance(app.args, ObserveArgs):
-            descriptions.append(app.args.observer)
-        elif isinstance(app.args, FocusArgs):
-            descriptions += [t for t in app.args.targets if isinstance(t, Description)]
-    for desc in descriptions:
-        for d in subterms(desc):
-            if isinstance(d, AtomicConcept):
-                concepts.add(d.name)
-            elif isinstance(d, Enumeration):
-                individuals.update(d.ids)
-            elif isinstance(d, (SlotRestriction, InverseProjection)):
-                slots.add(d.slot)
-            elif isinstance(d, Region) and isinstance(d.expr, NamedRegion):
-                regions.add(d.expr.name)
-    return (
-        tuple(sorted(concepts)),
-        tuple(sorted(slots)),
-        tuple(sorted(regions)),
-        tuple(sorted(individuals)),
-    )
 
 
 def _region_key(r: RegionExpr) -> tuple:

@@ -12,7 +12,6 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union as TypingUnion
 
 from .model import (
-    _OPERATIONALIZE_TARGETS,
     AtomicConcept,
     Description,
     DeUniversalizeArgs,
@@ -25,7 +24,6 @@ from .model import (
     ObserveArgs,
     Operator,
     OperatorApplication,
-    QUALITY_KINDS,
     QualityStatement,
     ScaleArgs,
     ScaleDirection,
@@ -33,13 +31,19 @@ from .model import (
     Strength,
     UAnnotation,
     Union,
+    application_diagnostics,
+    strength_error,
 )
 from .reasoner import _Derivation, collect_axioms
 from .semantics import DLAtomic, PathMismatch, expand_u
 
 
 class OperatorError(ValueError):
-    """An application that violates an operation's signature."""
+    """An application that violates an operation's signature.
+
+    Signature violations carry the wording of `validate_model` and of the
+    strength audit, which read the same tables in `reqsmith.model`.
+    """
 
 
 OutputRef = TypingUnion[Element, str]
@@ -54,18 +58,13 @@ def _get(model: Model, eid: str) -> Element:
     return model.element(eid)
 
 
-def _peek_kind(model: Model, out: OutputRef) -> Kind:
-    return _get(model, out).kind if isinstance(out, str) else out.kind
-
-
 def _with_outputs(
     model: Model, outputs: Sequence[OutputRef]
 ) -> tuple[Model, tuple[str, ...]]:
-    """Add element-valued outputs and resolve id-valued ones."""
+    """Add element-valued outputs; id-valued ones are checked on recording."""
     ids: list[str] = []
     for out in outputs:
         if isinstance(out, str):
-            _get(model, out)
             ids.append(out)
         else:
             if model.has_element(out.id):
@@ -84,30 +83,22 @@ def _fresh_id(model: Model, base: str) -> str:
 
 def _quality_input(model: Model, eid: str, op_name: str) -> Element:
     element = _get(model, eid)
-    if element.kind not in QUALITY_KINDS:
-        raise OperatorError(
-            f"{op_name} applies to quality elements; "
-            f"{eid} is a {element.kind.display}"
-        )
     if not isinstance(element.body, QualityStatement):
         raise OperatorError(
-            f"{op_name} applies to quality elements; "
-            f"{eid} carries no structured quality statement"
+            f"{op_name} needs a structured quality statement; {eid} carries none"
         )
     return element
 
 
-def _record(
-    model: Model,
-    op: Operator,
-    inputs: tuple[str, ...],
-    outputs: tuple[str, ...],
-    strength: Strength,
-    args=None,
-) -> Model:
-    return model.with_application(
-        OperatorApplication(op, inputs, outputs, strength, args)
-    )
+def _record(model: Model, app: OperatorApplication) -> Model:
+    """`model` with `app` recorded, once `app` fits its operator's signature
+    and strength rule."""
+    by_id = model.by_id()
+    diagnostics = application_diagnostics(app, by_id)
+    message = diagnostics[0].message if diagnostics else strength_error(app, by_id)
+    if message is not None:
+        raise OperatorError(message)
+    return model.with_application(app)
 
 
 # ===== relators =====
@@ -123,18 +114,10 @@ def apply_reduce(
 
     New elements are added; plain ids reference elements already present.
     """
-    element = _get(model, input_id)
-    if not outputs:
-        raise OperatorError("a reduction needs at least one output")
-    for out in outputs:
-        kind = _peek_kind(model, out)
-        if kind is not Kind.DA and kind is not element.kind:
-            oid = out if isinstance(out, str) else out.id
-            raise OperatorError(
-                f"reduction output {oid} must keep kind {element.kind.display}"
-            )
     model, ids = _with_outputs(model, outputs)
-    return _record(model, Operator.REDUCE, (input_id,), ids, strength)
+    return _record(
+        model, OperatorApplication(Operator.REDUCE, (input_id,), ids, strength)
+    )
 
 
 def apply_interpret(
@@ -146,16 +129,10 @@ def apply_interpret(
     or restates the same content in structured form (an equating); it
     cannot weaken. Goals may change kind; other elements keep theirs.
     """
-    if strength is Strength.WEAKENING:
-        raise OperatorError(
-            "an interpretation disambiguates or encodes; it cannot weaken"
-        )
-    element = _get(model, input_id)
-    out_kind = _peek_kind(model, output)
-    if element.kind is not Kind.GOAL and out_kind is not element.kind:
-        raise OperatorError("interpretation cannot change a non-goal kind")
     model, ids = _with_outputs(model, [output])
-    return _record(model, Operator.INTERPRET, (input_id,), ids, strength)
+    return _record(
+        model, OperatorApplication(Operator.INTERPRET, (input_id,), ids, strength)
+    )
 
 
 def apply_operationalize(
@@ -171,26 +148,11 @@ def apply_operationalize(
     holds under any solution, so the recorded strength is a weakening no
     matter what was declared.
     """
-    element = _get(model, input_id)
-    allowed = _OPERATIONALIZE_TARGETS.get(element.kind)
-    if allowed is None:
-        raise OperatorError(f"{element.kind.display} cannot be operationalized")
-    if not outputs:
-        raise OperatorError("an operationalization needs at least one output")
-    kinds = []
-    for out in outputs:
-        kind = _peek_kind(model, out)
-        kinds.append(kind)
-        if kind not in allowed:
-            oid = out if isinstance(out, str) else out.id
-            raise OperatorError(
-                f"operationalization of {element.kind.display} cannot "
-                f"produce {kind.display} ({oid})"
-            )
-    if all(kind is Kind.DA for kind in kinds):
-        strength = Strength.WEAKENING
     model, ids = _with_outputs(model, outputs)
-    return _record(model, Operator.OPERATIONALIZE, (input_id,), ids, strength)
+    app = OperatorApplication(Operator.OPERATIONALIZE, (input_id,), ids, strength)
+    if strength_error(app, model.by_id()) is not None:
+        app = replace(app, strength=Strength.WEAKENING)
+    return _record(model, app)
 
 
 def apply_resolve(
@@ -203,15 +165,15 @@ def apply_resolve(
     skipped by fulfillment propagation.
     """
     inputs = tuple(input_ids)
-    if len(inputs) < 2:
-        raise OperatorError("a resolution takes at least two inputs")
-    for eid in inputs:
-        _get(model, eid)
+    model, out_ids = _with_outputs(model, outputs)
+    model = _record(
+        model,
+        OperatorApplication(Operator.RESOLVE, inputs, out_ids, Strength.WEAKENING),
+    )
     if frozenset(inputs) not in model.conflicts:
         ids = ", ".join(sorted(set(inputs)))
         raise OperatorError(f"no declared conflict matches {{{ids}}}")
-    model, out_ids = _with_outputs(model, outputs)
-    return _record(model, Operator.RESOLVE, inputs, out_ids, Strength.WEAKENING)
+    return model
 
 
 # ===== constructors =====
@@ -236,10 +198,6 @@ def apply_focus(
     targets = tuple(targets)
     if not targets:
         raise OperatorError("focus needs at least one target")
-    if strength is Strength.STRENGTHENING:
-        raise OperatorError(
-            "focus cannot strengthen: widening with a target only relaxes"
-        )
     if output_ids is not None and len(output_ids) != len(targets):
         raise OperatorError("output_ids must match targets one-to-one")
     body = element.body
@@ -252,17 +210,13 @@ def apply_focus(
         else:
             new_body = replace(body, subject=Union(body.subject, target))
         oid = output_ids[index] if output_ids is not None else _fresh_id(model, input_id)
-        if model.has_element(oid):
-            raise OperatorError(f"id {oid} already names an element")
-        model = model.with_element(Element(oid, element.kind, new_body))
-        ids.append(oid)
+        model, new_ids = _with_outputs(model, [Element(oid, element.kind, new_body)])
+        ids += new_ids
     return _record(
         model,
-        Operator.FOCUS,
-        (input_id,),
-        tuple(ids),
-        strength,
-        FocusArgs(targets),
+        OperatorApplication(
+            Operator.FOCUS, (input_id,), tuple(ids), strength, FocusArgs(targets)
+        ),
     )
 
 
@@ -334,18 +288,13 @@ def apply_scale(
         else Strength.STRENGTHENING
     )
     oid = output_id or _fresh_id(model, input_id)
-    if model.has_element(oid):
-        raise OperatorError(f"id {oid} already names an element")
-    model = model.with_element(
-        Element(oid, element.kind, replace(element.body, region=new_region))
-    )
+    output = Element(oid, element.kind, replace(element.body, region=new_region))
+    model, ids = _with_outputs(model, [output])
     return _record(
         model,
-        Operator.SCALE,
-        (input_id,),
-        (oid,),
-        strength,
-        ScaleArgs(factor, direction),
+        OperatorApplication(
+            Operator.SCALE, (input_id,), ids, strength, ScaleArgs(factor, direction)
+        ),
     )
 
 
@@ -382,22 +331,21 @@ def apply_deuniversalize(
     new_body = replace(
         body, pct_annotations=body.pct_annotations + (annotation,)
     )
-    oid = output_id or _fresh_id(model, input_id)
-    if model.has_element(oid):
-        raise OperatorError(f"id {oid} already names an element")
-    output = Element(oid, element.kind, new_body)
+    output = Element(output_id or _fresh_id(model, input_id), element.kind, new_body)
     try:
         expand_u(output)
     except PathMismatch as exc:
         raise OperatorError(str(exc)) from exc
-    model = model.with_element(output)
+    model, ids = _with_outputs(model, [output])
     return _record(
         model,
-        Operator.DEUNIVERSALIZE,
-        (input_id,),
-        (oid,),
-        Strength.WEAKENING,
-        DeUniversalizeArgs(annotation),
+        OperatorApplication(
+            Operator.DEUNIVERSALIZE,
+            (input_id,),
+            ids,
+            Strength.WEAKENING,
+            DeUniversalizeArgs(annotation),
+        ),
     )
 
 
@@ -423,15 +371,15 @@ def apply_observe(
     new_body = replace(
         body, region=region, observers=body.observers + (observer,)
     )
-    oid = output_id or _fresh_id(model, input_id)
-    if model.has_element(oid):
-        raise OperatorError(f"id {oid} already names an element")
-    model = model.with_element(Element(oid, Kind.QC, new_body))
+    output = Element(output_id or _fresh_id(model, input_id), Kind.QC, new_body)
+    model, ids = _with_outputs(model, [output])
     return _record(
         model,
-        Operator.OBSERVE,
-        (input_id,),
-        (oid,),
-        Strength.STRENGTHENING,
-        ObserveArgs(observer),
+        OperatorApplication(
+            Operator.OBSERVE,
+            (input_id,),
+            ids,
+            Strength.STRENGTHENING,
+            ObserveArgs(observer),
+        ),
     )

@@ -34,6 +34,7 @@ from .model import (
     Subsumption,
     World,
     mentions,
+    strength_error,
 )
 from .semantics import (
     DLAnd,
@@ -1069,26 +1070,6 @@ class StrengthDiagnostic:
     message: str
 
 
-_FIXED_STRENGTH = {
-    Operator.OBSERVE: (
-        {Strength.STRENGTHENING},
-        "observation always strengthens",
-    ),
-    Operator.DEUNIVERSALIZE: (
-        {Strength.WEAKENING},
-        "dropping universality always weakens",
-    ),
-    Operator.INTERPRET: (
-        {Strength.STRENGTHENING, Strength.EQUATING},
-        "interpretation cannot weaken",
-    ),
-    Operator.FOCUS: (
-        {Strength.WEAKENING, Strength.EQUATING},
-        "narrowing focus cannot strengthen",
-    ),
-}
-
-
 def check_strength_tags(model: Model):
     """Audit declared strength tags against derivable subsumption directions.
 
@@ -1109,15 +1090,9 @@ def check_strength_tags(model: Model):
     for index, app in enumerate(model.applications):
         if app.op is Operator.RESOLVE:
             continue
-        fixed = _FIXED_STRENGTH.get(app.op)
-        if fixed is not None and app.strength not in fixed[0]:
-            diagnostics.append(
-                StrengthDiagnostic(
-                    index,
-                    app.strength,
-                    f"{app.op.value} cannot be tagged {app.strength.value}: {fixed[1]}",
-                )
-            )
+        illegal = strength_error(app, by_id)
+        if illegal is not None:
+            diagnostics.append(StrengthDiagnostic(index, app.strength, illegal))
             continue
         input_concept = concepts.get(app.inputs[0])
         output_ids = [

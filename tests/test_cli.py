@@ -255,6 +255,21 @@ def test_check_reports_contradicted_strength_tags(tmp_path, capsys):
     assert "application[0]" in out
 
 
+@pytest.mark.parametrize("tag, code", [("strengthen", 1), ("equate", 1), ("weaken", 0)])
+def test_check_flags_operationalizations_into_assumptions_only(tmp_path, capsys, tag, code):
+    path = write(
+        tmp_path,
+        "model m;\nfg G1 := Ticket :< Booked;\nda DA1 := Fixed_sensor :< Installed;\n"
+        f"operationalize G1 -> DA1 [{tag}];\n",
+    )
+    assert main(["check", path]) == code
+    expected = (
+        f"application[0]: inconsistent: operationalize cannot be tagged {tag}: "
+        "operationalizing into assumptions only always weakens\n"
+    )
+    assert capsys.readouterr().out == (expected if code else "")
+
+
 def test_check_reports_world_clashes(tmp_path, capsys):
     path = write(tmp_path, CLASHING_WORLD)
     assert main(["check", path]) == 1

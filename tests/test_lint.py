@@ -242,6 +242,20 @@ da DA1 := User :< Information_entity;
     assert findings(m, Issue.INCONSISTENT) == []
 
 
+def test_nary_disjointness_needs_a_term_under_every_atom():
+    # A B C :< Nothing empties only the three-way intersection; A and B may meet
+    text = "model u;\naxiom A B C :< Nothing;\naxiom T :< A;\naxiom T :< B;\n"
+    assert findings(parsed(text), Issue.INCONSISTENT) == []
+    hits = findings(parsed(text + "axiom T :< C;\n"), Issue.INCONSISTENT)
+    assert [(f.element_id, f.detail) for f in hits] == [
+        (
+            "model",
+            "term T falls under A, B and C, which are declared disjoint; "
+            "the 3 uses need distinct names",
+        )
+    ]
+
+
 # ===== ambiguous =====
 
 

@@ -2,7 +2,6 @@
 
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -17,7 +16,6 @@ from reqsmith.model import (
     Difference,
     Element,
     Enumeration,
-    FocusArgs,
     FunctionDesc,
     Intersection,
     Interval,
@@ -27,7 +25,6 @@ from reqsmith.model import (
     ModifierKind,
     NamedRegion,
     NaturalLanguage,
-    ObserveArgs,
     Operator,
     OperatorApplication,
     QualityStatement,
@@ -37,18 +34,16 @@ from reqsmith.model import (
     Subsumption,
     UAnnotation,
     Union,
-    ValueSet,
     at_least,
     body_descriptions,
     children,
     exact_decimal,
-    free_symbols,
     mentions,
     normalize,
     subterms,
     validate_model,
 )
-from reqsmith.parser import format_rational, parse_model
+from reqsmith.parser import format_rational
 
 A = AtomicConcept
 F = Fraction
@@ -231,149 +226,6 @@ def test_operationalize_routing():
     assert any(d.rule == "kind-routing" for d in validate_model(model))
 
 
-# ===== free_symbols =====
-
-
-def test_free_symbols_function():
-    model = Model(
-        elements=(
-            Element("F1", Kind.F, FunctionDesc("Activate", (slot("actor", A("Manager")),))),
-        )
-    )
-    concepts, slots, regions, individuals = free_symbols(model)
-    assert concepts == ("Activate", "Manager")
-    assert slots == ("actor",)
-    assert regions == () and individuals == ()
-
-
-def test_free_symbols_empty():
-    assert free_symbols(Model()) == ((), (), (), ())
-
-
-def test_free_symbols_enumeration():
-    body = Subsumption(A("Server"), Enumeration(("MySQL", "Oracle")))
-    model = Model(elements=(Element("DA1", Kind.DA, body),))
-    assert free_symbols(model)[3] == ("MySQL", "Oracle")
-
-
-FIXTURES = Path(__file__).parent / "fixtures"
-
-FIXTURE_SYMBOLS = {
-    "booking.dsr": (
-        ("Airline_ticket", "Book", "Booked", "Bus_ticket", "Cash", "Credit_card", "Ticket"),
-        ("means", "object"),
-        (),
-        (),
-    ),
-    "cost.dsr": (("Cost",), (), ("Low",), ("the_service",)),
-    "entity_kinds.dsr": (
-        ("Information_entity", "Real_world_entity", "System_function", "User"),
-        ("object",),
-        (),
-        (),
-    ),
-    "nursing.dsr": (
-        ("Authorized", "Student_info", "Unauthorized"),
-        ("accessed_by",),
-        (),
-        ("Dr_Julie", "Dr_Susan"),
-    ),
-    "scheduler.dsr": (
-        (
-            "Available",
-            "Date",
-            "Email_server",
-            "Meeting",
-            "Meeting_date",
-            "Participant",
-            "Scheduled",
-            "Send",
-        ),
-        ("actor", "date", "object", "target"),
-        (),
-        ("the_scheduler",),
-    ),
-    "traffic.dsr": (
-        (
-            "Accuracy",
-            "Collect",
-            "Collected",
-            "F5",
-            "Fixed_sensor",
-            "Installed",
-            "Operation_cost",
-            "Reduced",
-            "Traffic_info",
-        ),
-        ("actor", "means", "object"),
-        ("High",),
-        ("the_system",),
-    ),
-}
-
-
-@pytest.mark.parametrize("name", sorted(FIXTURE_SYMBOLS))
-def test_free_symbols_of_fixtures(name):
-    path = FIXTURES / name
-    model = parse_model(path.read_text(), str(path))
-    assert free_symbols(model) == FIXTURE_SYMBOLS[name]
-
-
-def test_free_symbols_reach_regions_projections_and_application_arguments():
-    quality = QualityStatement(
-        Union(A("Speed"), A("Latency")),
-        InverseProjection(A("F1"), "object"),
-        NamedRegion("Fast"),
-        observers=(A("Tester"), Enumeration(("u1",))),
-    )
-    interval = Region(Interval(F(0), F(5)))
-    function = FunctionDesc(
-        "Run",
-        (
-            slot("rate", Region(NamedRegion("Quick", qualitative=False))),
-            slot("load", Intersection(interval, Region(NamedRegion("Slow")))),
-            slot("mode", Region(ValueSet(("eco",)))),
-        ),
-    )
-    model = Model(
-        elements=(
-            Element("QG1", Kind.QG, quality),
-            Element("F1", Kind.F, function),
-            Element(
-                "FC1",
-                Kind.FC,
-                Subsumption(Difference(A("X"), Enumeration(("i9",))), slot("by", A("Y"))),
-            ),
-            Element("QC2", Kind.QC, QualityStatement(A("Cost"), A("Task"), interval.expr)),
-            Element("G0", Kind.GOAL, NaturalLanguage("Prose names nothing")),
-        ),
-        axioms=(Subsumption(A("Ax"), InverseProjection(Enumeration(("i7",)), "links")),),
-        applications=(
-            OperatorApplication(
-                Operator.OBSERVE,
-                ("QG1",),
-                ("QC2",),
-                Strength.STRENGTHENING,
-                ObserveArgs(A("Auditor")),
-            ),
-            OperatorApplication(
-                Operator.FOCUS,
-                ("QG1",),
-                ("QG3",),
-                Strength.WEAKENING,
-                FocusArgs(("Quality", A("Hot_path"), InverseProjection(A("F1"), "actor"))),
-            ),
-        ),
-    )
-    assert free_symbols(model) == (
-        ("Auditor", "Ax", "Cost", "F1", "Hot_path", "Latency", "Run", "Speed")
-        + ("Task", "Tester", "X", "Y"),
-        ("actor", "by", "links", "load", "mode", "object", "rate"),
-        ("Fast", "Quick", "Slow"),
-        ("i7", "i9", "u1"),
-    )
-
-
 def _deep_description(levels):
     d = A("Leaf")
     for i in range(levels):
@@ -393,10 +245,7 @@ def test_deep_descriptions_validate_and_collect_without_recursion():
         axioms=(Subsumption(A("Top"), deep),),
     )
     assert validate_model(model) == []
-    concepts, slots, regions, individuals = free_symbols(model)
-    assert concepts == ("C0", "C1", "C2", "C3", "C4", "C5", "C6", "Leaf", "Top")
-    assert slots == ("part", "via")
-    assert regions == () and individuals == ()
+    assert mentions(deep) == {"C0", "C1", "C2", "C3", "C4", "C5", "C6", "Leaf"}
 
 
 # ===== traversal =====
