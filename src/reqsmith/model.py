@@ -733,7 +733,11 @@ def validate_model(model: Model) -> list[ValidationDiagnostic]:
     by_id = model.by_id()
     for index, app in enumerate(model.applications):
         app_id = f"application[{index}]"
-        diags.extend(application_diagnostics(app, by_id, app_id))
+        problems = application_diagnostics(app, by_id, app_id)
+        unmatched = None if problems else resolve_error(app, model.conflicts)
+        if unmatched is not None:
+            problems.append(ValidationDiagnostic(app_id, "resolve-conflict", unmatched))
+        diags.extend(problems)
     for index, conflict in enumerate(model.conflicts):
         cid = f"conflict[{index}]"
         if len(conflict) < 2:
@@ -851,6 +855,17 @@ def application_diagnostics(
             )
             flag("kind-routing", message)
     return diags
+
+
+def resolve_error(
+    app: OperatorApplication, conflicts: tuple[frozenset[str], ...]
+) -> Optional[str]:
+    """Why `app` resolves no declared conflict, or None: a resolution's
+    inputs must be exactly one declared conflict set."""
+    if app.op is not Operator.RESOLVE or frozenset(app.inputs) in conflicts:
+        return None
+    ids = ", ".join(sorted(set(app.inputs)))
+    return f"no declared conflict matches {{{ids}}}"
 
 
 def strength_error(app: OperatorApplication, by_id: dict[str, Element]) -> Optional[str]:

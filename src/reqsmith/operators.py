@@ -32,6 +32,7 @@ from .model import (
     UAnnotation,
     Union,
     application_diagnostics,
+    resolve_error,
     strength_error,
 )
 from .reasoner import _Derivation, collect_axioms
@@ -91,11 +92,14 @@ def _quality_input(model: Model, eid: str, op_name: str) -> Element:
 
 
 def _record(model: Model, app: OperatorApplication) -> Model:
-    """`model` with `app` recorded, once `app` fits its operator's signature
-    and strength rule."""
+    """`model` with `app` recorded, once `app` fits its operator's signature,
+    its strength rule and, for a resolution, a declared conflict."""
     by_id = model.by_id()
     diagnostics = application_diagnostics(app, by_id)
-    message = diagnostics[0].message if diagnostics else strength_error(app, by_id)
+    if diagnostics:
+        message = diagnostics[0].message
+    else:
+        message = strength_error(app, by_id) or resolve_error(app, model.conflicts)
     if message is not None:
         raise OperatorError(message)
     return model.with_application(app)
@@ -164,16 +168,13 @@ def apply_resolve(
     be empty; inputs absent from the outputs count as dropped and are
     skipped by fulfillment propagation.
     """
-    inputs = tuple(input_ids)
     model, out_ids = _with_outputs(model, outputs)
-    model = _record(
+    return _record(
         model,
-        OperatorApplication(Operator.RESOLVE, inputs, out_ids, Strength.WEAKENING),
+        OperatorApplication(
+            Operator.RESOLVE, tuple(input_ids), out_ids, Strength.WEAKENING
+        ),
     )
-    if frozenset(inputs) not in model.conflicts:
-        ids = ", ".join(sorted(set(inputs)))
-        raise OperatorError(f"no declared conflict matches {{{ids}}}")
-    return model
 
 
 # ===== constructors =====

@@ -117,72 +117,107 @@ class ParseDiagnostic:
 # ===== PART 1: lexer =====
 
 # One match per token: the leading group skips the whitespace and comments
-# before it, and the alternation ends in a catch-all for an unexpected
-# character and a match at the end of the text, so the pattern matches at
-# every position and `finditer` scans the whole text without a gap. Tokens
-# never contain a newline; only the skipped prefix moves the line count.
+# before it, and the one capture group is the lexeme. The alternation ends in
+# a catch-all for an unexpected character and a match at the end of the text,
+# so the pattern matches at every position and a scan covers the whole text
+# without a gap. Lexemes never contain a newline; only the skipped prefix
+# moves the line count. `tokenize` keeps only the lexemes, and
+# `token_positions` runs the same pattern again to place them when a
+# diagnostic needs a span.
 _TOKEN_RE = re.compile(
     r"""
     (?:\s+|//[^\n]*)*
-    (?:
-      (?P<num>\d+\.\d+|\d+/\d+|\d+)
-    | (?P<id>[A-Za-z_][A-Za-z0-9_']*)
-    | (?P<str>"(?:[^"\\\n]|\\.)*")
-    | (?P<punct>:=|:<|::|<=|>=|->|[;,{}()\[\]<>:=|\-.?%])
-    | (?P<bad>.)
-    | (?P<eof>\Z)
+    (
+      \d+\.\d+|\d+/\d+|\d+
+    | [A-Za-z_][A-Za-z0-9_']*
+    | "(?:[^"\\\n]|\\.)*"
+    | :=|:<|::|<=|>=|->|[;,{}()\[\]<>:=|\-.?%]
+    | .
+    | \Z
     )
     """,
     re.VERBOSE,
 )
 
+# A lexeme's kind follows from its first character: "" is the end of input,
+# `"` opens a string, a decimal digit (`str.isdecimal`, the class of `\d`)
+# opens a number, a letter or `_` opens an identifier, and any other token is
+# punctuation. A one-character lexeme outside this alphabet, a lone `"`
+# included, is an unexpected character.
+_ID_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_ONE_CHAR_TOKENS = _ID_START | frozenset(";,{}()[]<>:=|-.?%")
 
-class Token:
-    """One lexeme: its type (num, id, str, punct or eof), its text, and where
-    it starts. The `SourceSpan` is built only when someone asks for it."""
 
-    __slots__ = ("type", "value", "offset", "line", "column", "file")
+def _is_id(lexeme: str) -> bool:
+    return lexeme[:1] in _ID_START
 
-    def __init__(self, type: str, value: str, offset: int, line: int, column: int, file: str):
-        self.type = type
-        self.value = value
-        self.offset = offset
-        self.line = line
-        self.column = column
-        self.file = file
 
-    @property
-    def span(self) -> SourceSpan:
-        return SourceSpan(self.file, self.line, self.column, self.offset)
+def _is_num(lexeme: str) -> bool:
+    return lexeme[:1].isdecimal()
+
+
+def _is_str(lexeme: str) -> bool:
+    return lexeme[:1] == '"'
+
+
+def _is_bad(lexeme: str) -> bool:
+    return (
+        len(lexeme) == 1
+        and lexeme not in _ONE_CHAR_TOKENS
+        and not lexeme.isdecimal()
+    )
 
 
 _COUNTED = {"<=": at_most, ">=": at_least, "=": exactly}
 
 
-def tokenize(text: str, file: str) -> tuple[list[Token], list[ParseDiagnostic]]:
-    tokens: list[Token] = []
-    diagnostics: list[ParseDiagnostic] = []
+def _placed(text: str):
+    """(lexeme, line, column, offset) for each lexeme through the end of
+    input."""
     line = 1
     line_start = 0
     for match in _TOKEN_RE.finditer(text):
-        kind = match.lastgroup
-        start = match.start(kind)
+        start = match.start(1)
         gap = match.start()
         if start != gap:
             newlines = text.count("\n", gap, start)
             if newlines:
                 line += newlines
                 line_start = text.rindex("\n", gap, start) + 1
-        if kind == "bad":
-            span = SourceSpan(file, line, start - line_start + 1, start)
-            diagnostics.append(
-                ParseDiagnostic(span, "error", f"unexpected character {text[start]!r}")
-            )
-            continue
-        tokens.append(Token(kind, match[kind], start, line, start - line_start + 1, file))
-        if kind == "eof":
-            break
-    return tokens, diagnostics
+        lexeme = match[1]
+        yield lexeme, line, start - line_start + 1, start
+        if not lexeme:
+            return
+
+
+def token_positions(text: str) -> list[tuple[int, int, int]]:
+    """(line, column, offset) of each token `tokenize` returns for `text`."""
+    return [
+        (line, column, offset)
+        for lexeme, line, column, offset in _placed(text)
+        if not _is_bad(lexeme)
+    ]
+
+
+def tokenize(text: str, file: str) -> tuple[list[str], list[ParseDiagnostic]]:
+    """The lexemes of `text`, ending in "" for the end of input, and a
+    diagnostic for each unexpected character, which is left out."""
+    tokens = _TOKEN_RE.findall(text)
+    # Trailing whitespace leaves a second empty match after the first.
+    del tokens[tokens.index("") + 1 :]
+    bad = {lexeme for lexeme in set(tokens) if _is_bad(lexeme)}
+    if not bad:
+        return tokens, []
+    diagnostics = [
+        ParseDiagnostic(
+            SourceSpan(file, line, column, offset),
+            "error",
+            f"unexpected character {lexeme!r}",
+        )
+        for lexeme, line, column, offset in _placed(text)
+        if lexeme in bad
+    ]
+    return [lexeme for lexeme in tokens if lexeme not in bad], diagnostics
 
 
 def _height(desc: Description) -> int:
@@ -212,23 +247,26 @@ class _Abort(Exception):
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
+    def __init__(self, tokens: list[str], text: str, file: str):
         self.tokens = tokens
         self.last = len(tokens) - 1
         self.pos = 0
         self.nesting = 0
         self.diagnostics: list[ParseDiagnostic] = []
+        self.text = text
+        self.file = file
+        self.positions: Optional[list[tuple[int, int, int]]] = None
 
     # --- token plumbing ---
-    # The token list ends in `eof` and `advance` never moves past it, so the
+    # The token list ends in "" and `advance` never moves past it, so the
     # current token is always `tokens[pos]`; only a look-ahead is clamped.
 
-    def peek(self, ahead: int = 0) -> Token:
+    def peek(self, ahead: int = 0) -> str:
         if ahead:
             return self.tokens[min(self.pos + ahead, self.last)]
         return self.tokens[self.pos]
 
-    def advance(self) -> Token:
+    def advance(self) -> str:
         token = self.tokens[self.pos]
         if self.pos < self.last:
             self.pos += 1
@@ -237,7 +275,13 @@ class _Parser:
     def at(self, value: str) -> bool:
         # Only punctuation and identifiers can equal a keyword or symbol: a
         # string keeps its quotes, a number starts with a digit, eof is "".
-        return self.tokens[self.pos].value == value
+        return self.tokens[self.pos] == value
+
+    def span(self, index: int) -> SourceSpan:
+        """Where token `index` starts; the first call places every token."""
+        if self.positions is None:
+            self.positions = token_positions(self.text)
+        return SourceSpan(self.file, *self.positions[index])
 
     def error(
         self,
@@ -247,24 +291,25 @@ class _Parser:
     ) -> _Abort:
         if len(self.diagnostics) < MAX_DIAGNOSTICS:
             self.diagnostics.append(
-                ParseDiagnostic(span or self.peek().span, "error", message, expected)
+                ParseDiagnostic(span or self.span(self.pos), "error", message, expected)
             )
         return _Abort()
 
-    # A token that matches is not `eof`, so these two step past it directly.
+    # A token that matches is not the end of input, so these two step past
+    # it directly.
 
-    def expect(self, value: str) -> Token:
+    def expect(self, value: str) -> str:
         token = self.tokens[self.pos]
-        if token.value != value:
-            found = token.value or "end of input"
+        if token != value:
+            found = token or "end of input"
             raise self.error(f"expected {value!r}, found {found!r}", expected=repr(value))
         self.pos += 1
         return token
 
-    def expect_ident(self, what: str = "identifier") -> Token:
+    def expect_ident(self, what: str = "identifier") -> str:
         token = self.tokens[self.pos]
-        if token.type != "id":
-            found = token.value or "end of input"
+        if not _is_id(token):
+            found = token or "end of input"
             raise self.error(f"expected {what}, found {found!r}", expected=what)
         self.pos += 1
         return token
@@ -273,13 +318,13 @@ class _Parser:
         depth = 0
         while True:
             token = self.peek()
-            if token.type == "eof":
+            if not token:
                 return
-            if token.value in "({[":
+            if token in "({[":
                 depth += 1
-            elif token.value in ")}]":
+            elif token in ")}]":
                 depth = max(0, depth - 1)
-            elif token.value == ";" and depth == 0:
+            elif token == ";" and depth == 0:
                 self.advance()
                 return
             self.advance()
@@ -291,9 +336,14 @@ class _Parser:
         if self.at("-"):
             self.advance()
             negative = True
-        if self.peek().type != "num":
+        token = self.peek()
+        if not _is_num(token):
             raise self.error("expected a number", expected="number")
-        value = Fraction(self.advance().value)
+        try:
+            value = Fraction(token)
+        except ZeroDivisionError:
+            raise self.error(f"a rational needs a nonzero denominator, found {token}")
+        self.advance()
         if self.at("%"):
             self.advance()
             value /= 100
@@ -318,7 +368,7 @@ class _Parser:
             and self.pos - start > MAX_NESTING
             and _height(desc) > MAX_NESTING
         ):
-            raise self.error(_TOO_DEEP, span=self.tokens[start].span)
+            raise self.error(_TOO_DEEP, span=self.span(start))
         return desc
 
     def _parse_difference(self) -> Description:
@@ -339,12 +389,12 @@ class _Parser:
 
     def _starts_primary(self) -> bool:
         token = self.peek()
-        if token.type == "id":
+        if _is_id(token):
             return True
-        if token.value in ("{", "("):
+        if token in ("{", "("):
             return True
-        if token.value == "<":
-            return self.peek(1).type == "id" and self.peek(2).value == ":"
+        if token == "<":
+            return _is_id(self.peek(1)) and self.peek(2) == ":"
         return False
 
     def _parse_adjacency(self) -> Description:
@@ -356,77 +406,77 @@ class _Parser:
 
     def _parse_postfix(self) -> Description:
         node = self._parse_primary()
-        while self.at(".") and self.peek(1).type == "id":
+        while self.at(".") and _is_id(self.peek(1)):
             self.advance()
             slot = self.expect_ident("slot name")
-            node = InverseProjection(node, slot.value)
+            node = InverseProjection(node, slot)
         return node
 
     def _parse_primary(self) -> Description:
         token = self.peek()
-        if token.type == "id":
-            if token.value == "Thing":
+        if _is_id(token):
+            if token == "Thing":
                 self.advance()
                 return THING
-            if token.value == "Nothing":
+            if token == "Nothing":
                 self.advance()
                 return NOTHING
-            return AtomicConcept(self.advance().value)
-        if token.value == "{":
+            return AtomicConcept(self.advance())
+        if token == "{":
             return self._parse_braced()
-        if token.value == "(":
+        if token == "(":
             self.advance()
             inner = self.parse_description()
             self.expect(")")
             return inner
-        if token.value == "<":
+        if token == "<":
             return self._parse_slot_restriction()
-        if token.value == "[":
+        if token == "[":
             return Region(self._parse_interval())
         raise self.error(
-            f"expected a description, found {token.value!r}", expected="description"
+            f"expected a description, found {token!r}", expected="description"
         )
 
     def _parse_braced(self) -> Description:
         self.expect("{")
-        if self.peek().type == "num" or self.peek().type == "str" or self.at("-"):
+        if _is_num(self.peek()) or _is_str(self.peek()) or self.at("-"):
             values: list = [self._parse_set_value()]
             while self.at(","):
                 self.advance()
                 values.append(self._parse_set_value())
             self.expect("}")
             return Region(ValueSet(tuple(values)))
-        ids = [self.expect_ident("individual id").value]
+        ids = [self.expect_ident("individual id")]
         while self.at(","):
             self.advance()
-            ids.append(self.expect_ident("individual id").value)
+            ids.append(self.expect_ident("individual id"))
         self.expect("}")
         return Enumeration(tuple(ids))
 
     def _parse_set_value(self):
-        if self.peek().type == "str":
-            return _unquote(self.advance().value)
+        if _is_str(self.peek()):
+            return _unquote(self.advance())
         return self.parse_rational()
 
     def _parse_slot_restriction(self) -> SlotRestriction:
         self.expect("<")
-        slot = self.expect_ident("slot name").value
+        slot = self.expect_ident("slot name")
         self.expect(":")
         modifier = EXACTLY_ONE
         token = self.peek()
-        if token.value in _COUNTED and self.peek(1).type == "num":
+        if token in _COUNTED and _is_num(self.peek(1)):
             self.advance()
-            count = self.peek().value
+            count = self.peek()
             if not count.isdigit() or int(count) < 1:
                 raise self.error(
                     f"a cardinality count must be a whole number >= 1, found {count}"
                 )
             self.advance()
-            modifier = _COUNTED[token.value](int(count))
-        elif token.value == "SOME":
+            modifier = _COUNTED[token](int(count))
+        elif token == "SOME":
             self.advance()
             modifier = SOME
-        elif token.value == "ONLY":
+        elif token == "ONLY":
             self.advance()
             modifier = ONLY
         filler = self.parse_description()
@@ -443,7 +493,7 @@ class _Parser:
         unit = None
         if self.at("("):
             self.advance()
-            unit = self.expect_ident("unit").value
+            unit = self.expect_ident("unit")
             if self.at("."):
                 self.advance()
             self.expect(")")
@@ -454,29 +504,29 @@ class _Parser:
 
     def parse_region_expr(self) -> RegionExpr:
         token = self.peek()
-        if token.value == "[":
+        if token == "[":
             return self._parse_interval()
-        if token.value == "<=":
+        if token == "<=":
             self.advance()
             high = self.parse_rational()
             unit = None
             if self.at("("):
                 self.advance()
-                unit = self.expect_ident("unit").value
+                unit = self.expect_ident("unit")
                 if self.at("."):
                     self.advance()
                 self.expect(")")
             return Interval(Fraction(0), high, unit)
-        if token.value == "{":
+        if token == "{":
             region = self._parse_braced()
             if isinstance(region, Region) and isinstance(region.expr, ValueSet):
                 return region.expr
             if isinstance(region, Enumeration):
                 return ValueSet(region.ids)
             raise self.error("expected a value set")
-        name = self.expect_ident("region name").value
+        name = self.expect_ident("region name")
         qualitative = True
-        if self.at("(") and self.peek(1).value == "measured" and self.peek(2).value == ")":
+        if self.at("(") and self.peek(1) == "measured" and self.peek(2) == ")":
             self.advance()
             self.advance()
             self.advance()
@@ -491,22 +541,22 @@ class _Parser:
         index = self.pos
         while index < len(self.tokens):
             token = self.tokens[index]
-            if token.type == "eof" or (token.value == ";" and depth == 0):
+            if not token or (token == ";" and depth == 0):
                 break
-            if token.value in "({[":
+            if token in "({[":
                 depth += 1
-            elif token.value in ")}]":
+            elif token in ")}]":
                 depth -= 1
-            elif depth == 0 and token.value == "::":
+            elif depth == 0 and token == "::":
                 return "quality"
-            elif depth == 0 and token.value == ":<":
+            elif depth == 0 and token == ":<":
                 return "subsumption"
             index += 1
         return "function"
 
     def parse_body(self, kind: Kind):
-        if self.peek().type == "str":
-            return NaturalLanguage(_unquote(self.advance().value))
+        if _is_str(self.peek()):
+            return NaturalLanguage(_unquote(self.advance()))
         if kind is Kind.F:
             shape = "function"
         elif kind in (Kind.QG, Kind.QC):
@@ -525,15 +575,15 @@ class _Parser:
         return Subsumption(subsumee, subsumer)
 
     def _parse_function_body(self) -> FunctionDesc:
-        head = self.expect_ident("function head").value
+        head = self.expect_ident("function head")
         slots: list[SlotRestriction] = []
-        while self.at("<") and self.peek(1).type == "id" and self.peek(2).value == ":":
+        while self.at("<") and _is_id(self.peek(1)) and self.peek(2) == ":":
             slots.append(self._parse_slot_restriction())
         return FunctionDesc(head, tuple(slots))
 
     def _parse_quality_body(self) -> QualityStatement:
-        if self.peek().type == "id":
-            quality: Description = AtomicConcept(self.advance().value)
+        if _is_id(self.peek()):
+            quality: Description = AtomicConcept(self.advance())
         else:
             self.expect("(")
             quality = self.parse_description()
@@ -546,13 +596,13 @@ class _Parser:
         observers: list[Description] = []
         annotations: list[UAnnotation] = []
         while True:
-            if self.at("<") and self.peek(1).value == "observed_by":
+            if self.at("<") and self.peek(1) == "observed_by":
                 self.advance()
                 self.advance()
                 self.expect(":")
                 observers.append(self.parse_description())
                 self.expect(">")
-            elif self.at("u") and self.peek(1).value == "(":
+            elif self.at("u") and self.peek(1) == "(":
                 annotations.append(self._parse_annotation())
             else:
                 break
@@ -564,12 +614,12 @@ class _Parser:
         self.expect("u")
         self.expect("(")
         self.expect("?")
-        var = self.expect_ident("variable name").value
+        var = self.expect_ident("variable name")
         self.expect(",")
-        path = [self.expect_ident("slot name").value]
+        path = [self.expect_ident("slot name")]
         while self.at("."):
             self.advance()
-            path.append(self.expect_ident("slot name").value)
+            path.append(self.expect_ident("slot name"))
         self.expect(",")
         pct = self.parse_rational()
         self.expect(")")
@@ -582,9 +632,9 @@ class _Parser:
 
     def parse_strength(self, default: Optional[Strength]) -> Strength:
         if self.at("["):
-            if self.peek(1).value in STRENGTH_KEYWORDS and self.peek(2).value == "]":
+            if self.peek(1) in STRENGTH_KEYWORDS and self.peek(2) == "]":
                 self.advance()
-                strength = STRENGTH_KEYWORDS[self.advance().value]
+                strength = STRENGTH_KEYWORDS[self.advance()]
                 self.advance()
                 return strength
             raise self.error("expected a strength tag", expected="[strengthen|weaken|equate]")
@@ -596,10 +646,10 @@ class _Parser:
         return default
 
     def parse_id_list(self) -> list[str]:
-        ids = [self.expect_ident("element id").value]
+        ids = [self.expect_ident("element id")]
         while self.at(","):
             self.advance()
-            ids.append(self.expect_ident("element id").value)
+            ids.append(self.expect_ident("element id"))
         return ids
 
     def _parse_scale_factor(self) -> ScaleFactor:
@@ -610,7 +660,7 @@ class _Parser:
             high = self.parse_rational()
             self.expect(")")
             return ScaleFactor(low_factor=low, high_factor=high)
-        name = self.expect_ident("region name").value
+        name = self.expect_ident("region name")
         return ScaleFactor(region_name=name)
 
     def parse_operator_statement(self, keyword: str) -> OperatorApplication:
@@ -619,18 +669,18 @@ class _Parser:
             inputs = self.parse_id_list()
             self.expect("->")
             outputs: list[str] = []
-            if self.peek().type == "id":
+            if _is_id(self.peek()):
                 outputs = self.parse_id_list()
             strength = self.parse_strength(Strength.WEAKENING)
             return OperatorApplication(op, tuple(inputs), tuple(outputs), strength)
-        source = self.expect_ident("element id").value
+        source = self.expect_ident("element id")
         self.expect("->")
         if op in (Operator.REDUCE, Operator.OPERATIONALIZE, Operator.FOCUS):
             outputs = self.parse_id_list()
             default = Strength.WEAKENING if op is Operator.FOCUS else None
             strength = self.parse_strength(default)
             return OperatorApplication(op, (source,), tuple(outputs), strength)
-        target = self.expect_ident("element id").value
+        target = self.expect_ident("element id")
         if op is Operator.INTERPRET:
             strength = self.parse_strength(None)
             return OperatorApplication(op, (source,), (target,), strength)
@@ -672,35 +722,35 @@ class _Parser:
         tuples: dict[str, set[tuple[str, str]]] = {}
         data: dict[tuple[str, str], object] = {}
         records: list[QualityRecord] = []
-        while not self.at("}") and self.peek().type != "eof":
+        while not self.at("}") and self.peek():
             try:
-                keyword = self.expect_ident("world statement").value
+                keyword = self.expect_ident("world statement")
                 if keyword == "individual":
-                    name = self.expect_ident("individual id").value
+                    name = self.expect_ident("individual id")
                     individuals.add(name)
                     if self.at(":"):
                         self.advance()
-                        concept = self.expect_ident("concept").value
+                        concept = self.expect_ident("concept")
                         extensions.setdefault(concept, set()).add(name)
                         while self.at(","):
                             self.advance()
-                            concept = self.expect_ident("concept").value
+                            concept = self.expect_ident("concept")
                             extensions.setdefault(concept, set()).add(name)
                     self.expect(";")
                 elif keyword == "slot":
-                    slot = self.expect_ident("slot name").value
+                    slot = self.expect_ident("slot name")
                     self.expect("(")
-                    subject = self.expect_ident("individual id").value
+                    subject = self.expect_ident("individual id")
                     self.expect(",")
-                    target = self.expect_ident("individual id").value
+                    target = self.expect_ident("individual id")
                     self.expect(")")
                     self.expect(";")
                     tuples.setdefault(slot, set()).add((subject, target))
                     individuals.update((subject, target))
                 elif keyword == "data":
-                    slot = self.expect_ident("slot name").value
+                    slot = self.expect_ident("slot name")
                     self.expect("(")
-                    subject = self.expect_ident("individual id").value
+                    subject = self.expect_ident("individual id")
                     self.expect(")")
                     self.expect("=")
                     data[(subject, slot)] = self._parse_data_value()
@@ -724,39 +774,39 @@ class _Parser:
         )
 
     def _parse_data_value(self):
-        if self.peek().type == "str":
-            return _unquote(self.advance().value)
-        if self.peek().type == "id":
-            return self.advance().value
+        if _is_str(self.peek()):
+            return _unquote(self.advance())
+        if _is_id(self.peek()):
+            return self.advance()
         value = self.parse_rational()
-        if self.peek().type == "id":
-            unit = self.advance().value
+        if _is_id(self.peek()):
+            unit = self.advance()
             if self.at("."):
                 self.advance()
             return Quantity(value, unit)
         return value
 
     def _parse_quality_record(self) -> QualityRecord:
-        quality_id = self.expect_ident("quality id").value
+        quality_id = self.expect_ident("quality id")
         self.expect(":")
-        concept = self.expect_ident("quality concept").value
+        concept = self.expect_ident("quality concept")
         self.expect("inheres")
-        bearer = self.expect_ident("bearer id").value
+        bearer = self.expect_ident("bearer id")
         self.expect("value")
         value = self.parse_rational()
         unit = None
-        if self.peek().type == "id" and self.peek().value != "observed_by":
-            unit = self.advance().value
+        if _is_id(self.peek()) and self.peek() != "observed_by":
+            unit = self.advance()
             if self.at("."):
                 self.advance()
         observers: set[str] = set()
         if self.at("observed_by"):
             self.advance()
             self.expect("{")
-            observers.add(self.expect_ident("observer id").value)
+            observers.add(self.expect_ident("observer id"))
             while self.at(","):
                 self.advance()
-                observers.add(self.expect_ident("observer id").value)
+                observers.add(self.expect_ident("observer id"))
             self.expect("}")
         self.expect(";")
         return QualityRecord(quality_id, concept, bearer, value, unit, frozenset(observers))
@@ -764,13 +814,13 @@ class _Parser:
     # --- regions block ---
 
     def parse_regions_block(self) -> MembershipSpec:
-        quality = self.expect_ident("quality name").value
+        quality = self.expect_ident("quality name")
         self.expect("{")
         regions: list[PrototypeRegion] = []
-        while not self.at("}") and self.peek().type != "eof":
-            name = self.expect_ident("region name").value
+        while not self.at("}") and self.peek():
+            name = self.expect_ident("region name")
             self.expect("=")
-            keyword = self.expect_ident("'points' or 'interval'").value
+            keyword = self.expect_ident("'points' or 'interval'")
             if keyword == "points":
                 self.expect("{")
                 values = [self.parse_rational()]
@@ -809,25 +859,25 @@ class _Builder:
     marks: set[str] = field(default_factory=set)
     world: Optional[World] = None
     specs: list[MembershipSpec] = field(default_factory=list)
-    # The token each validation subject starts at: an element's id and the
-    # keyword of `application[i]`, `conflict[i]` and `axiom[i]`. The first
-    # `fulfilled` keyword is kept apart, since an element may be named
-    # `fulfilled_marks`.
-    starts: dict[str, Token] = field(default_factory=dict)
-    fulfilled: Optional[Token] = None
+    # The index of the token each validation subject starts at: an element's
+    # id and the keyword of `application[i]`, `conflict[i]` and `axiom[i]`.
+    # The first `fulfilled` keyword is kept apart, since an element may be
+    # named `fulfilled_marks`.
+    starts: dict[str, int] = field(default_factory=dict)
+    fulfilled: Optional[int] = None
 
 
 def _parse_statements(parser: _Parser) -> _Builder:
     build = _Builder()
-    while parser.peek().type != "eof":
-        token = parser.peek()
+    while parser.peek():
+        keyword = parser.peek()
+        start = parser.pos
         try:
-            if token.type != "id":
-                raise parser.error(f"expected a statement, found {token.value!r}")
-            keyword = token.value
+            if not _is_id(keyword):
+                raise parser.error(f"expected a statement, found {keyword!r}")
             if keyword == "model":
                 parser.advance()
-                build.name = parser.expect_ident("model name").value
+                build.name = parser.expect_ident("model name")
                 parser.expect(";")
             elif keyword in KIND_KEYWORDS:
                 parser.advance()
@@ -835,13 +885,13 @@ def _parse_statements(parser: _Parser) -> _Builder:
                 parser.expect(":=")
                 body = parser.parse_body(KIND_KEYWORDS[keyword])
                 parser.expect(";")
-                build.elements.append(Element(ident.value, KIND_KEYWORDS[keyword], body))
-                build.starts[ident.value] = ident
+                build.elements.append(Element(ident, KIND_KEYWORDS[keyword], body))
+                build.starts[ident] = start + 1
             elif keyword in OPERATOR_KEYWORDS:
                 parser.advance()
                 app = parser.parse_operator_statement(keyword)
                 parser.expect(";")
-                build.starts[f"application[{len(build.applications)}]"] = token
+                build.starts[f"application[{len(build.applications)}]"] = start
                 build.applications.append(app)
             elif keyword == "conflict":
                 parser.advance()
@@ -849,10 +899,11 @@ def _parse_statements(parser: _Parser) -> _Builder:
                 ids = parser.parse_id_list()
                 parser.expect("}")
                 parser.expect(";")
-                build.starts[f"conflict[{len(build.conflicts)}]"] = token
+                build.starts[f"conflict[{len(build.conflicts)}]"] = start
                 build.conflicts.append(frozenset(ids))
             elif keyword == "fulfilled":
-                build.fulfilled = build.fulfilled or token
+                if build.fulfilled is None:
+                    build.fulfilled = start
                 parser.advance()
                 build.marks.update(parser.parse_id_list())
                 parser.expect(";")
@@ -862,7 +913,7 @@ def _parse_statements(parser: _Parser) -> _Builder:
                 parser.expect(":<")
                 subsumer = parser.parse_description()
                 parser.expect(";")
-                build.starts[f"axiom[{len(build.axioms)}]"] = token
+                build.starts[f"axiom[{len(build.axioms)}]"] = start
                 build.axioms.append(Subsumption(subsumee, subsumer))
             elif keyword == "world":
                 parser.advance()
@@ -884,7 +935,7 @@ def parse_model(
 ) -> TypingUnion[Model, list[ParseDiagnostic]]:
     """Parse a model file; return the model or all error diagnostics."""
     tokens, diagnostics = tokenize(text, file)
-    parser = _Parser(tokens)
+    parser = _Parser(tokens, text, file)
     parser.diagnostics.extend(diagnostics)
     build = _parse_statements(parser)
     if parser.diagnostics:
@@ -909,7 +960,7 @@ def parse_model(
                 start = build.fulfilled
             else:
                 start = build.starts.get(subject)
-            span = fallback if start is None else start.span
+            span = fallback if start is None else parser.span(start)
             result.append(ParseDiagnostic(span, "error", str(problem)))
         return result
     return model
@@ -920,13 +971,13 @@ def parse_description(
 ) -> TypingUnion[Description, list[ParseDiagnostic]]:
     """Parse a lone description; return it or all error diagnostics."""
     tokens, diagnostics = tokenize(text, file)
-    parser = _Parser(tokens)
+    parser = _Parser(tokens, text, file)
     parser.diagnostics.extend(diagnostics)
     result: Optional[Description] = None
     try:
         result = parser.parse_description()
-        if parser.peek().type != "eof":
-            raise parser.error(f"unexpected trailing input {parser.peek().value!r}")
+        if parser.peek():
+            raise parser.error(f"unexpected trailing input {parser.peek()!r}")
     except _Abort:
         pass
     if parser.diagnostics:

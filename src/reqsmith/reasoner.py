@@ -1078,14 +1078,21 @@ def check_strength_tags(model: Model):
     refutable (the opposite direction is Proven while the declared one is
     not). Only proofs are read, so no counter-model is searched for.
     """
-    derivation = _Derivation(collect_axioms(model))
-    concepts: dict[str, Optional[DLConcept]] = {}
-    for element in model.elements:
-        if isinstance(element.body, NaturalLanguage):
-            concepts[element.id] = None
-        else:
-            concepts[element.id] = translate_element(element)[0]
     by_id = model.by_id()
+    # An element is translated when an application first reads it, and the
+    # derivation is built when the first proof is asked for.
+    concepts: dict[str, Optional[DLConcept]] = {}
+
+    def concept(eid: str) -> Optional[DLConcept]:
+        if eid not in concepts:
+            element = by_id.get(eid)
+            structured = element is not None and not isinstance(
+                element.body, NaturalLanguage
+            )
+            concepts[eid] = translate_element(element)[0] if structured else None
+        return concepts[eid]
+
+    derivation: Optional[_Derivation] = None
     diagnostics: list[StrengthDiagnostic] = []
     for index, app in enumerate(model.applications):
         if app.op is Operator.RESOLVE:
@@ -1094,17 +1101,19 @@ def check_strength_tags(model: Model):
         if illegal is not None:
             diagnostics.append(StrengthDiagnostic(index, app.strength, illegal))
             continue
-        input_concept = concepts.get(app.inputs[0])
+        input_concept = concept(app.inputs[0])
         output_ids = [
             o for o in app.outputs if by_id.get(o) and by_id[o].kind is not Kind.DA
         ]
-        output_concepts = [concepts.get(o) for o in output_ids]
+        output_concepts = [concept(o) for o in output_ids]
         if input_concept is None or not output_concepts or None in output_concepts:
             continue
         if len(output_concepts) == 1:
             combined = output_concepts[0]
         else:
             combined = DLAnd(tuple(output_concepts))
+        if derivation is None:
+            derivation = _Derivation(collect_axioms(model))
         proven_f = derivation.proves(combined, input_concept)
         proven_b = derivation.proves(input_concept, combined)
         message = None

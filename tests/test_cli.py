@@ -109,6 +109,27 @@ def test_parse_errors_exit_two_with_span(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["fmt", "check"])
+@pytest.mark.parametrize("rational", ["3/0", "0/00"])
+def test_zero_denominators_exit_two_with_span(tmp_path, capsys, command, rational):
+    text = f"model m;\nqg QG1 := Processing_time (Booking) :: [1, {rational}];\n"
+    path = write(tmp_path, text)
+    assert main([command, path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"{path}:2:44: error: a rational needs a nonzero denominator, found {rational}\n"
+    )
+
+
+def test_query_pattern_with_a_zero_denominator_exits_two(tmp_path, capsys):
+    path = write(tmp_path, CLEAN)
+    assert main(["query", path, "--pattern", "{1/0}"]) == 2
+    assert capsys.readouterr().err == (
+        "<input>:1:2: error: a rational needs a nonzero denominator, found 1/0\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["fmt", "check"])
 @pytest.mark.parametrize(("restriction", "count"), [("<=0", "0"), (">=1.5", "1.5")])
 def test_counts_below_one_or_fractional_exit_two_with_span(
     tmp_path, capsys, command, restriction, count
@@ -480,15 +501,28 @@ def test_an_element_named_fulfilled_marks_keeps_its_own_span(tmp_path, capsys, t
             "axiom A :< B;\n\taxiom C <reduce_to: D> :< E;\n",
             "5:2: error: axiom[1]: [reserved-slot] slot reduce_to is reserved for reasoning",
         ),
+        (
+            "conflict {F1, G9};\n  resolve F2, F1 -> F2;\n",
+            "5:3: error: application[0]: [resolve-conflict] "
+            "no declared conflict matches {F1, F2}\n"
+            "4:1: error: conflict[0]: [dangling-reference] unknown id G9",
+        ),
     ],
-    ids=["conflict-size", "conflict-dangling", "axiom-regions", "axiom-reserved"],
+    ids=[
+        "conflict-size",
+        "conflict-dangling",
+        "axiom-regions",
+        "axiom-reserved",
+        "resolve-unmatched",
+    ],
 )
 def test_conflict_and_axiom_diagnostics_point_at_their_statement(
     tmp_path, capsys, statements, diagnostic
 ):
     path = write(tmp_path, "model m;\nfunc F1 := Book;\nfunc F2 := Book;\n" + statements)
     assert main(["check", path]) == 2
-    assert capsys.readouterr().err == f"{path}:{diagnostic}\n"
+    lines = diagnostic.split("\n")
+    assert capsys.readouterr().err == "".join(f"{path}:{line}\n" for line in lines)
 
 
 def test_reasoner_recursion_overflow_exits_two_without_a_traceback(tmp_path):

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from reqsmith import parser as parser_module
 from reqsmith.model import (
     EXACTLY_ONE,
     NOTHING,
@@ -16,6 +17,7 @@ from reqsmith.model import (
     SOME,
     THING,
     AtomicConcept,
+    Description,
     Difference,
     Element,
     Enumeration,
@@ -54,7 +56,11 @@ from reqsmith.parser import (
     parse_description,
     parse_model,
     print_model,
+    token_positions,
     tokenize,
+    _is_id,
+    _is_num,
+    _is_str,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -487,16 +493,25 @@ def reference_tokenize(text):
     return tokens, diagnostics
 
 
+def lexeme_kind(lexeme):
+    """The kind the parser reads off a lexeme, in the reference's names."""
+    if not lexeme:
+        return "eof"
+    for kind, test in (("str", _is_str), ("num", _is_num), ("id", _is_id)):
+        if test(lexeme):
+            return kind
+    return "punct"
+
+
 def lexed(text, file="lexed.dsr"):
-    """`tokenize` in the reference's terms, after checking that each token's
-    own position agrees with the span it builds."""
+    """`tokenize` and the positions pass, in the reference's terms."""
     tokens, diagnostics = tokenize(text, file)
-    rows = []
-    for token in tokens:
-        span = token.span
-        assert span.file == file
-        assert (span.offset, span.line, span.column) == (token.offset, token.line, token.column)
-        rows.append((token.type, token.value, span.offset, span.line, span.column))
+    positions = token_positions(text)
+    assert len(positions) == len(tokens)
+    rows = [
+        (lexeme_kind(lexeme), lexeme, offset, line, column)
+        for lexeme, (line, column, offset) in zip(tokens, positions)
+    ]
     diags = []
     for diag in diagnostics:
         assert (diag.span.file, diag.severity, diag.expected) == (file, "error", None)
@@ -539,6 +554,8 @@ def test_lexer_agrees_with_the_reference_on_generated_models():
 _LEXER_PIECES = (
     # tokens
     "A", "Thing", "x_1'", "SOME", "ONLY", "_", "12", "3.5", "1/2", "007", "4.",
+    # a non-ASCII decimal digit (Arabic-Indic three), a zero denominator
+    "\u0663", "3/0",
     ":=", ":<", "::", "<=", ">=", "->", ";", ",", "{", "}", "(", ")", "[", "]",
     "<", ">", ":", "=", "|", "-", ".", "?", "%",
     '"ab"', '"a\\"b"', '"a\\\\"', '""',
@@ -558,6 +575,53 @@ def test_lexer_agrees_with_the_reference_on_random_text():
         assert lexed(text) == reference_tokenize(text), repr(text)
 
 
+# Statement keywords, so that drawn text reaches past the first statement.
+_KEYWORD_PIECES = (
+    "model", "goal", "fg", "qg", "qc", "func", "da", "axiom", "reduce",
+    "interpret", "focus", "scale_up", "deuniv", "resolve", "observe", "by",
+    "conflict", "fulfilled", "world", "individual", "slot", "data", "quality",
+    "inheres", "value", "observed_by", "regions", "points", "interval", "u",
+    "[weaken]", "[strengthen]", "(measured)",
+)
+
+
+# Openings that put the drawn pieces inside a statement or a value.
+_OPENINGS = (
+    "", "{", "[0, ", "<s: ", "qg Q := S (T) :: ", "axiom A :< ", "world { ",
+    "regions R { r = ", "scale_up Q -> P by (1, ",
+)
+
+
+def _is_result(result, kind):
+    if isinstance(result, kind):
+        return True
+    return (
+        isinstance(result, list)
+        and result
+        and all(isinstance(d, ParseDiagnostic) for d in result)
+    )
+
+
+def test_drawn_text_lexes_like_the_reference_and_parses_without_raising():
+    hypothesis = pytest.importorskip("hypothesis")
+    strategies = hypothesis.strategies
+    pieces = strategies.lists(
+        strategies.sampled_from(_LEXER_PIECES + _KEYWORD_PIECES), max_size=80
+    )
+
+    @hypothesis.settings(
+        max_examples=400, deadline=None, database=None, derandomize=True
+    )
+    @hypothesis.given(strategies.sampled_from(_OPENINGS), pieces)
+    def check(opening, drawn):
+        text = opening + "".join(drawn)
+        assert lexed(text) == reference_tokenize(text)
+        assert _is_result(parse_model(text), Model)
+        assert _is_result(parse_description(text), Description)
+
+    check()
+
+
 def test_bad_character_deep_in_a_large_model_reports_its_line_and_column():
     text = max(_bench_models(), key=len)
     lines = text.split("\n")
@@ -567,6 +631,41 @@ def test_bad_character_deep_in_a_large_model_reports_its_line_and_column():
     lines[1199] = row[: column - 1] + "$" + row[column - 1 :]
     result = failed("\n".join(lines))
     assert [str(d) for d in result] == [f"<input>:1200:{column}: error: unexpected character '$'"]
+
+
+def _count_position_passes(monkeypatch):
+    calls = []
+    real = parser_module._placed
+
+    def counted(text):
+        calls.append(text)
+        return real(text)
+
+    monkeypatch.setattr(parser_module, "_placed", counted)
+    return calls
+
+
+def test_valid_models_parse_without_the_positions_pass(monkeypatch):
+    calls = _count_position_passes(monkeypatch)
+    for text in _bench_models():
+        assert isinstance(parse_model(text), Model)
+    desc("A | <s: SOME B> - {x, y}")
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("goal G := A :< ;", "expected a description"),
+        ("goal G := A :< B;\ngoal G := C :< D;", "[unique-ids] duplicate element id"),
+        ("fulfilled X;\nfulfilled Y;", "[dangling-reference] unknown id X"),
+    ],
+)
+def test_a_diagnostic_places_the_tokens_once(monkeypatch, text, message):
+    calls = _count_position_passes(monkeypatch)
+    result = failed(text)
+    assert message in str(result[0])
+    assert len(calls) == 1
 
 
 # ---- printing and round-trips ----

@@ -661,6 +661,37 @@ def test_reduce_weaken_mutant_is_flagged():
     assert "weaken" in flags[0].message
 
 
+def _count_audit_work(monkeypatch):
+    translated, derivations = [], []
+    real_translate, real_collect = reasoner.translate_element, reasoner.collect_axioms
+
+    def translate(element):
+        translated.append(element.id)
+        return real_translate(element)
+
+    def collect(model):
+        derivations.append(model.name)
+        return real_collect(model)
+
+    monkeypatch.setattr(reasoner, "translate_element", translate)
+    monkeypatch.setattr(reasoner, "collect_axioms", collect)
+    return translated, derivations
+
+
+def test_strength_audit_translates_only_what_applications_read(monkeypatch):
+    text = BOOKING_REDUCTION.format(tag="weaken") + "func F5 := Pay <object: Ticket>;\n"
+    translated, derivations = _count_audit_work(monkeypatch)
+    assert len(check_strength_tags(parsed(text))) == 1
+    assert sorted(translated) == ["F2", "F3", "F4"]
+    assert derivations == ["booking"]
+
+    translated.clear()
+    derivations.clear()
+    unapplied = text.replace("reduce F2 -> F3, F4 [weaken];", "")
+    assert check_strength_tags(parsed(unapplied)) == []
+    assert translated == [] and derivations == []
+
+
 def test_reduce_equate_with_one_direction_is_flagged():
     m = parsed(BOOKING_REDUCTION.format(tag="equate"))
     flags = check_strength_tags(m)

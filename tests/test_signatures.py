@@ -3,6 +3,7 @@ validation, the strength audit and the operators all read from one table."""
 
 import hashlib
 import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -26,6 +27,7 @@ from reqsmith.operators import (
     apply_interpret,
     apply_operationalize,
     apply_reduce,
+    apply_resolve,
 )
 from reqsmith.reasoner import check_strength_tags
 
@@ -52,11 +54,16 @@ PINNED_SWEEP = {
 
 
 def _application_diagnostics(applications):
-    """Each application's validation diagnostics, as `[rule] message` lines."""
+    """Each application's signature diagnostics, as `[rule] message` lines.
+
+    The sweep declares no conflicts, so every well-formed resolution also
+    gets the model-level `resolve-conflict` diagnostic, which the sweep
+    leaves out; `test_resolution_needs_a_declared_conflict` covers it.
+    """
     model = Model("sweep", SWEEP_ELEMENTS, tuple(applications))
     lines = {f"application[{i}]": [] for i in range(len(applications))}
     for d in validate_model(model):
-        if d.subject_id in lines:
+        if d.subject_id in lines and d.rule != "resolve-conflict":
             lines[d.subject_id].append(f"[{d.rule}] {d.message}")
     return list(lines.values())
 
@@ -219,3 +226,37 @@ def test_operationalizing_into_assumptions_only_is_a_weakening(strength):
     m = apply_operationalize(Model("m", (goal,)), "G1", [assumption], strength)
     assert m.applications[-1].strength is Strength.WEAKENING
     assert check_strength_tags(m) == []
+
+
+# ===== resolutions and declared conflicts =====
+
+
+@pytest.mark.parametrize(
+    "conflicts, inputs, expected",
+    [
+        ((), ("G1", "G2"), "no declared conflict matches {G1, G2}"),
+        ((frozenset({"G1", "G3"}),), ("G2", "G1"), "no declared conflict matches {G1, G2}"),
+        ((frozenset({"G1", "G2", "G3"}),), ("G1", "G2"), "no declared conflict matches {G1, G2}"),
+        ((frozenset({"G1", "G2"}),), ("G2", "G1"), None),
+    ],
+)
+def test_resolution_needs_a_declared_conflict(conflicts, inputs, expected):
+    goals = tuple(Element(f"G{i}", Kind.GOAL, NaturalLanguage(f"g{i}")) for i in (1, 2, 3))
+    base = Model("m", goals, conflicts=conflicts)
+    app = OperatorApplication(Operator.RESOLVE, inputs, ("G2",), Strength.WEAKENING)
+    problems = validate_model(replace(base, applications=(app,)))
+    if expected is None:
+        assert problems == []
+        assert apply_resolve(base, inputs, ["G2"]).applications == (app,)
+    else:
+        assert [str(d) for d in problems] == [f"application[0]: [resolve-conflict] {expected}"]
+        with pytest.raises(OperatorError) as caught:
+            apply_resolve(base, inputs, ["G2"])
+        assert str(caught.value) == expected
+
+
+def test_a_malformed_resolution_reports_only_its_signature():
+    goal = Element("G1", Kind.GOAL, NaturalLanguage("g1"))
+    app = OperatorApplication(Operator.RESOLVE, ("G1",), (), Strength.WEAKENING)
+    problems = validate_model(Model("m", (goal,), (app,)))
+    assert [d.rule for d in problems] == ["arity"]
