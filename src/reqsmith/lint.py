@@ -19,15 +19,12 @@ from typing import Optional
 from .model import (
     QUALITY_KINDS,
     AtomicConcept,
-    Description,
     Enumeration,
     FunctionDesc,
-    Intersection,
     Kind,
     Model,
     NamedRegion,
     NaturalLanguage,
-    Nothing,
     Operator,
     QualityStatement,
     SlotRestriction,
@@ -37,7 +34,8 @@ from .model import (
     normalize,
     subterms,
 )
-from .reasoner import ConsistencyStatus, check_consistency
+from .reasoner import ConsistencyStatus, _Derivation, check_consistency
+from .semantics import DLAnd, DLAtomic, DLNothing
 
 
 class Issue(Enum):
@@ -309,56 +307,23 @@ def _multi_concern(live, config) -> list[LintFinding]:
     return out
 
 
-def _intersection_atoms(d: Description) -> set[str]:
-    """Atom names of a pure intersection, or the empty set if impure."""
-    if isinstance(d, AtomicConcept):
-        return {d.name}
-    if isinstance(d, Intersection):
-        left = _intersection_atoms(d.left)
-        right = _intersection_atoms(d.right)
-        if left and right:
-            return left | right
-    return set()
-
-
 def _inconsistent(model: Model, live) -> list[LintFinding]:
-    """World clashes, plus terms filed under declared-disjoint classes."""
+    """World clashes, plus terms the reasoner files under declared-disjoint
+    classes."""
     out = []
     result = check_consistency(model)
     if result.status is ConsistencyStatus.INCONSISTENT:
         for line in result.explanation:
             out.append(LintFinding("world", Issue.INCONSISTENT, line))
 
-    supers: dict[str, set[str]] = {}
     # atom sets declared jointly empty; only a term under all of a set clashes
-    disjoint: set[frozenset[str]] = set()
-
-    def record(subsumee: Description, subsumer: Description):
-        if isinstance(subsumer, Nothing):
-            atoms = frozenset(_intersection_atoms(subsumee))
-            if len(atoms) > 1:
-                disjoint.add(atoms)
-        elif isinstance(subsumee, AtomicConcept) and isinstance(
-            subsumer, AtomicConcept
-        ):
-            supers.setdefault(subsumee.name, set()).add(subsumer.name)
-
-    for axiom in model.axioms:
-        record(axiom.subsumee, axiom.subsumer)
-    for e in live:
-        if isinstance(e.body, Subsumption):
-            record(e.body.subsumee, e.body.subsumer)
-
-    def ancestors(name: str) -> set[str]:
-        seen: set[str] = set()
-        stack = [name]
-        while stack:
-            for parent in supers.get(stack.pop(), ()):
-                if parent not in seen:
-                    seen.add(parent)
-                    stack.append(parent)
-        return seen
-
+    disjoint = {
+        frozenset(arg.name for arg in ax.sub.args)
+        for ax in result.axioms
+        if isinstance(ax.sup, DLNothing)
+        and isinstance(ax.sub, DLAnd)
+        and all(isinstance(arg, DLAtomic) for arg in ax.sub.args)
+    }
     if not disjoint:
         return out
     first_mention: dict[str, str] = {}
@@ -372,10 +337,10 @@ def _inconsistent(model: Model, live) -> list[LintFinding]:
         for name in sorted(names):
             first_mention.setdefault(name, e.id)
 
-    for term in sorted(supers):
-        reachable = ancestors(term) | {term}
+    derivation = _Derivation(result.axioms)
+    for term in sorted(derivation.headed):
         for group in sorted(disjoint, key=sorted):
-            if group <= reachable:
+            if all(derivation.proves(DLAtomic(term), DLAtomic(a)) for a in group):
                 *rest, last = sorted(group)
                 count = "two" if len(group) == 2 else len(group)
                 out.append(

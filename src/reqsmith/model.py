@@ -808,6 +808,10 @@ def _validate_element(element: Element) -> list[ValidationDiagnostic]:
                     element.id, "pct-paths", "two pct annotations share one path"
                 )
             )
+        for path in paths:
+            error = annotation_path_error(body, path)
+            if error is not None:
+                diags.append(ValidationDiagnostic(element.id, "pct-path", error))
     return diags
 
 
@@ -878,6 +882,30 @@ def strength_error(app: OperatorApplication, by_id: dict[str, Element]) -> Optio
     if legal is None or app.strength in legal:
         return None
     return f"{app.op.value} cannot be tagged {app.strength.value}: {reason}"
+
+
+def annotation_path_error(body: QualityStatement, path: tuple[str, ...]) -> Optional[str]:
+    """Why a `u(…)` annotation cannot follow `path` in `body`, or None.
+
+    The path starts at `inheres_in` (the subject) or `observed_by` (every
+    observer); each later step is the first restriction on that slot, in
+    pre-order, inside the filler the step before reached.
+    """
+    head = path[0]
+    if head not in ("inheres_in", "observed_by"):
+        return f"annotation path cannot start at {head!r}"
+    starts = (body.subject,) if head == "inheres_in" else body.observers
+    if not starts:
+        return "annotation follows observed_by but the element has no observers"
+    for d in starts:
+        for slot in path[1:]:
+            found = [
+                n for n in subterms(d) if isinstance(n, SlotRestriction) and n.slot == slot
+            ]
+            if not found:
+                return f"no slot {slot!r} found on the annotation path"
+            d = found[0].filler
+    return None
 
 
 def _check_acyclic(model: Model) -> list[ValidationDiagnostic]:

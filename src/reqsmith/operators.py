@@ -31,12 +31,13 @@ from .model import (
     Strength,
     UAnnotation,
     Union,
+    annotation_path_error,
     application_diagnostics,
     resolve_error,
     strength_error,
 )
 from .reasoner import _Derivation, collect_axioms
-from .semantics import DLAtomic, PathMismatch, expand_u
+from .semantics import DLAtomic
 
 
 class OperatorError(ValueError):
@@ -329,14 +330,13 @@ def apply_deuniversalize(
                 f"{'.'.join(annotation.matched_path)}; "
                 "relax the original statement instead"
             )
+    error = annotation_path_error(body, annotation.matched_path)
+    if error is not None:
+        raise OperatorError(error)
     new_body = replace(
         body, pct_annotations=body.pct_annotations + (annotation,)
     )
     output = Element(output_id or _fresh_id(model, input_id), element.kind, new_body)
-    try:
-        expand_u(output)
-    except PathMismatch as exc:
-        raise OperatorError(str(exc)) from exc
     model, ids = _with_outputs(model, [output])
     return _record(
         model,

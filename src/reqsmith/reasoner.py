@@ -11,7 +11,6 @@ fulfillment propagation.
 from __future__ import annotations
 
 import itertools
-import os
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -65,16 +64,6 @@ from .semantics import (
 DEFAULT_BOUND = 4
 
 
-def default_bound() -> int:
-    """Counter-model size limit; overridable via the DESIREE_BOUND variable."""
-    raw = os.environ.get("DESIREE_BOUND", "")
-    try:
-        value = int(raw)
-    except ValueError:
-        return DEFAULT_BOUND
-    return value if value >= 1 else DEFAULT_BOUND
-
-
 # ===== PART 1: normal form for the logic fragment =====
 
 
@@ -88,7 +77,7 @@ def _dl_key(c: DLConcept):
     if isinstance(c, DLNominal):
         return ("nominal", c.ids)
     if isinstance(c, DLDataRange):
-        return ("data", c.facet, str(c.value), c.unit or "")
+        return ("data", c.facet, str(c.value), isinstance(c.value, str), c.unit or "")
     if isinstance(c, DLNot):
         return ("not", _dl_key(c.inner))
     if isinstance(c, DLAnd):
@@ -165,10 +154,12 @@ def _as_dl_axiom(axiom) -> DLSubClassOf:
 
 
 def collect_axioms(model: Model) -> list[DLSubClassOf]:
-    """Model-level axioms plus those carried by subsumption-bodied elements."""
+    """Model-level axioms plus those carried by subsumption-bodied elements
+    that no resolution dropped: every command reasons from this one set."""
     axioms = [_as_dl_axiom(a) for a in model.axioms]
+    dropped = model.dropped_ids()
     for element in model.elements:
-        if isinstance(element.body, Subsumption):
+        if isinstance(element.body, Subsumption) and element.id not in dropped:
             _, derived = translate_element(element)
             axioms.extend(_as_dl_axiom(a) for a in derived)
     seen: dict = {}
@@ -195,6 +186,18 @@ def _told(c: DLConcept) -> list:
     return []
 
 
+def _needs(c: DLConcept) -> frozenset:
+    """Atoms every concept provably below c must reach: those of an and,
+    those every argument of an or needs, none for any other shape."""
+    if isinstance(c, DLAtomic):
+        return frozenset((c.name,))
+    if isinstance(c, DLAnd):
+        return frozenset().union(*map(_needs, c.args))
+    if isinstance(c, DLOr):
+        return frozenset.intersection(*map(_needs, c.args))
+    return frozenset()
+
+
 class _Derivation:
     """Structural derivation of sub ⊑ sup under one list of axioms.
 
@@ -213,13 +216,13 @@ class _Derivation:
     def __init__(self, axioms: list[DLSubClassOf]):
         self.axioms = axioms
         self.headed: dict[str, list] = {}  # atom -> the axioms it is the left side of
-        self.unheaded: list = []  # axioms whose left side is not an atom
+        # (atoms the left side needs, axiom) for each left side that is not an atom
+        self.unheaded: list = []
         for ax in axioms:
             if isinstance(ax.sub, DLAtomic):
                 self.headed.setdefault(ax.sub.name, []).append(ax)
             else:
-                self.unheaded.append(ax)
-        self.general = self._close(n for ax in self.unheaded for n in _told(ax.sup))
+                self.unheaded.append((_needs(ax.sub), ax))
         self.reached: dict = {}  # sub -> what _reach found
         # goal -> final value, or provisional (value, mask of the stack frames
         # it read, deepest of them, that frame's serial); a goal on the stack
@@ -284,38 +287,43 @@ class _Derivation:
         else:
             self.table[goal] = value
 
-    def _close(self, names) -> dict:
-        """`names` and every name the atomic axioms lead to from them, as
-        the keys of a dict in the order found."""
-        reached = dict.fromkeys(names)
-        todo = list(reached)
+    def _close(self, names, reached: dict) -> None:
+        """Add `names` and every name the atomic axioms lead to from them to
+        the keys of `reached`, in the order found."""
+        todo = [name for name in names if name not in reached]
+        reached.update(dict.fromkeys(todo))
         while todo:
             for ax in self.headed.get(todo.pop(), ()):
                 for name in _told(ax.sup):
                     if name not in reached:
                         reached[name] = None
                         todo.append(name)
-        return reached
 
     def _reach(self, sub: DLConcept) -> tuple:
         """The atoms sub may be below, and the axioms it may fire.
 
         sub ⊑ A for an atom A needs A among the told names of sub closed
-        under the atomic axioms, plus those of every right side of an axiom
-        whose left side is not an atom. A reachable Nothing may put sub below
-        every atom: the atoms are then None and every axiom may fire. The
-        axioms headed by the atoms of sub itself come first, as their left
-        premise mostly holds outright; that keeps chains of atoms shallow.
+        under the atomic axioms and under every other axiom whose left side
+        needs only names reached so far. A reached Nothing may put sub below
+        every atom, so the atoms are then None; the axiom that reached
+        Nothing is among those returned, and if sub is below Nothing that
+        axiom alone proves each goal of sub. The axioms headed by the atoms
+        of sub itself come first, as their left premise mostly holds
+        outright; that keeps chains of atoms shallow.
         """
         found = self.reached.get(sub)
         if found is None:
-            reached = self._close(_told(sub))
-            reached.update(self.general)
-            if None in reached:
-                found = (None, self.axioms)
-            else:
-                headed = [ax for name in reached for ax in self.headed.get(name, ())]
-                found = (reached, headed + self.unheaded)
+            reached: dict = {}
+            self._close(_told(sub), reached)
+            size = None
+            while size != len(reached):
+                size = len(reached)
+                for needs, ax in self.unheaded:
+                    if reached.keys() >= needs:
+                        self._close(_told(ax.sup), reached)
+            fired = [ax for needs, ax in self.unheaded if reached.keys() >= needs]
+            headed = [ax for name in reached for ax in self.headed.get(name, ())]
+            found = (None if None in reached else reached, headed + fired)
             self.reached[sub] = found
         return found
 
@@ -413,15 +421,12 @@ class _Derivation:
         if sub.unit != sup.unit:
             return _NO
         a, b = sub.value, sup.value
-        numeric = not isinstance(a, str) and not isinstance(b, str)
-        if sub.facet == sup.facet == "min":
-            return _PURE if numeric and a >= b else _NO
-        if sub.facet == sup.facet == "max":
-            return _PURE if numeric and a <= b else _NO
-        if sub.facet == "eq" and sup.facet == "min":
-            return _PURE if numeric and a >= b else _NO
-        if sub.facet == "eq" and sup.facet == "max":
-            return _PURE if numeric and a <= b else _NO
+        if isinstance(a, str) or isinstance(b, str) or sub.facet not in (sup.facet, "eq"):
+            return _NO
+        if sup.facet == "min":
+            return _PURE if a >= b else _NO
+        if sup.facet == "max":
+            return _PURE if a <= b else _NO
         return _NO
 
 
@@ -440,10 +445,7 @@ def _facets(c: DLConcept) -> list[DLDataRange]:
     if isinstance(c, DLDataRange):
         return [c]
     if isinstance(c, (DLAnd, DLOr)):
-        out = []
-        for a in c.args:
-            out.extend(_facets(a))
-        return out
+        return [facet for a in c.args for facet in _facets(a)]
     return []
 
 
@@ -489,11 +491,7 @@ def _value_options(pairs: set) -> list:
             continue
         for candidate in (value, value - 1, value + 1):
             options.append(Quantity(candidate, unit) if unit else candidate)
-    seen = []
-    for option in options:
-        if option not in seen:
-            seen.append(option)
-    return seen[:8]
+    return list(dict.fromkeys(options))[:8]
 
 
 class _ModelSearch:
@@ -631,13 +629,7 @@ class _Builder:
         )
 
     def restore(self, snap):
-        self.individuals, self.extensions, self.tuples, self.data, self.counter = (
-            snap[0],
-            snap[1],
-            snap[2],
-            snap[3],
-            snap[4],
-        )
+        self.individuals, self.extensions, self.tuples, self.data, self.counter = snap
 
     def world(self) -> World:
         return World(
@@ -774,7 +766,7 @@ def subsumes(
     separating the two concepts.
     """
     if bound is None:
-        bound = default_bound()
+        bound = DEFAULT_BOUND
     dl_axioms = [_as_dl_axiom(a) for a in axioms]
     sub_n = _norm(sub)
     sup_n = _norm(super_)
@@ -970,28 +962,24 @@ class ConsistencyResult:
     status: ConsistencyStatus
     witness: Optional[World] = None
     explanation: tuple[str, ...] = ()
+    axioms: tuple[DLSubClassOf, ...] = ()  # the normalized axioms saturated under
 
 
 def check_consistency(model: Model) -> ConsistencyResult:
     """Saturate the model's world under all axioms and look for a clash."""
-    axioms = collect_axioms(model)
+    axioms = tuple(collect_axioms(model))
     world = model.world if model.world is not None else World()
     outcome = _saturate(world, axioms)
     if outcome.clashes:
-        return ConsistencyResult(
-            ConsistencyStatus.INCONSISTENT, explanation=outcome.clashes
-        )
+        status = ConsistencyStatus.INCONSISTENT
+        return ConsistencyResult(status, None, outcome.clashes, axioms)
     saturated = outcome.world
     assert saturated is not None
     for ax in axioms:
         if not _eval_dl(ax.sub, saturated) <= _eval_dl(ax.sup, saturated):
-            return ConsistencyResult(
-                ConsistencyStatus.UNKNOWN,
-                explanation=(
-                    f"could not establish axiom {_axiom_repr(ax)} on the world",
-                ),
-            )
-    return ConsistencyResult(ConsistencyStatus.CONSISTENT, witness=saturated)
+            unsure = (f"could not establish axiom {_axiom_repr(ax)} on the world",)
+            return ConsistencyResult(ConsistencyStatus.UNKNOWN, None, unsure, axioms)
+    return ConsistencyResult(ConsistencyStatus.CONSISTENT, saturated, (), axioms)
 
 
 # ===== PART 6: interrelation queries =====
@@ -1195,12 +1183,9 @@ def propagate_fulfillment(
                 for o in app.outputs
                 if states.get(o) is FulfillmentStatus.FULFILLED
             )
-            if app.op in ONE_TO_ONE_OPS:
-                need = len(app.outputs)
-            elif threshold is not None:
+            need = len(app.outputs)
+            if threshold is not None and app.op not in ONE_TO_ONE_OPS:
                 need = threshold
-            else:
-                need = len(app.outputs)
             if app.outputs and done >= need:
                 states[source] = FulfillmentStatus.FULFILLED
                 changed = True

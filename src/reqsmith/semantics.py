@@ -43,6 +43,7 @@ from .model import (
     ModifierKind,
     SOME,
     EXACTLY_ONE,
+    annotation_path_error,
     subterms,
 )
 
@@ -400,12 +401,7 @@ def _pct_restriction(ann: UAnnotation, modifier) -> SlotRestriction:
 
 
 def _wrap_at_path(d: Description, rest: tuple[str, ...], pct: SlotRestriction):
-    if not rest:
-        return Union(d, pct)
-    replaced = _replace_first(d, rest, pct)
-    if replaced is None:
-        raise PathMismatch(f"no slot {rest[0]!r} found on the annotation path")
-    return replaced
+    return _replace_first(d, rest, pct) if rest else Union(d, pct)
 
 
 def _replace_first(d: Description, rest, pct) -> Optional[Description]:
@@ -440,18 +436,17 @@ def _graft_annotations(body: QualityStatement, modifier):
     subject = body.subject
     observers = body.observers
     for ann in body.pct_annotations:
+        # grafting only widens fillers, so a path that holds in the body
+        # holds in the grafted descriptions too
+        error = annotation_path_error(body, ann.matched_path)
+        if error is not None:
+            raise PathMismatch(error)
         pct = _pct_restriction(ann, modifier)
         head, rest = ann.matched_path[0], ann.matched_path[1:]
         if head == "inheres_in":
             subject = _wrap_at_path(subject, rest, pct)
-        elif head == "observed_by":
-            if not observers:
-                raise PathMismatch(
-                    "annotation follows observed_by but the element has no observers"
-                )
-            observers = tuple(_wrap_at_path(o, rest, pct) for o in observers)
         else:
-            raise PathMismatch(f"annotation path cannot start at {head!r}")
+            observers = tuple(_wrap_at_path(o, rest, pct) for o in observers)
     return subject, observers
 
 

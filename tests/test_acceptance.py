@@ -11,6 +11,8 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from reqsmith.membership import (
     derive_membership_function,
     format_degree,
@@ -65,8 +67,12 @@ from reqsmith.semantics import (
     DLDataRange,
     DLExists,
     DLForAll,
+    DLNot,
+    DLOr,
     DLSubClassOf,
+    DL_NOTHING,
     eval_description,
+    eval_dl,
     translate_description,
     translate_element,
 )
@@ -329,6 +335,91 @@ def test_structural_proofs_sound_against_brute_force_evaluation():
     elapsed = time.perf_counter() - start
     assert proven >= 2000
     assert elapsed < 60.0
+
+
+_PROOF_ATOMS = ("A", "B", "C")
+_PROOF_PEOPLE = ("w1", "w2", "w3")
+# strings and numbers that print alike, so value sets can mix them
+_PROOF_VALUES = ("1", F(1))
+
+
+def _narrowed(c, pick):
+    """c with each value set cut down to the values `pick` keeps of it."""
+    if isinstance(c, DLOr) and all(isinstance(a, DLDataRange) for a in c.args):
+        return DLOr(pick(c.args))
+    if isinstance(c, (DLAnd, DLOr)):
+        return type(c)(tuple(_narrowed(a, pick) for a in c.args))
+    if isinstance(c, DLNot):
+        return DLNot(_narrowed(c.inner, pick))
+    if isinstance(c, (DLExists, DLForAll)):
+        return type(c)(c.slot, _narrowed(c.filler, pick))
+    if isinstance(c, DLCard):
+        return DLCard(c.slot, c.kind, c.n, _narrowed(c.filler, pick))
+    return c
+
+
+def test_proofs_hold_on_every_world_that_satisfies_the_axioms():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    values = st.lists(st.sampled_from(_PROOF_VALUES), min_size=1, unique=True)
+    data = values.map(lambda vs: DLOr(tuple(DLDataRange("eq", v, None) for v in vs)))
+    kinds = st.sampled_from(("min", "max", "exact"))
+    leaves = st.one_of(
+        st.sampled_from(_PROOF_ATOMS).map(DLAtomic),
+        data.map(lambda f: DLExists("d", f)),
+        data.map(lambda f: DLForAll("d", f)),
+        st.builds(lambda k, f: DLCard("d", k, 1, f), kinds, data),
+    )
+
+    def extend(inner):
+        return st.one_of(
+            st.tuples(inner, inner).map(DLAnd),
+            st.tuples(inner, inner).map(DLOr),
+            inner.map(DLNot),
+            inner.map(lambda c: DLExists("r", c)),
+            inner.map(lambda c: DLForAll("r", c)),
+            st.builds(
+                lambda k, n, c: DLCard("r", k, n, c), kinds, st.integers(1, 2), inner
+            ),
+        )
+
+    concepts = st.recursive(leaves, extend, max_leaves=4)
+    groups = st.lists(st.sampled_from(_PROOF_ATOMS), min_size=2, max_size=3, unique=True)
+    disjoint = groups.map(
+        lambda names: DLSubClassOf(DLAnd(tuple(map(DLAtomic, names))), DL_NOTHING)
+    )
+    axioms = st.lists(
+        st.one_of(disjoint, st.builds(DLSubClassOf, concepts, concepts)), max_size=4
+    )
+    people = st.sampled_from(_PROOF_PEOPLE)
+    worlds = st.builds(
+        lambda ext, r, d: World(
+            individuals=frozenset(_PROOF_PEOPLE),
+            concept_extensions=ext,
+            slot_tuples={"r": r},
+            data_values=d,
+        ),
+        st.fixed_dictionaries({a: st.frozensets(people) for a in _PROOF_ATOMS}),
+        st.frozensets(st.tuples(people, people)),
+        st.dictionaries(st.tuples(people, st.just("d")), st.sampled_from(_PROOF_VALUES)),
+    )
+
+    @hypothesis.settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(concepts, axioms, worlds, st.booleans(), st.data())
+    def check(sub, drawn, world, narrow, data):
+        def some(args):
+            kept = st.lists(st.sampled_from(args), min_size=1, unique=True)
+            return tuple(data.draw(kept))
+
+        # the second concept is a near copy of the first, or a fresh one
+        sup = _narrowed(sub, some) if narrow else data.draw(concepts)
+        # the world is a model of the axioms it satisfies
+        held = [ax for ax in drawn if eval_dl(ax.sub, world) <= eval_dl(ax.sup, world)]
+        for left, right in ((sub, sup), (sup, sub)):
+            if subsumes(left, right, held, bound=1).status is VerdictStatus.PROVEN:
+                assert eval_dl(left, world) <= eval_dl(right, world)
+
+    check()
 
 
 # ---- percentage relaxation is monotone ----

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import importlib.util
 import json
 import os
 import random
@@ -543,6 +544,116 @@ def test_reasoner_recursion_overflow_exits_two_without_a_traceback(tmp_path):
         f"{path}: error: the model nests too deeply for the reasoner "
         "(recursion limit reached)\n"
     )
+
+
+DROPPED_SUBSUMPTION = """model d;
+axiom Information_entity Real_world_entity :< Nothing;
+da DA1 := User :< Information_entity;
+da DA2 := User :< Real_world_entity;
+da DA3 := User :< Person;
+func F1 := Keep <object: User>;
+conflict {DA1, DA3};
+world {
+  individual u1 : User;
+}
+"""
+
+
+@pytest.mark.parametrize("resolved", [False, True], ids=["kept", "dropped"])
+def test_a_dropped_element_carries_no_axiom_for_any_command(tmp_path, capsys, resolved):
+    text = DROPPED_SUBSUMPTION + ("resolve DA1, DA3 -> DA3;\n" if resolved else "")
+    path = write(tmp_path, text)
+    main(["lint", path])
+    lint = [line for line in capsys.readouterr().out.splitlines() if "disjoint" in line]
+    check = main(["check", path])
+    clash = capsys.readouterr().out
+    assert main(["query", path, "--pattern", "<object: Information_entity>"]) == 0
+    matches = capsys.readouterr().out
+    if resolved:
+        assert (lint, check, clash, matches) == ([], 0, "", "")
+    else:
+        assert lint == [
+            "DA1: inconsistent: term User falls under Information_entity and "
+            "Real_world_entity, which are declared disjoint; the two uses need "
+            "distinct names [suggest interpret]"
+        ]
+        assert check == 1
+        assert "forces u1 into Nothing" in clash
+        assert matches == "F1\n"
+
+
+def _bench_generator():
+    spec = importlib.util.spec_from_file_location(
+        "reqsmith_bench_gen", Path(__file__).parents[1] / "bench" / "gen.py"
+    )
+    gen = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = gen
+    try:
+        spec.loader.exec_module(gen)
+    finally:
+        del sys.modules[spec.name]
+    return gen
+
+
+def test_one_disjointness_axiom_keeps_the_ladder_decidable(tmp_path, capsys):
+    # A disjointness axiom used to switch off the derivation's goal pruning,
+    # and from 56 steps on check and query ran out of recursion.
+    gen = _bench_generator()
+    gen.LADDER_STEPS = 56
+    work = gen.generate("ladder", 7, tmp_path)
+    work.write()
+    model = tmp_path / "model.dsr"
+    head, rest = model.read_text(encoding="utf-8").split("\n", 1)
+    model.write_text(f"{head}\naxiom C5 Other :< Nothing;\n{rest}", encoding="utf-8")
+    singles = ("check_s", "query_s", "lint_s")
+    ops = {op.argv[0]: op for op in work.ops if op.metric in singles}
+    assert [ops[c].code for c in ("check", "query", "lint")] == [1, 0, 1]
+    for command, op in ops.items():
+        assert main(op.argv) == op.code, command
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (op.stdout, ""), command
+
+
+@pytest.mark.parametrize(
+    ("subject", "path", "message"),
+    [
+        ("Car", "nosuch", "annotation path cannot start at 'nosuch'"),
+        (
+            "Car <part: Wheel>",
+            "inheres_in.nosuch",
+            "no slot 'nosuch' found on the annotation path",
+        ),
+        (
+            "Car",
+            "observed_by",
+            "annotation follows observed_by but the element has no observers",
+        ),
+    ],
+    ids=["head", "slot", "observers"],
+)
+@pytest.mark.parametrize(
+    "command", ["fmt", "check", "lint", "query", "fulfill", "translate"]
+)
+def test_unusable_annotation_paths_exit_two_with_span(
+    tmp_path, capsys, command, subject, path, message
+):
+    text = f"model m;\nqg Q1 := Speed ({subject}) :: Fast u(?x, {path}, 50%);\n"
+    model = write(tmp_path, text)
+    extra = {
+        "query": ["--pattern", "<object: R>"],
+        "translate": ["--out", str(tmp_path / "o.ofn")],
+    }
+    assert main([command, model, *extra.get(command, [])]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{model}:2:4: error: Q1: [pct-path] {message}\n"
+
+
+def test_query_tells_a_string_from_a_number_that_prints_alike(tmp_path, capsys):
+    text = 'model m;\nfunc F1 := Act <r: {"1", 1}>;\nfunc F2 := Act <r: {"1"}>;\n'
+    path = write(tmp_path, text)
+    assert main(["query", path, "--pattern", '<r: {"1"}>']) == 0
+    assert capsys.readouterr().out == "F2\n"
 
 
 # ===== translate =====

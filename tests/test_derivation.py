@@ -15,6 +15,7 @@ from reqsmith.semantics import (
     DLExists,
     DLForAll,
     DLNot,
+    DLNothing,
     DLOr,
     DLSubClassOf,
 )
@@ -142,3 +143,24 @@ def test_a_proof_found_under_an_assumption_keeps_nothing_derived_from_it():
     shared = _Derivation(axioms)
     assert shared.entails(d, b) == _VIA_AXIOM
     assert shared.entails(*goal) == _Derivation(axioms).entails(*goal) == _VIA_AXIOM
+
+
+def test_disjointness_axioms_keep_the_least_fixpoint():
+    # An axiom such as A B :< Nothing fires for a goal only once the goal
+    # reaches both atoms, so it no longer switches off the atom check for
+    # every goal; the values must stay those of the rules without any check.
+    nothing = DLNothing()
+    proven = 0
+    for seed in range(60):
+        axioms, goals = _case(seed)
+        rng = random.Random(seed)
+        for _ in range(rng.randint(1, 2)):
+            names = rng.sample("ABCD", rng.randint(2, 3))
+            group = DLAnd(tuple(DLAtomic(n) for n in names))
+            axioms.append(_as_dl_axiom(DLSubClassOf(group, nothing)))
+        derivation = _Derivation(axioms)
+        for goal in goals + [(DLAtomic(a), DLAtomic(b)) for a in "AB" for b in "CD"]:
+            value = derivation.entails(*goal)
+            assert value == _RoundRobin(axioms).solve(goal), (seed, goal)
+            proven += bool(value)
+    assert proven >= 40

@@ -1,9 +1,11 @@
 """Tests for the issue-taxonomy checks and the kind-classification hints."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from reqsmith import reasoner
 from reqsmith.lint import (
     Issue,
     KindGuess,
@@ -12,14 +14,24 @@ from reqsmith.lint import (
     classify_hint,
     lint_model,
 )
-from reqsmith.model import AtomicConcept, Kind, Strength
+from reqsmith.model import (
+    AtomicConcept,
+    FunctionDesc,
+    Intersection,
+    Kind,
+    Nothing,
+    Strength,
+    Subsumption,
+    body_descriptions,
+    mentions,
+)
 from reqsmith.operators import (
     apply_deuniversalize,
     apply_observe,
     apply_reduce,
     apply_resolve,
 )
-from reqsmith.parser import parse_model
+from reqsmith.parser import parse_model, print_model
 
 
 def parsed(text):
@@ -254,6 +266,154 @@ def test_nary_disjointness_needs_a_term_under_every_atom():
             "the 3 uses need distinct names",
         )
     ]
+
+
+@pytest.mark.parametrize(
+    "axioms",
+    [
+        "axiom T :< A B;\n",
+        "axiom T :< B;\naxiom T :< <r: X>;\naxiom <r: X> :< A;\n",
+    ],
+    ids=["intersection", "restriction"],
+)
+def test_a_term_reaches_a_disjoint_group_through_a_non_atomic_axiom(axioms):
+    # the atom-to-atom closure lint used to keep missed both
+    text = "model u;\naxiom A B :< Nothing;\n" + axioms
+    hits = findings(parsed(text), Issue.INCONSISTENT)
+    assert [(f.element_id, f.detail) for f in hits] == [
+        (
+            "model",
+            "term T falls under A and B, which are declared disjoint; "
+            "the two uses need distinct names",
+        )
+    ]
+
+
+def test_a_resolution_drops_the_axioms_of_its_dropped_element():
+    text = """
+model u;
+axiom Information_entity Real_world_entity :< Nothing;
+da DA1 := User :< Information_entity;
+da DA2 := User :< Real_world_entity;
+da DA3 := User :< Person;
+conflict {DA1, DA3};
+"""
+    assert len(findings(parsed(text), Issue.INCONSISTENT)) == 1
+    resolved = parsed(text + "resolve DA1, DA3 -> DA3;\n")
+    assert findings(resolved, Issue.INCONSISTENT) == []
+
+
+def test_lint_collects_the_axioms_once(monkeypatch):
+    calls = []
+    real = reasoner.collect_axioms
+    monkeypatch.setattr(reasoner, "collect_axioms", lambda m: calls.append(m) or real(m))
+    text = "model u;\naxiom A B :< Nothing;\naxiom T :< A B;\n"
+    assert len(findings(parsed(text), Issue.INCONSISTENT)) == 1
+    assert len(calls) == 1
+
+
+def _reference_disjointness(model):
+    """Disjointness findings as (element id, detail), by the atom-to-atom
+    closure lint kept before it asked the shared derivation. It reads only
+    axioms between atoms and atom sets declared empty, so it is a reference
+    for models without other axioms."""
+
+    def atoms_of(d):
+        if isinstance(d, AtomicConcept):
+            return {d.name}
+        if isinstance(d, Intersection):
+            left, right = atoms_of(d.left), atoms_of(d.right)
+            if left and right:
+                return left | right
+        return set()
+
+    dropped = model.dropped_ids()
+    live = [e for e in model.elements if e.id not in dropped]
+    supers, disjoint = {}, set()
+    bodies = [(a.subsumee, a.subsumer) for a in model.axioms] + [
+        (e.body.subsumee, e.body.subsumer) for e in live if isinstance(e.body, Subsumption)
+    ]
+    for sub, sup in bodies:
+        if isinstance(sup, Nothing):
+            if len(atoms_of(sub)) > 1:
+                disjoint.add(frozenset(atoms_of(sub)))
+        elif isinstance(sub, AtomicConcept) and isinstance(sup, AtomicConcept):
+            supers.setdefault(sub.name, set()).add(sup.name)
+
+    def ancestors(name):
+        seen, stack = set(), [name]
+        while stack:
+            for parent in supers.get(stack.pop(), ()):
+                if parent not in seen:
+                    seen.add(parent)
+                    stack.append(parent)
+        return seen
+
+    first_mention = {}
+    for e in live:
+        names = set().union(*map(mentions, body_descriptions(e.body)))
+        if isinstance(e.body, FunctionDesc):
+            names.add(e.body.head)
+        for name in sorted(names):
+            first_mention.setdefault(name, e.id)
+    out = []
+    for term in sorted(supers) if disjoint else ():
+        for group in sorted(disjoint, key=sorted):
+            if group <= ancestors(term) | {term}:
+                *rest, last = sorted(group)
+                count = "two" if len(group) == 2 else len(group)
+                detail = (
+                    f"term {term} falls under {', '.join(rest)} and {last}, which are "
+                    f"declared disjoint; the {count} uses need distinct names"
+                )
+                out.append((first_mention.get(term, "model"), detail))
+                break
+    return out
+
+
+def _atom_only_model(rng):
+    atoms = [f"K{i}" for i in range(7)]
+    lines = ["model g;"]
+    for i in range(rng.randint(3, 12)):
+        sub, sup = rng.choice(atoms), rng.choice(atoms)
+        if rng.random() < 0.5:
+            lines.append(f"axiom {sub} :< {sup};")
+        else:
+            lines.append(f"da DA{i} := {sub} :< {sup};")
+    for _ in range(rng.choice((1, 1, 2, 3))):
+        lines.append(f"axiom {' '.join(rng.sample(atoms, rng.randint(2, 3)))} :< Nothing;")
+    for i in range(rng.randint(0, 3)):
+        lines.append(f"func F{i} := Act <object: {rng.choice(atoms)}>;")
+    das = [line.split()[1] for line in lines if line.startswith("da ")]
+    if len(das) >= 2 and rng.random() < 0.5:
+        pair = ", ".join(rng.sample(das, 2))
+        lines += [f"conflict {{{pair}}};", f"resolve {pair} -> {pair.split(', ')[1]};"]
+    rng.shuffle(lines[1:])
+    return parsed("\n".join(lines) + "\n")
+
+
+def test_atom_only_models_agree_with_the_reference_closure():
+    # A term under a whole group is empty, so the derivation files it under
+    # every group and lint names the first; the closure names the first
+    # group among the term's ancestors. With one group the two coincide,
+    # with several they agree on which terms clash and where.
+    rng = random.Random(2024)
+    found = 0
+    for _ in range(300):
+        model = _atom_only_model(rng)
+        expected = _reference_disjointness(model)
+        hits = [
+            (f.element_id, f.detail)
+            for f in findings(model, Issue.INCONSISTENT)
+            if f.element_id != "world"
+        ]
+        if sum(isinstance(a.subsumer, Nothing) for a in model.axioms) == 1:
+            assert hits == expected, print_model(model)
+        else:
+            terms = [(eid, detail.split()[1]) for eid, detail in hits]
+            assert terms == [(eid, detail.split()[1]) for eid, detail in expected]
+        found += len(hits)
+    assert found >= 100
 
 
 # ===== ambiguous =====

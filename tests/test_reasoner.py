@@ -25,6 +25,7 @@ from reqsmith.model import (
     SlotRestriction,
     Subsumption,
     Union,
+    World,
     at_least,
     at_most,
     exactly,
@@ -214,6 +215,16 @@ def test_nominal_subset():
     v = verdict(dl("{a, b}"), dl("{a}"))
     assert v.status is VerdictStatus.REFUTED
     assert "b" in v.witness.individuals
+
+
+def test_a_string_and_a_number_that_print_alike_stay_distinct():
+    both, text = dl('<r: {"1", 1}>'), dl('<r: {"1"}>')
+    refuted = verdict(both, text)
+    assert refuted.status is VerdictStatus.REFUTED
+    # a world where r is the number 1 separates the two
+    world = World(individuals=frozenset({"x"}), data_values={("x", "r"): Fraction(1)})
+    assert eval_dl(both, world) == {"x"} and eval_dl(text, world) == frozenset()
+    assert eval_dl(both, refuted.witness) - eval_dl(text, refuted.witness)
 
 
 def test_axiom_chaining_is_transitive():
