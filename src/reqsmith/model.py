@@ -737,6 +737,9 @@ def validate_model(model: Model) -> list[ValidationDiagnostic]:
         unmatched = None if problems else resolve_error(app, model.conflicts)
         if unmatched is not None:
             problems.append(ValidationDiagnostic(app_id, "resolve-conflict", unmatched))
+        unscalable = scale_error(app)
+        if unscalable is not None:
+            problems.append(ValidationDiagnostic(app_id, "scale-factor", unscalable))
         diags.extend(problems)
     for index, conflict in enumerate(model.conflicts):
         cid = f"conflict[{index}]"
@@ -870,6 +873,19 @@ def resolve_error(
         return None
     ids = ", ".join(sorted(set(app.inputs)))
     return f"no declared conflict matches {{{ids}}}"
+
+
+def scale_error(app: OperatorApplication) -> Optional[str]:
+    """Why `app`'s multiplier pair cannot scale in its direction, or None:
+    down-scaling must enlarge the region and up-scaling shrink it."""
+    args = app.args
+    if not isinstance(args, ScaleArgs) or args.factor.allows(args.direction):
+        return None
+    factor = args.factor
+    return (
+        f"factor ({factor.low_factor}, {factor.high_factor}) "
+        f"cannot scale {args.direction.value}"
+    )
 
 
 def strength_error(app: OperatorApplication, by_id: dict[str, Element]) -> Optional[str]:

@@ -34,6 +34,7 @@ from .model import (
     annotation_path_error,
     application_diagnostics,
     resolve_error,
+    scale_error,
     strength_error,
 )
 from .reasoner import _Derivation, collect_axioms
@@ -260,11 +261,18 @@ def apply_scale(
     up-scaling strengthens, so the strength is derived, not declared.
     """
     element = _quality_input(model, input_id, "scale")
-    if not factor.allows(direction):
-        raise OperatorError(
-            f"factor ({factor.low_factor}, {factor.high_factor}) "
-            f"cannot scale {direction.value}"
-        )
+    strength = (
+        Strength.WEAKENING
+        if direction is ScaleDirection.DOWN
+        else Strength.STRENGTHENING
+    )
+    oid = output_id or _fresh_id(model, input_id)
+    app = OperatorApplication(
+        Operator.SCALE, (input_id,), (oid,), strength, ScaleArgs(factor, direction)
+    )
+    unscalable = scale_error(app)
+    if unscalable is not None:
+        raise OperatorError(unscalable)
     region = element.body.region
     if factor.is_quantitative:
         if not isinstance(region, Interval):
@@ -284,20 +292,9 @@ def apply_scale(
                 f"for a {direction.value}-scaling"
             )
         new_region = NamedRegion(target, region.qualitative)
-    strength = (
-        Strength.WEAKENING
-        if direction is ScaleDirection.DOWN
-        else Strength.STRENGTHENING
-    )
-    oid = output_id or _fresh_id(model, input_id)
     output = Element(oid, element.kind, replace(element.body, region=new_region))
-    model, ids = _with_outputs(model, [output])
-    return _record(
-        model,
-        OperatorApplication(
-            Operator.SCALE, (input_id,), ids, strength, ScaleArgs(factor, direction)
-        ),
-    )
+    model, _ = _with_outputs(model, [output])
+    return _record(model, app)
 
 
 def apply_deuniversalize(

@@ -204,13 +204,13 @@ class _Derivation:
     A goal's value is the least fixpoint of the rules over _NO < _PURE <
     _VIA_AXIOM, so it depends neither on the order of the axioms nor on the
     goals asked before, and one derivation can serve many queries. Goals
-    are tabled (Chen & Warren, JACM 1996): a goal met again while on the
-    stack yields its frame's current value, and a frame that read its own
-    value runs again until that value stops rising. A result below
-    _VIA_AXIOM that read a frame still on the stack is provisional: it is
-    reused only while that frame is unchanged, and when the frame completes
-    with the value the result read, the result takes over the frame's own
-    dependencies, becoming final with it.
+    are tabled (Chen & Warren, JACM 1996) and settled by strongly connected
+    component, as Tarjan (SIAM J. Comput. 1972) finds them: a goal met
+    again while open yields its value so far and lowers `low` to its stack
+    place. A goal whose rules read nothing open below it leads a component,
+    every goal above it on the stack. The component settles when each goal
+    read while open ended the pass at the value it was read at; otherwise
+    it runs again from this pass's values, which stay below the fixpoint.
     """
 
     def __init__(self, axioms: list[DLSubClassOf]):
@@ -224,16 +224,13 @@ class _Derivation:
             else:
                 self.unheaded.append((_needs(ax.sub), ax))
         self.reached: dict = {}  # sub -> what _reach found
-        # goal -> final value, or provisional (value, mask of the stack frames
-        # it read, deepest of them, that frame's serial); a goal on the stack
-        # is provisional on its own frame
+        # goal -> final value, or [stack place, value this pass, value it was
+        # first read at while open, or None] for a goal of an open component;
+        # a place of None marks a goal taken off the stack when its component
+        # ran again, and its value is where its next run starts
         self.table: dict = {}
-        # per stack frame: a serial, new on every run, and the goals whose
-        # provisional result has the frame as deepest dependency
-        self.serials: list[int] = []
-        self.dependents: list[list] = []
-        self.serial = itertools.count()
-        self.deps = 0  # mask of the stack frames the current goal has read
+        self.stack: list = []  # (goal, table entry) of each open goal, by place
+        self.low = 0  # the lowest place the running goal has read
 
     def proves(self, sub: DLConcept, sup: DLConcept) -> bool:
         return bool(self.entails(_norm(sub), _norm(sup)))
@@ -241,51 +238,39 @@ class _Derivation:
     def entails(self, sub: DLConcept, sup: DLConcept) -> int:
         goal = (sub, sup)
         entry = self.table.get(goal)
-        if entry is None:
-            return self._solve(goal)
         if entry.__class__ is int:
             return entry
-        value, mask, deepest, serial = entry
-        if deepest < len(self.serials) and self.serials[deepest] == serial:
-            self.deps |= mask
-            return value
-        return self._solve(goal)
+        if entry is None or entry[0] is None:
+            return self._solve(goal, entry[1] if entry else _NO)
+        self.low = min(self.low, entry[0])
+        if entry[2] is None:
+            entry[2] = entry[1]
+        return entry[1]
 
-    def _solve(self, goal) -> int:
-        outer = self.deps
-        index = len(self.serials)
-        bit = 1 << index
-        self.serials.append(next(self.serial))
-        self.dependents.append([])
-        value = _NO
+    def _solve(self, goal, value: int) -> int:
+        """Run goal's rules, starting from `value`, until the component it
+        leads settles; return at once if it read an open goal below it."""
+        outer = self.low
+        place = len(self.stack)
+        entry = self.table[goal] = [place, value, None]
+        self.stack.append((goal, entry))
         while True:
-            self.table[goal] = (value, bit, index, self.serials[index])
-            self.deps = 0
-            result = self._rules(*goal)
-            # nothing is above _VIA_AXIOM, so that result is final whatever
-            # it read, and another run could not raise it
-            if result in (value, _VIA_AXIOM) or not self.deps & bit:
-                break
-            value = result
-            self.serials[index] = next(self.serial)
-        below = self.deps & (bit - 1) if result != _VIA_AXIOM else 0
-        serial = self.serials.pop()
-        for dependent in self.dependents.pop():
-            entry = self.table[dependent]
-            # a result kept across the frame must have read its final value
-            if result == value and entry.__class__ is tuple and entry[2:] == (index, serial):
-                self._tabled(dependent, entry[0], entry[1] & ~bit | below)
-        self._tabled(goal, result, below)
-        self.deps = outer | below
-        return result
-
-    def _tabled(self, goal, value: int, mask: int) -> None:
-        if mask:
-            deepest = mask.bit_length() - 1
-            self.table[goal] = (value, mask, deepest, self.serials[deepest])
-            self.dependents[deepest].append(goal)
-        else:
-            self.table[goal] = value
+            self.low = place
+            entry[1] = value = self._rules(*goal)
+            low, self.low = self.low, min(outer, self.low)
+            if low < place:
+                return value
+            component = self.stack[place:]
+            del self.stack[place + 1 :]
+            if all(e[2] is None or e[2] == e[1] for _, e in component):
+                self.stack.pop()
+                for g, e in component:
+                    self.table[g] = e[1]
+                return value
+            # the goals above the leader keep this pass's value as a warm start
+            for _, e in component[1:]:
+                e[0] = None
+            entry[2] = None
 
     def _close(self, names, reached: dict) -> None:
         """Add `names` and every name the atomic axioms lead to from them to
@@ -520,9 +505,6 @@ class _ModelSearch:
         if built is not None:
             if self._is_witness(built):
                 return built
-            repaired = _saturate(built, self.axioms).world
-            if repaired is not None and self._is_witness(repaired):
-                return repaired
         for w in self._size_one_worlds():
             if self._is_witness(w):
                 return w
@@ -947,10 +929,6 @@ class _Saturator:
             )
 
 
-def _saturate(world: World, axioms: list[DLSubClassOf]) -> _Saturation:
-    return _Saturator(world, axioms).run()
-
-
 class ConsistencyStatus(Enum):
     CONSISTENT = "consistent"
     INCONSISTENT = "inconsistent"
@@ -969,7 +947,7 @@ def check_consistency(model: Model) -> ConsistencyResult:
     """Saturate the model's world under all axioms and look for a clash."""
     axioms = tuple(collect_axioms(model))
     world = model.world if model.world is not None else World()
-    outcome = _saturate(world, axioms)
+    outcome = _Saturator(world, axioms).run()
     if outcome.clashes:
         status = ConsistencyStatus.INCONSISTENT
         return ConsistencyResult(status, None, outcome.clashes, axioms)

@@ -164,3 +164,48 @@ def test_disjointness_axioms_keep_the_least_fixpoint():
             assert value == _RoundRobin(axioms).solve(goal), (seed, goal)
             proven += bool(value)
     assert proven >= 40
+
+
+def _ring(n):
+    # each Ai has an r-successor in A(i+1), and anything with an r-successor
+    # in Ai is itself an Ai: every goal between two atoms reads the others
+    atoms = [DLAtomic(f"A{i}") for i in range(n)]
+    axioms = [DLSubClassOf(a, DLExists("r", atoms[(i + 1) % n])) for i, a in enumerate(atoms)]
+    axioms += [DLSubClassOf(DLExists("r", a), a) for a in atoms]
+    return [_as_dl_axiom(ax) for ax in axioms], [(a, b) for a in atoms for b in atoms]
+
+
+def _dense(seed, n=8):
+    rng = random.Random(seed)
+    atom = lambda: DLAtomic(f"A{rng.randrange(n)}")
+    axioms = [DLSubClassOf(atom(), DLOr((atom(), atom()))) for _ in range(26)]
+    axioms += [DLSubClassOf(DLAnd((atom(), atom())), atom()) for _ in range(13)]
+    atoms = [DLAtomic(f"A{i}") for i in range(n)]
+    return [_as_dl_axiom(ax) for ax in axioms], [(a, b) for a in atoms for b in atoms]
+
+
+def _assert_components_settle(axioms, goals):
+    """Every goal asked on one shared derivation, forward and in reverse,
+    gets its least-fixpoint value; one reference serves all the goals."""
+    reference = _RoundRobin(axioms)
+    expected = [reference.solve(goal) for goal in goals]
+    forward = _Derivation(axioms)
+    assert [forward.entails(*goal) for goal in goals] == expected
+    backward = _Derivation(axioms)
+    assert [backward.entails(*goal) for goal in reversed(goals)] == expected[::-1]
+    return expected
+
+
+def test_a_ring_settles_as_one_component():
+    axioms, goals = _ring(6)
+    expected = _assert_components_settle(axioms, goals)
+    assert all(value == _VIA_AXIOM for (a, b), value in zip(goals, expected) if a != b)
+
+
+def test_dense_axiom_sets_keep_the_least_fixpoint():
+    proven = 0
+    for seed in range(3):
+        axioms, goals = _dense(seed)
+        expected = _assert_components_settle(axioms, goals)
+        proven += sum(1 for (a, b), value in zip(goals, expected) if value and a != b)
+    assert proven >= 60

@@ -603,9 +603,11 @@ def test_scale_down_to_wider_interval_passes():
 
 
 def test_scale_up_to_wider_interval_is_flagged():
+    # the factor fits an up-scaling, so the model validates; the audit reads
+    # the declared output, which is wider than the input
     m = parsed(
         SCALE_MODEL.format(
-            application="scale_up QC1 -> QC2 by (1, 6/5) [strengthen];"
+            application="scale_up QC1 -> QC2 by (1, 5/6) [strengthen];"
         )
     )
     flags = check_strength_tags(m)

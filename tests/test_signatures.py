@@ -4,6 +4,7 @@ validation, the strength audit and the operators all read from one table."""
 import hashlib
 import itertools
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -11,6 +12,7 @@ from reqsmith.model import (
     AtomicConcept,
     Element,
     FocusArgs,
+    Interval,
     Kind,
     Model,
     NamedRegion,
@@ -18,6 +20,9 @@ from reqsmith.model import (
     Operator,
     OperatorApplication,
     QualityStatement,
+    ScaleArgs,
+    ScaleDirection,
+    ScaleFactor,
     Strength,
     validate_model,
 )
@@ -28,7 +33,9 @@ from reqsmith.operators import (
     apply_operationalize,
     apply_reduce,
     apply_resolve,
+    apply_scale,
 )
+from reqsmith.cli import main
 from reqsmith.reasoner import check_strength_tags
 
 # ===== the pinned sweep =====
@@ -260,3 +267,58 @@ def test_a_malformed_resolution_reports_only_its_signature():
     app = OperatorApplication(Operator.RESOLVE, ("G1",), (), Strength.WEAKENING)
     problems = validate_model(Model("m", (goal,), (app,)))
     assert [d.rule for d in problems] == ["arity"]
+
+
+# ===== scale factors and their direction =====
+
+HALF, ONE, TWO = Fraction(1, 2), Fraction(1), Fraction(2)
+SCALE_CASES = [
+    (low, high, direction)
+    for low in (HALF, ONE, TWO)
+    for high in (HALF, ONE, TWO)
+    for direction in ScaleDirection
+]
+
+
+@pytest.mark.parametrize(
+    "low, high, direction",
+    SCALE_CASES,
+    ids=[f"{low}-{high}-{d.value}" for low, high, d in SCALE_CASES],
+)
+def test_apply_scale_raises_exactly_when_validation_reports_the_factor(low, high, direction):
+    # [0, 30] scales without shifting or emptying under every factor that
+    # fits the direction, so the factor rule is the only one that can fail
+    region = Interval(Fraction(0), Fraction(30))
+    body = QualityStatement(AtomicConcept("Processing_time"), AtomicConcept("Search"), region)
+    inp, out = Element("IN", Kind.QC, body), Element("OUT", Kind.QC, body)
+    factor = ScaleFactor(low_factor=low, high_factor=high)
+    strength = Strength.WEAKENING if direction is ScaleDirection.DOWN else Strength.STRENGTHENING
+    app = OperatorApplication(
+        Operator.SCALE, ("IN",), ("OUT",), strength, ScaleArgs(factor, direction)
+    )
+    problems = [str(d) for d in validate_model(Model("m", (inp, out), (app,)))]
+    allowed = low <= 1 <= high if direction is ScaleDirection.DOWN else low >= 1 >= high
+    base = Model("m", (inp,))
+    if allowed:
+        assert problems == []
+        assert apply_scale(base, "IN", factor, direction, output_id="OUT").applications == (app,)
+    else:
+        message = f"factor ({low}, {high}) cannot scale {direction.value}"
+        assert problems == [f"application[0]: [scale-factor] {message}"]
+        with pytest.raises(OperatorError) as caught:
+            apply_scale(base, "IN", factor, direction, output_id="OUT")
+        assert str(caught.value) == message
+
+
+def test_a_factor_that_cannot_scale_up_is_a_spanned_validation_error(tmp_path, capsys):
+    path = tmp_path / "scale.dsr"
+    path.write_text(
+        "model m;\n"
+        "qc QC1 := Processing_time (File_search) :: [0, 30 (Sec)];\n"
+        "qc QC2 := Processing_time (File_search) :: [0, 60 (Sec)];\n"
+        "  scale_up QC1 -> QC2 by (1, 2);\n"
+    )
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"{path}:4:3: error: application[0]: [scale-factor] factor (1, 2) cannot scale up\n"
+    )
