@@ -14,7 +14,8 @@ from pathlib import Path
 from typing import Optional
 
 # Each command imports the modules it runs inside its own function, so a
-# short command such as `fmt` never loads the reasoner, lint or export.
+# short command such as `fmt` never loads the reasoner, lint or export, and
+# `check` takes its findings from `findings`, not from `lint`.
 
 
 class _CliError(Exception):
@@ -73,7 +74,7 @@ def _cmd_fmt(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    from .lint import Issue, LintFinding
+    from .findings import Issue, LintFinding
     from .reasoner import ConsistencyStatus, check_consistency, check_strength_tags
 
     model = _load_model(args.file)

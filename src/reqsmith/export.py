@@ -40,7 +40,7 @@ from .semantics import (
 )
 
 if TYPE_CHECKING:
-    from .lint import LintFinding
+    from .findings import LintFinding
     from .reasoner import SubsumptionVerdict
 
 

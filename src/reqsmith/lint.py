@@ -13,9 +13,8 @@ text can be routed to a first-draft declaration.
 
 import re
 from dataclasses import dataclass
-from enum import Enum
-from typing import Optional
 
+from .findings import Issue, LintFinding
 from .model import (
     QUALITY_KINDS,
     AtomicConcept,
@@ -36,49 +35,6 @@ from .model import (
 )
 from .reasoner import ConsistencyStatus, _Derivation, check_consistency
 from .semantics import DLAnd, DLAtomic, DLNothing
-
-
-class Issue(Enum):
-    """The kinds of requirement defects a review can report.
-
-    INVALID (a statement that is not a requirement at all) is part of the
-    taxonomy for callers that classify findings from other sources; no
-    automated rule here emits it, since telling a requirement from a
-    non-requirement needs human judgment.
-    """
-
-    INVALID = "invalid"
-    INCOMPLETE = "incomplete"
-    AMBIGUOUS = "ambiguous"
-    UNVERIFIABLE = "unverifiable"
-    UNSATISFIABLE = "unsatisfiable"
-    INCONSISTENT = "inconsistent"
-    UNMODIFIABLE = "unmodifiable"
-    REDUNDANT = "redundant"
-
-
-_OPERATOR_NAMES = frozenset(op.value for op in Operator)
-
-
-@dataclass(frozen=True)
-class LintFinding:
-    """One detected issue, tied to an element (or to the world)."""
-
-    element_id: str
-    issue: Issue
-    detail: str
-    suggested_operator: Optional[str] = None
-    span: Optional[tuple[int, int]] = None
-
-    def __post_init__(self):
-        if (
-            self.suggested_operator is not None
-            and self.suggested_operator not in _OPERATOR_NAMES
-        ):
-            raise ValueError(
-                f"suggested_operator must name a transformation operator, "
-                f"not {self.suggested_operator!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -337,23 +293,36 @@ def _inconsistent(model: Model, live) -> list[LintFinding]:
         for name in sorted(names):
             first_mention.setdefault(name, e.id)
 
+    def under(derivation: _Derivation, term: str, group) -> bool:
+        return all(derivation.proves(DLAtomic(term), DLAtomic(a)) for a in group)
+
+    groups = sorted(disjoint, key=sorted)
     derivation = _Derivation(result.axioms)
+    # A term under a whole group is empty, so it falls under every group;
+    # name first a group its declarations reach without the `:< Nothing`
+    # axioms.
+    declared = None
     for term in sorted(derivation.headed):
-        for group in sorted(disjoint, key=sorted):
-            if all(derivation.proves(DLAtomic(term), DLAtomic(a)) for a in group):
-                *rest, last = sorted(group)
-                count = "two" if len(group) == 2 else len(group)
-                out.append(
-                    LintFinding(
-                        first_mention.get(term, "model"),
-                        Issue.INCONSISTENT,
-                        f"term {term} falls under {', '.join(rest)} and {last}, "
-                        f"which are declared disjoint; the {count} uses need "
-                        f"distinct names",
-                        "interpret",
-                    )
-                )
-                break
+        group = next((g for g in groups if under(derivation, term, g)), None)
+        if group is None:
+            continue
+        if declared is None:
+            declared = _Derivation(
+                [ax for ax in result.axioms if not isinstance(ax.sup, DLNothing)]
+            )
+        group = next((g for g in groups if under(declared, term, g)), group)
+        *rest, last = sorted(group)
+        count = "two" if len(group) == 2 else len(group)
+        out.append(
+            LintFinding(
+                first_mention.get(term, "model"),
+                Issue.INCONSISTENT,
+                f"term {term} falls under {', '.join(rest)} and {last}, "
+                f"which are declared disjoint; the {count} uses need "
+                f"distinct names",
+                "interpret",
+            )
+        )
     return out
 
 

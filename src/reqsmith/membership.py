@@ -59,6 +59,8 @@ class Piece:
 
 @dataclass(frozen=True)
 class MembershipFunction:
+    """The membership degree of one region, piece by piece."""
+
     region: str
     pieces: tuple[Piece, ...]
 

@@ -95,6 +95,8 @@ class NamedRegion(RegionExpr):
 
 @dataclass(frozen=True)
 class Interval(RegionExpr):
+    """An inclusive numeric range `[low, high]`, in `unit` when one is given."""
+
     low: Fraction
     high: Fraction
     unit: Optional[str] = None
@@ -117,6 +119,8 @@ class ValueSet(RegionExpr):
 
 @dataclass(frozen=True)
 class AtomicConcept(Description):
+    """A named class, written as its bare name."""
+
     name: str
 
 
@@ -152,18 +156,24 @@ class InverseProjection(Description):
 
 @dataclass(frozen=True)
 class Intersection(Description):
+    """The members of both sides, written by juxtaposition."""
+
     left: Description
     right: Description
 
 
 @dataclass(frozen=True)
 class Union(Description):
+    """The members of either side, written `left | right`."""
+
     left: Description
     right: Description
 
 
 @dataclass(frozen=True)
 class Difference(Description):
+    """The members of the left side outside the right, written `left - right`."""
+
     left: Description
     right: Description
 
@@ -177,12 +187,12 @@ class Region(Description):
 
 @dataclass(frozen=True)
 class Thing(Description):
-    pass
+    """Every individual."""
 
 
 @dataclass(frozen=True)
 class Nothing(Description):
-    pass
+    """No individual."""
 
 
 THING = Thing()
@@ -293,6 +303,8 @@ ElementBody = TypingUnion[NaturalLanguage, FunctionDesc, Subsumption, QualitySta
 
 @dataclass(frozen=True)
 class Element:
+    """One declared requirement: its id, its kind and its body."""
+
     id: str
     kind: Kind
     body: ElementBody
@@ -358,6 +370,8 @@ class ScaleFactor:
 
 @dataclass(frozen=True)
 class ScaleArgs:
+    """The factor and direction of a scale application."""
+
     factor: ScaleFactor
     direction: ScaleDirection
 
@@ -371,11 +385,15 @@ class FocusArgs:
 
 @dataclass(frozen=True)
 class ObserveArgs:
+    """The observer an observe application adds."""
+
     observer: Description
 
 
 @dataclass(frozen=True)
 class DeUniversalizeArgs:
+    """The percentage annotation a deuniversalize application adds."""
+
     annotation: UAnnotation
 
 
@@ -384,6 +402,8 @@ OperatorArgs = TypingUnion[ScaleArgs, FocusArgs, ObserveArgs, DeUniversalizeArgs
 
 @dataclass(frozen=True)
 class OperatorApplication:
+    """One operator applied to input elements, giving output elements."""
+
     op: Operator
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
@@ -642,6 +662,8 @@ class IntervalPrototypes:
 
 @dataclass(frozen=True)
 class PrototypeRegion:
+    """A named region of a quality space and its prototypes."""
+
     name: str
     prototypes: TypingUnion[PointPrototypes, IntervalPrototypes]
 
@@ -659,6 +681,8 @@ class MembershipSpec:
 
 @dataclass(frozen=True)
 class Model:
+    """A requirements model: elements, applications, axioms, marks and world."""
+
     name: str = ""
     elements: tuple[Element, ...] = ()
     applications: tuple[OperatorApplication, ...] = ()
@@ -703,6 +727,8 @@ class Model:
 
 @dataclass(frozen=True)
 class ValidationDiagnostic:
+    """A rule a model breaks, tied to the statement that breaks it."""
+
     subject_id: str
     rule: str
     message: str

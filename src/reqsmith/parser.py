@@ -93,6 +93,8 @@ STRENGTH_KEYWORDS = {s.value: s for s in Strength}
 
 @dataclass(frozen=True)
 class SourceSpan:
+    """A position in a source file, by line, column and offset."""
+
     file: str
     line: int
     column: int
@@ -104,6 +106,8 @@ class SourceSpan:
 
 @dataclass(frozen=True)
 class ParseDiagnostic:
+    """A parse or validation problem at a source position."""
+
     span: SourceSpan
     severity: str
     message: str
@@ -851,6 +855,8 @@ class _Parser:
 
 @dataclass
 class _Builder:
+    """The statements of a model as the parser collects them."""
+
     name: str = ""
     elements: list[Element] = field(default_factory=list)
     applications: list[OperatorApplication] = field(default_factory=list)

@@ -11,6 +11,7 @@ for percentage annotations.
 
 from __future__ import annotations
 
+from collections import _tuplegetter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -69,6 +70,9 @@ class HoldsStatus(Enum):
 
 @dataclass(frozen=True)
 class HoldsResult:
+    """Whether an element holds in a world, and the individuals that
+    violate it."""
+
     status: HoldsStatus
     witnesses: tuple[str, ...] = ()
 
@@ -244,93 +248,187 @@ def _counted_fraction(
 # ===== PART 4: the logic fragment =====
 
 
-@dataclass(frozen=True)
-class DLConcept:
-    pass
+# Each concept is a tuple whose first item names its class, so
+# `DLExists("r", A)` is `("DLExists", "r", A)`. Equality and hashing are
+# tuple's, which run in C, and no class here generates code at import.
+# Fields read through the C getter that named tuples use.
 
 
-@dataclass(frozen=True)
+class _Tagged(tuple):
+    """An immutable tuple of a class name followed by the fields."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self[1:]))
+        return f"{self[0]}({fields})"
+
+    def __getnewargs__(self):
+        return self[1:]
+
+
+class DLConcept(_Tagged):
+    """A concept of the logic fragment."""
+
+    __slots__ = ()
+
+
 class DLThing(DLConcept):
-    pass
+    """Every individual."""
+
+    __slots__ = ()
+
+    def __new__(cls):
+        return tuple.__new__(cls, ("DLThing",))
 
 
-@dataclass(frozen=True)
 class DLNothing(DLConcept):
-    pass
+    """No individual."""
+
+    __slots__ = ()
+
+    def __new__(cls):
+        return tuple.__new__(cls, ("DLNothing",))
 
 
-@dataclass(frozen=True)
 class DLAtomic(DLConcept):
-    name: str
+    """A named concept."""
+
+    __slots__ = ()
+    _fields = ("name",)
+    name = _tuplegetter(1, None)
+
+    def __new__(cls, name: str):
+        return tuple.__new__(cls, ("DLAtomic", name))
 
 
-@dataclass(frozen=True)
 class DLAnd(DLConcept):
-    args: tuple[DLConcept, ...]
+    """The individuals in every argument."""
+
+    __slots__ = ()
+    _fields = ("args",)
+    args = _tuplegetter(1, None)
+
+    def __new__(cls, args: tuple[DLConcept, ...]):
+        return tuple.__new__(cls, ("DLAnd", args))
 
 
-@dataclass(frozen=True)
 class DLOr(DLConcept):
-    args: tuple[DLConcept, ...]
+    """The individuals in some argument."""
+
+    __slots__ = ()
+    _fields = ("args",)
+    args = _tuplegetter(1, None)
+
+    def __new__(cls, args: tuple[DLConcept, ...]):
+        return tuple.__new__(cls, ("DLOr", args))
 
 
-@dataclass(frozen=True)
 class DLNot(DLConcept):
-    inner: DLConcept
+    """The individuals outside `inner`."""
+
+    __slots__ = ()
+    _fields = ("inner",)
+    inner = _tuplegetter(1, None)
+
+    def __new__(cls, inner: DLConcept):
+        return tuple.__new__(cls, ("DLNot", inner))
 
 
-@dataclass(frozen=True)
 class DLExists(DLConcept):
-    slot: str
-    filler: DLConcept
+    """The individuals with some `slot` successor in `filler`."""
+
+    __slots__ = ()
+    _fields = ("slot", "filler")
+    slot = _tuplegetter(1, None)
+    filler = _tuplegetter(2, None)
+
+    def __new__(cls, slot: str, filler: DLConcept):
+        return tuple.__new__(cls, ("DLExists", slot, filler))
 
 
-@dataclass(frozen=True)
 class DLForAll(DLConcept):
-    slot: str
-    filler: DLConcept
+    """The individuals whose every `slot` successor is in `filler`."""
+
+    __slots__ = ()
+    _fields = ("slot", "filler")
+    slot = _tuplegetter(1, None)
+    filler = _tuplegetter(2, None)
+
+    def __new__(cls, slot: str, filler: DLConcept):
+        return tuple.__new__(cls, ("DLForAll", slot, filler))
 
 
-@dataclass(frozen=True)
 class DLCard(DLConcept):
-    slot: str
-    kind: str  # min | max | exact
-    n: int
-    filler: DLConcept
+    """The individuals with at least, at most or exactly `n` `slot`
+    successors in `filler`; `kind` is min, max or exact."""
 
-    def __post_init__(self):
-        if self.kind not in ("min", "max", "exact"):
-            raise ValueError(f"bad cardinality kind {self.kind!r}")
-        if self.n < 1:
+    __slots__ = ()
+    _fields = ("slot", "kind", "n", "filler")
+    slot = _tuplegetter(1, None)
+    kind = _tuplegetter(2, None)
+    n = _tuplegetter(3, None)
+    filler = _tuplegetter(4, None)
+
+    def __new__(cls, slot: str, kind: str, n: int, filler: DLConcept):
+        if kind not in ("min", "max", "exact"):
+            raise ValueError(f"bad cardinality kind {kind!r}")
+        if n < 1:
             raise ValueError("cardinalities start at 1")
+        return tuple.__new__(cls, ("DLCard", slot, kind, n, filler))
 
 
-@dataclass(frozen=True)
 class DLExistsInverse(DLConcept):
-    slot: str
-    filler: DLConcept
+    """The individuals that some individual in `filler` has as a `slot`
+    successor."""
+
+    __slots__ = ()
+    _fields = ("slot", "filler")
+    slot = _tuplegetter(1, None)
+    filler = _tuplegetter(2, None)
+
+    def __new__(cls, slot: str, filler: DLConcept):
+        return tuple.__new__(cls, ("DLExistsInverse", slot, filler))
 
 
-@dataclass(frozen=True)
 class DLDataRange(DLConcept):
-    facet: str  # min | max | eq
-    value: object
-    unit: Optional[str] = None
+    """The data values at least (min), at most (max) or equal to (eq)
+    `value`, in `unit` when one is given."""
 
-    def __post_init__(self):
-        if self.facet not in ("min", "max", "eq"):
-            raise ValueError(f"bad facet {self.facet!r}")
+    __slots__ = ()
+    _fields = ("facet", "value", "unit")
+    facet = _tuplegetter(1, None)
+    value = _tuplegetter(2, None)
+    unit = _tuplegetter(3, None)
+
+    def __new__(cls, facet: str, value: object, unit: Optional[str] = None):
+        if facet not in ("min", "max", "eq"):
+            raise ValueError(f"bad facet {facet!r}")
+        return tuple.__new__(cls, ("DLDataRange", facet, value, unit))
 
 
-@dataclass(frozen=True)
 class DLNominal(DLConcept):
-    ids: tuple[str, ...]
+    """The named individuals `ids`."""
+
+    __slots__ = ()
+    _fields = ("ids",)
+    ids = _tuplegetter(1, None)
+
+    def __new__(cls, ids: tuple[str, ...]):
+        return tuple.__new__(cls, ("DLNominal", ids))
 
 
-@dataclass(frozen=True)
-class DLSubClassOf:
-    sub: DLConcept
-    sup: DLConcept
+class DLSubClassOf(_Tagged):
+    """The axiom that `sub` is below `sup`."""
+
+    __slots__ = ()
+    _fields = ("sub", "sup")
+    sub = _tuplegetter(1, None)
+    sup = _tuplegetter(2, None)
+
+    def __new__(cls, sub: DLConcept, sup: DLConcept):
+        return tuple.__new__(cls, ("DLSubClassOf", sub, sup))
 
 
 DL_THING = DLThing()

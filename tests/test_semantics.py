@@ -1,5 +1,7 @@
 """Tests for world evaluation, element checking, and logic translation."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -46,14 +48,17 @@ from reqsmith.semantics import (
     DLAnd,
     DLAtomic,
     DLCard,
+    DLConcept,
     DLDataRange,
     DLExists,
     DLExistsInverse,
     DLForAll,
     DLNominal,
     DLNot,
+    DLNothing,
     DLOr,
     DLSubClassOf,
+    DLThing,
     HoldsStatus,
     PathMismatch,
     UnsupportedNestedU,
@@ -865,3 +870,101 @@ def test_normalize_preserves_evaluation():
             assert eval_description(nd, w) == eval_description(d, w), (
                 f"normalize changed meaning of {d!r}"
             )
+
+
+# ===== the concept representation =====
+
+ALPHA, BETA = DLAtomic("Alpha"), DLAtomic("Beta")
+
+EVERY_CONCEPT = [
+    DL_THING,
+    DL_NOTHING,
+    ALPHA,
+    DLAnd((ALPHA, BETA)),
+    DLOr((ALPHA, BETA)),
+    DLNot(ALPHA),
+    DLExists("r", ALPHA),
+    DLForAll("r", ALPHA),
+    DLCard("r", "max", 2, DLNominal(("x", "y"))),
+    DLExistsInverse("r", ALPHA),
+    DLDataRange("min", Fraction(1, 2), "Sec."),
+    DLNominal(("x",)),
+    DLSubClassOf(ALPHA, DLExists("r", BETA)),
+]
+
+
+def test_concepts_with_the_same_fields_differ_across_classes():
+    restrictions = [DLExists("r", ALPHA), DLForAll("r", ALPHA), DLExistsInverse("r", ALPHA)]
+    booleans = [DLAnd((ALPHA, BETA)), DLOr((ALPHA, BETA))]
+    for same_fields in (restrictions, booleans, [DL_THING, DL_NOTHING]):
+        assert len(set(same_fields)) == len(same_fields)
+        assert len({hash(c) for c in same_fields}) == len(same_fields)
+    assert DLExists("r", ALPHA) == DLExists("r", DLAtomic("Alpha"))
+    assert hash(DLExists("r", ALPHA)) == hash(DLExists("r", DLAtomic("Alpha")))
+    assert DLThing() == DL_THING and DLNothing() == DL_NOTHING
+
+
+def test_a_concept_is_its_class_name_followed_by_its_fields():
+    assert DLExists("r", ALPHA) == ("DLExists", "r", ("DLAtomic", "Alpha"))
+    card = DLCard("r", "exact", 3, ALPHA)
+    assert (card.slot, card.kind, card.n, card.filler) == ("r", "exact", 3, ALPHA)
+    assert DLDataRange("eq", 5).unit is None
+    assert DLSubClassOf(ALPHA, BETA).sup == BETA
+    assert isinstance(ALPHA, DLConcept)
+    assert not isinstance(DLSubClassOf(ALPHA, BETA), DLConcept)
+
+
+def test_concept_fields_cannot_be_assigned():
+    card = DLCard("r", "min", 2, ALPHA)
+    with pytest.raises(AttributeError):
+        card.n = 3
+    with pytest.raises(AttributeError):
+        card.note = "extra"
+    with pytest.raises(AttributeError):
+        DLSubClassOf(ALPHA, BETA).sub = BETA
+    assert card.n == 2
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: DLCard("r", "most", 1, ALPHA), "bad cardinality kind 'most'"),
+        (lambda: DLCard("r", "min", 0, ALPHA), "cardinalities start at 1"),
+        (lambda: DLDataRange("lt", 3), "bad facet 'lt'"),
+    ],
+    ids=["card-kind", "card-zero", "facet"],
+)
+def test_invalid_concepts_are_refused_with_the_same_errors(build, message):
+    with pytest.raises(ValueError) as caught:
+        build()
+    assert str(caught.value) == message
+
+
+def test_repr_reads_like_a_dataclass():
+    assert repr(DL_THING) == "DLThing()"
+    assert repr(DLCard("r", "exact", 1, ALPHA)) == (
+        "DLCard(slot='r', kind='exact', n=1, filler=DLAtomic(name='Alpha'))"
+    )
+    assert repr(DLDataRange("min", Fraction(1, 2))) == (
+        "DLDataRange(facet='min', value=Fraction(1, 2), unit=None)"
+    )
+    assert repr(DLAnd((DLNominal(("x",)), DLNot(DL_NOTHING)))) == (
+        "DLAnd(args=(DLNominal(ids=('x',)), DLNot(inner=DLNothing())))"
+    )
+    assert repr(DLSubClassOf(ALPHA, DLExistsInverse("r", BETA))) == (
+        "DLSubClassOf(sub=DLAtomic(name='Alpha'), "
+        "sup=DLExistsInverse(slot='r', filler=DLAtomic(name='Beta')))"
+    )
+
+
+@pytest.mark.parametrize("concept", EVERY_CONCEPT, ids=lambda c: type(c).__name__)
+def test_copies_and_pickles_are_equal_concepts(concept):
+    for copied in (
+        copy.copy(concept),
+        copy.deepcopy(concept),
+        pickle.loads(pickle.dumps(concept)),
+    ):
+        assert copied == concept
+        assert type(copied) is type(concept)
+        assert hash(copied) == hash(concept)
+        assert repr(copied) == repr(concept)
