@@ -5,9 +5,8 @@ application or the world. `check` builds its findings from this module
 alone, so it never loads the lint rules; `lint` re-exports both names.
 """
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .model import Operator
 
@@ -34,9 +33,8 @@ class Issue(Enum):
 _OPERATOR_NAMES = frozenset(op.value for op in Operator)
 
 
-@dataclass(frozen=True)
-class LintFinding:
-    """One detected issue, tied to an element (or to the world)."""
+class _FindingFields(NamedTuple):
+    """The fields of a finding; `LintFinding` checks them."""
 
     element_id: str
     issue: Issue
@@ -44,12 +42,23 @@ class LintFinding:
     suggested_operator: Optional[str] = None
     span: Optional[tuple[int, int]] = None
 
-    def __post_init__(self):
-        if (
-            self.suggested_operator is not None
-            and self.suggested_operator not in _OPERATOR_NAMES
-        ):
+
+class LintFinding(_FindingFields):
+    """One detected issue, tied to an element (or to the world)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        finding = super().__new__(cls, *args, **kwargs)
+        operator = finding.suggested_operator
+        if operator is not None and operator not in _OPERATOR_NAMES:
             raise ValueError(
                 f"suggested_operator must name a transformation operator, "
-                f"not {self.suggested_operator!r}"
+                f"not {operator!r}"
             )
+        return finding
+
+    @classmethod
+    def _make(cls, iterable):
+        # `_replace` builds through `_make`, which skips `__new__`.
+        return cls(*iterable)

@@ -12,7 +12,7 @@ text can be routed to a first-draft declaration.
 """
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .findings import Issue, LintFinding
 from .model import (
@@ -37,8 +37,7 @@ from .reasoner import ConsistencyStatus, _Derivation, check_consistency
 from .semantics import DLAnd, DLAtomic, DLNothing
 
 
-@dataclass(frozen=True)
-class LintConfig:
+class LintConfig(NamedTuple):
     """Tunable lexicons and slot profiles for the surface-level checks."""
 
     universal_tokens: frozenset[str] = frozenset(
@@ -389,8 +388,7 @@ _HINT_PATTERNS: tuple[tuple[Kind, "re.Pattern[str]"], ...] = (
 _HINT_ORDER = (Kind.F, Kind.FG, Kind.QG, Kind.CTG, Kind.DA)
 
 
-@dataclass(frozen=True)
-class KindGuess:
+class KindGuess(NamedTuple):
     """One plausible element kind for a raw statement."""
 
     kind: Kind

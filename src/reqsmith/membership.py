@@ -14,10 +14,9 @@ All arithmetic is exact over rationals.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .model import (
     Element,
@@ -43,8 +42,7 @@ class PieceKind(Enum):
     QUADRATIC = "quadratic"
 
 
-@dataclass(frozen=True)
-class Piece:
+class Piece(NamedTuple):
     """One polynomial piece of a membership function.
 
     The domain is [lo, hi] with None standing for an unbounded side; coeffs
@@ -57,8 +55,7 @@ class Piece:
     coeffs: tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class MembershipFunction:
+class MembershipFunction(NamedTuple):
     """The membership degree of one region, piece by piece."""
 
     region: str

@@ -15,6 +15,48 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Union as TypingUnion
 
 
+# Each record below is a frozen dataclass that takes `__eq__`, `__hash__`
+# and `__repr__` from the functions here, so `dataclass()` compiles no such
+# methods per class at import. They return what the generated ones return:
+# equality within one class, the hash of the field tuple, and
+# `Name(field=value, ...)`.
+
+
+def _field_values(record) -> tuple:
+    return tuple([getattr(record, name) for name in record.__dataclass_fields__])
+
+
+def _record_eq(self, other):
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return _field_values(self) == _field_values(other)
+
+
+def _record_hash(self) -> int:
+    return hash(_field_values(self))
+
+
+def _record_repr(self) -> str:
+    fields = ", ".join(
+        f"{name}={getattr(self, name)!r}" for name in self.__dataclass_fields__
+    )
+    return f"{self.__class__.__qualname__}({fields})"
+
+
+def _record(cls):
+    """Make `cls` a frozen dataclass with the shared value methods.
+
+    A class that defines its own `__eq__` keeps it, and keeps the
+    `__hash__ = None` that Python then gives it.
+    """
+    cls = dataclass(frozen=True, eq=False, repr=False)(cls)
+    if "__eq__" not in cls.__dict__:
+        cls.__eq__ = _record_eq
+        cls.__hash__ = _record_hash
+    cls.__repr__ = _record_repr
+    return cls
+
+
 # ===== PART 1: the description algebra =====
 
 
@@ -33,7 +75,7 @@ class ModifierKind(Enum):
     ONLY = "only"
 
 
-@dataclass(frozen=True)
+@_record
 class CardinalityModifier:
     """How many slot fillers of the given filler type a member must have.
 
@@ -81,7 +123,7 @@ class RegionExpr:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@_record
 class NamedRegion(RegionExpr):
     """A region referred to by name.
 
@@ -93,7 +135,7 @@ class NamedRegion(RegionExpr):
     qualitative: bool = True
 
 
-@dataclass(frozen=True)
+@_record
 class Interval(RegionExpr):
     """An inclusive numeric range `[low, high]`, in `unit` when one is given."""
 
@@ -106,7 +148,7 @@ class Interval(RegionExpr):
             raise ValueError("interval low bound exceeds high bound")
 
 
-@dataclass(frozen=True)
+@_record
 class ValueSet(RegionExpr):
     """A finite set of admissible values (rationals or strings)."""
 
@@ -117,14 +159,14 @@ class ValueSet(RegionExpr):
             raise ValueError("value set must be non-empty")
 
 
-@dataclass(frozen=True)
+@_record
 class AtomicConcept(Description):
     """A named class, written as its bare name."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@_record
 class Enumeration(Description):
     """A finite set of named individuals, written `{id1, id2}`."""
 
@@ -137,7 +179,7 @@ class Enumeration(Description):
             raise ValueError("enumeration ids must be duplicate-free")
 
 
-@dataclass(frozen=True)
+@_record
 class SlotRestriction(Description):
     """`<slot: modifier filler>`: members restricted through a slot."""
 
@@ -146,7 +188,7 @@ class SlotRestriction(Description):
     filler: Description
 
 
-@dataclass(frozen=True)
+@_record
 class InverseProjection(Description):
     """`D.s`: everything some member of D points at through slot s."""
 
@@ -154,7 +196,7 @@ class InverseProjection(Description):
     slot: str
 
 
-@dataclass(frozen=True)
+@_record
 class Intersection(Description):
     """The members of both sides, written by juxtaposition."""
 
@@ -162,7 +204,7 @@ class Intersection(Description):
     right: Description
 
 
-@dataclass(frozen=True)
+@_record
 class Union(Description):
     """The members of either side, written `left | right`."""
 
@@ -170,7 +212,7 @@ class Union(Description):
     right: Description
 
 
-@dataclass(frozen=True)
+@_record
 class Difference(Description):
     """The members of the left side outside the right, written `left - right`."""
 
@@ -178,19 +220,19 @@ class Difference(Description):
     right: Description
 
 
-@dataclass(frozen=True)
+@_record
 class Region(Description):
     """A region expression used in description position (slot fillers)."""
 
     expr: RegionExpr
 
 
-@dataclass(frozen=True)
+@_record
 class Thing(Description):
     """Every individual."""
 
 
-@dataclass(frozen=True)
+@_record
 class Nothing(Description):
     """No individual."""
 
@@ -236,14 +278,14 @@ QUALITY_KINDS = frozenset({Kind.QG, Kind.QC})
 SUBSUMPTION_KINDS = frozenset({Kind.FG, Kind.FC, Kind.CTG, Kind.SC, Kind.DA})
 
 
-@dataclass(frozen=True)
+@_record
 class NaturalLanguage:
     """An unstructured body: raw text awaiting interpretation."""
 
     text: str
 
 
-@dataclass(frozen=True)
+@_record
 class FunctionDesc:
     """A capability: a head verb concept plus slot restrictions."""
 
@@ -251,7 +293,7 @@ class FunctionDesc:
     slots: tuple[SlotRestriction, ...] = ()
 
 
-@dataclass(frozen=True)
+@_record
 class Subsumption:
     """`subsumee :< subsumer`: every subsumee member is a subsumer member."""
 
@@ -259,7 +301,7 @@ class Subsumption:
     subsumer: Description
 
 
-@dataclass(frozen=True)
+@_record
 class UAnnotation:
     """A per-fraction relaxation: only `pct_low` of the matched population
     needs to satisfy the statement.
@@ -283,7 +325,7 @@ class UAnnotation:
             raise ValueError("pct_high is fixed at 1")
 
 
-@dataclass(frozen=True)
+@_record
 class QualityStatement:
     """`Quality (Subject) :: Region` with optional observers and pct marks.
 
@@ -301,7 +343,7 @@ class QualityStatement:
 ElementBody = TypingUnion[NaturalLanguage, FunctionDesc, Subsumption, QualityStatement]
 
 
-@dataclass(frozen=True)
+@_record
 class Element:
     """One declared requirement: its id, its kind and its body."""
 
@@ -332,7 +374,7 @@ class ScaleDirection(Enum):
     DOWN = "down"
 
 
-@dataclass(frozen=True)
+@_record
 class ScaleFactor:
     """Either a pair of bound multipliers or a target region name.
 
@@ -368,7 +410,7 @@ class ScaleFactor:
         return self.low_factor >= 1 and self.high_factor <= 1
 
 
-@dataclass(frozen=True)
+@_record
 class ScaleArgs:
     """The factor and direction of a scale application."""
 
@@ -376,21 +418,21 @@ class ScaleArgs:
     direction: ScaleDirection
 
 
-@dataclass(frozen=True)
+@_record
 class FocusArgs:
     """Focus targets: quality names and/or subject descriptions."""
 
     targets: tuple[TypingUnion[str, Description], ...]
 
 
-@dataclass(frozen=True)
+@_record
 class ObserveArgs:
     """The observer an observe application adds."""
 
     observer: Description
 
 
-@dataclass(frozen=True)
+@_record
 class DeUniversalizeArgs:
     """The percentage annotation a deuniversalize application adds."""
 
@@ -400,7 +442,7 @@ class DeUniversalizeArgs:
 OperatorArgs = TypingUnion[ScaleArgs, FocusArgs, ObserveArgs, DeUniversalizeArgs, None]
 
 
-@dataclass(frozen=True)
+@_record
 class OperatorApplication:
     """One operator applied to input elements, giving output elements."""
 
@@ -534,7 +576,7 @@ REASONING_INTERNAL_SLOTS = frozenset(
 # ===== PART 3: worlds and membership specs =====
 
 
-@dataclass(frozen=True)
+@_record
 class Quantity:
     """A rational value tagged with a measurement unit."""
 
@@ -563,7 +605,7 @@ def exact_decimal(value: Fraction) -> Optional[str]:
     return f"{sign}{digits[:-places]}.{digits[-places:]}"
 
 
-@dataclass(frozen=True)
+@_record
 class QualityRecord:
     """One concrete quality instance living in a world."""
 
@@ -575,7 +617,7 @@ class QualityRecord:
     observers: frozenset[str] = frozenset()
 
 
-@dataclass(frozen=True, eq=False)
+@_record
 class World:
     """A finite instance structure: the brute-force semantic oracle.
 
@@ -637,7 +679,7 @@ def _nonempty(mapping: dict) -> dict:
     return {k: v for k, v in mapping.items() if v}
 
 
-@dataclass(frozen=True)
+@_record
 class PointPrototypes:
     """Prototype points of a region, e.g. two observed exemplar values."""
 
@@ -648,7 +690,7 @@ class PointPrototypes:
             raise ValueError("prototype point set must be non-empty")
 
 
-@dataclass(frozen=True)
+@_record
 class IntervalPrototypes:
     """A whole interval of prototype values."""
 
@@ -660,7 +702,7 @@ class IntervalPrototypes:
             raise ValueError("prototype interval needs a < b")
 
 
-@dataclass(frozen=True)
+@_record
 class PrototypeRegion:
     """A named region of a quality space and its prototypes."""
 
@@ -668,7 +710,7 @@ class PrototypeRegion:
     prototypes: TypingUnion[PointPrototypes, IntervalPrototypes]
 
 
-@dataclass(frozen=True)
+@_record
 class MembershipSpec:
     """Prototype regions of a one-dimensional quality space."""
 
@@ -679,7 +721,7 @@ class MembershipSpec:
 # ===== PART 4: the model container =====
 
 
-@dataclass(frozen=True)
+@_record
 class Model:
     """A requirements model: elements, applications, axioms, marks and world."""
 
@@ -725,7 +767,7 @@ class Model:
         return None
 
 
-@dataclass(frozen=True)
+@_record
 class ValidationDiagnostic:
     """A rule a model breaks, tied to the statement that breaks it."""
 

@@ -10,9 +10,8 @@ diagnostics with source spans; it never returns a half-built model.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union as TypingUnion
+from typing import NamedTuple, Optional, Union as TypingUnion
 
 from .model import (
     EXACTLY_ONE,
@@ -91,8 +90,7 @@ OPERATOR_KEYWORDS = {
 STRENGTH_KEYWORDS = {s.value: s for s in Strength}
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(NamedTuple):
     """A position in a source file, by line, column and offset."""
 
     file: str
@@ -104,8 +102,7 @@ class SourceSpan:
         return f"{self.file}:{self.line}:{self.column}"
 
 
-@dataclass(frozen=True)
-class ParseDiagnostic:
+class ParseDiagnostic(NamedTuple):
     """A parse or validation problem at a source position."""
 
     span: SourceSpan
@@ -853,24 +850,24 @@ class _Parser:
         return MembershipSpec(quality, tuple(regions))
 
 
-@dataclass
 class _Builder:
     """The statements of a model as the parser collects them."""
 
-    name: str = ""
-    elements: list[Element] = field(default_factory=list)
-    applications: list[OperatorApplication] = field(default_factory=list)
-    conflicts: list[frozenset[str]] = field(default_factory=list)
-    axioms: list[Subsumption] = field(default_factory=list)
-    marks: set[str] = field(default_factory=set)
-    world: Optional[World] = None
-    specs: list[MembershipSpec] = field(default_factory=list)
-    # The index of the token each validation subject starts at: an element's
-    # id and the keyword of `application[i]`, `conflict[i]` and `axiom[i]`.
-    # The first `fulfilled` keyword is kept apart, since an element may be
-    # named `fulfilled_marks`.
-    starts: dict[str, int] = field(default_factory=dict)
-    fulfilled: Optional[int] = None
+    def __init__(self) -> None:
+        self.name = ""
+        self.elements: list[Element] = []
+        self.applications: list[OperatorApplication] = []
+        self.conflicts: list[frozenset[str]] = []
+        self.axioms: list[Subsumption] = []
+        self.marks: set[str] = set()
+        self.world: Optional[World] = None
+        self.specs: list[MembershipSpec] = []
+        # The index of the token each validation subject starts at: an
+        # element's id and the keyword of `application[i]`, `conflict[i]`
+        # and `axiom[i]`. The first `fulfilled` keyword is kept apart, since
+        # an element may be named `fulfilled_marks`.
+        self.starts: dict[str, int] = {}
+        self.fulfilled: Optional[int] = None
 
 
 def _parse_statements(parser: _Parser) -> _Builder:

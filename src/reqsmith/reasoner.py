@@ -10,9 +10,8 @@ interrelation queries and strength tag auditing for operator applications
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .model import (
     Description,
@@ -225,9 +224,16 @@ class _Derivation:
         self.table: dict = {}
         self.stack: list = []  # (goal, table entry) of each open goal, by place
         self.low = 0  # the lowest place the running goal has read
+        self.normal: dict = {}  # concept -> its _norm, for `proves`
 
     def proves(self, sub: DLConcept, sup: DLConcept) -> bool:
-        return bool(self.entails(_norm(sub), _norm(sup)))
+        return bool(self.entails(self._normal(sub), self._normal(sup)))
+
+    def _normal(self, c: DLConcept) -> DLConcept:
+        normal = self.normal.get(c)
+        if normal is None:
+            normal = self.normal[c] = _norm(c)
+        return normal
 
     def entails(self, sub: DLConcept, sup: DLConcept) -> int:
         goal = (sub, sup)
@@ -418,8 +424,7 @@ class VerdictStatus(Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class SubsumptionVerdict:
+class SubsumptionVerdict(NamedTuple):
     """A subsumption verdict, with the refuting world when there is one."""
 
     status: VerdictStatus
@@ -493,8 +498,7 @@ def _axiom_repr(ax: DLSubClassOf) -> str:
     return f"{_dl_repr(ax.sub)} :< {_dl_repr(ax.sup)}"
 
 
-@dataclass
-class _Saturation:
+class _Saturation(NamedTuple):
     """The saturated world, or None with the clashes that stopped saturation."""
 
     world: Optional[World]
@@ -631,8 +635,7 @@ class ConsistencyStatus(Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class ConsistencyResult:
+class ConsistencyResult(NamedTuple):
     """Whether a model's world is consistent with its axioms, and why."""
 
     status: ConsistencyStatus
@@ -727,8 +730,7 @@ def query(model: Model, pattern: Description) -> frozenset[str]:
 # ===== PART 6: strength tag audit =====
 
 
-@dataclass(frozen=True)
-class StrengthDiagnostic:
+class StrengthDiagnostic(NamedTuple):
     """A strength tag the audit rejects, with the reason."""
 
     application_index: int
@@ -807,8 +809,7 @@ class FulfillmentStatus(Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class FulfillmentState:
+class FulfillmentState(NamedTuple):
     """The fulfillment status of each element, and any warnings."""
 
     states: dict[str, FulfillmentStatus]

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -36,14 +35,14 @@ from .semantics import (
 )
 
 
-@dataclass
 class _Vocabulary:
     """The atoms, slots, nominals and data facets the search builds worlds from."""
 
-    atoms: set[str] = field(default_factory=set)
-    slots: set[str] = field(default_factory=set)
-    nominals: set[str] = field(default_factory=set)
-    data_slots: dict[str, set] = field(default_factory=dict)  # slot -> {(value, unit)}
+    def __init__(self) -> None:
+        self.atoms: set[str] = set()
+        self.slots: set[str] = set()
+        self.nominals: set[str] = set()
+        self.data_slots: dict[str, set] = {}  # slot -> {(value, unit)}
 
 
 def _facets(c: DLConcept) -> list[DLDataRange]:

@@ -12,10 +12,9 @@ for percentage annotations.
 from __future__ import annotations
 
 from collections import _tuplegetter
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .model import (
     AtomicConcept,
@@ -68,8 +67,7 @@ class HoldsStatus(Enum):
     NOT_APPLICABLE = "not-applicable"
 
 
-@dataclass(frozen=True)
-class HoldsResult:
+class HoldsResult(NamedTuple):
     """Whether an element holds in a world, and the individuals that
     violate it."""
 

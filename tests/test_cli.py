@@ -1,7 +1,10 @@
 """End-to-end tests for the command-line interface."""
 
 import ast
+import contextlib
+import hashlib
 import importlib.util
+import io
 import json
 import os
 import random
@@ -832,16 +835,102 @@ def test_fmt_run_as_a_module_imports_neither_reasoner_nor_semantics(tmp_path):
     }
 
 
+def _source_classes():
+    for path in sorted(Path(reqsmith.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                yield path.name, node
+
+
+def _decorator_names(node: ast.ClassDef) -> set:
+    targets = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    return {getattr(t, "id", None) or getattr(t, "attr", None) for t in targets}
+
+
 def test_every_dataclass_has_a_docstring():
     # Without one, dataclass() builds __doc__ from inspect.signature, which
     # costs about a sixth more per class on every start.
-    missing = []
-    for path in sorted(Path(reqsmith.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
-            if any(getattr(d, "id", None) == "dataclass" for d in decorators):
-                if ast.get_docstring(node) is None:
-                    missing.append(f"{path.name}:{node.lineno} {node.name}")
+    missing = [
+        f"{module}:{node.lineno} {node.name}"
+        for module, node in _source_classes()
+        if _decorator_names(node) & {"dataclass", "_record"}
+        and ast.get_docstring(node) is None
+    ]
     assert missing == []
+
+
+def test_no_record_generates_its_own_value_methods():
+    # dataclass() generates and compiles each class's methods at import. The
+    # model records share one __eq__, __hash__ and __repr__ through
+    # model._record; every other record is a named tuple.
+    declared = [
+        f"{module}:{node.lineno} {node.name}"
+        for module, node in _source_classes()
+        if "dataclass" in _decorator_names(node)
+        or (module != "model.py" and "_record" in _decorator_names(node))
+    ]
+    assert declared == []
+    model_source = Path(reqsmith.__file__).with_name("model.py").read_text(encoding="utf-8")
+    calls = [
+        {k.arg: ast.literal_eval(k.value) for k in node.keywords}
+        for node in ast.walk(ast.parse(model_source))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "dataclass"
+    ]
+    assert calls == [{"frozen": True, "eq": False, "repr": False}]
+
+
+# ===== golden output =====
+
+GOLDEN = Path(__file__).parent / "cli_golden.json"
+GOLDEN_PATTERN = "<object: Ticket> | <actor: {the_system}>"
+GOLDEN_COMMANDS = ("fmt", "check", "lint", "query", "fulfill", "translate")
+
+
+def _golden_digests(fixture: Path) -> dict:
+    """Run each command on a copy of `fixture` in the current directory,
+    in-process.
+
+    Each digest is the sha256 of the exit code, stdout, stderr and the
+    written ontology document.
+    """
+    name = fixture.name
+    Path(name).write_bytes(fixture.read_bytes())
+    out = Path(name).with_suffix(".ofn")
+    digests = {}
+    for command in GOLDEN_COMMANDS:
+        for json_flag in ([], ["--json"]):
+            argv = [command, name, *json_flag]
+            if command == "query":
+                argv += ["--pattern", GOLDEN_PATTERN]
+            if command == "translate":
+                argv += ["--out", out.name]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(argv)
+            written = out.read_text(encoding="utf-8") if out.exists() else None
+            out.unlink(missing_ok=True)
+            record = json.dumps([code, stdout.getvalue(), stderr.getvalue(), written])
+            digests[" ".join([command, *json_flag])] = hashlib.sha256(
+                record.encode("utf-8")
+            ).hexdigest()
+    return digests
+
+
+GOLDEN_FIXTURES = sorted((Path(__file__).parent / "fixtures").glob("*.dsr"))
+
+
+@pytest.mark.parametrize("fixture", GOLDEN_FIXTURES, ids=lambda p: p.stem)
+def test_cli_output_matches_the_recorded_digests(tmp_path, monkeypatch, fixture):
+    monkeypatch.chdir(tmp_path)
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert _golden_digests(fixture) == golden[fixture.stem]
+
+
+if __name__ == "__main__":
+    # Record the digests again: PYTHONPATH=src python tests/test_cli.py
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as workdir:
+        os.chdir(workdir)
+        digests = {f.stem: _golden_digests(f) for f in GOLDEN_FIXTURES}
+    GOLDEN.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n", encoding="utf-8")

@@ -7,6 +7,7 @@ derivation rules, computed here by plain round-robin iteration.
 
 import random
 
+from reqsmith import reasoner
 from reqsmith.reasoner import _VIA_AXIOM, _Derivation, _as_dl_axiom, _norm
 from reqsmith.semantics import (
     DLAnd,
@@ -209,3 +210,19 @@ def test_dense_axiom_sets_keep_the_least_fixpoint():
         expected = _assert_components_settle(axioms, goals)
         proven += sum(1 for (a, b), value in zip(goals, expected) if value and a != b)
     assert proven >= 60
+
+
+def test_proves_normalizes_each_concept_once(monkeypatch):
+    normalized = []
+
+    def counting_norm(c):
+        normalized.append(c)
+        return _norm(c)
+
+    a, b = DLAtomic("A"), DLExists("r", DLAtomic("B"))
+    axioms = [DLSubClassOf(a, _norm(b))]
+    derivation = _Derivation(axioms)
+    monkeypatch.setattr(reasoner, "_norm", counting_norm)
+    verdicts = [derivation.proves(a, b), derivation.proves(b, a), derivation.proves(a, b)]
+    assert verdicts == [True, False, True]
+    assert normalized.count(a) == 1 and normalized.count(b) == 1

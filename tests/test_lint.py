@@ -528,6 +528,11 @@ goal G3 := "notify users with email";
 def test_findings_only_suggest_real_operators():
     with pytest.raises(ValueError, match="operator"):
         LintFinding("E1", Issue.AMBIGUOUS, "detail", "rewrite")
+    finding = LintFinding("E1", Issue.AMBIGUOUS, "detail", suggested_operator="reduce")
+    with pytest.raises(ValueError, match="operator"):
+        finding._replace(suggested_operator="rewrite")
+    assert finding._replace(detail="other").detail == "other"
+    assert finding == ("E1", Issue.AMBIGUOUS, "detail", "reduce", None)
 
 
 # ===== classification hints =====

@@ -1,10 +1,17 @@
 """Tests for the core data model: validation, symbols, normalization."""
 
+import copy
+import dataclasses
+import importlib.util
+import pickle
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from reqsmith import model as model_module
 from reqsmith.export import _decimal_digits
 from reqsmith.membership import format_degree
 from reqsmith.model import (
@@ -41,9 +48,11 @@ from reqsmith.model import (
     mentions,
     normalize,
     subterms,
+    World,
     validate_model,
 )
-from reqsmith.parser import format_rational
+from reqsmith.operators import apply_focus
+from reqsmith.parser import format_rational, parse_model
 
 A = AtomicConcept
 F = Fraction
@@ -392,3 +401,159 @@ def test_decimal_renderers_agree_on_the_pinned_table(value, rational, literal, d
     assert format_degree(value) == degree
     exact = exact_decimal(value)
     assert exact == (rational if "/" not in rational else None)
+
+
+# ===== record value semantics =====
+
+
+def _bench_models(workdir):
+    spec = importlib.util.spec_from_file_location(
+        "reqsmith_bench_gen", Path(__file__).parents[1] / "bench" / "gen.py"
+    )
+    gen = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = gen
+    try:
+        spec.loader.exec_module(gen)
+    finally:
+        del sys.modules[spec.name]
+    texts = []
+    for name in gen.WORKLOADS:
+        work = gen.generate(name, 1, workdir / name)
+        texts.extend(text for file, text in sorted(work.files.items()) if file != "one.dsr")
+    return texts
+
+
+def _walk_records(value, found: dict) -> None:
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        if id(value) not in found:
+            found[id(value)] = value
+            for f in dataclasses.fields(value):
+                _walk_records(getattr(value, f.name), found)
+    elif isinstance(value, (tuple, frozenset)):
+        for item in value:
+            _walk_records(item, found)
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            _walk_records(key, found)
+            _walk_records(item, found)
+
+
+# The records neither the fixtures nor the bench models reach; a focus
+# application's arguments and a validation diagnostic are built apart.
+RARE_RECORDS = """model rare;
+qc SQ1 := Cost (Service) :: [0, 10];
+qc SQ2 := Cost (Service) :: [0, 12];
+scale_down SQ1 -> SQ2 by (1, 6/5);
+qg OQ1 := Style (UI) :: Simple;
+qc OQ2 := Style (UI) :: Simple (measured) <observed_by: Surveyed_user>;
+observe OQ1 -> OQ2 by Surveyed_user;
+qg RQ1 := Style (User_interface) :: Simple;
+qg RQ2 := Style (User_interface) :: Simple u(?X, inheres_in, 80%);
+deuniv RQ1 -> RQ2 u(?X, inheres_in, 80%);
+qg FQ1 := Security (The_system) :: Good;
+qg FQ2 := Security (The_system | The_data_module) :: Good;
+focus FQ1 -> FQ2;
+func F1 := Act <r: {"1", 1}>;
+regions Cost {
+  low = points {500, 700};
+}
+world {
+  data duration(c1) = 25 Sec;
+  quality pt1 : Processing_time inheres f1 value 25 Sec observed_by {u1};
+}
+"""
+
+
+@pytest.fixture(scope="module")
+def records_by_class(tmp_path_factory):
+    """Every model record reachable from the fixtures, the seed-1 bench
+    models and the rare-record model, grouped by class."""
+    fixtures = Path(__file__).parent / "fixtures"
+    texts = [p.read_text(encoding="utf-8") for p in sorted(fixtures.glob("*.dsr"))]
+    texts += _bench_models(tmp_path_factory.mktemp("bench"))
+    rare = parse_model(RARE_RECORDS)
+    doubled = dataclasses.replace(rare, elements=rare.elements * 2)
+    found: dict = {}
+    _walk_records(tuple(validate_model(doubled)), found)
+    _walk_records(apply_focus(rare, "FQ1", ["Safety", A("The_data_module")]), found)
+    for text in texts + [RARE_RECORDS]:
+        model = parse_model(text)
+        if isinstance(model, Model):
+            _walk_records(model, found)
+    grouped: dict = {}
+    for record in found.values():
+        grouped.setdefault(type(record), []).append(record)
+    return grouped
+
+
+_GENERATED: dict = {}  # record class -> the same fields as a plain dataclass
+
+
+def _as_generated_dataclass(record):
+    """`record` as an instance of its class rebuilt by plain
+    `dataclass(frozen=True)`, whose methods are generated."""
+    cls = type(record)
+    names = [f.name for f in dataclasses.fields(cls)]
+    if cls not in _GENERATED:
+        _GENERATED[cls] = dataclasses.make_dataclass(cls.__qualname__, names, frozen=True)
+    return _GENERATED[cls](*[getattr(record, name) for name in names])
+
+
+def _hash_or_none(value):
+    # A model with a world is unhashable, as the world is.
+    try:
+        return hash(value)
+    except TypeError:
+        return None
+
+
+def test_model_records_compare_hash_and_print_as_generated_dataclasses(records_by_class):
+    records = {
+        value
+        for value in vars(model_module).values()
+        if isinstance(value, type) and dataclasses.is_dataclass(value)
+    }
+    assert set(records_by_class) == records
+    other = {cls: group[0] for cls, group in records_by_class.items()}
+    for cls, group in records_by_class.items():
+        stranger = next(r for c, r in other.items() if c is not cls)
+        for a, b in zip(group, group[1:] + group[:1]):
+            ref_a, ref_b = _as_generated_dataclass(a), _as_generated_dataclass(b)
+            assert repr(a) == repr(ref_a)
+            if cls is World:
+                continue
+            assert _hash_or_none(a) == _hash_or_none(ref_a)
+            assert (a == b) == (ref_a == ref_b)
+            assert (a != b) == (ref_a != ref_b)
+            assert a == dataclasses.replace(a)
+            assert a.__eq__(stranger) is NotImplemented
+            assert ref_a.__eq__(_as_generated_dataclass(stranger)) is NotImplemented
+
+
+def test_a_world_keeps_its_own_equality_and_no_hash():
+    plain = World(individuals=frozenset({"x"}), concept_extensions={"A": frozenset()})
+    assert plain == World(individuals=frozenset({"x"}))
+    assert World.__hash__ is None
+    with pytest.raises(TypeError):
+        hash(plain)
+
+
+def test_model_records_stay_frozen_dataclasses_that_copy(records_by_class):
+    for cls, group in records_by_class.items():
+        names = [f.name for f in dataclasses.fields(cls)]
+        for record in (group[0], group[-1]):
+            if names:
+                same = dataclasses.replace(record, **{names[0]: getattr(record, names[0])})
+                assert same == record and same is not record
+            for copied in (
+                copy.copy(record),
+                copy.deepcopy(record),
+                pickle.loads(pickle.dumps(record)),
+            ):
+                assert type(copied) is cls
+                assert copied == record
+            name = names[0] if names else "extra"
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(record, name)
