@@ -884,6 +884,44 @@ def test_no_record_generates_its_own_value_methods():
 GOLDEN = Path(__file__).parent / "cli_golden.json"
 GOLDEN_PATTERN = "<object: Ticket> | <actor: {the_system}>"
 GOLDEN_COMMANDS = ("fmt", "check", "lint", "query", "fulfill", "translate")
+# `membership --quality Cost` runs on the fixtures that declare Cost regions,
+# at every breakpoint t1..t4 of each adjacent pair (650 to 1250), one value
+# inside each region, one far outside each end, 1100 (whose degrees on
+# `cost`, 2/3 and 1/3, are no terminating decimals) and a non-number. Each
+# value is graded for all regions and for each region alone.
+GOLDEN_MEMBERSHIP_REGIONS = {
+    "cost": ("low", "medium", "high"),
+    "cost_points": ("low", "medium", "high"),
+}
+GOLDEN_MEMBERSHIP_VALUES = (
+    "-100000", "600", "650", "750", "850", "900", "1000",
+    "1100", "1150", "1250", "1300", "100000", "cheap",
+)
+
+
+def _golden_argvs(fixture: Path, name: str, out: Path):
+    """Yield the key and argv of each command recorded for `fixture`."""
+    for command in GOLDEN_COMMANDS:
+        argv = [command, name]
+        if command == "query":
+            argv += ["--pattern", GOLDEN_PATTERN]
+        if command == "translate":
+            argv += ["--out", out.name]
+        yield command, argv
+    regions = GOLDEN_MEMBERSHIP_REGIONS.get(fixture.stem)
+    if regions is None:
+        return
+    cases = [
+        ["--quality", "Cost", "--value", value, *region]
+        for value in GOLDEN_MEMBERSHIP_VALUES
+        for region in ([], *(["--region", r] for r in regions))
+    ]
+    cases += [
+        ["--quality", "Speed", "--value", "600"],
+        ["--quality", "Cost", "--value", "600", "--region", "enormous"],
+    ]
+    for case in cases:
+        yield " ".join(["membership", *case]), ["membership", name, *case]
 
 
 def _golden_digests(fixture: Path) -> dict:
@@ -897,20 +935,15 @@ def _golden_digests(fixture: Path) -> dict:
     Path(name).write_bytes(fixture.read_bytes())
     out = Path(name).with_suffix(".ofn")
     digests = {}
-    for command in GOLDEN_COMMANDS:
+    for key, argv in _golden_argvs(fixture, name, out):
         for json_flag in ([], ["--json"]):
-            argv = [command, name, *json_flag]
-            if command == "query":
-                argv += ["--pattern", GOLDEN_PATTERN]
-            if command == "translate":
-                argv += ["--out", out.name]
             stdout, stderr = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                code = main(argv)
+                code = main(argv + json_flag)
             written = out.read_text(encoding="utf-8") if out.exists() else None
             out.unlink(missing_ok=True)
             record = json.dumps([code, stdout.getvalue(), stderr.getvalue(), written])
-            digests[" ".join([command, *json_flag])] = hashlib.sha256(
+            digests[" ".join([key, *json_flag])] = hashlib.sha256(
                 record.encode("utf-8")
             ).hexdigest()
     return digests
