@@ -198,13 +198,7 @@ def _cmd_translate(args) -> int:
 
 
 def _cmd_membership(args) -> int:
-    from .membership import (
-        MembershipError,
-        format_degree,
-        membership_intervals,
-        membership_points,
-    )
-    from .model import PointPrototypes
+    from .membership import MembershipError, format_degree, membership_degrees
 
     model = _load_model(args.file)
     spec = model.spec_for(args.quality)
@@ -217,33 +211,27 @@ def _cmd_membership(args) -> int:
     except (ValueError, ZeroDivisionError) as err:
         raise _CliError(f"--value must be a number, not {args.value!r}") from err
     try:
-        if isinstance(spec.regions[0].prototypes, PointPrototypes):
-            degrees = membership_points(value, spec.regions)
-        else:
-            degrees = membership_intervals(value, spec.regions)
+        degrees = membership_degrees(value, spec.regions)
     except MembershipError as err:
         raise _CliError(str(err)) from err
+    # Text prints one line per declared region, a repeated name included;
+    # a single --region prints its degree alone.
+    names = [region.name for region in spec.regions]
     if args.region is not None:
         if args.region not in degrees:
             raise _CliError(
                 f"region {args.region!r} is not declared for {args.quality}"
             )
-        if args.json:
-            from .export import emit_report
-
-            report = {args.region: format_degree(degrees[args.region])}
-            print(emit_report([], report, []), end="")
-        else:
-            print(format_degree(degrees[args.region]))
-        return 0
+        names = [args.region]
     if args.json:
         from .export import emit_report
 
-        report = {name: format_degree(d) for name, d in degrees.items()}
+        report = {name: format_degree(degrees[name]) for name in names}
         print(emit_report([], report, []), end="")
     else:
-        for region in spec.regions:
-            print(f"{region.name}: {format_degree(degrees[region.name])}")
+        for name in names:
+            degree = format_degree(degrees[name])
+            print(degree if args.region is not None else f"{name}: {degree}")
     return 0
 
 

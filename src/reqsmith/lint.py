@@ -12,6 +12,7 @@ text can be routed to a first-draft declaration.
 """
 
 import re
+from collections import Counter
 from typing import NamedTuple
 
 from .findings import Issue, LintFinding
@@ -195,28 +196,25 @@ def _incomplete(live, successors, config) -> list[LintFinding]:
     return out
 
 
+def _multiset(descriptions) -> frozenset:
+    """The normalized descriptions, in any order, each with its count."""
+    return frozenset(Counter(normalize(d) for d in descriptions).items())
+
+
 def _body_key(body) -> tuple:
     """A canonical, order-insensitive key for duplicate detection."""
     if isinstance(body, NaturalLanguage):
         return ("nl", " ".join(body.text.casefold().split()))
     if isinstance(body, FunctionDesc):
-        return (
-            "fn",
-            body.head,
-            tuple(sorted(repr(normalize(s)) for s in body.slots)),
-        )
+        return ("fn", body.head, _multiset(body.slots))
     if isinstance(body, Subsumption):
-        return (
-            "sub",
-            repr(normalize(body.subsumee)),
-            repr(normalize(body.subsumer)),
-        )
+        return ("sub", normalize(body.subsumee), normalize(body.subsumer))
     return (
         "q",
-        repr(normalize(body.quality)),
-        repr(normalize(body.subject)),
-        repr(body.region),
-        tuple(sorted(repr(normalize(o)) for o in body.observers)),
+        normalize(body.quality),
+        normalize(body.subject),
+        body.region,
+        _multiset(body.observers),
         tuple(sorted((a.matched_path, str(a.pct_low)) for a in body.pct_annotations)),
     )
 

@@ -5,8 +5,9 @@ whole prototype interval. A completion picks one concrete prototype from
 every region; each completion induces a nearest-prototype tessellation of
 the value line. The membership degree of a value in a region is the measure
 of completions that place the value strictly inside that region's cell:
-a counting measure for point prototypes, an area measure (evaluated in
-closed piecewise form) for interval prototypes.
+a counting measure for point prototypes, an area measure for interval
+prototypes. Degrees are computed pointwise, one queried value at a time; the
+library exposes no closed-form pieces of the membership function.
 
 All arithmetic is exact over rationals.
 """
@@ -14,9 +15,8 @@ All arithmetic is exact over rationals.
 from __future__ import annotations
 
 import itertools
-from enum import Enum
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Sequence, Union
 
 from .model import (
     Element,
@@ -36,71 +36,16 @@ class MembershipError(ValueError):
     """Raised for ill-formed prototype specs or unanswerable queries."""
 
 
-class PieceKind(Enum):
-    CONSTANT = "constant"
-    LINEAR = "linear"
-    QUADRATIC = "quadratic"
-
-
-class Piece(NamedTuple):
-    """One polynomial piece of a membership function.
-
-    The domain is [lo, hi] with None standing for an unbounded side; coeffs
-    are polynomial coefficients in ascending degree order.
-    """
-
-    lo: Optional[Fraction]
-    hi: Optional[Fraction]
-    kind: PieceKind
-    coeffs: tuple[Fraction, ...]
-
-
-class MembershipFunction(NamedTuple):
-    """The membership degree of one region, piece by piece."""
-
-    region: str
-    pieces: tuple[Piece, ...]
-
-    def evaluate_piece(self, piece: Piece, p: Fraction) -> Fraction:
-        total = Fraction(0)
-        power = Fraction(1)
-        for coeff in piece.coeffs:
-            total += coeff * power
-            power *= p
-        return total
-
-    def evaluate(self, p: Fraction) -> Fraction:
-        for piece in self.pieces:
-            if (piece.lo is None or p >= piece.lo) and (piece.hi is None or p <= piece.hi):
-                return self.evaluate_piece(piece, p)
-        raise MembershipError(f"pieces of {self.region} do not cover {p}")
-
-
 # ===== helpers =====
 
 
-def _point_regions(regions: Sequence[PrototypeRegion]) -> list[PointPrototypes]:
-    protos = []
-    for region in regions:
-        if not isinstance(region.prototypes, PointPrototypes):
-            raise MembershipError(
-                "point and interval prototype styles may not be mixed in one computation"
-            )
-        protos.append(region.prototypes)
-    return protos
-
-
-def _interval_regions(
-    regions: Sequence[PrototypeRegion],
-) -> list[tuple[Fraction, Fraction]]:
-    bounds = []
-    for region in regions:
-        if not isinstance(region.prototypes, IntervalPrototypes):
-            raise MembershipError(
-                "point and interval prototype styles may not be mixed in one computation"
-            )
-        bounds.append((region.prototypes.a, region.prototypes.b))
-    return bounds
+def _prototypes(regions: Sequence[PrototypeRegion], style: type) -> list:
+    """The prototypes of every region, each of which must be of `style`."""
+    if not all(isinstance(region.prototypes, style) for region in regions):
+        raise MembershipError(
+            "point and interval prototype styles may not be mixed in one computation"
+        )
+    return [region.prototypes for region in regions]
 
 
 def _as_interval(r: Union[PrototypeRegion, IntervalPrototypes]) -> IntervalPrototypes:
@@ -125,7 +70,7 @@ def membership_points(
     region whose selected prototype is strictly nearest. Ties assign `p` to
     no region, so degrees can undershoot a full partition on tie points.
     """
-    protos = _point_regions(regions)
+    protos = _prototypes(regions, PointPrototypes)
     hulls = [(min(pp.values), max(pp.values)) for pp in protos]
     for (_, hi), (lo, _) in zip(hulls, hulls[1:]):
         if not hi < lo:
@@ -150,21 +95,16 @@ def membership_points(
 # ===== interval prototypes =====
 
 
-def _pair_breakpoints(
-    a: Fraction, b: Fraction, c: Fraction, d: Fraction
-) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    t1 = (a + c) / 2
-    t2 = min((b + c) / 2, (a + d) / 2)
-    t3 = max((b + c) / 2, (a + d) / 2)
-    t4 = (b + d) / 2
-    return t1, t2, t3, t4
-
-
 def _pair_degree_r1(
     p: Fraction, a: Fraction, b: Fraction, c: Fraction, d: Fraction
 ) -> Fraction:
-    """Area fraction of [a,b] x [c,d] above the line x + y = 2p."""
-    t1, t2, t3, t4 = _pair_breakpoints(a, b, c, d)
+    """Area fraction of [a,b] x [c,d] above the line x + y = 2p.
+
+    The fraction is 1 up to t1 and 0 from t4 on. Between them it falls
+    quadratically to t2, linearly from t2 to t3, and quadratically to t4.
+    """
+    t1, t4 = (a + c) / 2, (b + d) / 2
+    t2, t3 = min((b + c) / 2, (a + d) / 2), max((b + c) / 2, (a + d) / 2)
     k = 2 * (b - a) * (d - c)
     if p <= t1:
         return Fraction(1)
@@ -203,7 +143,7 @@ def membership_intervals(
     left and by its pair with the next region on the right. Outermost flanks
     stay at one toward the open side, so the degrees always sum to one.
     """
-    bounds = _interval_regions(regions)
+    bounds = [(i.a, i.b) for i in _prototypes(regions, IntervalPrototypes)]
     for (_, hi), (lo, _) in zip(bounds, bounds[1:]):
         if not hi < lo:
             raise MembershipError("interval regions must be ordered and disjoint")
@@ -223,90 +163,15 @@ def membership_intervals(
     return degrees
 
 
-def _r1_interior_pieces(
-    a: Fraction, b: Fraction, c: Fraction, d: Fraction
-) -> list[Piece]:
-    """Pieces of the left region's degree on the transition zone [t1, t4]."""
-    t1, t2, t3, t4 = _pair_breakpoints(a, b, c, d)
-    k = 2 * (b - a) * (d - c)
-    pieces = [
-        Piece(
-            t1,
-            t2,
-            PieceKind.QUADRATIC,
-            (1 - (a + c) ** 2 / k, 4 * (a + c) / k, Fraction(-4) / k),
-        )
-    ]
-    if t2 < t3:
-        if b - a < d - c:
-            denom = 2 * (d - c)
-            pieces.append(
-                Piece(t2, t3, PieceKind.LINEAR, ((2 * d + a + b) / denom, -4 / denom))
-            )
-        else:
-            denom = 2 * (b - a)
-            pieces.append(
-                Piece(t2, t3, PieceKind.LINEAR, ((2 * b + c + d) / denom, -4 / denom))
-            )
-    pieces.append(
-        Piece(
-            t3,
-            t4,
-            PieceKind.QUADRATIC,
-            ((b + d) ** 2 / k, -4 * (b + d) / k, Fraction(4) / k),
-        )
-    )
-    return pieces
-
-
-def _complement(piece: Piece) -> Piece:
-    coeffs = list(piece.coeffs)
-    coeffs[0] = 1 - coeffs[0]
-    for i in range(1, len(coeffs)):
-        coeffs[i] = -coeffs[i]
-    return Piece(piece.lo, piece.hi, piece.kind, tuple(coeffs))
-
-
-def derive_membership_function(
-    regions: Sequence[PrototypeRegion],
-) -> list[MembershipFunction]:
-    """Build the symbolic piecewise membership function of every region."""
-    bounds = _interval_regions(regions)
-    for (_, hi), (lo, _) in zip(bounds, bounds[1:]):
-        if not hi < lo:
-            raise MembershipError("interval regions must be ordered and disjoint")
-
-    constant = lambda lo, hi, value: Piece(lo, hi, PieceKind.CONSTANT, (Fraction(value),))
-    functions = []
-    for index, region in enumerate(regions):
-        pieces: list[Piece] = []
-        left_pair = None if index == 0 else (bounds[index - 1] + bounds[index])
-        right_pair = (
-            None if index + 1 == len(regions) else (bounds[index] + bounds[index + 1])
-        )
-        if left_pair is None and right_pair is None:
-            pieces.append(constant(None, None, 1))
-        elif left_pair is None:
-            t1, _, _, t4 = _pair_breakpoints(*right_pair)
-            pieces.append(constant(None, t1, 1))
-            pieces.extend(_r1_interior_pieces(*right_pair))
-            pieces.append(constant(t4, None, 0))
-        elif right_pair is None:
-            t1, _, _, t4 = _pair_breakpoints(*left_pair)
-            pieces.append(constant(None, t1, 0))
-            pieces.extend(_complement(p) for p in _r1_interior_pieces(*left_pair))
-            pieces.append(constant(t4, None, 1))
-        else:
-            _, _, _, left_t4 = _pair_breakpoints(*left_pair)
-            right_t1, _, _, right_t4 = _pair_breakpoints(*right_pair)
-            left_t1 = _pair_breakpoints(*left_pair)[0]
-            pieces.append(constant(None, left_t1, 0))
-            pieces.extend(_complement(p) for p in _r1_interior_pieces(*left_pair))
-            pieces.append(constant(left_t4, right_t1, 1))
-            pieces.extend(_r1_interior_pieces(*right_pair))
-            pieces.append(constant(right_t4, None, 0))
-        functions.append(MembershipFunction(region.name, tuple(pieces)))
-    return functions
+def membership_degrees(
+    p: Fraction, regions: Sequence[PrototypeRegion]
+) -> dict[str, Fraction]:
+    """Degrees of `p` in every region, under the measure of the regions'
+    prototype style: points when the first region has points, else intervals.
+    """
+    if regions and isinstance(regions[0].prototypes, PointPrototypes):
+        return membership_points(p, regions)
+    return membership_intervals(p, regions)
 
 
 # ===== satisfaction of quality goals =====
@@ -326,11 +191,7 @@ def satisfaction_degree(
         raise MembershipError("the element's region must be a named region")
     if all(r.name != target_region for r in regions):
         raise MembershipError(f"region {target_region} is not in the prototype spec")
-    if regions and isinstance(regions[0].prototypes, PointPrototypes):
-        degrees = membership_points(observed_value, regions)
-    else:
-        degrees = membership_intervals(observed_value, regions)
-    return degrees[target_region]
+    return membership_degrees(observed_value, regions)[target_region]
 
 
 def format_degree(value: Fraction) -> str:

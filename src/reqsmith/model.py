@@ -46,8 +46,8 @@ def _record_repr(self) -> str:
 def _record(cls):
     """Make `cls` a frozen dataclass with the shared value methods.
 
-    A class that defines its own `__eq__` keeps it, and keeps the
-    `__hash__ = None` that Python then gives it.
+    A class that defines its own `__eq__` keeps it, and keeps its own
+    `__hash__` too.
     """
     cls = dataclass(frozen=True, eq=False, repr=False)(cls)
     if "__eq__" not in cls.__dict__:
@@ -663,20 +663,28 @@ class World:
             quality_records=(),
         )
 
+    def _contents(self) -> tuple:
+        """What equality and hashing read: the materialized world, with
+        empty extension and slot entries dropped."""
+        w = self.materialize()
+        return (
+            frozenset(w.individuals),
+            _nonempty(w.concept_extensions),
+            _nonempty(w.slot_tuples),
+            frozenset(w.data_values.items()),
+        )
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, World):
             return NotImplemented
-        a, b = self.materialize(), other.materialize()
-        return (
-            a.individuals == b.individuals
-            and _nonempty(a.concept_extensions) == _nonempty(b.concept_extensions)
-            and _nonempty(a.slot_tuples) == _nonempty(b.slot_tuples)
-            and a.data_values == b.data_values
-        )
+        return self._contents() == other._contents()
+
+    def __hash__(self) -> int:
+        return hash(self._contents())
 
 
-def _nonempty(mapping: dict) -> dict:
-    return {k: v for k, v in mapping.items() if v}
+def _nonempty(mapping: dict) -> frozenset:
+    return frozenset((k, frozenset(v)) for k, v in mapping.items() if v)
 
 
 @_record

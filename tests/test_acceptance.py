@@ -14,7 +14,6 @@ from pathlib import Path
 import pytest
 
 from reqsmith.membership import (
-    derive_membership_function,
     format_degree,
     membership_interval_pair,
     membership_intervals,
@@ -169,19 +168,23 @@ def test_pair_measure_grid_agreement_continuity_and_unit_sum():
             assert d1 + d2 == 1
             assert abs(d1 - _grid_degree(p, a, b, c, d)) <= F(1, 1000)
 
-    # piecewise forms meet exactly at every breakpoint
+    # degrees are continuous at every breakpoint t1..t4 of each adjacent pair:
+    # |deg(t +- eps) - deg(t)| <= K eps, where K = 2 / (narrowest prototype
+    # width) bounds the slope of the pair measure
     families = (
         COST_INTERVALS,
         (iregion("small", 0, 10), iregion("mid", 20, 50), iregion("large", 60, 100)),
     )
+    eps = F(1, 10**6)
     for family in families:
-        for fn in derive_membership_function(family):
-            for left, right in zip(fn.pieces, fn.pieces[1:]):
-                assert left.hi == right.lo
-                boundary = left.hi
-                assert fn.evaluate_piece(left, boundary) == fn.evaluate_piece(
-                    right, boundary
-                )
+        bounds = [(r.prototypes.a, r.prototypes.b) for r in family]
+        slope = 2 / min(b - a for a, b in bounds)
+        for (a, b), (c, d) in zip(bounds, bounds[1:]):
+            for t in ((a + c) / 2, (b + c) / 2, (a + d) / 2, (b + d) / 2):
+                at = membership_intervals(t, family)
+                for p in (t - eps, t + eps):
+                    near = membership_intervals(p, family)
+                    assert all(abs(near[name] - at[name]) <= slope * eps for name in at)
 
     # degrees over a full family always sum to one
     rng = random.Random(1000)

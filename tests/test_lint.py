@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from reqsmith import model as model_module
 from reqsmith import reasoner
 from reqsmith.lint import (
     Issue,
@@ -184,6 +185,33 @@ def test_redundancy_sees_through_surface_order():
         "fg FG2 := (Beta Alpha) :< Collected;\n"
     )
     assert [f.element_id for f in findings(m, Issue.REDUNDANT)] == ["FG2"]
+
+
+def test_redundancy_compares_records_without_printing_them(monkeypatch):
+    m = parsed(
+        "model r;\n"
+        "func F1 := Book <actor: User> <object: Ticket>;\n"
+        "func F2 := Book <object: Ticket> <actor: User>;\n"
+        "func F3 := Book <object: Ticket> <object: Ticket> <actor: User>;\n"
+        "fg FG1 := (Alpha Beta) :< Collected;\n"
+        "fg FG2 := (Beta Alpha) :< Collected;\n"
+        "qg QG1 := Cost ({s}) :: [1, 2] <observed_by: A> <observed_by: B>;\n"
+        "qg QG2 := Cost ({s}) :: [1, 2] <observed_by: B> <observed_by: A>;\n"
+        "qg QG3 := Cost ({s}) :: [1, 2] <observed_by: A> <observed_by: A>;\n"
+    )
+
+    def refuse(self):
+        raise AssertionError(f"lint printed a {type(self).__name__}")
+
+    for value in vars(model_module).values():
+        if getattr(value, "__repr__", None) is model_module._record_repr:
+            monkeypatch.setattr(value, "__repr__", refuse)
+    hits = findings(m, Issue.REDUNDANT)
+    assert [(f.element_id, f.detail.split()[1]) for f in hits] == [
+        ("F2", "F1"),
+        ("FG2", "FG1"),
+        ("QG2", "QG1"),
+    ]
 
 
 def test_same_body_under_different_kinds_is_not_redundant():

@@ -12,7 +12,6 @@ import pytest
 
 from reqsmith.membership import (
     MembershipError,
-    derive_membership_function,
     format_degree,
     membership_interval_pair,
     membership_intervals,
@@ -151,6 +150,7 @@ def test_pair_symmetric_case():
         left, _ = membership_interval_pair(F(3, 2) - t, r1, r2)
         _, right = membership_interval_pair(F(3, 2) + t, r1, r2)
         assert left == right
+    assert membership_interval_pair(F(3, 2), r1, r2) == (F(1, 2), F(1, 2))
 
 
 # ===== interval collation =====
@@ -159,6 +159,9 @@ def test_pair_symmetric_case():
 def test_collation_worked_example():
     degrees = membership_intervals(F(740), COST_INTERVALS)
     assert degrees == {"low": F("0.595"), "medium": F("0.405"), "high": 0}
+    # the low region's degree at its pair's breakpoints t1, t2 = t3 and t4
+    lows = [membership_intervals(F(p), COST_INTERVALS)["low"] for p in (650, 750, 850)]
+    assert lows == [1, F(1, 2), 0]
 
 
 def test_collation_rightmost_saturates():
@@ -176,11 +179,14 @@ def test_collation_overlap_rejected():
 
 
 def test_collation_partitions_to_one():
-    for k in range(100):
-        p = 400 + F(k * 1200, 99)
-        degrees = membership_intervals(p, COST_INTERVALS)
-        assert sum(degrees.values()) == 1
-        assert all(0 <= v <= 1 for v in degrees.values())
+    # a one-region family therefore grades 1 everywhere
+    for family in (COST_INTERVALS, (iregion("only", 10, 20),)):
+        for k in range(100):
+            p = 400 + F(k * 1200, 99)
+            degrees = membership_intervals(p, family)
+            assert sum(degrees.values()) == 1
+            assert all(0 <= v <= 1 for v in degrees.values())
+    assert membership_intervals(F(-1000), (iregion("only", 10, 20),)) == {"only": 1}
 
 
 def test_collation_edge_monotonicity():
@@ -189,52 +195,6 @@ def test_collation_edge_monotonicity():
     highs = [membership_intervals(p, COST_INTERVALS)["high"] for p in samples]
     assert all(x >= y for x, y in zip(lows, lows[1:]))
     assert all(x <= y for x, y in zip(highs, highs[1:]))
-
-
-# ===== symbolic piecewise functions =====
-
-
-def test_derived_low_function_breakpoints():
-    functions = {f.region: f for f in derive_membership_function(COST_INTERVALS)}
-    low = functions["low"]
-    breaks = [piece.hi for piece in low.pieces[:-1]]
-    assert breaks == [F(650), F(750), F(850)]
-    assert low.evaluate(F(600)) == 1
-    assert low.evaluate(F(740)) == F("0.595")
-    assert low.evaluate(F(900)) == 0
-
-
-def test_derived_matches_pointwise_collation():
-    functions = derive_membership_function(COST_INTERVALS)
-    for k in range(60):
-        p = 400 + F(k * 1200, 59)
-        degrees = membership_intervals(p, COST_INTERVALS)
-        for fn in functions:
-            assert fn.evaluate(p) == degrees[fn.region]
-
-
-def test_derived_continuity_at_breakpoints():
-    for fn in derive_membership_function(COST_INTERVALS):
-        for left, right in zip(fn.pieces, fn.pieces[1:]):
-            assert left.hi == right.lo
-            assert fn.evaluate_piece(left, left.hi) == fn.evaluate_piece(right, right.lo)
-
-
-def test_derived_symmetric_pair_quadratics():
-    functions = {f.region: f for f in derive_membership_function(
-        (iregion("r1", 0, 1), iregion("r2", 2, 3)))}
-    r1 = functions["r1"]
-    kinds = [piece.kind.value for piece in r1.pieces]
-    assert kinds == ["constant", "quadratic", "quadratic", "constant"]
-    assert r1.evaluate(F(3, 2)) == F(1, 2)
-
-
-def test_derived_single_region_is_constant_one():
-    functions = derive_membership_function((iregion("only", 10, 20),))
-    assert len(functions) == 1
-    only = functions[0]
-    assert [piece.kind.value for piece in only.pieces] == ["constant"]
-    assert only.evaluate(F(-1000)) == only.evaluate(F(1000)) == 1
 
 
 # ===== satisfaction degree and rendering =====

@@ -499,14 +499,6 @@ def _as_generated_dataclass(record):
     return _GENERATED[cls](*[getattr(record, name) for name in names])
 
 
-def _hash_or_none(value):
-    # A model with a world is unhashable, as the world is.
-    try:
-        return hash(value)
-    except TypeError:
-        return None
-
-
 def test_model_records_compare_hash_and_print_as_generated_dataclasses(records_by_class):
     records = {
         value
@@ -522,7 +514,7 @@ def test_model_records_compare_hash_and_print_as_generated_dataclasses(records_b
             assert repr(a) == repr(ref_a)
             if cls is World:
                 continue
-            assert _hash_or_none(a) == _hash_or_none(ref_a)
+            assert hash(a) == hash(ref_a)
             assert (a == b) == (ref_a == ref_b)
             assert (a != b) == (ref_a != ref_b)
             assert a == dataclasses.replace(a)
@@ -530,12 +522,29 @@ def test_model_records_compare_hash_and_print_as_generated_dataclasses(records_b
             assert ref_a.__eq__(_as_generated_dataclass(stranger)) is NotImplemented
 
 
-def test_a_world_keeps_its_own_equality_and_no_hash():
-    plain = World(individuals=frozenset({"x"}), concept_extensions={"A": frozenset()})
-    assert plain == World(individuals=frozenset({"x"}))
-    assert World.__hash__ is None
-    with pytest.raises(TypeError):
-        hash(plain)
+def test_a_world_keeps_its_own_equality_and_a_hash_that_agrees():
+    # Empty extension and slot entries are no content.
+    padded = World(
+        individuals=frozenset({"x"}),
+        concept_extensions={"A": frozenset()},
+        slot_tuples={"r": frozenset()},
+    )
+    plain = World(individuals=frozenset({"x"}))
+    assert padded == plain
+    assert hash(padded) == hash(plain)
+    assert padded != World(individuals=frozenset({"y"}))
+    # Quality records are sugar for the world they materialize into.
+    sugared = parse_model(RARE_RECORDS).world
+    assert sugared.quality_records
+    assert sugared == sugared.materialize()
+    assert hash(sugared) == hash(sugared.materialize())
+
+
+def test_a_model_with_a_world_hashes():
+    fixture = Path(__file__).parent / "fixtures" / "entity_kinds.dsr"
+    model = parse_model(fixture.read_text(encoding="utf-8"))
+    assert model.world is not None
+    assert hash(model) == hash(parse_model(fixture.read_text(encoding="utf-8")))
 
 
 def test_model_records_stay_frozen_dataclasses_that_copy(records_by_class):
