@@ -14,8 +14,9 @@ from pathlib import Path
 from typing import Optional
 
 # Each command imports the modules it runs inside its own function, so a
-# short command such as `fmt` never loads the reasoner, lint or export, and
-# `check` takes its findings from `findings`, not from `lint`.
+# short command such as `fmt` never loads the reasoner, lint or export,
+# `check` takes its findings from `findings`, not from `lint`, and `fulfill`
+# takes its propagation from `fulfillment`, not from `reasoner`.
 
 
 class _CliError(Exception):
@@ -163,7 +164,7 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_fulfill(args) -> int:
-    from .reasoner import propagate_fulfillment
+    from .fulfillment import propagate_fulfillment
 
     model = _load_model(args.file)
     state = propagate_fulfillment(model, args.threshold)
@@ -214,8 +215,8 @@ def _cmd_membership(args) -> int:
         degrees = membership_degrees(value, spec.regions)
     except MembershipError as err:
         raise _CliError(str(err)) from err
-    # Text prints one line per declared region, a repeated name included;
-    # a single --region prints its degree alone.
+    # Text prints one line per declared region; a single --region prints its
+    # degree alone.
     names = [region.name for region in spec.regions]
     if args.region is not None:
         if args.region not in degrees:

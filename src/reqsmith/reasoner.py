@@ -3,9 +3,10 @@
 A sound structural derivation proves subsumptions; `subsumes` adds a
 bounded hunt for a finite counter-world when the derivation fails (module
 `search`, loaded only then), with Unknown as the honest fallback. Beside
-them sit model-level services: consistency checking by axiom saturation,
-interrelation queries and strength tag auditing for operator applications
-(both read only proofs), and fulfillment propagation.
+them sit model-level services: consistency checking by axiom saturation
+(module `saturation`, loaded when a check runs), interrelation queries and
+strength tag auditing for operator applications (both read only proofs).
+Fulfillment propagation lives in `fulfillment` and is re-exported here.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Iterable, NamedTuple, Optional
 
+from .fulfillment import FulfillmentState, FulfillmentStatus, propagate_fulfillment
 from .model import (
     Description,
     FunctionDesc,
@@ -20,8 +22,6 @@ from .model import (
     Model,
     NamedRegion,
     NaturalLanguage,
-    ONE_TO_MANY_OPS,
-    ONE_TO_ONE_OPS,
     Operator,
     QualityStatement,
     Strength,
@@ -48,9 +48,6 @@ from .semantics import (
     DL_NOTHING,
     DL_THING,
     _eval_dl,
-    _is_dataish,
-    _slot_counts,
-    _value_test,
     eval_description,
     translate_description,
     translate_element,
@@ -461,172 +458,7 @@ def subsumes(
     return SubsumptionVerdict(VerdictStatus.UNKNOWN, method="bounded-model")
 
 
-# ===== PART 4: saturation and consistency =====
-
-
-def _dl_repr(c: DLConcept) -> str:
-    if isinstance(c, DLAtomic):
-        return c.name
-    if isinstance(c, DLThing):
-        return "Thing"
-    if isinstance(c, DLNothing):
-        return "Nothing"
-    if isinstance(c, DLNominal):
-        return "{" + ", ".join(c.ids) + "}"
-    if isinstance(c, DLAnd):
-        return "(" + " and ".join(_dl_repr(a) for a in c.args) + ")"
-    if isinstance(c, DLOr):
-        return "(" + " or ".join(_dl_repr(a) for a in c.args) + ")"
-    if isinstance(c, DLNot):
-        return f"not {_dl_repr(c.inner)}"
-    if isinstance(c, DLForAll):
-        return f"only {c.slot}.{_dl_repr(c.filler)}"
-    if isinstance(c, DLExists):
-        return f"some {c.slot}.{_dl_repr(c.filler)}"
-    if isinstance(c, DLExistsInverse):
-        return f"some inverse({c.slot}).{_dl_repr(c.filler)}"
-    if isinstance(c, DLDataRange):
-        symbol = {"min": ">=", "max": "<=", "eq": "="}[c.facet]
-        unit = f" {c.unit}" if c.unit else ""
-        return f"({symbol} {c.value}{unit})"
-    assert isinstance(c, DLCard)
-    symbol = {"min": ">=", "max": "<=", "exact": "="}[c.kind]
-    return f"{symbol}{c.n} {c.slot}.{_dl_repr(c.filler)}"
-
-
-def _axiom_repr(ax: DLSubClassOf) -> str:
-    return f"{_dl_repr(ax.sub)} :< {_dl_repr(ax.sup)}"
-
-
-class _Saturation(NamedTuple):
-    """The saturated world, or None with the clashes that stopped saturation."""
-
-    world: Optional[World]
-    clashes: tuple[str, ...] = ()
-
-
-class _Saturator:
-    def __init__(self, world: World, axioms: list[DLSubClassOf]):
-        flat = world.materialize()
-        self.individuals = set(flat.individuals)
-        self.extensions = {k: set(v) for k, v in flat.concept_extensions.items()}
-        self.tuples = flat.slot_tuples
-        self.data = flat.data_values
-        self.axioms = axioms
-        self.clashes: list[str] = []
-        self.changed = False
-        # Saturation adds memberships, never tuples, so a slot's successor
-        # lists hold for every round; they keep the order of the slot's
-        # tuples, so assertions run in the order a scan of the slot gives.
-        self.successors: dict[str, dict[str, list[str]]] = {}
-        # Per round: extensions and slot counts over the round's snapshot,
-        # keyed by concept. `_assert` reads only the snapshot, so they are exact.
-        self.snapshot = World()
-        self.memo: dict = {}
-
-    def current(self) -> World:
-        return World(
-            individuals=frozenset(self.individuals),
-            concept_extensions={k: frozenset(v) for k, v in self.extensions.items()},
-            slot_tuples=self.tuples,
-            data_values=self.data,
-        )
-
-    def run(self, max_rounds: int = 50) -> _Saturation:
-        for _ in range(max_rounds):
-            self.changed = False
-            self.snapshot = self.current()
-            self.memo = {}
-            for ax in self.axioms:
-                for x in sorted(self._extension(ax.sub)):
-                    self._assert(x, ax.sup, ax)
-            if self.clashes:
-                return _Saturation(None, tuple(self.clashes))
-            if not self.changed:
-                break
-        return _Saturation(self.current())
-
-    def _extension(self, c: DLConcept) -> frozenset[str]:
-        ext = self.memo.get(c)
-        if ext is None:
-            ext = self.memo[c] = _eval_dl(c, self.snapshot)
-        return ext
-
-    def _count(self, x: str, slot: str, filler: DLConcept) -> int:
-        key = (slot, filler)
-        counts = self.memo.get(key)
-        if counts is None:
-            counts = self.memo[key] = _slot_counts(slot, filler, self.snapshot)
-        return counts.get(x, (0, 0))[1]
-
-    def _successors(self, slot: str, x: str) -> list[str]:
-        index = self.successors.get(slot)
-        if index is None:
-            index = self.successors[slot] = {}
-            for subject, target in self.tuples.get(slot, ()):
-                index.setdefault(subject, []).append(target)
-        return index.get(x, [])
-
-    def _clash(self, ax: DLSubClassOf, text: str):
-        message = f"axiom {_axiom_repr(ax)}{text}"
-        if message not in self.clashes:
-            self.clashes.append(message)
-
-    def _assert(self, x: str, c: DLConcept, ax: DLSubClassOf):
-        if isinstance(c, DLAtomic):
-            members = self.extensions.setdefault(c.name, set())
-            if x not in members:
-                members.add(x)
-                self.changed = True
-            return
-        if isinstance(c, DLThing):
-            return
-        if isinstance(c, DLNothing):
-            self._clash(ax, f" forces {x} into Nothing")
-            return
-        if isinstance(c, DLAnd):
-            for arg in c.args:
-                self._assert(x, arg, ax)
-            return
-        if isinstance(c, (DLOr, DLExistsInverse, DLExists)):
-            # A missing disjunct, source or filler would need a guess, and
-            # saturation never guesses.
-            return
-        if isinstance(c, DLNominal):
-            if x not in c.ids:
-                self._clash(
-                    ax,
-                    f" forces {x} to be one of {{{', '.join(c.ids)}}}, "
-                    "but distinct names denote distinct individuals",
-                )
-            return
-        if isinstance(c, DLNot):
-            if x in self._extension(c.inner):
-                self._clash(ax, f" forbids {x} from {_dl_repr(c.inner)}, which it inhabits")
-            return
-        if isinstance(c, DLForAll):
-            if _is_dataish(c.filler):
-                value = self.data.get((x, c.slot))
-                if value is not None and not _value_test(c.filler, value):
-                    self._clash(
-                        ax,
-                        f": value {value!r} of {x}.{c.slot} falls outside "
-                        f"{_dl_repr(c.filler)}",
-                    )
-                return
-            for target in self._successors(c.slot, x):
-                self._assert(target, c.filler, ax)
-            return
-        assert isinstance(c, DLCard)
-        if c.kind == "min":
-            return
-        count = self._count(x, c.slot, c.filler)
-        if count > c.n:
-            self._clash(
-                ax,
-                f": {x} has {count} {c.slot} fillers in "
-                f"{_dl_repr(c.filler)}, more than {c.n}",
-            )
+# ===== PART 4: consistency =====
 
 
 class ConsistencyStatus(Enum):
@@ -646,6 +478,8 @@ class ConsistencyResult(NamedTuple):
 
 def check_consistency(model: Model) -> ConsistencyResult:
     """Saturate the model's world under all axioms and look for a clash."""
+    from .saturation import _axiom_repr, _Saturator
+
     axioms = tuple(collect_axioms(model))
     world = model.world if model.world is not None else World()
     outcome = _Saturator(world, axioms).run()
@@ -798,76 +632,3 @@ def check_strength_tags(model: Model):
         if message:
             diagnostics.append(StrengthDiagnostic(index, app.strength, message))
     return diagnostics
-
-
-# ===== PART 7: fulfillment propagation =====
-
-
-class FulfillmentStatus(Enum):
-    FULFILLED = "fulfilled"
-    UNFULFILLED = "unfulfilled"
-    UNKNOWN = "unknown"
-
-
-class FulfillmentState(NamedTuple):
-    """The fulfillment status of each element, and any warnings."""
-
-    states: dict[str, FulfillmentStatus]
-    threshold: Optional[int] = None
-    warnings: tuple[str, ...] = ()
-
-
-def propagate_fulfillment(
-    model: Model, threshold: Optional[int] = None
-) -> FulfillmentState:
-    """Propagate fulfillment marks backwards through operator applications.
-
-    Design artifacts count as fulfilled from the start. A one-to-one
-    application fulfills its input when its output is fulfilled; a
-    one-to-many application needs all outputs (or `threshold` many when
-    set). Several applications on the same input act as alternatives.
-    Elements dropped by a resolution stay unfulfilled.
-    """
-    dropped = model.dropped_ids()
-    states: dict[str, FulfillmentStatus] = {}
-    for element in model.elements:
-        if element.id in dropped:
-            states[element.id] = FulfillmentStatus.UNFULFILLED
-        elif element.id in model.fulfilled_marks or element.kind is Kind.DA:
-            states[element.id] = FulfillmentStatus.FULFILLED
-        else:
-            states[element.id] = FulfillmentStatus.UNKNOWN
-
-    warnings: tuple[str, ...] = ()
-    if threshold is not None:
-        fan_out = [
-            len(app.outputs)
-            for app in model.applications
-            if app.op in ONE_TO_MANY_OPS
-        ]
-        if all(threshold > n for n in fan_out):
-            warnings = (
-                f"ThresholdUnreachable: no application has {threshold} outputs",
-            )
-
-    changed = True
-    while changed:
-        changed = False
-        for app in model.applications:
-            if app.op is Operator.RESOLVE:
-                continue
-            source = app.inputs[0]
-            if states.get(source) is not FulfillmentStatus.UNKNOWN:
-                continue
-            done = sum(
-                1
-                for o in app.outputs
-                if states.get(o) is FulfillmentStatus.FULFILLED
-            )
-            need = len(app.outputs)
-            if threshold is not None and app.op not in ONE_TO_ONE_OPS:
-                need = threshold
-            if app.outputs and done >= need:
-                states[source] = FulfillmentStatus.FULFILLED
-                changed = True
-    return FulfillmentState(states, threshold, warnings)

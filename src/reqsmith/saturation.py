@@ -1,0 +1,190 @@
+"""Saturating a world under axioms, for `reasoner.check_consistency` alone."""
+
+from typing import NamedTuple, Optional
+
+from .model import World
+from .semantics import (
+    DLAnd,
+    DLAtomic,
+    DLCard,
+    DLConcept,
+    DLDataRange,
+    DLExists,
+    DLExistsInverse,
+    DLForAll,
+    DLNominal,
+    DLNot,
+    DLNothing,
+    DLOr,
+    DLSubClassOf,
+    DLThing,
+    _eval_dl,
+    _is_dataish,
+    _slot_counts,
+    _value_test,
+)
+
+
+def _dl_repr(c: DLConcept) -> str:
+    if isinstance(c, DLAtomic):
+        return c.name
+    if isinstance(c, DLThing):
+        return "Thing"
+    if isinstance(c, DLNothing):
+        return "Nothing"
+    if isinstance(c, DLNominal):
+        return "{" + ", ".join(c.ids) + "}"
+    if isinstance(c, DLAnd):
+        return "(" + " and ".join(_dl_repr(a) for a in c.args) + ")"
+    if isinstance(c, DLOr):
+        return "(" + " or ".join(_dl_repr(a) for a in c.args) + ")"
+    if isinstance(c, DLNot):
+        return f"not {_dl_repr(c.inner)}"
+    if isinstance(c, DLForAll):
+        return f"only {c.slot}.{_dl_repr(c.filler)}"
+    if isinstance(c, DLExists):
+        return f"some {c.slot}.{_dl_repr(c.filler)}"
+    if isinstance(c, DLExistsInverse):
+        return f"some inverse({c.slot}).{_dl_repr(c.filler)}"
+    if isinstance(c, DLDataRange):
+        symbol = {"min": ">=", "max": "<=", "eq": "="}[c.facet]
+        unit = f" {c.unit}" if c.unit else ""
+        return f"({symbol} {c.value}{unit})"
+    assert isinstance(c, DLCard)
+    symbol = {"min": ">=", "max": "<=", "exact": "="}[c.kind]
+    return f"{symbol}{c.n} {c.slot}.{_dl_repr(c.filler)}"
+
+
+def _axiom_repr(ax: DLSubClassOf) -> str:
+    return f"{_dl_repr(ax.sub)} :< {_dl_repr(ax.sup)}"
+
+
+class _Saturation(NamedTuple):
+    """The saturated world, or None with the clashes that stopped saturation."""
+
+    world: Optional[World]
+    clashes: tuple[str, ...] = ()
+
+
+class _Saturator:
+    def __init__(self, world: World, axioms: list[DLSubClassOf]):
+        flat = world.materialize()
+        self.individuals = set(flat.individuals)
+        self.extensions = {k: set(v) for k, v in flat.concept_extensions.items()}
+        self.tuples = flat.slot_tuples
+        self.data = flat.data_values
+        self.axioms = axioms
+        self.clashes: list[str] = []
+        self.changed = False
+        # Saturation adds memberships, never tuples, so a slot's successor
+        # lists hold for every round; they keep the order of the slot's
+        # tuples, so assertions run in the order a scan of the slot gives.
+        self.successors: dict[str, dict[str, list[str]]] = {}
+        # Per round: extensions and slot counts over the round's snapshot,
+        # keyed by concept. `_assert` reads only the snapshot, so they are exact.
+        self.snapshot = World()
+        self.memo: dict = {}
+
+    def current(self) -> World:
+        return World(
+            individuals=frozenset(self.individuals),
+            concept_extensions={k: frozenset(v) for k, v in self.extensions.items()},
+            slot_tuples=self.tuples,
+            data_values=self.data,
+        )
+
+    def run(self, max_rounds: int = 50) -> _Saturation:
+        for _ in range(max_rounds):
+            self.changed = False
+            self.snapshot = self.current()
+            self.memo = {}
+            for ax in self.axioms:
+                for x in sorted(self._extension(ax.sub)):
+                    self._assert(x, ax.sup, ax)
+            if self.clashes:
+                return _Saturation(None, tuple(self.clashes))
+            if not self.changed:
+                break
+        return _Saturation(self.current())
+
+    def _extension(self, c: DLConcept) -> frozenset[str]:
+        ext = self.memo.get(c)
+        if ext is None:
+            ext = self.memo[c] = _eval_dl(c, self.snapshot)
+        return ext
+
+    def _count(self, x: str, slot: str, filler: DLConcept) -> int:
+        key = (slot, filler)
+        counts = self.memo.get(key)
+        if counts is None:
+            counts = self.memo[key] = _slot_counts(slot, filler, self.snapshot)
+        return counts.get(x, (0, 0))[1]
+
+    def _successors(self, slot: str, x: str) -> list[str]:
+        index = self.successors.get(slot)
+        if index is None:
+            index = self.successors[slot] = {}
+            for subject, target in self.tuples.get(slot, ()):
+                index.setdefault(subject, []).append(target)
+        return index.get(x, [])
+
+    def _clash(self, ax: DLSubClassOf, text: str):
+        message = f"axiom {_axiom_repr(ax)}{text}"
+        if message not in self.clashes:
+            self.clashes.append(message)
+
+    def _assert(self, x: str, c: DLConcept, ax: DLSubClassOf):
+        if isinstance(c, DLAtomic):
+            members = self.extensions.setdefault(c.name, set())
+            if x not in members:
+                members.add(x)
+                self.changed = True
+            return
+        if isinstance(c, DLThing):
+            return
+        if isinstance(c, DLNothing):
+            self._clash(ax, f" forces {x} into Nothing")
+            return
+        if isinstance(c, DLAnd):
+            for arg in c.args:
+                self._assert(x, arg, ax)
+            return
+        if isinstance(c, (DLOr, DLExistsInverse, DLExists)):
+            # A missing disjunct, source or filler would need a guess, and
+            # saturation never guesses.
+            return
+        if isinstance(c, DLNominal):
+            if x not in c.ids:
+                self._clash(
+                    ax,
+                    f" forces {x} to be one of {{{', '.join(c.ids)}}}, "
+                    "but distinct names denote distinct individuals",
+                )
+            return
+        if isinstance(c, DLNot):
+            if x in self._extension(c.inner):
+                self._clash(ax, f" forbids {x} from {_dl_repr(c.inner)}, which it inhabits")
+            return
+        if isinstance(c, DLForAll):
+            if _is_dataish(c.filler):
+                value = self.data.get((x, c.slot))
+                if value is not None and not _value_test(c.filler, value):
+                    self._clash(
+                        ax,
+                        f": value {value!r} of {x}.{c.slot} falls outside "
+                        f"{_dl_repr(c.filler)}",
+                    )
+                return
+            for target in self._successors(c.slot, x):
+                self._assert(target, c.filler, ax)
+            return
+        assert isinstance(c, DLCard)
+        if c.kind == "min":
+            return
+        count = self._count(x, c.slot, c.filler)
+        if count > c.n:
+            self._clash(
+                ax,
+                f": {x} has {count} {c.slot} fillers in "
+                f"{_dl_repr(c.filler)}, more than {c.n}",
+            )

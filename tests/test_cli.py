@@ -586,23 +586,26 @@ def test_a_dropped_element_carries_no_axiom_for_any_command(tmp_path, capsys, re
         assert matches == "F1\n"
 
 
-def _bench_generator():
+BENCH = Path(__file__).parents[1] / "bench"
+
+
+def _bench_module(name):
     spec = importlib.util.spec_from_file_location(
-        "reqsmith_bench_gen", Path(__file__).parents[1] / "bench" / "gen.py"
+        f"reqsmith_bench_{name}", BENCH / f"{name}.py"
     )
-    gen = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = gen
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
     try:
-        spec.loader.exec_module(gen)
+        spec.loader.exec_module(module)
     finally:
         del sys.modules[spec.name]
-    return gen
+    return module
 
 
 def test_one_disjointness_axiom_keeps_the_ladder_decidable(tmp_path, capsys):
     # A disjointness axiom used to switch off the derivation's goal pruning,
     # and from 56 steps on check and query ran out of recursion.
-    gen = _bench_generator()
+    gen = _bench_module("gen")
     gen.LADDER_STEPS = 56
     work = gen.generate("ladder", 7, tmp_path)
     work.write()
@@ -761,6 +764,25 @@ def test_membership_on_an_empty_regions_block_exits_two(tmp_path, capsys, json_f
     assert captured.err == "no membership regions are declared for quality 'Cost'\n"
 
 
+@pytest.mark.parametrize(
+    "command", ["check", "fmt", "fulfill", "lint", "membership", "query", "translate"]
+)
+def test_a_region_declared_twice_exits_two_on_every_command(tmp_path, capsys, command):
+    text = (
+        "model m;\n"
+        "regions Speed { fast = points {1}; }\n"
+        "regions Cost {\n  low = interval [1, 2];\n  low = interval [3, 4];\n}\n"
+    )
+    argv = _command_argv(command, tmp_path, text)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"{argv[1]}:3:1: error: regions[1]: [unique-regions] "
+        "quality Cost declares region low more than once\n"
+    )
+
+
 def test_membership_json_maps_regions_to_degrees(tmp_path, capsys):
     path = write(tmp_path, COST_REGIONS)
     args = ["membership", path, "--quality", "Cost", "--value", "740", "--json"]
@@ -772,49 +794,76 @@ def test_membership_json_maps_regions_to_degrees(tmp_path, capsys):
 # ===== import budget =====
 
 _PARSING = {"reqsmith", "reqsmith.cli", "reqsmith.model", "reqsmith.parser"}
-_REASONING = _PARSING | {"reqsmith.semantics", "reqsmith.reasoner"}
+_REASONING = _PARSING | {
+    "reqsmith.semantics",
+    "reqsmith.reasoner",
+    "reqsmith.fulfillment",
+}
+_CONSISTENCY = _REASONING | {"reqsmith.saturation", "reqsmith.findings"}
 _EXPORT = {"reqsmith.semantics", "reqsmith.export"}
 
-# The reqsmith modules each command loads; any `--json` run adds _EXPORT.
-# No command loads `reqsmith.search`: only the library's `subsumes` runs it.
+# The reqsmith modules each command loads as text; a `--json` run adds
+# _EXPORT, and `fmt --json` prints no model, so it loads no printer. No
+# command loads `reqsmith.search` (only the library's `subsumes` runs it)
+# or `reqsmith.holds` (only the library's `element_holds` reads it).
 IMPORT_BUDGET = {
-    "fmt": _PARSING,
+    "fmt": _PARSING | {"reqsmith.printer"},
     "membership": _PARSING | {"reqsmith.membership"},
     "translate": _PARSING | _EXPORT,
     "query": _REASONING,
-    "fulfill": _REASONING,
-    "check": _REASONING | {"reqsmith.findings"},
-    "lint": _REASONING | {"reqsmith.findings", "reqsmith.lint"},
+    "fulfill": _PARSING | {"reqsmith.fulfillment"},
+    "check": _CONSISTENCY,
+    "lint": _CONSISTENCY | {"reqsmith.lint"},
 }
 
 
-@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
-@pytest.mark.parametrize("command", sorted(IMPORT_BUDGET))
-def test_each_command_imports_only_the_modules_it_runs(tmp_path, command, json_flag):
-    path = write(tmp_path, BOOKING + COST_REGIONS.split("\n", 1)[1])
-    argv = [command, path, *json_flag]
+def _command_argv(command, tmp_path, text=BOOKING + COST_REGIONS.split("\n", 1)[1]):
+    """Argv that runs `command` on `text` (booking plus Cost regions) in tmp_path."""
+    argv = [command, write(tmp_path, text)]
     if command == "query":
         argv += ["--pattern", "<object: Ticket>"]
     elif command == "translate":
         argv += ["--out", str(tmp_path / "out.ofn")]
     elif command == "membership":
         argv += ["--quality", "Cost", "--value", "600"]
-    script = (
-        "import json, sys; from reqsmith import cli; code = cli.main(sys.argv[1:]); "
-        "print(json.dumps([code, [m for m in sys.modules if m.startswith('reqsmith')]]))"
-    )
+    return argv
+
+
+def _run_python(script, *args):
+    """Run `script` in a fresh interpreter that imports reqsmith from here."""
     env = dict(os.environ, PYTHONPATH=str(Path(reqsmith.__file__).parents[1]))
     run = subprocess.run(
-        [sys.executable, "-c", script, *argv],
+        [sys.executable, "-c", script, *args],
         env=env,
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert run.returncode == 0, run.stderr
+    return run
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("command", sorted(IMPORT_BUDGET))
+def test_each_command_imports_only_the_modules_it_runs(tmp_path, command, json_flag):
+    argv = _command_argv(command, tmp_path) + json_flag
+    script = (
+        "import json, sys; from reqsmith import cli; code = cli.main(sys.argv[1:]); "
+        "print(json.dumps([code, [m for m in sys.modules if m.startswith('reqsmith')]]))"
+    )
+    run = _run_python(script, *argv)
     code, modules = json.loads(run.stdout.splitlines()[-1])
     assert code in (0, 1)
-    assert set(modules) == IMPORT_BUDGET[command] | (_EXPORT if json_flag else set())
+    expected = IMPORT_BUDGET[command]
+    if json_flag:
+        expected = (expected - {"reqsmith.printer"}) | _EXPORT
+    assert set(modules) == expected
+    assert not {"reqsmith.holds", "reqsmith.search"} & set(modules)
+    if command == "fulfill" and not json_flag:
+        assert not {"reqsmith.semantics", "reqsmith.reasoner"} & set(modules)
+    if command == "query":
+        assert "reqsmith.saturation" not in modules
+    assert ("reqsmith.printer" in modules) == (command == "fmt" and not json_flag)
 
 
 def test_fmt_run_as_a_module_imports_neither_reasoner_nor_semantics(tmp_path):
@@ -832,7 +881,56 @@ def test_fmt_run_as_a_module_imports_neither_reasoner_nor_semantics(tmp_path):
         "reqsmith",
         "reqsmith.model",
         "reqsmith.parser",
+        "reqsmith.printer",
     }
+
+
+def _bench_library_names():
+    """(module, name) for each library name bench/run.py's in-process pass
+    reads directly: the names it imports and the attributes of the
+    reqsmith modules it imports."""
+    tree = ast.parse((BENCH / "run.py").read_text(encoding="utf-8"))
+    run = next(n for n in tree.body if getattr(n, "name", None) == "run_inprocess")
+    modules, names = set(), set()
+    for node in ast.walk(run):
+        if isinstance(node, ast.ImportFrom) and node.module == "reqsmith":
+            modules |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module.startswith("reqsmith."):
+            names |= {(node.module[len("reqsmith."):], a.name) for a in node.names}
+    for node in ast.walk(run):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules:
+            names.add((node.value.id, node.attr))
+    return names
+
+
+def test_traced_and_benchmarked_names_stay_bound(tmp_path):
+    # The tracer looks each traced function up by module and name once the
+    # commands have run, and the benchmark calls some library names itself;
+    # a function that moves to another module would break both.
+    spans = _bench_module("spans")
+    traced = {(module, function) for module, function, _ in spans.TRACED}
+    library = _bench_library_names()
+    assert {
+        ("parser", "print_model"),
+        ("parser", "parse_description"),
+        ("semantics", "translate_description"),
+        ("semantics", "eval_dl"),
+        ("operators", "apply_scale"),
+    } <= library
+    argvs = [_command_argv(command, tmp_path) for command in sorted(IMPORT_BUDGET)]
+    script = (
+        "import json, sys\n"
+        "from reqsmith import cli, operators, parser, semantics\n"
+        "argvs, names = json.loads(sys.argv[1]), json.loads(sys.argv[2])\n"
+        "codes = [cli.main(argv) for argv in argvs]\n"
+        "unbound = [f'{m}.{n}' for m, n in names\n"
+        "           if not callable(getattr(sys.modules.get('reqsmith.' + m), n, None))]\n"
+        "print(json.dumps([codes, unbound]))"
+    )
+    run = _run_python(script, json.dumps(argvs), json.dumps(sorted(traced | library)))
+    codes, unbound = json.loads(run.stdout.splitlines()[-1])
+    assert all(code in (0, 1) for code in codes)
+    assert unbound == []
 
 
 def _source_classes():

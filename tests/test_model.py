@@ -26,14 +26,17 @@ from reqsmith.model import (
     FunctionDesc,
     Intersection,
     Interval,
+    IntervalPrototypes,
     InverseProjection,
     Kind,
+    MembershipSpec,
     Model,
     ModifierKind,
     NamedRegion,
     NaturalLanguage,
     Operator,
     OperatorApplication,
+    PrototypeRegion,
     QualityStatement,
     Region,
     SlotRestriction,
@@ -46,13 +49,14 @@ from reqsmith.model import (
     children,
     exact_decimal,
     mentions,
-    normalize,
     subterms,
     World,
     validate_model,
 )
+from reqsmith.lint import normalize
 from reqsmith.operators import apply_focus
-from reqsmith.parser import format_rational, parse_model
+from reqsmith.parser import parse_model
+from reqsmith.printer import format_rational
 
 A = AtomicConcept
 F = Fraction
@@ -131,6 +135,18 @@ def test_reduce_arity():
 def test_duplicate_ids_flagged():
     model = Model(elements=(goal("G1"), goal("G1")))
     assert any(d.rule == "unique-ids" for d in validate_model(model))
+
+
+def test_a_region_declared_twice_is_flagged_once_on_its_regions_statement():
+    def region(name, low):
+        return PrototypeRegion(name, IntervalPrototypes(F(low), F(low + 1)))
+
+    fine = MembershipSpec("Speed", (region("low", 1), region("high", 3)))
+    twice = MembershipSpec("Cost", (region("low", 1), region("low", 3), region("low", 5)))
+    diags = validate_model(Model(membership_specs=(fine, twice)))
+    assert [str(d) for d in diags] == [
+        "regions[1]: [unique-regions] quality Cost declares region low more than once"
+    ]
 
 
 def test_qc_needs_measurable_region():

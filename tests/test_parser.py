@@ -51,8 +51,6 @@ from reqsmith.model import (
 )
 from reqsmith.parser import (
     ParseDiagnostic,
-    format_description,
-    format_rational,
     parse_description,
     parse_model,
     print_model,
@@ -62,6 +60,7 @@ from reqsmith.parser import (
     _is_num,
     _is_str,
 )
+from reqsmith.printer import format_description, format_rational
 
 ROOT = Path(__file__).resolve().parents[1]
 

@@ -29,9 +29,9 @@ from reqsmith.model import (
     at_least,
     at_most,
     exactly,
-    normalize,
 )
-from reqsmith import reasoner
+from reqsmith import reasoner, saturation
+from reqsmith.lint import normalize
 from reqsmith.parser import parse_description, parse_model
 from reqsmith.reasoner import (
     ConsistencyStatus,
@@ -489,13 +489,13 @@ def test_saturation_work_per_round_does_not_grow_with_the_world(monkeypatch):
     # not once per individual the axiom fires on.
     def counted(size):
         calls = {"_eval_dl": 0, "_slot_counts": 0}
-        for name, original in [(n, getattr(reasoner, n)) for n in calls]:
+        for name, original in [(n, getattr(saturation, n)) for n in calls]:
 
             def wrapper(*args, name=name, original=original):
                 calls[name] += 1
                 return original(*args)
 
-            monkeypatch.setattr(reasoner, name, wrapper)
+            monkeypatch.setattr(saturation, name, wrapper)
         result = check_consistency(_ring_world(size))
         monkeypatch.undo()
         assert result.status is ConsistencyStatus.CONSISTENT

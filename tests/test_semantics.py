@@ -40,8 +40,9 @@ from reqsmith.model import (
     at_least,
     at_most,
     exactly,
-    normalize,
 )
+from reqsmith.holds import HoldsStatus, UnsupportedNestedU, element_holds
+from reqsmith.lint import normalize
 from reqsmith.semantics import (
     DL_NOTHING,
     DL_THING,
@@ -59,10 +60,7 @@ from reqsmith.semantics import (
     DLOr,
     DLSubClassOf,
     DLThing,
-    HoldsStatus,
     PathMismatch,
-    UnsupportedNestedU,
-    element_holds,
     eval_description,
     eval_dl,
     expand_u,
