@@ -259,20 +259,7 @@ class Kind(Enum):
 
     @property
     def display(self) -> str:
-        return _KIND_DISPLAY[self]
-
-
-_KIND_DISPLAY = {
-    Kind.GOAL: "Goal",
-    Kind.FG: "FG",
-    Kind.F: "F",
-    Kind.FC: "FC",
-    Kind.QG: "QG",
-    Kind.QC: "QC",
-    Kind.CTG: "CTG",
-    Kind.SC: "SC",
-    Kind.DA: "DA",
-}
+        return "Goal" if self is Kind.GOAL else self.name
 
 QUALITY_KINDS = frozenset({Kind.QG, Kind.QC})
 SUBSUMPTION_KINDS = frozenset({Kind.FG, Kind.FC, Kind.CTG, Kind.SC, Kind.DA})
@@ -813,7 +800,7 @@ def validate_model(model: Model) -> list[ValidationDiagnostic]:
         unmatched = None if problems else resolve_error(app, model.conflicts)
         if unmatched is not None:
             problems.append(ValidationDiagnostic(app_id, "resolve-conflict", unmatched))
-        unscalable = scale_error(app)
+        unscalable = scale_error(app, by_id)
         if unscalable is not None:
             problems.append(ValidationDiagnostic(app_id, "scale-factor", unscalable))
         diags.extend(problems)
@@ -845,8 +832,13 @@ def validate_model(model: Model) -> list[ValidationDiagnostic]:
     diags.extend(_check_acyclic(model))
     for index, axiom in enumerate(model.axioms):
         diags.extend(_validate_descriptions(axiom, f"axiom[{index}]"))
+    qualities: set[str] = set()
     for index, spec in enumerate(model.membership_specs):
         rid, names = f"regions[{index}]", [region.name for region in spec.regions]
+        if spec.quality in qualities:
+            message = f"quality {spec.quality} has more than one regions block"
+            diags.append(ValidationDiagnostic(rid, "unique-regions", message))
+        qualities.add(spec.quality)
         for name in sorted({n for n in names if names.count(n) > 1}):
             message = f"quality {spec.quality} declares region {name} more than once"
             diags.append(ValidationDiagnostic(rid, "unique-regions", message))
@@ -956,17 +948,33 @@ def resolve_error(
     return f"no declared conflict matches {{{ids}}}"
 
 
-def scale_error(app: OperatorApplication) -> Optional[str]:
-    """Why `app`'s multiplier pair cannot scale in its direction, or None:
-    down-scaling must enlarge the region and up-scaling shrink it."""
+def scale_error(app: OperatorApplication, by_id: dict[str, Element]) -> Optional[str]:
+    """Why `app`'s factor cannot scale its input's region, or None.
+
+    A multiplier pair must enlarge the region when scaling down and shrink it
+    when scaling up, and it needs an interval region; a region-name factor
+    needs a named region. Whether an axiom orders the two names needs a
+    proof, so only `operators.apply_scale` checks that.
+    """
     args = app.args
-    if not isinstance(args, ScaleArgs) or args.factor.allows(args.direction):
+    if not isinstance(args, ScaleArgs):
         return None
     factor = args.factor
-    return (
-        f"factor ({factor.low_factor}, {factor.high_factor}) "
-        f"cannot scale {args.direction.value}"
-    )
+    if not factor.allows(args.direction):
+        return (
+            f"factor ({factor.low_factor}, {factor.high_factor}) "
+            f"cannot scale {args.direction.value}"
+        )
+    source = by_id.get(app.inputs[0]) if app.inputs else None
+    if source is None or not isinstance(source.body, QualityStatement):
+        return None
+    region = source.body.region
+    if factor.is_quantitative:
+        if not isinstance(region, Interval):
+            return "a multiplier factor needs an interval region"
+    elif not isinstance(region, NamedRegion):
+        return "a region-name factor needs a named region"
+    return None
 
 
 def strength_error(app: OperatorApplication, by_id: dict[str, Element]) -> Optional[str]:

@@ -270,17 +270,13 @@ def apply_scale(
     app = OperatorApplication(
         Operator.SCALE, (input_id,), (oid,), strength, ScaleArgs(factor, direction)
     )
-    unscalable = scale_error(app)
+    unscalable = scale_error(app, {input_id: element})
     if unscalable is not None:
         raise OperatorError(unscalable)
     region = element.body.region
     if factor.is_quantitative:
-        if not isinstance(region, Interval):
-            raise OperatorError("a multiplier factor needs an interval region")
         new_region = _scaled_interval(region, factor, direction)
     else:
-        if not isinstance(region, NamedRegion):
-            raise OperatorError("a region-name factor needs a named region")
         target = factor.region_name
         if direction is ScaleDirection.DOWN:
             ok = _ordered(model, region.name, target)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import NamedTuple, Optional, Union as TypingUnion
+from typing import Callable, NamedTuple, Optional, TypeVar, Union as TypingUnion
 
 from .model import (
     EXACTLY_ONE,
@@ -72,17 +72,9 @@ MAX_NESTING = 100
 _TOO_DEEP = f"description nested more than {MAX_NESTING} levels deep"
 
 KIND_KEYWORDS = {kind.value: kind for kind in Kind}
-OPERATOR_KEYWORDS = {
-    "reduce": Operator.REDUCE,
-    "interpret": Operator.INTERPRET,
-    "focus": Operator.FOCUS,
-    "scale_up": Operator.SCALE,
-    "scale_down": Operator.SCALE,
-    "deuniv": Operator.DEUNIVERSALIZE,
-    "resolve": Operator.RESOLVE,
-    "operationalize": Operator.OPERATIONALIZE,
-    "observe": Operator.OBSERVE,
-}
+# Scaling is written with its direction: `scale_up` or `scale_down`.
+OPERATOR_KEYWORDS = {op.value: op for op in Operator if op is not Operator.SCALE}
+OPERATOR_KEYWORDS.update(scale_up=Operator.SCALE, scale_down=Operator.SCALE)
 STRENGTH_KEYWORDS = {s.value: s for s in Strength}
 
 
@@ -166,6 +158,8 @@ def _is_bad(lexeme: str) -> bool:
 
 
 _COUNTED = {"<=": at_most, ">=": at_least, "=": exactly}
+_UNCOUNTED = {"SOME": SOME, "ONLY": ONLY}
+_CONSTANTS = {"Thing": THING, "Nothing": NOTHING}
 
 
 def _placed(text: str):
@@ -237,6 +231,9 @@ def _unquote(raw: str) -> str:
 
 class _Abort(Exception):
     """Internal signal: the current statement cannot be finished."""
+
+
+_T = TypeVar("_T")
 
 
 class _Parser:
@@ -321,6 +318,22 @@ class _Parser:
                 self.advance()
                 return
             self.advance()
+
+    def recover(self, exc: Exception) -> None:
+        """Skip the rest of the statement `exc` stopped. A ValueError is a
+        value that could not be built, such as a model record refusing its
+        fields or a number too long to convert; it is reported here."""
+        if isinstance(exc, ValueError):
+            self.error(str(exc))
+        self.sync_statement()
+
+    def comma_list(self, item: Callable[[], _T]) -> list[_T]:
+        """One `item`, then one more after each comma."""
+        items = [item()]
+        while self.at(","):
+            self.advance()
+            items.append(item())
+        return items
 
     # --- rationals ---
 
@@ -408,13 +421,8 @@ class _Parser:
     def _parse_primary(self) -> Description:
         token = self.peek()
         if _is_id(token):
-            if token == "Thing":
-                self.advance()
-                return THING
-            if token == "Nothing":
-                self.advance()
-                return NOTHING
-            return AtomicConcept(self.advance())
+            self.advance()
+            return _CONSTANTS[token] if token in _CONSTANTS else AtomicConcept(token)
         if token == "{":
             return self._parse_braced()
         if token == "(":
@@ -433,16 +441,10 @@ class _Parser:
     def _parse_braced(self) -> Description:
         self.expect("{")
         if _is_num(self.peek()) or _is_str(self.peek()) or self.at("-"):
-            values: list = [self._parse_set_value()]
-            while self.at(","):
-                self.advance()
-                values.append(self._parse_set_value())
+            values = self.comma_list(self._parse_set_value)
             self.expect("}")
             return Region(ValueSet(tuple(values)))
-        ids = [self.expect_ident("individual id")]
-        while self.at(","):
-            self.advance()
-            ids.append(self.expect_ident("individual id"))
+        ids = self.comma_list(lambda: self.expect_ident("individual id"))
         self.expect("}")
         return Enumeration(tuple(ids))
 
@@ -466,33 +468,33 @@ class _Parser:
                 )
             self.advance()
             modifier = _COUNTED[token](int(count))
-        elif token == "SOME":
+        elif token in _UNCOUNTED:
             self.advance()
-            modifier = SOME
-        elif token == "ONLY":
-            self.advance()
-            modifier = ONLY
+            modifier = _UNCOUNTED[token]
         filler = self.parse_description()
         self.expect(">")
         return SlotRestriction(slot, modifier, filler)
 
     # --- region expressions ---
 
+    def _parse_unit(self) -> Optional[str]:
+        """An optional `(unit)`, also written `(unit.)`."""
+        if not self.at("("):
+            return None
+        self.advance()
+        unit = self.expect_ident("unit")
+        if self.at("."):
+            self.advance()
+        self.expect(")")
+        return unit
+
     def _parse_interval(self) -> Interval:
         self.expect("[")
         low = self.parse_rational()
         self.expect(",")
         high = self.parse_rational()
-        unit = None
-        if self.at("("):
-            self.advance()
-            unit = self.expect_ident("unit")
-            if self.at("."):
-                self.advance()
-            self.expect(")")
+        unit = self._parse_unit()
         self.expect("]")
-        if low > high:
-            raise self.error("interval low bound exceeds high bound")
         return Interval(low, high, unit)
 
     def parse_region_expr(self) -> RegionExpr:
@@ -502,21 +504,12 @@ class _Parser:
         if token == "<=":
             self.advance()
             high = self.parse_rational()
-            unit = None
-            if self.at("("):
-                self.advance()
-                unit = self.expect_ident("unit")
-                if self.at("."):
-                    self.advance()
-                self.expect(")")
-            return Interval(Fraction(0), high, unit)
+            return Interval(Fraction(0), high, self._parse_unit())
         if token == "{":
             region = self._parse_braced()
-            if isinstance(region, Region) and isinstance(region.expr, ValueSet):
-                return region.expr
             if isinstance(region, Enumeration):
                 return ValueSet(region.ids)
-            raise self.error("expected a value set")
+            return region.expr
         name = self.expect_ident("region name")
         qualitative = True
         if self.at("(") and self.peek(1) == "measured" and self.peek(2) == ")":
@@ -616,10 +609,7 @@ class _Parser:
         self.expect(",")
         pct = self.parse_rational()
         self.expect(")")
-        try:
-            return UAnnotation(var, tuple(path), pct)
-        except ValueError as exc:
-            raise self.error(str(exc))
+        return UAnnotation(var, tuple(path), pct)
 
     # --- statements ---
 
@@ -639,11 +629,7 @@ class _Parser:
         return default
 
     def parse_id_list(self) -> list[str]:
-        ids = [self.expect_ident("element id")]
-        while self.at(","):
-            self.advance()
-            ids.append(self.expect_ident("element id"))
-        return ids
+        return self.comma_list(lambda: self.expect_ident("element id"))
 
     def _parse_scale_factor(self) -> ScaleFactor:
         if self.at("("):
@@ -723,11 +709,9 @@ class _Parser:
                     individuals.add(name)
                     if self.at(":"):
                         self.advance()
-                        concept = self.expect_ident("concept")
-                        extensions.setdefault(concept, set()).add(name)
-                        while self.at(","):
-                            self.advance()
-                            concept = self.expect_ident("concept")
+                        for concept in self.comma_list(
+                            lambda: self.expect_ident("concept")
+                        ):
                             extensions.setdefault(concept, set()).add(name)
                     self.expect(";")
                 elif keyword == "slot":
@@ -753,8 +737,8 @@ class _Parser:
                     records.append(self._parse_quality_record())
                 else:
                     raise self.error(f"unknown world statement {keyword!r}")
-            except _Abort:
-                self.sync_statement()
+            except (_Abort, ValueError) as exc:
+                self.recover(exc)
         self.expect("}")
         if self.at(";"):
             self.advance()
@@ -792,14 +776,11 @@ class _Parser:
             unit = self.advance()
             if self.at("."):
                 self.advance()
-        observers: set[str] = set()
+        observers: list[str] = []
         if self.at("observed_by"):
             self.advance()
             self.expect("{")
-            observers.add(self.expect_ident("observer id"))
-            while self.at(","):
-                self.advance()
-                observers.add(self.expect_ident("observer id"))
+            observers = self.comma_list(lambda: self.expect_ident("observer id"))
             self.expect("}")
         self.expect(";")
         return QualityRecord(quality_id, concept, bearer, value, unit, frozenset(observers))
@@ -816,10 +797,7 @@ class _Parser:
             keyword = self.expect_ident("'points' or 'interval'")
             if keyword == "points":
                 self.expect("{")
-                values = [self.parse_rational()]
-                while self.at(","):
-                    self.advance()
-                    values.append(self.parse_rational())
+                values = self.comma_list(self.parse_rational)
                 self.expect("}")
                 regions.append(PrototypeRegion(name, PointPrototypes(tuple(values))))
             elif keyword == "interval":
@@ -828,11 +806,7 @@ class _Parser:
                 self.expect(",")
                 high = self.parse_rational()
                 self.expect("]")
-                try:
-                    prototypes = IntervalPrototypes(low, high)
-                except ValueError as exc:
-                    raise self.error(str(exc))
-                regions.append(PrototypeRegion(name, prototypes))
+                regions.append(PrototypeRegion(name, IntervalPrototypes(low, high)))
             else:
                 raise self.error("expected 'points' or 'interval'")
             self.expect(";")
@@ -919,8 +893,8 @@ def _parse_statements(parser: _Parser) -> _Builder:
                 build.starts[f"regions[{len(build.specs) - 1}]"] = start
             else:
                 raise parser.error(f"unknown statement keyword {keyword!r}")
-        except _Abort:
-            parser.sync_statement()
+        except (_Abort, ValueError) as exc:
+            parser.recover(exc)
         if len(parser.diagnostics) >= MAX_DIAGNOSTICS:
             break
     return build
@@ -974,8 +948,8 @@ def parse_description(
         result = parser.parse_description()
         if parser.peek():
             raise parser.error(f"unexpected trailing input {parser.peek()!r}")
-    except _Abort:
-        pass
+    except (_Abort, ValueError) as exc:
+        parser.recover(exc)
     if parser.diagnostics:
         return parser.diagnostics
     assert result is not None

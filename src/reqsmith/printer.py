@@ -190,14 +190,12 @@ def _format_application(app: OperatorApplication) -> str:
 
 def _format_world(world: World) -> list[str]:
     lines = ["world {"]
-    mentioned: set[str] = set()
     concept_sets: dict[str, list[str]] = {}
     for concept, members in world.concept_extensions.items():
         for member in members:
             concept_sets.setdefault(member, []).append(concept)
     for individual in sorted(world.individuals):
         concepts = sorted(concept_sets.get(individual, []))
-        mentioned.add(individual)
         suffix = f" : {', '.join(concepts)}" if concepts else ""
         lines.append(f"  individual {individual}{suffix};")
     for slot in sorted(world.slot_tuples):

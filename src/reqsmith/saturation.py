@@ -2,14 +2,13 @@
 
 from typing import NamedTuple, Optional
 
-from .model import World
+from .model import Quantity, World
 from .semantics import (
     DLAnd,
     DLAtomic,
     DLCard,
     DLConcept,
     DLDataRange,
-    DLExists,
     DLExistsInverse,
     DLForAll,
     DLNominal,
@@ -25,7 +24,15 @@ from .semantics import (
 )
 
 
+def _value_text(value, unit: Optional[str] = None) -> str:
+    """A data value as clash texts print it: `9`, `9 Sec`, `1/3`, `y`."""
+    if isinstance(value, Quantity):
+        value, unit = value.value, value.unit
+    return f"{value} {unit}" if unit else str(value)
+
+
 def _dl_repr(c: DLConcept) -> str:
+    """A normalized concept as clash texts print it."""
     if isinstance(c, DLAtomic):
         return c.name
     if isinstance(c, DLThing):
@@ -42,14 +49,11 @@ def _dl_repr(c: DLConcept) -> str:
         return f"not {_dl_repr(c.inner)}"
     if isinstance(c, DLForAll):
         return f"only {c.slot}.{_dl_repr(c.filler)}"
-    if isinstance(c, DLExists):
-        return f"some {c.slot}.{_dl_repr(c.filler)}"
     if isinstance(c, DLExistsInverse):
         return f"some inverse({c.slot}).{_dl_repr(c.filler)}"
     if isinstance(c, DLDataRange):
         symbol = {"min": ">=", "max": "<=", "eq": "="}[c.facet]
-        unit = f" {c.unit}" if c.unit else ""
-        return f"({symbol} {c.value}{unit})"
+        return f"({symbol} {_value_text(c.value, c.unit)})"
     assert isinstance(c, DLCard)
     symbol = {"min": ">=", "max": "<=", "exact": "="}[c.kind]
     return f"{symbol}{c.n} {c.slot}.{_dl_repr(c.filler)}"
@@ -93,8 +97,10 @@ class _Saturator:
             data_values=self.data,
         )
 
-    def run(self, max_rounds: int = 50) -> _Saturation:
-        for _ in range(max_rounds):
+    def run(self) -> _Saturation:
+        # A round only adds memberships, of which there are finitely many, so
+        # the rounds reach a fixpoint: the snapshot of a round that adds none.
+        while True:
             self.changed = False
             self.snapshot = self.current()
             self.memo = {}
@@ -104,8 +110,7 @@ class _Saturator:
             if self.clashes:
                 return _Saturation(None, tuple(self.clashes))
             if not self.changed:
-                break
-        return _Saturation(self.current())
+                return _Saturation(self.snapshot)
 
     def _extension(self, c: DLConcept) -> frozenset[str]:
         ext = self.memo.get(c)
@@ -149,9 +154,9 @@ class _Saturator:
             for arg in c.args:
                 self._assert(x, arg, ax)
             return
-        if isinstance(c, (DLOr, DLExistsInverse, DLExists)):
-            # A missing disjunct, source or filler would need a guess, and
-            # saturation never guesses.
+        if isinstance(c, (DLOr, DLExistsInverse)):
+            # A missing disjunct or source would need a guess, and saturation
+            # never guesses.
             return
         if isinstance(c, DLNominal):
             if x not in c.ids:
@@ -171,7 +176,7 @@ class _Saturator:
                 if value is not None and not _value_test(c.filler, value):
                     self._clash(
                         ax,
-                        f": value {value!r} of {x}.{c.slot} falls outside "
+                        f": value {_value_text(value)} of {x}.{c.slot} falls outside "
                         f"{_dl_repr(c.filler)}",
                     )
                 return

@@ -22,7 +22,6 @@ from .semantics import (
     DLCard,
     DLConcept,
     DLDataRange,
-    DLExists,
     DLExistsInverse,
     DLForAll,
     DLNominal,
@@ -66,7 +65,7 @@ def _collect_vocabulary(concepts: Iterable[DLConcept]) -> _Vocabulary:
                 walk(a)
         elif isinstance(c, DLNot):
             walk(c.inner)
-        elif isinstance(c, (DLForAll, DLCard, DLExists, DLExistsInverse)):
+        elif isinstance(c, (DLForAll, DLCard, DLExistsInverse)):
             filler = c.filler
             if _is_dataish(filler):
                 bucket = vocab.data_slots.setdefault(c.slot, set())
@@ -317,8 +316,6 @@ def _construct_into(builder: _Builder, c: DLConcept, node: str) -> bool:
         source = builder.fresh()
         builder.tuples.setdefault(c.slot, set()).add((source, node))
         return _construct_into(builder, c.filler, source)
-    if isinstance(c, DLExists):
-        c = DLCard(c.slot, "min", 1, c.filler)
     assert isinstance(c, DLCard)
     if c.kind == "max":
         return True

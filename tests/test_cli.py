@@ -149,6 +149,48 @@ def test_counts_below_one_or_fractional_exit_two_with_span(
     )
 
 
+# Statements whose records refuse their fields, and where each error points.
+BROKEN_RECORDS = [
+    ("fg X := {a, a} :< B;", "2:16: error: enumeration ids must be duplicate-free"),
+    ("qg Q := Cost (X) :: <= -5;", "2:26: error: interval low bound exceeds high bound"),
+    ("qg Q := Cost (X) :: {a, a};", "2:27: error: enumeration ids must be duplicate-free"),
+]
+
+
+@pytest.mark.parametrize(("statement", "error"), BROKEN_RECORDS)
+@pytest.mark.parametrize(
+    "command", ["check", "fmt", "fulfill", "lint", "membership", "query", "translate"]
+)
+def test_a_broken_record_invariant_is_one_parse_error_on_every_command(
+    tmp_path, capsys, command, statement, error
+):
+    argv = _command_argv(command, tmp_path, f"model m;\n{statement}\n")
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{argv[1]}:{error}\n"
+
+
+def test_query_pattern_with_a_repeated_id_exits_two(tmp_path, capsys):
+    path = write(tmp_path, CLEAN)
+    assert main(["query", path, "--pattern", "{a, a}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "<input>:1:7: error: enumeration ids must be duplicate-free\n"
+
+
+def test_a_number_too_long_to_convert_is_a_one_line_parse_error(tmp_path, capsys):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this Python converts integers of any length")
+    path = write(tmp_path, f"model m;\nqg Q := Cost (X) :: [1, {'1' * (limit + 1)}];\n")
+    assert main(["fmt", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"{path}:2:25: error: ")
+    assert captured.err.count("\n") == 1
+
+
 def _some_chain(depth: int) -> str:
     return "<s: SOME " * depth + "A" + ">" * depth
 
@@ -302,6 +344,62 @@ def test_check_reports_world_clashes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "world" in out
     assert "Nothing" in out
+
+
+@pytest.mark.parametrize("length", [60, 200])
+def test_check_saturates_a_chain_of_any_length(tmp_path, capsys, length):
+    chain = "".join(f"axiom C{i} :< C{i + 1};\n" for i in range(1, length + 1))
+    text = (
+        f"model m;\n{chain}axiom C{length + 1} :< Nothing;\n"
+        "world { individual x : C1; };\n"
+    )
+    assert main(["check", write(tmp_path, text)]) == 1
+    assert capsys.readouterr().out == (
+        f"world: inconsistent: axiom C{length + 1} :< Nothing forces x into Nothing\n"
+    )
+
+
+_RANGE = "only cost.((<= 5) and (>= 1))"
+
+
+@pytest.mark.parametrize(
+    ("axiom", "facts", "clash"),
+    [
+        (
+            "A :< <cost: ONLY [1, 5]>",
+            "data cost(c) = 9;",
+            f"A :< {_RANGE}: value 9 of c.cost falls outside ((<= 5) and (>= 1))",
+        ),
+        (
+            "A :< <cost: ONLY [1, 5]>",
+            "data cost(c) = 9 Sec;",
+            f"A :< {_RANGE}: value 9 Sec of c.cost falls outside ((<= 5) and (>= 1))",
+        ),
+        (
+            "A :< <cost: ONLY [1, 5]>",
+            'data cost(c) = "y";',
+            f"A :< {_RANGE}: value y of c.cost falls outside ((<= 5) and (>= 1))",
+        ),
+        (
+            "A :< <cost: ONLY [1, 5 (Sec)]>",
+            "data cost(c) = 1/3;",
+            "A :< only cost.((<= 5 Sec) and (>= 1 Sec)): value 1/3 of c.cost "
+            "falls outside ((<= 5 Sec) and (>= 1 Sec))",
+        ),
+        ("A :< Thing - B", "individual c : B;", "A :< not B forbids c from B, which it inhabits"),
+        (
+            "A :< {a}",
+            "",
+            "A :< {a} forces c to be one of {a}, "
+            "but distinct names denote distinct individuals",
+        ),
+    ],
+    ids=["number", "quantity", "string", "fraction", "negation", "nominal"],
+)
+def test_check_prints_each_clash_kind_in_model_syntax(tmp_path, capsys, axiom, facts, clash):
+    text = f"model m;\naxiom {axiom};\nworld {{ individual c : A; {facts} }};\n"
+    assert main(["check", write(tmp_path, text)]) == 1
+    assert capsys.readouterr().out == f"world: inconsistent: axiom {clash}\n"
 
 
 def test_check_json_uses_the_report_schema(tmp_path, capsys):
@@ -780,6 +878,27 @@ def test_a_region_declared_twice_exits_two_on_every_command(tmp_path, capsys, co
     assert captured.err == (
         f"{argv[1]}:3:1: error: regions[1]: [unique-regions] "
         "quality Cost declares region low more than once\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "command", ["check", "fmt", "fulfill", "lint", "membership", "query", "translate"]
+)
+def test_a_second_regions_block_for_one_quality_exits_two_on_every_command(
+    tmp_path, capsys, command
+):
+    text = (
+        "model m;\n"
+        "regions Cost { low = interval [1, 2]; }\n"
+        "regions Cost { high = interval [5, 6]; }\n"
+    )
+    argv = _command_argv(command, tmp_path, text)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"{argv[1]}:3:1: error: regions[1]: [unique-regions] "
+        "quality Cost has more than one regions block\n"
     )
 
 

@@ -621,6 +621,55 @@ def test_drawn_text_lexes_like_the_reference_and_parses_without_raising():
     check()
 
 
+_FIXTURE_TOKENS = [
+    tokenize(path.read_text(encoding="utf-8"), path.name)[0][:-1]
+    for path in sorted((ROOT / "tests" / "fixtures").glob("*.dsr"))
+]
+
+
+def _mutate(tokens, edits):
+    """`tokens` after each (operation, i, j) edit, indices taken modulo the
+    current length: delete token i, repeat it, overwrite it with token j, or
+    swap it with token j."""
+    tokens = list(tokens)
+    for operation, i, j in edits:
+        if not tokens:
+            break
+        i, j = i % len(tokens), j % len(tokens)
+        if operation == "delete":
+            del tokens[i]
+        elif operation == "repeat":
+            tokens.insert(i, tokens[i])
+        elif operation == "overwrite":
+            tokens[i] = tokens[j]
+        else:
+            tokens[i], tokens[j] = tokens[j], tokens[i]
+    return tokens
+
+
+def test_token_mutations_of_the_fixtures_parse_without_raising():
+    hypothesis = pytest.importorskip("hypothesis")
+    strategies = hypothesis.strategies
+    index = strategies.integers(0, 10_000)
+    edit = strategies.tuples(
+        strategies.sampled_from(["delete", "repeat", "overwrite", "swap"]), index, index
+    )
+
+    @hypothesis.settings(
+        max_examples=400, deadline=None, database=None, derandomize=True
+    )
+    @hypothesis.given(
+        strategies.sampled_from(_FIXTURE_TOKENS),
+        strategies.lists(edit, min_size=1, max_size=4),
+    )
+    def check(tokens, edits):
+        text = " ".join(_mutate(tokens, edits))
+        assert _is_result(parse_model(text), Model)
+        assert _is_result(parse_description(text), Description)
+
+    check()
+
+
 def test_bad_character_deep_in_a_large_model_reports_its_line_and_column():
     text = max(_bench_models(), key=len)
     lines = text.split("\n")

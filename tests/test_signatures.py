@@ -322,3 +322,53 @@ def test_a_factor_that_cannot_scale_up_is_a_spanned_validation_error(tmp_path, c
     assert capsys.readouterr().err == (
         f"{path}:4:3: error: application[0]: [scale-factor] factor (1, 2) cannot scale up\n"
     )
+
+
+@pytest.mark.parametrize(
+    ("region", "factor", "message"),
+    [
+        (
+            NamedRegion("Fast"),
+            ScaleFactor(low_factor=Fraction(2), high_factor=Fraction(1)),
+            "a multiplier factor needs an interval region",
+        ),
+        (
+            Interval(Fraction(0), Fraction(30)),
+            ScaleFactor(region_name="Slow"),
+            "a region-name factor needs a named region",
+        ),
+    ],
+    ids=["multiplier-on-named", "name-on-interval"],
+)
+def test_a_factor_that_does_not_fit_the_region_fails_validation_and_apply_scale(
+    region, factor, message
+):
+    body = QualityStatement(AtomicConcept("Cost"), AtomicConcept("X"), region)
+    inp, out = Element("IN", Kind.QG, body), Element("OUT", Kind.QG, body)
+    app = OperatorApplication(
+        Operator.SCALE,
+        ("IN",),
+        ("OUT",),
+        Strength.STRENGTHENING,
+        ScaleArgs(factor, ScaleDirection.UP),
+    )
+    problems = [str(d) for d in validate_model(Model("m", (inp, out), (app,)))]
+    assert problems == [f"application[0]: [scale-factor] {message}"]
+    with pytest.raises(OperatorError) as caught:
+        apply_scale(Model("m", (inp,)), "IN", factor, ScaleDirection.UP, output_id="OUT")
+    assert str(caught.value) == message
+
+
+def test_a_multiplier_on_a_named_region_is_a_spanned_validation_error(tmp_path, capsys):
+    path = tmp_path / "scale.dsr"
+    path.write_text(
+        "model m;\n"
+        "qg Q := Cost (X) :: Fast;\n"
+        "qg Q2 := Cost (X) :: Slow;\n"
+        "scale_up Q -> Q2 by (2, 1);\n"
+    )
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"{path}:4:1: error: application[0]: [scale-factor] "
+        "a multiplier factor needs an interval region\n"
+    )
