@@ -236,6 +236,17 @@ def _cmd_membership(args) -> int:
     return 0
 
 
+def _threshold(text: str) -> int:
+    """A `--threshold` count: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
 _COMMANDS = {
     "fmt": _cmd_fmt,
     "check": _cmd_check,
@@ -279,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fulfill = command("fulfill", "propagate fulfillment marks")
     fulfill.add_argument(
         "--threshold",
-        type=int,
+        type=_threshold,
         default=None,
         help="count of fulfilled fan-out successors that suffices",
     )

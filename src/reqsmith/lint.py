@@ -5,10 +5,6 @@ surface wording, never at deep inference, so a finding is a prompt for a
 human decision rather than a proof of a defect. Each finding names the
 transformation that usually repairs the issue, and applying that
 transformation silences the finding on re-lint.
-
-`classify_hint` is the companion intake aid: given a raw statement it
-guesses which element kinds the wording suggests, so unsorted stakeholder
-text can be routed to a first-draft declaration.
 """
 
 import re
@@ -471,55 +467,3 @@ def _ambiguous(live, config) -> list[LintFinding]:
                 )
                 break
     return out
-
-
-_QUALITY_ADJECTIVES = (
-    "accurate|appealing|available|convenient|efficient|fast|friendly|good|"
-    "intuitive|precise|reliable|responsive|robust|safe|secure|simple|slow|"
-    "stable"
-)
-
-_HINT_PATTERNS: tuple[tuple[Kind, "re.Pattern[str]"], ...] = (
-    (Kind.F, re.compile(r"\bshall allow\b.*?\bto\b")),
-    (Kind.F, re.compile(r"\bshall (?:be able to|provide|support)\b")),
-    (Kind.FG, re.compile(r"\b(?:be|been|being)\s+\w+(?:ed|en)\b")),
-    (
-        Kind.QG,
-        re.compile(
-            rf"\b(?:is|are|be|been|being)\s+(?:very\s+|highly\s+)?"
-            rf"(?:{_QUALITY_ADJECTIVES}|(?!able\b)\w+(?:able|ible))\b"
-        ),
-    ),
-    (Kind.CTG, re.compile(r"\bshall (?:have|include)\b")),
-    (Kind.DA, re.compile(r"\bis an?\b|\bwill (?:be|have)\b")),
-)
-
-_HINT_ORDER = (Kind.F, Kind.FG, Kind.QG, Kind.CTG, Kind.DA)
-
-
-class KindGuess(NamedTuple):
-    """One plausible element kind for a raw statement."""
-
-    kind: Kind
-    triggers: tuple[str, ...]
-
-
-def classify_hint(text: str) -> list[KindGuess]:
-    """Rank the element kinds a raw statement's wording suggests.
-
-    Purely lexical: each kind's trigger patterns are matched against the
-    casefolded text and kinds are ordered by how many triggers fired. An
-    empty result means the wording is neutral and the author must decide.
-    """
-    lowered = text.casefold()
-    matched: dict[Kind, list[str]] = {}
-    for kind, pattern in _HINT_PATTERNS:
-        for hit in pattern.finditer(lowered):
-            fragment = hit.group(0)
-            bucket = matched.setdefault(kind, [])
-            if fragment not in bucket:
-                bucket.append(fragment)
-    ranked = sorted(
-        matched.items(), key=lambda kv: (-len(kv[1]), _HINT_ORDER.index(kv[0]))
-    )
-    return [KindGuess(kind, tuple(triggers)) for kind, triggers in ranked]

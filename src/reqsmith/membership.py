@@ -16,20 +16,11 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
-from .model import (
-    Element,
-    IntervalPrototypes,
-    MembershipSpec,
-    NamedRegion,
-    PointPrototypes,
-    PrototypeRegion,
-    QualityStatement,
-    exact_decimal,
-)
+from .model import IntervalPrototypes, PointPrototypes, PrototypeRegion, exact_decimal
 
-DEFAULT_COMPLETION_CAP = 1_000_000
+COMPLETION_CAP = 1_000_000
 
 
 class MembershipError(ValueError):
@@ -48,21 +39,11 @@ def _prototypes(regions: Sequence[PrototypeRegion], style: type) -> list:
     return [region.prototypes for region in regions]
 
 
-def _as_interval(r: Union[PrototypeRegion, IntervalPrototypes]) -> IntervalPrototypes:
-    if isinstance(r, PrototypeRegion):
-        if not isinstance(r.prototypes, IntervalPrototypes):
-            raise MembershipError(f"region {r.name} does not use interval prototypes")
-        return r.prototypes
-    return r
-
-
 # ===== point prototypes =====
 
 
 def membership_points(
-    p: Fraction,
-    regions: Sequence[PrototypeRegion],
-    cap: int = DEFAULT_COMPLETION_CAP,
+    p: Fraction, regions: Sequence[PrototypeRegion]
 ) -> dict[str, Fraction]:
     """Degree of `p` in every region under the counting measure.
 
@@ -78,8 +59,8 @@ def membership_points(
     total = 1
     for pp in protos:
         total *= len(pp.values)
-        if total > cap:
-            raise MembershipError(f"completion count exceeds cap ({cap})")
+        if total > COMPLETION_CAP:
+            raise MembershipError(f"completion count exceeds cap ({COMPLETION_CAP})")
     counts = [0] * len(regions)
     for completion in itertools.product(*(pp.values for pp in protos)):
         distances = [abs(p - chosen) for chosen in completion]
@@ -117,20 +98,6 @@ def _pair_degree_r1(
     if p <= t4:
         return (b + d - 2 * p) ** 2 / k
     return Fraction(0)
-
-
-def membership_interval_pair(
-    p: Fraction,
-    r1: Union[PrototypeRegion, IntervalPrototypes],
-    r2: Union[PrototypeRegion, IntervalPrototypes],
-) -> tuple[Fraction, Fraction]:
-    """Degrees of `p` in two adjacent interval-prototype regions."""
-    i1, i2 = _as_interval(r1), _as_interval(r2)
-    a, b, c, d = i1.a, i1.b, i2.a, i2.b
-    if not (a < b < c < d):
-        raise MembershipError("interval pair must satisfy a < b < c < d")
-    d1 = _pair_degree_r1(p, a, b, c, d)
-    return d1, 1 - d1
 
 
 def membership_intervals(
@@ -172,26 +139,6 @@ def membership_degrees(
     if regions and isinstance(regions[0].prototypes, PointPrototypes):
         return membership_points(p, regions)
     return membership_intervals(p, regions)
-
-
-# ===== satisfaction of quality goals =====
-
-
-def satisfaction_degree(
-    qgc: Element,
-    observed_value: Fraction,
-    spec: Union[MembershipSpec, Sequence[PrototypeRegion]],
-    target_region: str,
-) -> Fraction:
-    """Membership degree of an observed quality value in a named region."""
-    regions = spec.regions if isinstance(spec, MembershipSpec) else tuple(spec)
-    if not isinstance(qgc.body, QualityStatement):
-        raise MembershipError("satisfaction degrees apply to quality elements")
-    if not isinstance(qgc.body.region, NamedRegion):
-        raise MembershipError("the element's region must be a named region")
-    if all(r.name != target_region for r in regions):
-        raise MembershipError(f"region {target_region} is not in the prototype spec")
-    return membership_degrees(observed_value, regions)[target_region]
 
 
 def format_degree(value: Fraction) -> str:

@@ -367,8 +367,8 @@ class ScaleFactor:
 
     Down-scaling may only enlarge the region (low factor <= 1 <= high
     factor); up-scaling may only shrink it (low factor >= 1, high factor
-    <= 1). A factor pair that moved both bounds the same way would shift the
-    region instead of scaling it, which the multiplier constraints forbid.
+    <= 1). On a region with a negative bound such a pair can still shift or
+    empty the region; `scale_error` refuses that.
     """
 
     low_factor: Optional[Fraction] = None
@@ -952,9 +952,10 @@ def scale_error(app: OperatorApplication, by_id: dict[str, Element]) -> Optional
     """Why `app`'s factor cannot scale its input's region, or None.
 
     A multiplier pair must enlarge the region when scaling down and shrink it
-    when scaling up, and it needs an interval region; a region-name factor
-    needs a named region. Whether an axiom orders the two names needs a
-    proof, so only `operators.apply_scale` checks that.
+    when scaling up, and it needs an interval region whose scaled bounds
+    neither cross nor shift it; a region-name factor needs a named region.
+    Whether an axiom orders the two names needs a proof, so only
+    `operators.apply_scale` checks that.
     """
     args = app.args
     if not isinstance(args, ScaleArgs):
@@ -972,6 +973,15 @@ def scale_error(app: OperatorApplication, by_id: dict[str, Element]) -> Optional
     if factor.is_quantitative:
         if not isinstance(region, Interval):
             return "a multiplier factor needs an interval region"
+        low, high = region.low * factor.low_factor, region.high * factor.high_factor
+        if low > high:
+            return f"scaling would empty the region: {low} > {high}"
+        if args.direction is ScaleDirection.DOWN:
+            contained = low <= region.low and high >= region.high
+        else:
+            contained = low >= region.low and high <= region.high
+        if not contained:
+            return "scaling must enlarge or shrink the region, never shift it"
     elif not isinstance(region, NamedRegion):
         return "a region-name factor needs a named region"
     return None

@@ -227,21 +227,8 @@ def _ordered(model: Model, narrow: str, wide: str) -> bool:
     return _Derivation(collect_axioms(model)).proves(DLAtomic(narrow), DLAtomic(wide))
 
 
-def _scaled_interval(
-    region: Interval, factor: ScaleFactor, direction: ScaleDirection
-) -> Interval:
-    low = region.low * factor.low_factor
-    high = region.high * factor.high_factor
-    if low > high:
-        raise OperatorError(f"scaling would empty the region: {low} > {high}")
-    if direction is ScaleDirection.DOWN:
-        contained = low <= region.low and high >= region.high
-    else:
-        contained = low >= region.low and high <= region.high
-    if not contained:
-        raise OperatorError(
-            "scaling must enlarge or shrink the region, never shift it"
-        )
+def _scaled_interval(region: Interval, factor: ScaleFactor) -> Interval:
+    low, high = region.low * factor.low_factor, region.high * factor.high_factor
     return Interval(low, high, region.unit)
 
 
@@ -275,7 +262,7 @@ def apply_scale(
         raise OperatorError(unscalable)
     region = element.body.region
     if factor.is_quantitative:
-        new_region = _scaled_interval(region, factor, direction)
+        new_region = _scaled_interval(region, factor)
     else:
         target = factor.region_name
         if direction is ScaleDirection.DOWN:

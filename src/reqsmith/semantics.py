@@ -4,8 +4,7 @@
 elements into a small description-logic fragment used by the subsumption
 reasoner and the exporter. One evaluator computes the exact extension of a
 fragment concept over a finite closed world (`eval_dl`); `eval_description`
-evaluates a description through its translation. `holds.element_holds`
-checks whole elements against a world with it.
+evaluates a description through its translation.
 """
 
 from __future__ import annotations
@@ -34,12 +33,10 @@ from .model import (
     SlotRestriction,
     Subsumption,
     Thing,
-    UAnnotation,
     Union,
     World,
     ModifierKind,
     SOME,
-    EXACTLY_ONE,
     annotation_path_error,
 )
 
@@ -304,12 +301,6 @@ def translate_description(d: Description) -> DLConcept:
     return DLCard(d.slot, card_kind, d.modifier.n, filler)
 
 
-def _pct_restriction(ann: UAnnotation, modifier) -> SlotRestriction:
-    return SlotRestriction(
-        "pct", modifier, Region(Interval(ann.pct_low, ann.pct_high))
-    )
-
-
 def _wrap_at_path(d: Description, rest: tuple[str, ...], pct: SlotRestriction):
     return _replace_first(d, rest, pct) if rest else Union(d, pct)
 
@@ -342,7 +333,7 @@ def _replace_first(d: Description, rest, pct) -> Optional[Description]:
     return None
 
 
-def _graft_annotations(body: QualityStatement, modifier):
+def _graft_annotations(body: QualityStatement):
     subject = body.subject
     observers = body.observers
     for ann in body.pct_annotations:
@@ -351,31 +342,13 @@ def _graft_annotations(body: QualityStatement, modifier):
         error = annotation_path_error(body, ann.matched_path)
         if error is not None:
             raise PathMismatch(error)
-        pct = _pct_restriction(ann, modifier)
+        pct = SlotRestriction("pct", SOME, Region(Interval(ann.pct_low, ann.pct_high)))
         head, rest = ann.matched_path[0], ann.matched_path[1:]
         if head == "inheres_in":
             subject = _wrap_at_path(subject, rest, pct)
         else:
             observers = tuple(_wrap_at_path(o, rest, pct) for o in observers)
     return subject, observers
-
-
-def expand_u(e: Element) -> Element:
-    """Materialize percentage annotations into the subject description.
-
-    Each annotation widens the description at its path with an alternative
-    `<pct: [low, 1]>` branch, applied in declaration order; the returned
-    element carries no annotations.
-    """
-    body = e.body
-    if not isinstance(body, QualityStatement) or not body.pct_annotations:
-        raise ValueError("only quality elements with annotations can be expanded")
-    subject, observers = _graft_annotations(body, EXACTLY_ONE)
-    return Element(
-        e.id,
-        e.kind,
-        QualityStatement(body.quality, subject, body.region, observers, ()),
-    )
 
 
 def translate_element(e: Element) -> tuple[DLConcept, list]:
@@ -394,7 +367,7 @@ def translate_element(e: Element) -> tuple[DLConcept, list]:
         concept = DLAnd((root, DLExists("subsumee", sub), DLExists("subsumer", sup)))
         return concept, [DLSubClassOf(sub, sup)]
     assert isinstance(body, QualityStatement)
-    subject, observers = _graft_annotations(body, SOME)
+    subject, observers = _graft_annotations(body)
     parts = [
         root,
         translate_description(body.quality),

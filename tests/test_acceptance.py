@@ -5,17 +5,19 @@ the translation goldens, randomized soundness sweeps against brute-force
 evaluation, fulfillment walkthroughs, and the parser round-trip contract.
 """
 
+import ast
 import math
 import random
+import re
 import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import reqsmith
 from reqsmith.membership import (
     format_degree,
-    membership_interval_pair,
     membership_intervals,
     membership_points,
 )
@@ -160,11 +162,10 @@ def test_pair_measure_grid_agreement_continuity_and_unit_sum():
         (0, 10, 20, 50, 40, 280),
     )
     for a, b, c, d, lo, hi in pairs:
-        r1 = IntervalPrototypes(F(a), F(b))
-        r2 = IntervalPrototypes(F(c), F(d))
+        family = (iregion("r1", a, b), iregion("r2", c, d))
         for _ in range(50):
             p = F(rng.randint(lo, hi), 8)
-            d1, d2 = membership_interval_pair(p, r1, r2)
+            d1, d2 = membership_intervals(p, family).values()
             assert d1 + d2 == 1
             assert abs(d1 - _grid_degree(p, a, b, c, d)) <= F(1, 1000)
 
@@ -811,3 +812,38 @@ def test_worked_operator_applications_and_inverted_mutants():
         flags = check_strength_tags(parsed(template.replace("TAG", inverted)))
         assert len(flags) == 1, (template, flags)
         assert flags[0].application_index == 0
+
+
+# ---- package layout ----
+
+PACKAGE = Path(reqsmith.__file__).parent
+
+# Names a module imports only to offer them from its own namespace.
+REEXPORTS = {
+    "reasoner": {"FulfillmentState", "FulfillmentStatus", "propagate_fulfillment"}
+}
+
+
+def test_the_readme_modules_table_lists_each_module_once():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Modules\n", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^\| `reqsmith\.(\w+)` \|", section, re.MULTILINE)
+    modules = [p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__"]
+    assert sorted(listed) == sorted(modules)
+
+
+def test_no_module_has_an_unused_module_level_import():
+    unused = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {a.asname or a.name for a in node.names}
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        names = imported - used - REEXPORTS.get(path.stem, set())
+        if names:
+            unused[path.stem] = sorted(names)
+    assert unused == {}

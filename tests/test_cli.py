@@ -543,6 +543,28 @@ def test_fulfill_threshold_relaxes_fan_outs(tmp_path, capsys):
     assert "G: fulfilled" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("threshold", ["0", "-1"])
+def test_fulfill_threshold_below_one_is_a_usage_error(tmp_path, capsys, threshold):
+    # With no marks nothing is fulfilled, yet a count of 0 successors would
+    # "suffice" for G; the option refuses it instead.
+    text = (
+        "model t;\n"
+        'goal G := "x"; goal A := "a"; goal B := "b";\n'
+        "reduce G -> A, B [strengthen];\n"
+    )
+    path = write(tmp_path, text)
+    assert main(["fulfill", path, "--threshold", threshold]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert lines[0].startswith("usage: reqsmith fulfill")
+    assert lines[-1] == (
+        f"reqsmith fulfill: error: argument --threshold: must be at least 1, not {threshold}"
+    )
+    assert main(["fulfill", path, "--threshold", "1"]) == 0
+    assert "G: unknown" in capsys.readouterr().out
+
+
 def test_fulfill_json_maps_ids_to_states(tmp_path, capsys):
     path = write(tmp_path, BOOKING)
     assert main(["fulfill", path, "--json"]) == 0
@@ -910,6 +932,35 @@ def test_membership_json_maps_regions_to_degrees(tmp_path, capsys):
     assert data["fulfillment"] == {"low": "0.595", "medium": "0.405", "high": "0"}
 
 
+@pytest.mark.parametrize(
+    ("region", "factor", "message"),
+    [
+        ("[1, 2]", "(3, 1/2)", "scaling would empty the region: 3 > 1"),
+        ("[-4, 2]", "(2, 1)", "scaling must enlarge or shrink the region, never shift it"),
+    ],
+    ids=["emptied", "shifted"],
+)
+@pytest.mark.parametrize(
+    "command", ["check", "fmt", "fulfill", "lint", "membership", "query", "translate"]
+)
+def test_a_scale_factor_that_empties_or_shifts_the_region_exits_two_on_every_command(
+    tmp_path, capsys, command, region, factor, message
+):
+    text = (
+        "model m;\n"
+        f"qc Q := C (X) :: {region};\n"
+        "qc Q2 := C (X) :: [3, 3];\n"
+        f"scale_up Q -> Q2 by {factor};\n"
+    )
+    argv = _command_argv(command, tmp_path, text)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"{argv[1]}:4:1: error: application[0]: [scale-factor] {message}\n"
+    )
+
+
 # ===== import budget =====
 
 _PARSING = {"reqsmith", "reqsmith.cli", "reqsmith.model", "reqsmith.parser"}
@@ -923,8 +974,7 @@ _EXPORT = {"reqsmith.semantics", "reqsmith.export"}
 
 # The reqsmith modules each command loads as text; a `--json` run adds
 # _EXPORT, and `fmt --json` prints no model, so it loads no printer. No
-# command loads `reqsmith.search` (only the library's `subsumes` runs it)
-# or `reqsmith.holds` (only the library's `element_holds` reads it).
+# command loads `reqsmith.search` (only the library's `subsumes` runs it).
 IMPORT_BUDGET = {
     "fmt": _PARSING | {"reqsmith.printer"},
     "membership": _PARSING | {"reqsmith.membership"},
@@ -977,7 +1027,7 @@ def test_each_command_imports_only_the_modules_it_runs(tmp_path, command, json_f
     if json_flag:
         expected = (expected - {"reqsmith.printer"}) | _EXPORT
     assert set(modules) == expected
-    assert not {"reqsmith.holds", "reqsmith.search"} & set(modules)
+    assert "reqsmith.search" not in modules
     if command == "fulfill" and not json_flag:
         assert not {"reqsmith.semantics", "reqsmith.reasoner"} & set(modules)
     if command == "query":

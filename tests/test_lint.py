@@ -1,4 +1,4 @@
-"""Tests for the issue-taxonomy checks and the kind-classification hints."""
+"""Tests for the issue-taxonomy checks."""
 
 import random
 from fractions import Fraction
@@ -9,17 +9,14 @@ from reqsmith import model as model_module
 from reqsmith import reasoner
 from reqsmith.lint import (
     Issue,
-    KindGuess,
     LintConfig,
     LintFinding,
-    classify_hint,
     lint_model,
 )
 from reqsmith.model import (
     AtomicConcept,
     FunctionDesc,
     Intersection,
-    Kind,
     Nothing,
     Strength,
     Subsumption,
@@ -561,41 +558,3 @@ def test_findings_only_suggest_real_operators():
         finding._replace(suggested_operator="rewrite")
     assert finding._replace(detail="other").detail == "other"
     assert finding == ("E1", Issue.AMBIGUOUS, "detail", "reduce", None)
-
-
-# ===== classification hints =====
-
-
-def test_state_wording_suggests_a_functional_goal():
-    guesses = classify_hint("airline tickets be booked")
-    assert guesses[0].kind is Kind.FG
-    assert guesses[0].triggers
-
-
-def test_is_a_wording_suggests_an_assumption():
-    guesses = classify_hint("Tomcat is a web server")
-    assert guesses[0].kind is Kind.DA
-
-
-def test_shall_allow_wording_suggests_a_function():
-    guesses = classify_hint("the system shall allow users to book airline tickets")
-    assert guesses[0].kind is Kind.F
-
-
-def test_copular_adjective_suggests_a_quality_goal():
-    guesses = classify_hint("the interface shall be appealing")
-    assert guesses[0].kind is Kind.QG
-
-
-def test_attribute_wording_suggests_a_content_goal():
-    guesses = classify_hint("meetings shall have a date and a location")
-    assert guesses[0].kind is Kind.CTG
-
-
-def test_empty_text_has_no_guesses():
-    assert classify_hint("") == []
-
-
-def test_guesses_carry_their_trigger_words():
-    guesses = classify_hint("the system shall allow users to book tickets")
-    assert all(isinstance(g, KindGuess) and g.triggers for g in guesses)

@@ -11,24 +11,13 @@ from fractions import Fraction
 import pytest
 
 from reqsmith.membership import (
+    COMPLETION_CAP,
     MembershipError,
     format_degree,
-    membership_interval_pair,
     membership_intervals,
     membership_points,
-    satisfaction_degree,
 )
-from reqsmith.model import (
-    AtomicConcept,
-    Element,
-    IntervalPrototypes,
-    Kind,
-    MembershipSpec,
-    NamedRegion,
-    PointPrototypes,
-    PrototypeRegion,
-    QualityStatement,
-)
+from reqsmith.model import IntervalPrototypes, PointPrototypes, PrototypeRegion
 
 F = Fraction
 
@@ -100,29 +89,36 @@ def test_point_case_interleaving_rejected():
 
 
 def test_point_case_cap():
-    regions = (pregion("a", 1, 2, 3), pregion("b", 7, 8, 9))
-    with pytest.raises(MembershipError):
-        membership_points(F(4), regions, cap=8)
+    # 8 ** 7 = 2,097,152 completions; the count is refused before any is built
+    regions = tuple(pregion(f"r{i}", *range(10 * i, 10 * i + 8)) for i in range(7))
+    assert 8**7 > COMPLETION_CAP
+    with pytest.raises(MembershipError, match=rf"exceeds cap \({COMPLETION_CAP}\)"):
+        membership_points(F(4), regions)
 
 
 # ===== interval pairs =====
 
 
+def pair(p, r1, r2):
+    """The degrees of `p` in a family of the two regions `r1` < `r2`."""
+    return tuple(membership_intervals(p, (r1, r2)).values())
+
+
 def test_pair_worked_example():
-    d1, d2 = membership_interval_pair(F(740), COST_INTERVALS[0], COST_INTERVALS[1])
+    d1, d2 = pair(F(740), COST_INTERVALS[0], COST_INTERVALS[1])
     assert d1 == 1 - F((2 * 740 - 1300) ** 2, 80000)
     assert d1 == F("0.595")
     assert d2 == F("0.405")
 
 
 def test_pair_breakpoint_is_exactly_one():
-    d1, _ = membership_interval_pair(F(650), COST_INTERVALS[0], COST_INTERVALS[1])
+    d1, _ = pair(F(650), COST_INTERVALS[0], COST_INTERVALS[1])
     assert d1 == 1
 
 
 def test_pair_ordering_violation():
     with pytest.raises(MembershipError):
-        membership_interval_pair(F(5), iregion("a", 0, 4), iregion("b", 3, 9))
+        pair(F(5), iregion("a", 0, 4), iregion("b", 3, 9))
 
 
 @pytest.mark.parametrize(
@@ -138,7 +134,7 @@ def test_pair_matches_grid_oracle(a, b, c, d):
     lo, hi = F(a + c, 2), F(b + d, 2)
     for k in range(25):
         p = lo - 1 + (hi - lo + 2) * F(2 * k + 1, 50)
-        d1, d2 = membership_interval_pair(p, r1, r2)
+        d1, d2 = pair(p, r1, r2)
         approx = grid_degree(p, a, b, c, d, n=400)
         assert abs(d1 - approx) <= F(1, 400)
         assert d1 + d2 == 1
@@ -147,10 +143,10 @@ def test_pair_matches_grid_oracle(a, b, c, d):
 def test_pair_symmetric_case():
     r1, r2 = iregion("r1", 0, 1), iregion("r2", 2, 3)
     for t in (F(1, 7), F(1, 3), F(2, 5)):
-        left, _ = membership_interval_pair(F(3, 2) - t, r1, r2)
-        _, right = membership_interval_pair(F(3, 2) + t, r1, r2)
+        left, _ = pair(F(3, 2) - t, r1, r2)
+        _, right = pair(F(3, 2) + t, r1, r2)
         assert left == right
-    assert membership_interval_pair(F(3, 2), r1, r2) == (F(1, 2), F(1, 2))
+    assert pair(F(3, 2), r1, r2) == (F(1, 2), F(1, 2))
 
 
 # ===== interval collation =====
@@ -197,42 +193,7 @@ def test_collation_edge_monotonicity():
     assert all(x <= y for x, y in zip(highs, highs[1:]))
 
 
-# ===== satisfaction degree and rendering =====
-
-
-def quality_goal(region_name):
-    body = QualityStatement(
-        quality=AtomicConcept("Cost"),
-        subject=AtomicConcept("Product"),
-        region=NamedRegion(region_name),
-    )
-    return Element("QG_cost", Kind.QG, body)
-
-
-COST_SPEC = MembershipSpec("Cost", COST_INTERVALS)
-
-
-def test_satisfaction_worked_example():
-    degree = satisfaction_degree(quality_goal("low"), F(740), COST_SPEC, "low")
-    assert degree == F("0.595")
-
-
-def test_satisfaction_interior_point():
-    assert satisfaction_degree(quality_goal("medium"), F(900), COST_SPEC, "medium") == 1
-
-
-def test_satisfaction_far_beyond_highest():
-    assert satisfaction_degree(quality_goal("high"), F(10**6), COST_SPEC, "high") == 1
-
-
-def test_satisfaction_unknown_region():
-    with pytest.raises(MembershipError):
-        satisfaction_degree(quality_goal("low"), F(740), COST_SPEC, "enormous")
-
-
-def test_satisfaction_point_style_spec():
-    spec = MembershipSpec("Cost", COST_POINTS)
-    assert satisfaction_degree(quality_goal("low"), F(740), spec, "low") == F(3, 4)
+# ===== mixed styles and rendering =====
 
 
 def test_mixed_styles_rejected():

@@ -1,4 +1,4 @@
-"""Tests for world evaluation, element checking, and logic translation."""
+"""Tests for world evaluation and logic translation."""
 
 import copy
 import pickle
@@ -26,7 +26,6 @@ from reqsmith.model import (
     NamedRegion,
     NaturalLanguage,
     Nothing,
-    QualityRecord,
     QualityStatement,
     Quantity,
     Region,
@@ -41,7 +40,6 @@ from reqsmith.model import (
     at_most,
     exactly,
 )
-from reqsmith.holds import HoldsStatus, UnsupportedNestedU, element_holds
 from reqsmith.lint import normalize
 from reqsmith.semantics import (
     DL_NOTHING,
@@ -63,7 +61,6 @@ from reqsmith.semantics import (
     PathMismatch,
     eval_description,
     eval_dl,
-    expand_u,
     translate_description,
     translate_element,
 )
@@ -218,262 +215,6 @@ def test_eval_enumeration_and_region_literal():
     assert eval_description(Region(Interval(Fraction(0), Fraction(1))), w) == frozenset()
 
 
-# ---- element_holds ----
-
-
-def qc_world(value: int) -> World:
-    return world(
-        individuals={"f1"},
-        concept_extensions={"File_search": {"f1"}},
-        quality_records=(
-            QualityRecord("pt1", "Processing_time", "f1", Fraction(value), "Sec"),
-        ),
-    )
-
-
-QC_BODY = QualityStatement(
-    A("Processing_time"), A("File_search"), Interval(Fraction(0), Fraction(30), "Sec")
-)
-QC_ELEMENT = Element("QC_1", Kind.QC, QC_BODY)
-
-
-def test_quality_holds_for_in_range_measurement():
-    assert element_holds(QC_ELEMENT, qc_world(25)).status is HoldsStatus.HOLDS
-
-
-def test_quality_violated_with_the_run_as_witness():
-    result = element_holds(QC_ELEMENT, qc_world(32))
-    assert result.status is HoldsStatus.VIOLATED
-    assert result.witnesses == ("pt1",)
-
-
-def test_quality_not_applicable_when_no_subjects():
-    empty = world(individuals={"x"}, concept_extensions={})
-    assert element_holds(QC_ELEMENT, empty).status is HoldsStatus.NOT_APPLICABLE
-
-
-def test_quality_vacuously_holds_without_records():
-    w = world(individuals={"f1"}, concept_extensions={"File_search": {"f1"}})
-    assert element_holds(QC_ELEMENT, w).status is HoldsStatus.HOLDS
-
-
-def test_unstructured_and_function_bodies_are_not_checkable():
-    nl = Element("G", Kind.GOAL, NaturalLanguage("be nice"))
-    fn = Element("F", Kind.F, FunctionDesc("Send"))
-    w = qc_world(25)
-    assert element_holds(nl, w).status is HoldsStatus.NOT_APPLICABLE
-    assert element_holds(fn, w).status is HoldsStatus.NOT_APPLICABLE
-
-
-def test_subsumption_holds_and_violated():
-    e = Element("FC", Kind.FC, Subsumption(A("Table"), A("Protected")))
-    w_ok = world(
-        individuals={"t1"},
-        concept_extensions={"Table": {"t1"}, "Protected": {"t1"}},
-    )
-    w_bad = world(
-        individuals={"t1", "t2"},
-        concept_extensions={"Table": {"t1", "t2"}, "Protected": {"t1"}},
-    )
-    assert element_holds(e, w_ok).status is HoldsStatus.HOLDS
-    result = element_holds(e, w_bad)
-    assert result.status is HoldsStatus.VIOLATED and result.witnesses == ("t2",)
-
-
-def runs_world(good: int, bad: int) -> World:
-    records = []
-    members = set()
-    for i in range(good + bad):
-        run = f"run{i}"
-        members.add(run)
-        value = Fraction(25) if i < good else Fraction(40)
-        records.append(
-            QualityRecord(f"q{i}", "Processing_time", run, value, "Sec")
-        )
-    return world(
-        individuals=members,
-        concept_extensions={"File_search": members},
-        quality_records=tuple(records),
-    )
-
-
-def annotated_qc(pct: Fraction) -> Element:
-    body = QualityStatement(
-        A("Processing_time"),
-        A("File_search"),
-        Interval(Fraction(0), Fraction(30), "Sec"),
-        pct_annotations=(UAnnotation("X", ("inheres_in",), pct),),
-    )
-    return Element("QC_u", Kind.QC, body)
-
-
-def test_counting_meets_eighty_percent():
-    e = annotated_qc(Fraction(4, 5))
-    assert element_holds(e, runs_world(8, 2)).status is HoldsStatus.HOLDS
-
-
-def test_counting_fails_below_eighty_percent():
-    e = annotated_qc(Fraction(4, 5))
-    result = element_holds(e, runs_world(7, 3))
-    assert result.status is HoldsStatus.VIOLATED
-    assert result.witnesses == ("run7", "run8", "run9")
-
-
-def test_observers_restrict_which_records_count():
-    w = world(
-        individuals={"f1", "u1"},
-        concept_extensions={"File_search": {"f1"}, "Surveyed_user": {"u1"}},
-        quality_records=(
-            QualityRecord(
-                "good", "Processing_time", "f1", Fraction(25), "Sec", frozenset({"u1"})
-            ),
-            QualityRecord("stray", "Processing_time", "f1", Fraction(99), "Sec"),
-        ),
-    )
-    body = QualityStatement(
-        A("Processing_time"),
-        A("File_search"),
-        Interval(Fraction(0), Fraction(30), "Sec"),
-        observers=(A("Surveyed_user"),),
-    )
-    assert element_holds(Element("Q", Kind.QC, body), w).status is HoldsStatus.HOLDS
-
-
-def test_empty_observer_extension_is_not_applicable():
-    w = qc_world(25)
-    body = QualityStatement(
-        A("Processing_time"),
-        A("File_search"),
-        Interval(Fraction(0), Fraction(30), "Sec"),
-        observers=(A("Surveyed_user"),),
-    )
-    result = element_holds(Element("Q", Kind.QC, body), w)
-    assert result.status is HoldsStatus.NOT_APPLICABLE
-
-
-def test_named_region_checks_classification_of_the_quality():
-    w = world(
-        individuals={"ui1"},
-        concept_extensions={"User_interface": {"ui1"}, "Simple": {"s1"}},
-        quality_records=(QualityRecord("s1", "Style", "ui1", Fraction(1)),),
-    )
-    body = QualityStatement(A("Style"), A("User_interface"), NamedRegion("Simple"))
-    assert element_holds(Element("QG", Kind.QG, body), w).status is HoldsStatus.HOLDS
-    w2 = world(
-        individuals={"ui1"},
-        concept_extensions={"User_interface": {"ui1"}},
-        quality_records=(QualityRecord("s1", "Style", "ui1", Fraction(1)),),
-    )
-    result = element_holds(Element("QG", Kind.QG, body), w2)
-    assert result.status is HoldsStatus.VIOLATED and result.witnesses == ("s1",)
-
-
-def test_two_step_annotation_counts_over_slot_targets():
-    w = world(
-        individuals={"sf1", "sf2", "r1", "r2", "r3"},
-        concept_extensions={
-            "System_function": {"sf1", "sf2"},
-            "Run": {"r1", "r2", "r3"},
-        },
-        slot_tuples={"run_of": {("r1", "sf1"), ("r2", "sf1"), ("r3", "sf2")}},
-        quality_records=(
-            QualityRecord("q1", "Processing_time", "r1", Fraction(10), "Sec"),
-            QualityRecord("q2", "Processing_time", "r2", Fraction(50), "Sec"),
-            QualityRecord("q3", "Processing_time", "r3", Fraction(10), "Sec"),
-        ),
-    )
-    subject = Intersection(
-        A("Run"), SlotRestriction("run_of", EXACTLY_ONE, A("System_function"))
-    )
-
-    def with_pct(p):
-        body = QualityStatement(
-            A("Processing_time"),
-            subject,
-            Interval(Fraction(0), Fraction(30), "Sec"),
-            pct_annotations=(UAnnotation("F", ("inheres_in", "run_of"), p),),
-        )
-        return Element("QG6", Kind.QG, body)
-
-    assert element_holds(with_pct(Fraction(1, 2)), w).status is HoldsStatus.HOLDS
-    result = element_holds(with_pct(Fraction(4, 5)), w)
-    assert result.status is HoldsStatus.VIOLATED and result.witnesses == ("sf1",)
-
-
-@pytest.mark.parametrize(
-    ("first", "second", "witness"),
-    [("System_function", "Batch", "sf1"), ("Batch", "System_function", "b1")],
-)
-def test_slot_path_annotation_counts_the_first_matching_restriction(first, second, witness):
-    # Two run_of restrictions in the subject: the first in pre-order fixes
-    # the group the annotation counts over.
-    w = world(
-        individuals={"sf1", "sf2", "b1", "r1", "r2", "r3"},
-        concept_extensions={
-            "System_function": {"sf1", "sf2"},
-            "Batch": {"b1"},
-            "Run": {"r1", "r2", "r3"},
-        },
-        slot_tuples={
-            "run_of": {
-                ("r1", "sf1"),
-                ("r2", "sf1"),
-                ("r3", "sf2"),
-                ("r1", "b1"),
-                ("r2", "b1"),
-                ("r3", "b1"),
-            }
-        },
-        quality_records=(
-            QualityRecord("q1", "Processing_time", "r1", Fraction(10), "Sec"),
-            QualityRecord("q2", "Processing_time", "r2", Fraction(50), "Sec"),
-            QualityRecord("q3", "Processing_time", "r3", Fraction(10), "Sec"),
-        ),
-    )
-    subject = Intersection(
-        A("Run"),
-        Intersection(
-            SlotRestriction("run_of", SOME, A(first)),
-            SlotRestriction("run_of", SOME, A(second)),
-        ),
-    )
-    body = QualityStatement(
-        A("Processing_time"),
-        subject,
-        Interval(Fraction(0), Fraction(30), "Sec"),
-        pct_annotations=(UAnnotation("F", ("inheres_in", "run_of"), Fraction(4, 5)),),
-    )
-    result = element_holds(Element("QG6", Kind.QG, body), w)
-    assert result.status is HoldsStatus.VIOLATED and result.witnesses == (witness,)
-
-
-def test_stacked_annotations_on_one_path_are_rejected():
-    body = QualityStatement(
-        A("Processing_time"),
-        Intersection(
-            A("Run"), SlotRestriction("run_of", EXACTLY_ONE, A("System_function"))
-        ),
-        Interval(Fraction(0), Fraction(30), "Sec"),
-        pct_annotations=(
-            UAnnotation("F", ("inheres_in", "run_of"), Fraction(4, 5)),
-            UAnnotation("Y", ("inheres_in",), Fraction(9, 10)),
-        ),
-    )
-    with pytest.raises(UnsupportedNestedU):
-        element_holds(Element("QG6", Kind.QG, body), runs_world(1, 0))
-
-
-def test_annotation_path_must_exist():
-    body = QualityStatement(
-        A("Processing_time"),
-        A("File_search"),
-        Interval(Fraction(0), Fraction(30), "Sec"),
-        pct_annotations=(UAnnotation("X", ("inheres_in", "ghost"), Fraction(1, 2)),),
-    )
-    with pytest.raises(PathMismatch):
-        element_holds(Element("Q", Kind.QC, body), runs_world(2, 0))
-
-
 # ---- translation ----
 
 
@@ -622,41 +363,32 @@ def test_translate_is_deterministic():
     assert translate_element(e) == translate_element(e)
 
 
-# ---- expand_u ----
+# ---- grafting percentage annotations ----
 
 
 def pct_slot(low):
-    return SlotRestriction(
-        "pct", EXACTLY_ONE, Region(Interval(low, Fraction(1)))
-    )
+    return SlotRestriction("pct", SOME, Region(Interval(low, Fraction(1))))
 
 
-def test_expand_single_annotation():
+def grafted_subject(subject, *annotations):
+    """The translated subject of a quality goal on `subject` annotated with
+    `annotations`."""
     body = QualityStatement(
-        A("Processing_time"),
-        A("File_search"),
-        NamedRegion("Fast"),
-        pct_annotations=(UAnnotation("X", ("inheres_in",), Fraction(4, 5)),),
+        A("Processing_time"), subject, NamedRegion("Fast"), pct_annotations=annotations
     )
-    expanded = expand_u(Element("QG5", Kind.QG, body))
-    assert expanded.body.subject == Union(A("File_search"), pct_slot(Fraction(4, 5)))
-    assert expanded.body.pct_annotations == ()
+    concept, _ = translate_element(Element("QG6", Kind.QG, body))
+    return concept.args[2]
 
 
-def test_expand_two_annotations_in_declaration_order():
+def test_translate_grafts_two_annotations_in_declaration_order():
     subject = Intersection(
         A("Run"), SlotRestriction("run_of", EXACTLY_ONE, A("System_function"))
     )
-    body = QualityStatement(
-        A("Processing_time"),
+    grafted = grafted_subject(
         subject,
-        NamedRegion("Fast"),
-        pct_annotations=(
-            UAnnotation("F", ("inheres_in", "run_of"), Fraction(4, 5)),
-            UAnnotation("Y", ("inheres_in",), Fraction(9, 10)),
-        ),
+        UAnnotation("F", ("inheres_in", "run_of"), Fraction(4, 5)),
+        UAnnotation("Y", ("inheres_in",), Fraction(9, 10)),
     )
-    expanded = expand_u(Element("QG6", Kind.QG, body))
     inner = Intersection(
         A("Run"),
         SlotRestriction(
@@ -665,10 +397,34 @@ def test_expand_two_annotations_in_declaration_order():
             Union(A("System_function"), pct_slot(Fraction(4, 5))),
         ),
     )
-    assert expanded.body.subject == Union(inner, pct_slot(Fraction(9, 10)))
+    expected = Union(inner, pct_slot(Fraction(9, 10)))
+    assert grafted == DLExists("inheres_in", translate_description(expected))
 
 
-def test_expand_observer_path_without_observers_fails():
+@pytest.mark.parametrize(
+    ("first", "second"),
+    [("System_function", "Batch"), ("Batch", "System_function")],
+)
+def test_slot_path_annotation_grafts_at_the_first_matching_restriction(first, second):
+    # Two run_of restrictions in the subject: the first in pre-order takes
+    # the graft, the second stays as it was.
+    def subject(first_filler):
+        return Intersection(
+            A("Run"),
+            Intersection(
+                SlotRestriction("run_of", SOME, first_filler),
+                SlotRestriction("run_of", SOME, A(second)),
+            ),
+        )
+
+    grafted = grafted_subject(
+        subject(A(first)), UAnnotation("F", ("inheres_in", "run_of"), Fraction(4, 5))
+    )
+    expected = subject(Union(A(first), pct_slot(Fraction(4, 5))))
+    assert grafted == DLExists("inheres_in", translate_description(expected))
+
+
+def test_translate_observer_path_without_observers_fails():
     body = QualityStatement(
         A("Style"),
         A("User_interface"),
@@ -676,12 +432,18 @@ def test_expand_observer_path_without_observers_fails():
         pct_annotations=(UAnnotation("X", ("observed_by",), Fraction(4, 5)),),
     )
     with pytest.raises(PathMismatch):
-        expand_u(Element("QG", Kind.QG, body))
+        translate_element(Element("QG", Kind.QG, body))
 
 
-def test_expand_requires_annotations():
-    with pytest.raises(ValueError):
-        expand_u(QC_ELEMENT)
+def test_annotation_path_must_exist():
+    body = QualityStatement(
+        A("Processing_time"),
+        A("File_search"),
+        Interval(Fraction(0), Fraction(30), "Sec"),
+        pct_annotations=(UAnnotation("X", ("inheres_in", "ghost"), Fraction(1, 2)),),
+    )
+    with pytest.raises(PathMismatch):
+        translate_element(Element("Q", Kind.QC, body))
 
 
 # ---- evaluation agreement between the two views ----

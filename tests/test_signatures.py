@@ -337,8 +337,18 @@ def test_a_factor_that_cannot_scale_up_is_a_spanned_validation_error(tmp_path, c
             ScaleFactor(region_name="Slow"),
             "a region-name factor needs a named region",
         ),
+        (
+            Interval(Fraction(1), Fraction(2)),
+            ScaleFactor(low_factor=Fraction(3), high_factor=Fraction(1, 2)),
+            "scaling would empty the region: 3 > 1",
+        ),
+        (
+            Interval(Fraction(-4), Fraction(2)),
+            ScaleFactor(low_factor=Fraction(2), high_factor=Fraction(1)),
+            "scaling must enlarge or shrink the region, never shift it",
+        ),
     ],
-    ids=["multiplier-on-named", "name-on-interval"],
+    ids=["multiplier-on-named", "name-on-interval", "emptied", "shifted"],
 )
 def test_a_factor_that_does_not_fit_the_region_fails_validation_and_apply_scale(
     region, factor, message
