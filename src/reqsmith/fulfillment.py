@@ -29,8 +29,11 @@ def propagate_fulfillment(
     application fulfills its input when its output is fulfilled; a
     one-to-many application needs all outputs (or `threshold` many when
     set). Several applications on the same input act as alternatives.
-    Elements dropped by a resolution stay unfulfilled.
+    Elements dropped by a resolution stay unfulfilled. A threshold below 1
+    raises ValueError.
     """
+    if threshold is not None and threshold < 1:
+        raise ValueError(f"threshold must be at least 1, not {threshold}")
     dropped = model.dropped_ids()
     states: dict[str, FulfillmentStatus] = {}
     for element in model.elements:

@@ -13,36 +13,25 @@ from typing import NamedTuple
 
 from .findings import Issue, LintFinding
 from .model import (
-    NOTHING,
     QUALITY_KINDS,
-    THING,
     AtomicConcept,
     Description,
-    Difference,
     Enumeration,
     FunctionDesc,
-    Intersection,
-    Interval,
-    InverseProjection,
     Kind,
     Model,
     NamedRegion,
     NaturalLanguage,
-    Nothing,
     Operator,
     QualityStatement,
-    Region,
-    RegionExpr,
     SlotRestriction,
     Subsumption,
-    Thing,
-    Union,
     body_descriptions,
     mentions,
     subterms,
 )
-from .reasoner import ConsistencyStatus, _Derivation, check_consistency
-from .semantics import DLAnd, DLAtomic, DLNothing
+from .reasoner import ConsistencyStatus, _Derivation, _norm, check_consistency
+from .semantics import DLAnd, DLAtomic, DLConcept, DLNothing, translate_description
 
 
 class LintConfig(NamedTuple):
@@ -203,109 +192,14 @@ def _incomplete(live, successors, config) -> list[LintFinding]:
     return out
 
 
-def _region_key(r: RegionExpr) -> tuple:
-    if isinstance(r, NamedRegion):
-        return (0, r.name, r.qualitative)
-    if isinstance(r, Interval):
-        return (1, r.low, r.high, r.unit or "")
-    values = tuple(sorted((str(type(v).__name__), str(v)) for v in r.values))
-    return (2,) + values
-
-
-def _sort_key(d: Description) -> tuple:
-    if isinstance(d, Nothing):
-        return (0,)
-    if isinstance(d, Thing):
-        return (1,)
-    if isinstance(d, AtomicConcept):
-        return (2, d.name)
-    if isinstance(d, Enumeration):
-        return (3,) + tuple(sorted(d.ids))
-    if isinstance(d, Region):
-        return (4,) + _region_key(d.expr)
-    if isinstance(d, SlotRestriction):
-        return (5, d.slot, d.modifier.kind.value, d.modifier.n or 0, _sort_key(d.filler))
-    if isinstance(d, InverseProjection):
-        return (6, d.slot, _sort_key(d.source))
-    if isinstance(d, Intersection):
-        return (7, _sort_key(d.left), _sort_key(d.right))
-    if isinstance(d, Union):
-        return (8, _sort_key(d.left), _sort_key(d.right))
-    if isinstance(d, Difference):
-        return (9, _sort_key(d.left), _sort_key(d.right))
-    raise TypeError(f"unknown description: {d!r}")
-
-
-def _flatten(d: Description, cls: type) -> list[Description]:
-    if isinstance(d, cls):
-        return _flatten(d.left, cls) + _flatten(d.right, cls)
-    return [d]
-
-
-def _rebuild(parts: list[Description], cls: type) -> Description:
-    result = parts[0]
-    for part in parts[1:]:
-        result = cls(result, part)
-    return result
-
-
-def normalize(d: Description) -> Description:
-    """Return the canonical form of a description.
-
-    Intersections and unions are flattened, deduplicated, and operand-sorted;
-    identity and absorbing elements are removed; `X - X` collapses to
-    Nothing. The result is idempotent under repeated normalization and has
-    the same extension in every world.
-    """
-    if isinstance(d, SlotRestriction):
-        return SlotRestriction(d.slot, d.modifier, normalize(d.filler))
-    if isinstance(d, InverseProjection):
-        source = normalize(d.source)
-        if isinstance(source, Nothing):
-            return NOTHING
-        return InverseProjection(source, d.slot)
-    if isinstance(d, Intersection):
-        parts: list[Description] = []
-        for part in _flatten(d, Intersection):
-            normed = normalize(part)
-            if isinstance(normed, Nothing):
-                return NOTHING
-            if isinstance(normed, Thing):
-                continue
-            parts.extend(_flatten(normed, Intersection))
-        unique = sorted(set(parts), key=_sort_key)
-        if not unique:
-            return THING
-        return _rebuild(unique, Intersection)
-    if isinstance(d, Union):
-        parts = []
-        for part in _flatten(d, Union):
-            normed = normalize(part)
-            if isinstance(normed, Thing):
-                return THING
-            if isinstance(normed, Nothing):
-                continue
-            parts.extend(_flatten(normed, Union))
-        unique = sorted(set(parts), key=_sort_key)
-        if not unique:
-            return NOTHING
-        return _rebuild(unique, Union)
-    if isinstance(d, Difference):
-        left = normalize(d.left)
-        right = normalize(d.right)
-        if left == right or isinstance(left, Nothing):
-            return NOTHING
-        if isinstance(right, Nothing):
-            return left
-        if isinstance(right, Thing):
-            return NOTHING
-        return Difference(left, right)
-    return d
+def _normal(d: Description) -> DLConcept:
+    """The reasoner's normal form of a description's logical image."""
+    return _norm(translate_description(d))
 
 
 def _multiset(descriptions) -> frozenset:
-    """The normalized descriptions, in any order, each with its count."""
-    return frozenset(Counter(normalize(d) for d in descriptions).items())
+    """The normal forms of the descriptions, in any order, each with its count."""
+    return frozenset(Counter(map(_normal, descriptions)).items())
 
 
 def _body_key(body) -> tuple:
@@ -315,11 +209,11 @@ def _body_key(body) -> tuple:
     if isinstance(body, FunctionDesc):
         return ("fn", body.head, _multiset(body.slots))
     if isinstance(body, Subsumption):
-        return ("sub", normalize(body.subsumee), normalize(body.subsumer))
+        return ("sub", _normal(body.subsumee), _normal(body.subsumer))
     return (
         "q",
-        normalize(body.quality),
-        normalize(body.subject),
+        _normal(body.quality),
+        _normal(body.subject),
         body.region,
         _multiset(body.observers),
         tuple(sorted((a.matched_path, str(a.pct_low)) for a in body.pct_annotations)),

@@ -954,8 +954,8 @@ def scale_error(app: OperatorApplication, by_id: dict[str, Element]) -> Optional
     A multiplier pair must enlarge the region when scaling down and shrink it
     when scaling up, and it needs an interval region whose scaled bounds
     neither cross nor shift it; a region-name factor needs a named region.
-    Whether an axiom orders the two names needs a proof, so only
-    `operators.apply_scale` checks that.
+    Whether an axiom orders the two names needs a proof, so
+    `reasoner.scale_order_error` checks that, for `check` and `apply_scale`.
     """
     args = app.args
     if not isinstance(args, ScaleArgs):

@@ -37,8 +37,7 @@ from .model import (
     scale_error,
     strength_error,
 )
-from .reasoner import _Derivation, collect_axioms
-from .semantics import DLAtomic
+from .reasoner import _Derivation, collect_axioms, scale_order_error
 
 
 class OperatorError(ValueError):
@@ -223,10 +222,6 @@ def apply_focus(
     )
 
 
-def _ordered(model: Model, narrow: str, wide: str) -> bool:
-    return _Derivation(collect_axioms(model)).proves(DLAtomic(narrow), DLAtomic(wide))
-
-
 def _scaled_interval(region: Interval, factor: ScaleFactor) -> Interval:
     low, high = region.low * factor.low_factor, region.high * factor.high_factor
     return Interval(low, high, region.unit)
@@ -257,24 +252,17 @@ def apply_scale(
     app = OperatorApplication(
         Operator.SCALE, (input_id,), (oid,), strength, ScaleArgs(factor, direction)
     )
-    unscalable = scale_error(app, {input_id: element})
+    by_id = {input_id: element}
+    unscalable = scale_error(app, by_id)
+    if unscalable is None and not factor.is_quantitative:
+        unscalable = scale_order_error(app, by_id, _Derivation(collect_axioms(model)))
     if unscalable is not None:
         raise OperatorError(unscalable)
     region = element.body.region
     if factor.is_quantitative:
         new_region = _scaled_interval(region, factor)
     else:
-        target = factor.region_name
-        if direction is ScaleDirection.DOWN:
-            ok = _ordered(model, region.name, target)
-        else:
-            ok = _ordered(model, target, region.name)
-        if not ok:
-            raise OperatorError(
-                f"no declared ordering links {region.name} and {target} "
-                f"for a {direction.value}-scaling"
-            )
-        new_region = NamedRegion(target, region.qualitative)
+        new_region = NamedRegion(factor.region_name, region.qualitative)
     output = Element(oid, element.kind, replace(element.body, region=new_region))
     model, _ = _with_outputs(model, [output])
     return _record(model, app)

@@ -24,6 +24,8 @@ from .model import (
     NaturalLanguage,
     Operator,
     QualityStatement,
+    ScaleArgs,
+    ScaleDirection,
     Strength,
     Subsumption,
     World,
@@ -86,8 +88,9 @@ def _dl_key(c: DLConcept):
 
 
 def _norm(c: DLConcept) -> DLConcept:
-    """Flatten, dedupe, and order boolean structure; fold constants; turn
-    bare existentials into min-1 cardinalities so rules need one shape."""
+    """Flatten, dedupe, and order boolean structure; fold constants and
+    complement pairs; turn bare existentials into min-1 cardinalities so
+    rules need one shape. Lint's duplicate check compares the result."""
     if isinstance(c, DLExists):
         return DLCard(c.slot, "min", 1, _norm(c.filler))
     if isinstance(c, DLCard):
@@ -95,7 +98,10 @@ def _norm(c: DLConcept) -> DLConcept:
     if isinstance(c, DLForAll):
         return DLForAll(c.slot, _norm(c.filler))
     if isinstance(c, DLExistsInverse):
-        return DLExistsInverse(c.slot, _norm(c.filler))
+        filler = _norm(c.filler)
+        if isinstance(filler, DLNothing):
+            return DL_NOTHING
+        return DLExistsInverse(c.slot, filler)
     if isinstance(c, DLNot):
         inner = _norm(c.inner)
         if isinstance(inner, DLNot):
@@ -125,6 +131,16 @@ def _norm(c: DLConcept) -> DLConcept:
                 return DL_THING
             if not flat:
                 return DL_NOTHING
+        # an argument beside its complement, or beside every argument of it
+        # when it is of the same connective, empties an and and fills an or
+        negated = [a.inner for a in flat if isinstance(a, DLNot)]
+        if negated:
+            present = set(flat)
+            for inner in negated:
+                if inner in present or (
+                    isinstance(inner, type(c)) and present.issuperset(inner.args)
+                ):
+                    return DL_NOTHING if isinstance(c, DLAnd) else DL_THING
         unique: dict = {}
         for arg in flat:
             unique.setdefault(_dl_key(arg), arg)
@@ -572,12 +588,35 @@ class StrengthDiagnostic(NamedTuple):
     message: str
 
 
+def scale_order_error(app, by_id: dict, derivation: _Derivation) -> Optional[str]:
+    """Why no declared ordering lets `app` rename its input's region, or
+    None: scaling down needs the old name provably below the new one, and
+    scaling up the new name below the old."""
+    args = app.args
+    if not isinstance(args, ScaleArgs) or args.factor.is_quantitative:
+        return None
+    source = by_id.get(app.inputs[0]) if app.inputs else None
+    if source is None or not isinstance(source.body, QualityStatement):
+        return None
+    region = source.body.region
+    if not isinstance(region, NamedRegion):
+        return None
+    old, new = region.name, args.factor.region_name
+    narrow, wide = (old, new) if args.direction is ScaleDirection.DOWN else (new, old)
+    if derivation.proves(DLAtomic(narrow), DLAtomic(wide)):
+        return None
+    return (
+        f"no declared ordering links {old} and {new} "
+        f"for a {args.direction.value}-scaling"
+    )
+
+
 def check_strength_tags(model: Model):
     """Audit declared strength tags against derivable subsumption directions.
 
-    Each application yields at most one diagnostic: either its tag is
-    illegal for the operator outright, or the declared direction is
-    refutable (the opposite direction is Proven while the declared one is
+    Each application yields at most one diagnostic: its tag is illegal for
+    the operator, no axiom orders its region renaming, or its declared
+    direction is refutable (the opposite one is Proven, the declared one
     not). Only proofs are read, so no counter-model is searched for.
     """
     by_id = model.by_id()
@@ -599,9 +638,12 @@ def check_strength_tags(model: Model):
     for index, app in enumerate(model.applications):
         if app.op is Operator.RESOLVE:
             continue
-        illegal = strength_error(app, by_id)
-        if illegal is not None:
-            diagnostics.append(StrengthDiagnostic(index, app.strength, illegal))
+        error = strength_error(app, by_id)
+        if error is None and app.op is Operator.SCALE:
+            derivation = derivation or _Derivation(collect_axioms(model))
+            error = scale_order_error(app, by_id, derivation)
+        if error is not None:
+            diagnostics.append(StrengthDiagnostic(index, app.strength, error))
             continue
         input_concept = concept(app.inputs[0])
         output_ids = [

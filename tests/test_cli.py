@@ -338,6 +338,24 @@ def test_check_flags_operationalizations_into_assumptions_only(tmp_path, capsys,
     assert capsys.readouterr().out == (expected if code else "")
 
 
+def test_check_reports_a_region_name_scaling_no_axiom_orders(tmp_path, capsys):
+    text = (
+        "model o;\n"
+        "func File_search := Search <object: File>;\n"
+        "qg QG1 := Processing_time (File_search) :: Fast;\n"
+        "qg QG2 := Processing_time (File_search) :: Slow;\n"
+        "scale_up QG1 -> QG2 by Slow [strengthen];\n"
+    )
+    assert main(["check", write(tmp_path, text)]) == 1
+    assert capsys.readouterr().out == (
+        "application[0]: inconsistent: no declared ordering links Fast and Slow "
+        "for a up-scaling\n"
+    )
+    ordered = text.replace("model o;\n", "model o;\naxiom Slow :< Fast;\n")
+    assert main(["check", write(tmp_path, ordered)]) == 0
+    assert capsys.readouterr().out == ""
+
+
 def test_check_reports_world_clashes(tmp_path, capsys):
     path = write(tmp_path, CLASHING_WORLD)
     assert main(["check", path]) == 1

@@ -14,11 +14,14 @@ from reqsmith.semantics import (
     DLAtomic,
     DLCard,
     DLExists,
+    DLExistsInverse,
     DLForAll,
     DLNot,
     DLNothing,
     DLOr,
     DLSubClassOf,
+    DL_NOTHING,
+    DL_THING,
 )
 
 
@@ -226,3 +229,17 @@ def test_proves_normalizes_each_concept_once(monkeypatch):
     verdicts = [derivation.proves(a, b), derivation.proves(b, a), derivation.proves(a, b)]
     assert verdicts == [True, False, True]
     assert normalized.count(a) == 1 and normalized.count(b) == 1
+
+
+def test_norm_folds_complement_pairs_and_inverses_of_nothing():
+    a, b, c = DLAtomic("A"), DLAtomic("B"), DLAtomic("C")
+    assert _norm(DLAnd((a, DLNot(a)))) == DL_NOTHING
+    assert _norm(DLOr((DLNot(a), a))) == DL_THING
+    # the complement of an and beside all of its arguments, as A & B - (A & B)
+    assert _norm(DLAnd((DLAnd((a, b)), DLNot(DLAnd((b, a)))))) == DL_NOTHING
+    assert _norm(DLOr((a, b, DLNot(DLOr((b, a)))))) == DL_THING
+    assert _norm(DLExistsInverse("r", DLAnd((c, DLNothing())))) == DL_NOTHING
+    # a complement whose concept is only partly present stays
+    partial = DLAnd((a, DLNot(DLAnd((a, b)))))
+    assert _norm(partial) == partial
+    assert _norm(DLOr((a, DLNot(DLOr((a, b)))))) == DLOr((a, DLNot(DLOr((a, b)))))

@@ -211,6 +211,31 @@ def test_redundancy_compares_records_without_printing_them(monkeypatch):
     ]
 
 
+def test_redundancy_folds_a_concept_minus_itself_to_nothing():
+    m = parsed(
+        "model r;\n"
+        "fg FG1 := (Ticket - Ticket) :< Booked;\n"
+        "fg FG2 := Nothing :< Booked;\n"
+        "fg FG3 := ((Alpha Beta) - (Beta Alpha)) :< Booked;\n"
+    )
+    assert [f.element_id for f in findings(m, Issue.REDUNDANT)] == ["FG2", "FG3"]
+
+
+def test_redundancy_identifies_equivalent_spellings():
+    m = parsed(
+        "model r;\n"
+        "fg FG1 := {a, b} :< Booked;\n"
+        "fg FG2 := {b, a} :< Booked;\n"
+        "func F1 := Book <object: SOME Ticket>;\n"
+        "func F2 := Book <object: >=1 Ticket>;\n"
+    )
+    hits = findings(m, Issue.REDUNDANT)
+    assert [(f.element_id, f.detail.split()[1]) for f in hits] == [
+        ("FG2", "FG1"),
+        ("F2", "F1"),
+    ]
+
+
 def test_same_body_under_different_kinds_is_not_redundant():
     m = parsed(
         "model r;\nfg FG1 := Ticket :< Booked;\nda DA1 := Ticket :< Booked;\n"

@@ -22,6 +22,8 @@ from reqsmith.model import (
     QualityStatement,
     Region,
     SOME,
+    ScaleDirection,
+    ScaleFactor,
     SlotRestriction,
     Subsumption,
     Union,
@@ -31,7 +33,7 @@ from reqsmith.model import (
     exactly,
 )
 from reqsmith import reasoner, saturation
-from reqsmith.lint import normalize
+from reqsmith.operators import OperatorError, apply_scale
 from reqsmith.parser import parse_description, parse_model
 from reqsmith.reasoner import (
     ConsistencyStatus,
@@ -553,29 +555,43 @@ def test_query_by_element_kind(traffic):
     assert query(traffic, desc("QG")) == {"QG7"}
 
 
-def _normalized_body(body):
+def _swapped(d):
+    """The same description with the operands of every and/or swapped."""
+    if isinstance(d, (Intersection, Union)):
+        return type(d)(_swapped(d.right), _swapped(d.left))
+    if isinstance(d, Difference):
+        return Difference(_swapped(d.left), _swapped(d.right))
+    if isinstance(d, SlotRestriction):
+        return dataclasses.replace(d, filler=_swapped(d.filler))
+    if isinstance(d, InverseProjection):
+        return dataclasses.replace(d, source=_swapped(d.source))
+    return d
+
+
+def _reshaped_body(body):
     if isinstance(body, FunctionDesc):
         return dataclasses.replace(
-            body, slots=tuple(normalize(s) for s in body.slots)
+            body, slots=tuple(_swapped(s) for s in reversed(body.slots))
         )
     if isinstance(body, Subsumption):
-        return Subsumption(normalize(body.subsumee), normalize(body.subsumer))
+        return Subsumption(_swapped(body.subsumee), _swapped(body.subsumer))
     if isinstance(body, QualityStatement):
         return dataclasses.replace(
             body,
-            quality=normalize(body.quality),
-            subject=normalize(body.subject),
-            observers=tuple(normalize(o) for o in body.observers),
+            quality=_swapped(body.quality),
+            subject=_swapped(body.subject),
+            observers=tuple(_swapped(o) for o in reversed(body.observers)),
         )
     return body
 
 
 def test_query_invariant_under_normalization(traffic):
     elements = tuple(
-        dataclasses.replace(e, body=_normalized_body(e.body))
+        dataclasses.replace(e, body=_reshaped_body(e.body))
         for e in traffic.elements
     )
     reshaped = dataclasses.replace(traffic, elements=elements)
+    assert reshaped != traffic
     for pattern in ("<inheres_in: {F5}>", "<object: Traffic_info>", "Collect"):
         assert query(traffic, desc(pattern)) == query(reshaped, desc(pattern))
 
@@ -613,6 +629,30 @@ def test_scale_up_to_wider_interval_is_flagged():
     flags = check_strength_tags(m)
     assert len(flags) == 1
     assert flags[0].application_index == 0
+
+
+ORDER_MODEL = """
+model order;
+{axiom}
+func File_search := Search <object: File>;
+qg QG1 := Processing_time (File_search) :: Fast;
+qg QG2 := Processing_time (File_search) :: Slow;
+scale_up QG1 -> QG2 by Slow [strengthen];
+"""
+
+
+def test_audit_and_apply_scale_share_the_region_ordering_rule():
+    message = "no declared ordering links Fast and Slow for a up-scaling"
+    unordered = parsed(ORDER_MODEL.format(axiom=""))
+    flags = check_strength_tags(unordered)
+    assert [(f.application_index, f.message) for f in flags] == [(0, message)]
+    with pytest.raises(OperatorError, match=message):
+        apply_scale(
+            unordered, "QG1", ScaleFactor(region_name="Slow"), ScaleDirection.UP
+        )
+    ordered = parsed(ORDER_MODEL.format(axiom="axiom Slow :< Fast;"))
+    assert check_strength_tags(ordered) == []
+    apply_scale(ordered, "QG1", ScaleFactor(region_name="Slow"), ScaleDirection.UP)
 
 
 OBSERVE_MODEL = """
@@ -837,6 +877,18 @@ def test_unreachable_threshold_warns():
     assert state.states["G"] is FulfillmentStatus.UNKNOWN
     assert any("ThresholdUnreachable" in w for w in state.warnings)
     assert state.threshold == 5
+
+
+@pytest.mark.parametrize("threshold", [0, -1])
+def test_a_threshold_below_one_is_refused(threshold):
+    # A count of 0 successors would "suffice" for G although none is fulfilled.
+    m = parsed(
+        'goal G := "x"; goal A := "a"; goal B := "b";\n'
+        "reduce G -> A, B [strengthen];\n"
+    )
+    with pytest.raises(ValueError, match=f"at least 1, not {threshold}"):
+        propagate_fulfillment(m, threshold)
+    assert propagate_fulfillment(m, 1).states["G"] is FulfillmentStatus.UNKNOWN
 
 
 def test_domain_assumptions_start_fulfilled():

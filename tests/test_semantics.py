@@ -40,7 +40,7 @@ from reqsmith.model import (
     at_most,
     exactly,
 )
-from reqsmith.lint import normalize
+from reqsmith.reasoner import _norm
 from reqsmith.semantics import (
     DL_NOTHING,
     DL_THING,
@@ -621,15 +621,21 @@ def test_a_union_of_regions_filler_reads_as_a_data_range():
 
 
 def test_normalize_preserves_evaluation():
-    rng = random.Random(99)
-    worlds = [_random_world(rng) for _ in range(6)]
-    for _ in range(200):
-        d = _random_description(rng, rng.randint(0, 3))
-        nd = normalize(d)
-        for w in worlds:
-            assert eval_description(nd, w) == eval_description(d, w), (
-                f"normalize changed meaning of {d!r}"
-            )
+    # Each description is swept beside the spellings that only the
+    # complement folds of `_norm` reduce: X - X and X | (Thing - X).
+    for seed in (99, 100, 101):
+        rng = random.Random(seed)
+        worlds = [_random_world(rng) for _ in range(8)]
+        for _ in range(400):
+            d = _random_description(rng, rng.randint(0, 3))
+            for variant in (d, Difference(d, d), Union(d, Difference(THING, d))):
+                concept = translate_description(variant)
+                normal = _norm(concept)
+                assert _norm(normal) == normal, f"_norm is not idempotent on {variant!r}"
+                for w in worlds:
+                    assert eval_dl(normal, w) == eval_dl(concept, w), (
+                        f"_norm changed the meaning of {variant!r}"
+                    )
 
 
 # ===== the concept representation =====
