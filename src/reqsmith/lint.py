@@ -31,7 +31,7 @@ from .model import (
     subterms,
 )
 from .reasoner import ConsistencyStatus, _Derivation, _norm, check_consistency
-from .semantics import DLAnd, DLAtomic, DLConcept, DLNothing, translate_description
+from .semantics import DL_NOTHING, DLAnd, DLAtomic, DLConcept, translate_description
 
 
 class LintConfig(NamedTuple):
@@ -274,7 +274,7 @@ def _inconsistent(model: Model, live) -> list[LintFinding]:
     disjoint = {
         frozenset(arg.name for arg in ax.sub.args)
         for ax in result.axioms
-        if isinstance(ax.sup, DLNothing)
+        if ax.sup == DL_NOTHING
         and isinstance(ax.sub, DLAnd)
         and all(isinstance(arg, DLAtomic) for arg in ax.sub.args)
     }
@@ -296,19 +296,16 @@ def _inconsistent(model: Model, live) -> list[LintFinding]:
 
     groups = sorted(disjoint, key=sorted)
     derivation = _Derivation(result.axioms)
-    # A term under a whole group is empty, so it falls under every group;
-    # name first a group its declarations reach without the `:< Nothing`
-    # axioms.
+    # A term falls under a whole group exactly when it is empty, and then
+    # under every group; name first a group its declarations reach without
+    # the `:< Nothing` axioms.
     declared = None
     for term in sorted(derivation.headed):
-        group = next((g for g in groups if under(derivation, term, g)), None)
-        if group is None:
+        if not derivation.proves(DLAtomic(term), DL_NOTHING):
             continue
         if declared is None:
-            declared = _Derivation(
-                [ax for ax in result.axioms if not isinstance(ax.sup, DLNothing)]
-            )
-        group = next((g for g in groups if under(declared, term, g)), group)
+            declared = _Derivation([ax for ax in result.axioms if ax.sup != DL_NOTHING])
+        group = next((g for g in groups if under(declared, term, g)), groups[0])
         *rest, last = sorted(group)
         count = "two" if len(group) == 2 else len(group)
         out.append(

@@ -1033,45 +1033,64 @@ def _check_acyclic(model: Model) -> list[ValidationDiagnostic]:
                 app.op is Operator.RESOLVE
             ) else set(app.outputs)
             edges.setdefault(src, set()).update(targets)
-    color: dict[str, int] = {}
-
-    def visit(node: str, trail: tuple[str, ...]) -> Optional[tuple[str, ...]]:
-        color[node] = 1
-        for nxt in sorted(edges.get(node, ())):
-            if color.get(nxt) == 1:
-                return trail + (nxt,)
-            if color.get(nxt, 0) == 0:
-                cycle = visit(nxt, trail + (nxt,))
-                if cycle:
-                    return cycle
-        color[node] = 2
-        return None
-
+    # Depth-first from each node in name order; the walk keeps its own
+    # stack, so a long refinement chain is not bounded by the recursion limit.
+    color: dict[str, int] = {}  # 1 while on the path, 2 once left
     for start in sorted(edges):
-        if color.get(start, 0) == 0:
-            cycle = visit(start, (start,))
-            if cycle:
-                return [
-                    ValidationDiagnostic(
-                        cycle[0],
-                        "acyclic",
-                        "application graph contains a cycle: " + " -> ".join(cycle),
-                    )
-                ]
+        if start in color:
+            continue
+        color[start] = 1
+        path, branches = [start], [iter(sorted(edges[start]))]
+        while branches:
+            nxt = next(branches[-1], None)
+            if nxt is None:
+                color[path.pop()] = 2
+                branches.pop()
+            elif color.get(nxt) == 1:
+                cycle = " -> ".join(path + [nxt])
+                message = "application graph contains a cycle: " + cycle
+                return [ValidationDiagnostic(start, "acyclic", message)]
+            elif nxt not in color:
+                color[nxt] = 1
+                path.append(nxt)
+                branches.append(iter(sorted(edges.get(nxt, ()))))
     return []
 
 
+def _is_region(d: Description) -> bool:
+    """Whether `d` is a region, or regions combined by `|`, `-` or adjacency."""
+    if isinstance(d, (Intersection, Union, Difference)):
+        return _is_region(d.left) and _is_region(d.right)
+    return isinstance(d, Region)
+
+
 def _validate_descriptions(body: ElementBody, owner: str) -> list[ValidationDiagnostic]:
-    """Reserved slots and region mixing in the body's descriptions, in pre-order."""
+    """Reserved slots, region mixing and regions where a class is expected
+    (a subsumption side, the quality, a projection's source) in the body's
+    descriptions, in pre-order."""
     diags: list[ValidationDiagnostic] = []
-    for desc in body_descriptions(body):
+
+    def misplaced(position: str) -> None:
+        message = f"{position} is a region, where a class is expected"
+        diags.append(ValidationDiagnostic(owner, "region-position", message))
+
+    positions: tuple[str, ...] = ()
+    if isinstance(body, Subsumption):
+        positions = ("the left side", "the right side")
+    elif isinstance(body, QualityStatement):
+        positions = ("the quality",)
+    for index, desc in enumerate(body_descriptions(body)):
+        if index < len(positions) and _is_region(desc):
+            misplaced(positions[index])
         for d in subterms(desc):
             if isinstance(d, (SlotRestriction, InverseProjection)):
                 if d.slot in REASONING_INTERNAL_SLOTS:
                     message = f"slot {d.slot} is reserved for reasoning"
                     diags.append(ValidationDiagnostic(owner, "reserved-slot", message))
+                if isinstance(d, InverseProjection) and _is_region(d.source):
+                    misplaced(f"the source of .{d.slot}")
             elif isinstance(d, (Intersection, Union, Difference)):
-                if isinstance(d.left, Region) != isinstance(d.right, Region):
+                if _is_region(d.left) != _is_region(d.right):
                     message = "regions combine only with regions, not with concepts"
                     diags.append(ValidationDiagnostic(owner, "region-mixing", message))
     return diags

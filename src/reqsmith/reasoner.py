@@ -49,7 +49,6 @@ from .semantics import (
     DLThing,
     DL_NOTHING,
     DL_THING,
-    _eval_dl,
     eval_description,
     translate_description,
     translate_element,
@@ -494,21 +493,11 @@ class ConsistencyResult(NamedTuple):
 
 def check_consistency(model: Model) -> ConsistencyResult:
     """Saturate the model's world under all axioms and look for a clash."""
-    from .saturation import _axiom_repr, _Saturator
+    from .saturation import _Saturator
 
     axioms = tuple(collect_axioms(model))
     world = model.world if model.world is not None else World()
-    outcome = _Saturator(world, axioms).run()
-    if outcome.clashes:
-        status = ConsistencyStatus.INCONSISTENT
-        return ConsistencyResult(status, None, outcome.clashes, axioms)
-    saturated = outcome.world
-    assert saturated is not None
-    for ax in axioms:
-        if not _eval_dl(ax.sub, saturated) <= _eval_dl(ax.sup, saturated):
-            unsure = (f"could not establish axiom {_axiom_repr(ax)} on the world",)
-            return ConsistencyResult(ConsistencyStatus.UNKNOWN, None, unsure, axioms)
-    return ConsistencyResult(ConsistencyStatus.CONSISTENT, saturated, (), axioms)
+    return ConsistencyResult(*_Saturator(world, axioms).run(), axioms)
 
 
 # ===== PART 5: interrelation queries =====

@@ -1,8 +1,10 @@
-"""Saturating a world under axioms, for `reasoner.check_consistency` alone."""
+"""Saturating a world under axioms: the verdict `reasoner.check_consistency`
+reports."""
 
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .model import Quantity, World
+from .reasoner import ConsistencyStatus
 from .semantics import (
     DLAnd,
     DLAtomic,
@@ -63,15 +65,8 @@ def _axiom_repr(ax: DLSubClassOf) -> str:
     return f"{_dl_repr(ax.sub)} :< {_dl_repr(ax.sup)}"
 
 
-class _Saturation(NamedTuple):
-    """The saturated world, or None with the clashes that stopped saturation."""
-
-    world: Optional[World]
-    clashes: tuple[str, ...] = ()
-
-
 class _Saturator:
-    def __init__(self, world: World, axioms: list[DLSubClassOf]):
+    def __init__(self, world: World, axioms: tuple[DLSubClassOf, ...]):
         flat = world.materialize()
         self.individuals = set(flat.individuals)
         self.extensions = {k: set(v) for k, v in flat.concept_extensions.items()}
@@ -81,8 +76,8 @@ class _Saturator:
         self.clashes: list[str] = []
         self.changed = False
         # Saturation adds memberships, never tuples, so a slot's successor
-        # lists hold for every round; they keep the order of the slot's
-        # tuples, so assertions run in the order a scan of the slot gives.
+        # lists hold for every round; they are sorted, so assertions run in
+        # name order whatever the hash seed.
         self.successors: dict[str, dict[str, list[str]]] = {}
         # Per round: extensions and slot counts over the round's snapshot,
         # keyed by concept. `_assert` reads only the snapshot, so they are exact.
@@ -97,20 +92,33 @@ class _Saturator:
             data_values=self.data,
         )
 
-    def run(self) -> _Saturation:
+    def run(self) -> tuple[ConsistencyStatus, Optional[World], tuple[str, ...]]:
+        """The world's verdict under the axioms, its model and explanation."""
         # A round only adds memberships, of which there are finitely many, so
         # the rounds reach a fixpoint: the snapshot of a round that adds none.
+        # `_assert` changes nothing on a member of the right side, so a round
+        # asserts it only on the left side's members outside it. Those the
+        # last round leaves are what saturation, which never guesses, could
+        # not establish.
         while True:
             self.changed = False
             self.snapshot = self.current()
             self.memo = {}
+            unsettled = []
             for ax in self.axioms:
-                for x in sorted(self._extension(ax.sub)):
+                outside = self._extension(ax.sub) - self._extension(ax.sup)
+                if outside:
+                    unsettled.append(ax)
+                for x in sorted(outside):
                     self._assert(x, ax.sup, ax)
             if self.clashes:
-                return _Saturation(None, tuple(self.clashes))
+                return ConsistencyStatus.INCONSISTENT, None, tuple(self.clashes)
             if not self.changed:
-                return _Saturation(self.snapshot)
+                break
+        if unsettled:
+            text = f"could not establish axiom {_axiom_repr(unsettled[0])} on the world"
+            return ConsistencyStatus.UNKNOWN, None, (text,)
+        return ConsistencyStatus.CONSISTENT, self.snapshot, ()
 
     def _extension(self, c: DLConcept) -> frozenset[str]:
         ext = self.memo.get(c)
@@ -129,7 +137,7 @@ class _Saturator:
         index = self.successors.get(slot)
         if index is None:
             index = self.successors[slot] = {}
-            for subject, target in self.tuples.get(slot, ()):
+            for subject, target in sorted(self.tuples.get(slot, ())):
                 index.setdefault(subject, []).append(target)
         return index.get(x, [])
 
@@ -147,8 +155,9 @@ class _Saturator:
             return
         if isinstance(c, DLThing):
             return
-        if isinstance(c, DLNothing):
-            self._clash(ax, f" forces {x} into Nothing")
+        if isinstance(c, (DLNothing, DLDataRange)):
+            # a data range holds values, never individuals
+            self._clash(ax, f" forces {x} into {_dl_repr(c)}")
             return
         if isinstance(c, DLAnd):
             for arg in c.args:

@@ -979,6 +979,90 @@ def test_a_scale_factor_that_empties_or_shifts_the_region_exits_two_on_every_com
     )
 
 
+@pytest.mark.parametrize(
+    ("statement", "column", "subject", "position"),
+    [
+        ("axiom A :< [1, 5];", 1, "axiom[0]", "the right side"),
+        ("fg G := A :< [1, 5];", 4, "G", "the right side"),
+        ("qg Q := ([1,5]) (X) :: Fast;", 4, "Q", "the quality"),
+        ("func F := Send <object: [1,5].r>;", 6, "F", "the source of .r"),
+        ("axiom [1,2] | [3,4] :< A;", 1, "axiom[0]", "the left side"),
+    ],
+    ids=["axiom", "subsumption", "quality", "projection", "union"],
+)
+@pytest.mark.parametrize(
+    "command", ["check", "fmt", "fulfill", "lint", "membership", "query", "translate"]
+)
+def test_a_region_where_a_class_is_expected_exits_two_on_every_command(
+    tmp_path, capsys, command, statement, column, subject, position
+):
+    # Translation has no class for a region, so no command may get that far.
+    text = f"model m;\nworld {{ individual c : A; }};\n{statement}\n"
+    argv = _command_argv(command, tmp_path, text)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"{argv[1]}:3:{column}: error: {subject}: [region-position] "
+        f"{position} is a region, where a class is expected\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "statement",
+    [
+        "func F := Send <object: [1,5] | [7,9] | {12}>;",
+        "qg Q := Speed ([1,5]) :: Fast;",
+        "qg Q := Speed (X) :: Fast <observed_by: [1,2]>;",
+    ],
+    ids=["filler", "subject", "observer"],
+)
+def test_a_region_as_filler_subject_or_observer_stays_valid(tmp_path, capsys, statement):
+    path = write(tmp_path, f"model m;\n{statement}\n")
+    assert main(["translate", path, "--out", str(tmp_path / "out.ofn")]) == 0
+    assert main(["check", path]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def _refinement_chain(length, closed=False):
+    goals = "".join(f'goal G{i} := "step {i}";\n' for i in range(length))
+    steps = [f"reduce G{i} -> G{i + 1} [strengthen];\n" for i in range(length - 1)]
+    if closed:
+        steps.append(f"reduce G{length - 1} -> G0 [strengthen];\n")
+    return "model chain;\n" + goals + "".join(steps)
+
+
+@pytest.mark.parametrize("command", ["fmt", "check", "fulfill"])
+def test_a_long_refinement_chain_is_accepted(tmp_path, capsys, command):
+    # The cycle check must not be bounded by the recursion limit.
+    path = write(tmp_path, _refinement_chain(5000))
+    assert main([command, path]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_a_long_refinement_cycle_is_one_acyclic_diagnostic(tmp_path, capsys):
+    path = write(tmp_path, _refinement_chain(5000, closed=True))
+    assert main(["fmt", path]) == 2
+    cycle = " -> ".join([f"G{i}" for i in range(5000)] + ["G0"])
+    assert capsys.readouterr().err == (
+        f"{path}:2:6: error: G0: [acyclic] application graph contains a cycle: {cycle}\n"
+    )
+
+
+def test_clash_lines_follow_successor_names_whatever_the_hash_seed(tmp_path):
+    slots = "".join(f"  slot s(a, b{i});\n" for i in range(1, 5))
+    world = f"world {{\n  individual a : A;\n{slots}}};\n"
+    text = "model four;\naxiom A :< <s: ONLY Nothing>;\n" + world
+    path = write(tmp_path, text)
+    expected = "".join(
+        f"world: inconsistent: axiom A :< only s.Nothing forces b{i} into Nothing\n"
+        for i in range(1, 5)
+    )
+    for seed in ("0", "1"):
+        run = run_cli(["check", path], hash_seed=seed)
+        assert (run.returncode, run.stdout.decode(), run.stderr) == (1, expected, b"")
+
+
 # ===== import budget =====
 
 _PARSING = {"reqsmith", "reqsmith.cli", "reqsmith.model", "reqsmith.parser"}

@@ -110,6 +110,34 @@ def test_verdicts_are_the_least_fixpoint_of_the_rules():
             )
 
 
+def test_a_term_under_a_disjoint_group_is_exactly_an_empty_term():
+    # Lint asks one `term :< Nothing` goal instead of trying every disjoint
+    # group: a term is under some group exactly when it is empty, and an
+    # empty term is under every group.
+    empty = 0
+    for seed in range(1500):
+        axioms, _ = _case(seed)
+        rng = random.Random(-seed)
+        groups = [
+            sorted(rng.sample("ABCD", rng.randint(2, 3)))
+            for _ in range(rng.randint(1, 2))
+        ]
+        disjoint = [
+            DLSubClassOf(DLAnd(tuple(map(DLAtomic, g))), DL_NOTHING) for g in groups
+        ]
+        if rng.random() < 0.3:
+            disjoint.append(DLSubClassOf(DLAtomic(rng.choice("ABCD")), DL_NOTHING))
+        derivation = _Derivation(axioms + [_as_dl_axiom(ax) for ax in disjoint])
+        for term in map(DLAtomic, "ABCD"):
+            under = [
+                all(derivation.proves(term, DLAtomic(a)) for a in g) for g in groups
+            ]
+            proven = derivation.proves(term, DL_NOTHING)
+            assert any(under) == all(under) == proven, (seed, term)
+            empty += proven
+    assert empty >= 300
+
+
 def test_an_earlier_goal_cannot_hide_a_proof():
     # D :< not D empties D, so D :< C holds through the second axiom. Asking
     # the first goal below used to table D :< C as unprovable while it was

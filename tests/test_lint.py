@@ -372,6 +372,20 @@ def test_a_term_emptied_outside_every_group_is_named_under_the_first():
     ]
 
 
+def test_a_term_emptied_by_an_atomic_axiom_falls_under_the_disjoint_group():
+    # X :< Nothing empties X, and T with it, though neither meets A or B
+    text = "model u;\naxiom A B :< Nothing;\nfg F1 := T :< X;\naxiom X :< Nothing;\n"
+    hits = findings(parsed(text), Issue.INCONSISTENT)
+    assert [(f.element_id, f.detail) for f in hits] == [
+        (
+            "F1",
+            f"term {term} falls under A and B, which are declared disjoint; "
+            "the two uses need distinct names",
+        )
+        for term in ("T", "X")
+    ]
+
+
 def test_a_resolution_drops_the_axioms_of_its_dropped_element():
     text = """
 model u;

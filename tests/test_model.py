@@ -170,6 +170,35 @@ def test_region_mixing_flagged():
     assert any(d.rule == "region-mixing" for d in validate_model(model))
 
 
+def test_regions_combined_with_regions_stay_regions():
+    # A union of three regions nests a union of two, which is a region too.
+    r1, r2, r3 = (Region(Interval(Fraction(i), Fraction(i + 1))) for i in range(3))
+    regions = SlotRestriction("object", EXACTLY_ONE, Union(Union(r1, r2), r3))
+    model = Model(elements=(Element("F1", Kind.F, FunctionDesc("Send", (regions,))),))
+    assert validate_model(model) == []
+    # A concept beside a combination of regions mixes them.
+    mixed = Union(A("Fast"), Difference(r1, r2))
+    model = Model(elements=(Element("D1", Kind.DA, Subsumption(A("X"), mixed)),))
+    assert [d.rule for d in validate_model(model)] == ["region-mixing"]
+
+
+def test_a_region_where_a_class_is_expected_is_flagged_in_order():
+    region = Region(Interval(Fraction(0), Fraction(1)))
+    projection = InverseProjection(Intersection(region, region), "r")
+    quality = QualityStatement(Union(region, region), projection, NamedRegion("low"))
+    model = Model(
+        elements=(Element("Q1", Kind.QG, quality),),
+        axioms=(Subsumption(region, Difference(region, region)),),
+    )
+    assert [(d.subject_id, d.message) for d in validate_model(model)] == [
+        ("Q1", "the quality is a region, where a class is expected"),
+        ("Q1", "the source of .r is a region, where a class is expected"),
+        ("axiom[0]", "the left side is a region, where a class is expected"),
+        ("axiom[0]", "the right side is a region, where a class is expected"),
+    ]
+    assert {d.rule for d in validate_model(model)} == {"region-position"}
+
+
 def test_reserved_slot_flagged():
     desc = slot("reduce_to", A("X"))
     model = Model(elements=(Element("F1", Kind.F, FunctionDesc("Go", (desc,))),))

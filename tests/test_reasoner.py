@@ -3,6 +3,7 @@ queries, strength tag auditing, and fulfillment propagation."""
 
 import dataclasses
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from reqsmith.model import (
     Intersection,
     Interval,
     InverseProjection,
+    Model,
     ONLY,
     QualityStatement,
     Region,
@@ -32,10 +34,11 @@ from reqsmith.model import (
     at_most,
     exactly,
 )
-from reqsmith import reasoner, saturation
+from reqsmith import reasoner, saturation, semantics
 from reqsmith.operators import OperatorError, apply_scale
 from reqsmith.parser import parse_description, parse_model
 from reqsmith.reasoner import (
+    ConsistencyResult,
     ConsistencyStatus,
     FulfillmentStatus,
     VerdictStatus,
@@ -47,10 +50,19 @@ from reqsmith.reasoner import (
     subsumes,
 )
 from reqsmith.semantics import (
+    DL_NOTHING,
+    DL_THING,
     DLAnd,
     DLAtomic,
+    DLCard,
     DLDataRange,
     DLExists,
+    DLExistsInverse,
+    DLForAll,
+    DLNominal,
+    DLNot,
+    DLOr,
+    DLSubClassOf,
     eval_dl,
     translate_description,
     translate_element,
@@ -471,6 +483,22 @@ def test_unforceable_existential_is_unknown():
     assert "could not establish" in " ".join(result.explanation)
 
 
+def test_a_data_range_on_the_right_side_clashes_like_nothing():
+    # Validation refuses a region where a class is expected; a library
+    # caller that builds such an axiom gets a clash, not an assertion error.
+    interval = DLAnd((DLDataRange("min", Fraction(1)), DLDataRange("max", Fraction(5))))
+    model = Model(
+        axioms=(DLSubClassOf(DLAtomic("A"), interval),),
+        world=World(frozenset({"c"}), {"A": frozenset({"c"})}),
+    )
+    result = check_consistency(model)
+    assert result.status is ConsistencyStatus.INCONSISTENT
+    assert result.explanation == (
+        "axiom A :< ((<= 5) and (>= 1)) forces c into (<= 5)",
+        "axiom A :< ((<= 5) and (>= 1)) forces c into (>= 1)",
+    )
+
+
 def _ring_world(size: int):
     """A ring of Nodes, every tenth a Hub, under axioms whose right-hand
     sides reach every branch of saturation that reads the world."""
@@ -488,16 +516,23 @@ def _ring_world(size: int):
 
 def test_saturation_work_per_round_does_not_grow_with_the_world(monkeypatch):
     # Extensions and slot counts are computed once per round and concept,
-    # not once per individual the axiom fires on.
+    # not once per individual the axiom fires on. The slot counts of a right
+    # side run inside its evaluation, so those in `semantics` count too.
     def counted(size):
-        calls = {"_eval_dl": 0, "_slot_counts": 0}
-        for name, original in [(n, getattr(saturation, n)) for n in calls]:
+        calls = {}
+        for module, name in [
+            (saturation, "_eval_dl"),
+            (saturation, "_slot_counts"),
+            (semantics, "_slot_counts"),
+        ]:
+            key = f"{module.__name__}.{name}"
+            calls[key] = 0
 
-            def wrapper(*args, name=name, original=original):
-                calls[name] += 1
+            def wrapper(*args, key=key, original=getattr(module, name)):
+                calls[key] += 1
                 return original(*args)
 
-            monkeypatch.setattr(saturation, name, wrapper)
+            monkeypatch.setattr(module, name, wrapper)
         result = check_consistency(_ring_world(size))
         monkeypatch.undo()
         assert result.status is ConsistencyStatus.CONSISTENT
@@ -506,7 +541,123 @@ def test_saturation_work_per_round_does_not_grow_with_the_world(monkeypatch):
 
     small, large = counted(100), counted(400)
     assert small == large
-    assert small["_slot_counts"] > 0 and small["_eval_dl"] > 0
+    slot_counts = small["reqsmith.saturation._slot_counts"]
+    slot_counts += small["reqsmith.semantics._slot_counts"]
+    assert slot_counts > 0 and small["reqsmith.saturation._eval_dl"] > 0
+
+
+class _TwoPass(saturation._Saturator):
+    """The verdict as two passes gave it: assert each right side on every
+    member of its left side until a round adds nothing, then evaluate every
+    axiom again on the saturated world."""
+
+    def run(self):
+        while True:
+            self.changed = False
+            self.snapshot = self.current()
+            self.memo = {}
+            for ax in self.axioms:
+                for x in sorted(self._extension(ax.sub)):
+                    self._assert(x, ax.sup, ax)
+            if self.clashes:
+                return ConsistencyStatus.INCONSISTENT, None, tuple(self.clashes)
+            if not self.changed:
+                break
+        for ax in self.axioms:
+            if not eval_dl(ax.sub, self.snapshot) <= eval_dl(ax.sup, self.snapshot):
+                axiom = saturation._axiom_repr(ax)
+                text = f"could not establish axiom {axiom} on the world"
+                return ConsistencyStatus.UNKNOWN, None, (text,)
+        return ConsistencyStatus.CONSISTENT, self.snapshot, ()
+
+
+_SWEEP_NAMES = ("i1", "i2", "i3", "i4")
+
+
+def _data_range(rng):
+    low = Fraction(rng.randrange(4))
+    if rng.random() < 0.3:
+        return DLAnd((DLDataRange("min", low), DLDataRange("max", low + 1)))
+    return DLDataRange(rng.choice(("min", "max", "eq")), low)
+
+
+def _consistency_concept(rng, depth):
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        pick = rng.random()
+        if pick < 0.7:
+            return DLAtomic(rng.choice("ABC"))
+        if pick < 0.85:
+            return DLNominal(tuple(sorted(rng.sample(_SWEEP_NAMES, rng.randint(1, 2)))))
+        if pick < 0.95:
+            return rng.choice((DL_THING, DL_NOTHING))
+        return _data_range(rng)
+    if roll < 0.42:
+        return DLAnd(_consistency_pair(rng, depth - 1))
+    if roll < 0.5:
+        return DLOr(_consistency_pair(rng, depth - 1))
+    if roll < 0.58:
+        return DLNot(_consistency_concept(rng, depth - 1))
+    slot = rng.choice("rs")
+    if roll < 0.66:
+        return DLExistsInverse(slot, _consistency_concept(rng, depth - 1))
+    if rng.random() < 0.25:
+        filler = _data_range(rng)
+    else:
+        filler = _consistency_concept(rng, depth - 1)
+    if roll < 0.78:
+        return DLExists(slot, filler)
+    if roll < 0.9:
+        return DLForAll(slot, filler)
+    return DLCard(slot, rng.choice(("min", "max", "exact")), rng.randint(1, 2), filler)
+
+
+def _consistency_pair(rng, depth):
+    return _consistency_concept(rng, depth), _consistency_concept(rng, depth)
+
+
+def _consistency_case(seed):
+    rng = random.Random(seed)
+    individuals = _SWEEP_NAMES[: rng.randint(1, 4)]
+    world = World(
+        individuals=frozenset(individuals),
+        concept_extensions={
+            name: frozenset(x for x in individuals if rng.random() < 0.4)
+            for name in "ABC"
+        },
+        slot_tuples={
+            slot: frozenset(
+                (x, y) for x in individuals for y in individuals if rng.random() < 0.3
+            )
+            for slot in "rs"
+        },
+        data_values={
+            (x, slot): Fraction(rng.randrange(4))
+            for x in individuals
+            for slot in "rs"
+            if rng.random() < 0.3
+        },
+    )
+    axioms = tuple(
+        DLSubClassOf(*_consistency_pair(rng, 2)) for _ in range(rng.randint(1, 4))
+    )
+    return Model(axioms=axioms, world=world)
+
+
+def test_saturation_decides_what_two_passes_decided():
+    # One saturation that asserts only outside the right side, and reads the
+    # unsettled axiom off its last round, gives the verdict, explanation and
+    # witness of asserting on every left-side member and then evaluating
+    # every axiom again.
+    statuses = Counter()
+    for seed in range(3000):
+        model = _consistency_case(seed)
+        axioms = tuple(collect_axioms(model))
+        expected = ConsistencyResult(*_TwoPass(model.world, axioms).run(), axioms)
+        result = check_consistency(model)
+        assert result == expected, seed
+        statuses[result.status] += 1
+    assert min(statuses[status] for status in ConsistencyStatus) >= 300, statuses
 
 
 # ----- interrelation queries -----
