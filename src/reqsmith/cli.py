@@ -95,49 +95,17 @@ def _cmd_check(args) -> int:
     return _print_findings(findings, args.json)
 
 
-_CASEFOLDED_KEYS = frozenset(
-    {"universal_tokens", "attachment_tokens", "entity_terms", "quality_terms"}
-)
-_SET_KEYS = _CASEFOLDED_KEYS | {"communicative_heads"}
-_TUPLE_KEYS = frozenset({"required_slots", "communicative_slots", "concern_joiners"})
-
-
-def _parse_lint_config(text: str):
-    """Read `key = value, value` lines into a lint configuration."""
-    from .lint import LintConfig
-
-    values = {}
-    for number, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, equals, rest = line.partition("=")
-        key = key.strip()
-        if not equals:
-            raise _CliError(f"lint config line {number}: expected key = values")
-        if key not in _SET_KEYS and key not in _TUPLE_KEYS:
-            raise _CliError(f"lint config line {number}: unknown key {key!r}")
-        items = []
-        for part in rest.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            if len(part) >= 2 and part.startswith('"') and part.endswith('"'):
-                part = part[1:-1]
-            if key in _CASEFOLDED_KEYS:
-                part = part.casefold()
-            items.append(part)
-        values[key] = tuple(items) if key in _TUPLE_KEYS else frozenset(items)
-    return LintConfig(**values)
-
-
 def _cmd_lint(args) -> int:
-    from .lint import LintConfig, lint_model
+    from .lint import LintConfig, lint_model, parse_config
 
     model = _load_model(args.file)
     config = LintConfig()
     if args.config is not None:
-        config = _parse_lint_config(_read_text(args.config))
+        text = _read_text(args.config)
+        try:
+            config = parse_config(text)
+        except ValueError as err:
+            raise _CliError(str(err)) from err
     return _print_findings(lint_model(model, config), args.json)
 
 

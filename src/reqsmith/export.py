@@ -146,6 +146,8 @@ def _render_data_range(c: DLConcept) -> str:
             return f"DatatypeRestriction(xsd:decimal {pairs})"
         parts = " ".join(_render_data_range(a) for a in c.args)
         return f"DataIntersectionOf({parts})"
+    if isinstance(c, DLNot):
+        return f"DataComplementOf({_render_data_range(c.inner)})"
     assert isinstance(c, DLOr)
     if all(isinstance(a, DLDataRange) and a.facet == "eq" for a in c.args):
         values = " ".join(_data_literal(a.value) for a in c.args)

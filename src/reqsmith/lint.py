@@ -51,6 +51,41 @@ class LintConfig(NamedTuple):
     quality_terms: frozenset[str] = frozenset()
 
 
+# the fields whose words the checks compare casefolded
+_CASEFOLDED_KEYS = frozenset(
+    {"universal_tokens", "attachment_tokens", "entity_terms", "quality_terms"}
+)
+
+
+def parse_config(text: str) -> LintConfig:
+    """Read `key = value, value` lines into a lint configuration; a line
+    without `=` or with an unknown key raises ValueError."""
+    values = {}
+    for number, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, equals, rest = line.partition("=")
+        key = key.strip()
+        if not equals:
+            raise ValueError(f"lint config line {number}: expected key = values")
+        if key not in LintConfig._fields:
+            raise ValueError(f"lint config line {number}: unknown key {key!r}")
+        items = []
+        for part in rest.split(","):
+            part = part.strip()
+            if not part:
+                continue
+            if len(part) >= 2 and part.startswith('"') and part.endswith('"'):
+                part = part[1:-1]
+            if key in _CASEFOLDED_KEYS:
+                part = part.casefold()
+            items.append(part)
+        # a field keeps the kind of its default: a tuple or a frozenset
+        values[key] = type(LintConfig._field_defaults[key])(items)
+    return LintConfig(**values)
+
+
 def lint_model(model: Model, config: LintConfig = LintConfig()) -> list[LintFinding]:
     """Run every check and return the findings in a fixed rule order."""
     dropped = model.dropped_ids()
@@ -296,11 +331,12 @@ def _inconsistent(model: Model, live) -> list[LintFinding]:
 
     groups = sorted(disjoint, key=sorted)
     derivation = _Derivation(result.axioms)
-    # A term falls under a whole group exactly when it is empty, and then
-    # under every group; name first a group its declarations reach without
-    # the `:< Nothing` axioms.
+    # A term, an atom that is a whole left side, falls under a whole group
+    # exactly when it is empty, and then under every group; name first a
+    # group its declarations reach without the `:< Nothing` axioms.
+    terms = {ax.sub.name for ax in result.axioms if isinstance(ax.sub, DLAtomic)}
     declared = None
-    for term in sorted(derivation.headed):
+    for term in sorted(terms):
         if not derivation.proves(DLAtomic(term), DL_NOTHING):
             continue
         if declared is None:

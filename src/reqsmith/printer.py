@@ -101,11 +101,12 @@ def format_description(desc: Description, parent_prec: int = 0) -> str:
         source = format_description(desc.source, _PREC_POSTFIX)
         return f"{source}.{desc.slot}"
     if isinstance(desc, Intersection):
-        text = (
-            format_description(desc.left, _PREC_ADJACENCY)
-            + " "
-            + format_description(desc.right, _PREC_POSTFIX)
-        )
+        right = format_description(desc.right, _PREC_POSTFIX)
+        if right.startswith("["):
+            # a `[` after a description may open a strength tag, so the
+            # parser reads an interval operand only in parentheses
+            right = f"({right})"
+        text = format_description(desc.left, _PREC_ADJACENCY) + " " + right
         prec = _PREC_ADJACENCY
     elif isinstance(desc, Union):
         text = (

@@ -12,6 +12,7 @@ Fulfillment propagation lives in `fulfillment` and is re-exported here.
 from __future__ import annotations
 
 from enum import Enum
+from functools import cache
 from typing import Iterable, NamedTuple, Optional
 
 from .fulfillment import FulfillmentState, FulfillmentStatus, propagate_fulfillment
@@ -220,14 +221,18 @@ class _Derivation:
 
     def __init__(self, axioms: list[DLSubClassOf]):
         self.axioms = axioms
-        self.headed: dict[str, list] = {}  # atom -> the axioms it is the left side of
-        # (atoms the left side needs, axiom) for each left side that is not an atom
-        self.unheaded: list = []
+        # atom -> (atoms the left side needs, told names of the right side,
+        # axiom) for each axiom whose left side needs that atom
+        self.watch: dict[str, list] = {}
+        self.free: list = []  # the axioms whose left side needs no atom
+        self.free_names: list = []  # the told names of their right sides
         for ax in axioms:
-            if isinstance(ax.sub, DLAtomic):
-                self.headed.setdefault(ax.sub.name, []).append(ax)
-            else:
-                self.unheaded.append((_needs(ax.sub), ax))
+            needs, names = _needs(ax.sub), _told(ax.sup)
+            for name in needs:
+                self.watch.setdefault(name, []).append((needs, names, ax))
+            if not needs:
+                self.free.append(ax)
+                self.free_names.extend(names)
         self.reached: dict = {}  # sub -> what _reach found
         # goal -> final value, or [stack place, value this pass, value it was
         # first read at while open, or None] for a goal of an open component;
@@ -284,43 +289,34 @@ class _Derivation:
                 e[0] = None
             entry[2] = None
 
-    def _close(self, names, reached: dict) -> None:
-        """Add `names` and every name the atomic axioms lead to from them to
-        the keys of `reached`, in the order found."""
-        todo = [name for name in names if name not in reached]
-        reached.update(dict.fromkeys(todo))
-        while todo:
-            for ax in self.headed.get(todo.pop(), ()):
-                for name in _told(ax.sup):
-                    if name not in reached:
-                        reached[name] = None
-                        todo.append(name)
-
     def _reach(self, sub: DLConcept) -> tuple:
         """The atoms sub may be below, and the axioms it may fire.
 
         sub ⊑ A for an atom A needs A among the told names of sub closed
-        under the atomic axioms and under every other axiom whose left side
-        needs only names reached so far. A reached Nothing may put sub below
-        every atom, so the atoms are then None; the axiom that reached
-        Nothing is among those returned, and if sub is below Nothing that
-        axiom alone proves each goal of sub. The axioms headed by the atoms
-        of sub itself come first, as their left premise mostly holds
-        outright; that keeps chains of atoms shallow.
+        under every axiom whose left side needs only names reached so far:
+        propositional Horn closure, one worklist (Dowling & Gallier, J.
+        Logic Programming 1984). A reached Nothing may put sub below every
+        atom, so the atoms are then None; the axiom that reached Nothing is
+        among those returned, and if sub is below Nothing that axiom alone
+        proves each goal of sub. The axioms fire breadth first from the
+        atoms of sub itself, as their left premise mostly holds outright;
+        that keeps chains of atoms shallow.
         """
         found = self.reached.get(sub)
         if found is None:
             reached: dict = {}
-            self._close(_told(sub), reached)
-            size = None
-            while size != len(reached):
-                size = len(reached)
-                for needs, ax in self.unheaded:
+            fired: list = []
+            todo = _told(sub) + self.free_names
+            for name in todo:  # the list grows as axioms fire
+                if name in reached:
+                    continue
+                reached[name] = None
+                # an axiom fires when the last atom it needs is reached
+                for needs, names, ax in self.watch.get(name, ()):
                     if reached.keys() >= needs:
-                        self._close(_told(ax.sup), reached)
-            fired = [ax for needs, ax in self.unheaded if reached.keys() >= needs]
-            headed = [ax for name in reached for ax in self.headed.get(name, ())]
-            found = (None if None in reached else reached, headed + fired)
+                        fired.append(ax)
+                        todo.extend(names)
+            found = (None if None in reached else reached, fired + self.free)
             self.reached[sub] = found
         return found
 
@@ -622,15 +618,17 @@ def check_strength_tags(model: Model):
             concepts[eid] = translate_element(element)[0] if structured else None
         return concepts[eid]
 
-    derivation: Optional[_Derivation] = None
+    @cache
+    def derivation() -> _Derivation:
+        return _Derivation(collect_axioms(model))
+
     diagnostics: list[StrengthDiagnostic] = []
     for index, app in enumerate(model.applications):
         if app.op is Operator.RESOLVE:
             continue
         error = strength_error(app, by_id)
         if error is None and app.op is Operator.SCALE:
-            derivation = derivation or _Derivation(collect_axioms(model))
-            error = scale_order_error(app, by_id, derivation)
+            error = scale_order_error(app, by_id, derivation())
         if error is not None:
             diagnostics.append(StrengthDiagnostic(index, app.strength, error))
             continue
@@ -645,10 +643,8 @@ def check_strength_tags(model: Model):
             combined = output_concepts[0]
         else:
             combined = DLAnd(tuple(output_concepts))
-        if derivation is None:
-            derivation = _Derivation(collect_axioms(model))
-        proven_f = derivation.proves(combined, input_concept)
-        proven_b = derivation.proves(input_concept, combined)
+        proven_f = derivation().proves(combined, input_concept)
+        proven_b = derivation().proves(input_concept, combined)
         message = None
         if app.strength is Strength.STRENGTHENING and not proven_f and proven_b:
             message = (

@@ -387,6 +387,8 @@ def _is_dataish(c: DLConcept) -> bool:
         return True
     if isinstance(c, (DLAnd, DLOr)):
         return all(_is_dataish(a) for a in c.args)
+    if isinstance(c, DLNot):
+        return _is_dataish(c.inner)
     return False
 
 
@@ -395,6 +397,8 @@ def _value_test(c: DLConcept, value) -> bool:
         return all(_value_test(a, value) for a in c.args)
     if isinstance(c, DLOr):
         return any(_value_test(a, value) for a in c.args)
+    if isinstance(c, DLNot):
+        return not _value_test(c.inner, value)
     assert isinstance(c, DLDataRange)
     raw, unit = value, None
     if isinstance(value, Quantity):

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import reqsmith
+from reqsmith.export import emit_owl
 from reqsmith.membership import (
     format_degree,
     membership_intervals,
@@ -581,6 +582,29 @@ def _modifier_text(rng):
     return rng.choice(("", "", "SOME ", "ONLY ", "<=2 ", ">=3 ", "=1 "))
 
 
+def _region_leaf(rng):
+    if rng.random() < 0.5:
+        low = rng.randrange(10)
+        return f"[{low}, {low + rng.randrange(10)}]"
+    return "{" + ", ".join(map(str, sorted(rng.sample(range(10), rng.randint(1, 2))))) + "}"
+
+
+def _region_text(rng):
+    """A data filler: an interval, a value set, or two of them joined by
+    `|`, `-` or adjacency; an adjacency's right operand is written in
+    parentheses, as one that starts with `[` must be."""
+    left = _region_leaf(rng)
+    roll = rng.randrange(4)
+    if roll == 0:
+        return left
+    right = _region_leaf(rng)
+    return f"{left} ({right})" if roll == 3 else f"{left} {'|-'[roll - 1]} {right}"
+
+
+def _filler_text(rng, depth):
+    return _region_text(rng) if rng.random() < 0.2 else _desc_text(rng, depth)
+
+
 def _desc_text(rng, depth):
     if depth <= 0:
         return _leaf(rng)
@@ -592,7 +616,7 @@ def _desc_text(rng, depth):
     if roll == 2:
         return f"{_leaf(rng)} - {rng.choice(_ATOMS)}"
     if roll == 3:
-        return f"<{rng.choice(_SLOTS)}: {_modifier_text(rng)}{_desc_text(rng, depth - 1)}>"
+        return f"<{rng.choice(_SLOTS)}: {_modifier_text(rng)}{_filler_text(rng, depth - 1)}>"
     if roll == 4:
         return f"({rng.choice(_ATOMS)} | {rng.choice(_ATOMS)}).{rng.choice(_SLOTS)}"
     return _leaf(rng)
@@ -603,7 +627,7 @@ def _side_text(rng):
         return _desc_text(rng, 2)
     parts = [rng.choice(_ATOMS)]
     for _ in range(rng.randrange(3)):
-        parts.append(f"<{rng.choice(_SLOTS)}: {_modifier_text(rng)}{_desc_text(rng, 1)}>")
+        parts.append(f"<{rng.choice(_SLOTS)}: {_modifier_text(rng)}{_filler_text(rng, 1)}>")
     return " ".join(parts)
 
 
@@ -643,7 +667,7 @@ def _random_model_text(rng, index):
         fid = f"F{i}"
         funcs.append(fid)
         slots = " ".join(
-            f"<{s}: {_modifier_text(rng)}{_desc_text(rng, 1)}>"
+            f"<{s}: {_modifier_text(rng)}{_filler_text(rng, 1)}>"
             for s in rng.sample(_SLOTS, rng.randint(1, 2))
         )
         lines.append(f"func {fid} := {rng.choice(('Book', 'Send', 'Collect'))} {slots};")
@@ -726,6 +750,7 @@ def test_parse_print_identity_on_generated_and_stock_models():
         second = parsed(printed)
         assert second == first
         assert print_model(second) == printed
+        emit_owl(first)
 
     for path in sorted(FIXTURES.glob("*.dsr")):
         if path.name == "syntax_error.dsr":

@@ -296,6 +296,18 @@ def test_fmt_is_idempotent(tmp_path, capsys):
     assert capsys.readouterr().out == once
 
 
+def test_fmt_parenthesizes_an_interval_after_a_description(tmp_path, capsys):
+    # a `[` after a description may open a strength tag, so an interval
+    # operand of adjacency parses back only in parentheses
+    path = write(tmp_path, "model m;\nfunc F := Send <object: [1,2] ([3,4])>;\n")
+    assert main(["fmt", path]) == 0
+    once = capsys.readouterr().out
+    assert once == "model m;\nfunc F := Send <object: [1, 2] ([3, 4])>;\n"
+    again = write(tmp_path, once, name="canon.dsr")
+    assert main(["fmt", again]) == 0
+    assert capsys.readouterr().out == once
+
+
 def test_fmt_matches_the_library_printer(tmp_path, capsys):
     path = write(tmp_path, COST_REGIONS)
     assert main(["fmt", path]) == 0
@@ -404,6 +416,12 @@ _RANGE = "only cost.((<= 5) and (>= 1))"
             "A :< only cost.((<= 5 Sec) and (>= 1 Sec)): value 1/3 of c.cost "
             "falls outside ((<= 5 Sec) and (>= 1 Sec))",
         ),
+        (
+            "A :< <cost: ONLY [1, 10] - [3, 4]>",
+            "data cost(c) = 3;",
+            "A :< only cost.((<= 10) and (>= 1) and not ((<= 4) and (>= 3))): "
+            "value 3 of c.cost falls outside ((<= 10) and (>= 1) and not ((<= 4) and (>= 3)))",
+        ),
         ("A :< Thing - B", "individual c : B;", "A :< not B forbids c from B, which it inhabits"),
         (
             "A :< {a}",
@@ -412,7 +430,7 @@ _RANGE = "only cost.((<= 5) and (>= 1))"
             "but distinct names denote distinct individuals",
         ),
     ],
-    ids=["number", "quantity", "string", "fraction", "negation", "nominal"],
+    ids=["number", "quantity", "string", "fraction", "difference", "negation", "nominal"],
 )
 def test_check_prints_each_clash_kind_in_model_syntax(tmp_path, capsys, axiom, facts, clash):
     text = f"model m;\naxiom {axiom};\nworld {{ individual c : A; {facts} }};\n"

@@ -2,13 +2,23 @@
 
 A verdict must not depend on the order of the axioms or on the goals a
 derivation answered before, and it must equal the least fixpoint of the
-derivation rules, computed here by plain round-robin iteration.
+derivation rules, computed here by plain round-robin iteration. The atoms
+and axioms a concept reaches must equal a Horn closure computed another
+way.
 """
 
 import random
+from collections import Counter
 
 from reqsmith import reasoner
-from reqsmith.reasoner import _VIA_AXIOM, _Derivation, _as_dl_axiom, _norm
+from reqsmith.reasoner import (
+    _VIA_AXIOM,
+    _Derivation,
+    _as_dl_axiom,
+    _needs,
+    _norm,
+    _told,
+)
 from reqsmith.semantics import (
     DLAnd,
     DLAtomic,
@@ -196,6 +206,70 @@ def test_disjointness_axioms_keep_the_least_fixpoint():
             assert value == _RoundRobin(axioms).solve(goal), (seed, goal)
             proven += bool(value)
     assert proven >= 40
+
+
+def _two_pass_reach(axioms, sub):
+    """The atoms and fired axioms of `_Derivation._reach`, by a second
+    route: close the told atoms depth first over the axioms an atom heads,
+    then sweep every other axiom in rounds until nothing is added."""
+    headed, unheaded = {}, []
+    for ax in axioms:
+        if isinstance(ax.sub, DLAtomic):
+            headed.setdefault(ax.sub.name, []).append(ax)
+        else:
+            unheaded.append((_needs(ax.sub), ax))
+    reached = {}
+
+    def close(names):
+        todo = [name for name in names if name not in reached]
+        reached.update(dict.fromkeys(todo))
+        while todo:
+            for ax in headed.get(todo.pop(), ()):
+                for name in _told(ax.sup):
+                    if name not in reached:
+                        reached[name] = None
+                        todo.append(name)
+
+    close(_told(sub))
+    size = None
+    while size != len(reached):
+        size = len(reached)
+        for needs, ax in unheaded:
+            if reached.keys() >= needs:
+                close(_told(ax.sup))
+    fired = [ax for name in reached for ax in headed.get(name, ())]
+    fired += [ax for needs, ax in unheaded if reached.keys() >= needs]
+    return (None if None in reached else set(reached)), fired
+
+
+def test_reach_is_the_horn_closure_of_the_axioms():
+    atoms = list(map(DLAtomic, "ABCD"))
+    closed = nothing_reached = 0
+    for seed in range(1500):
+        axioms, goals = _case(seed)
+        rng = random.Random(~seed)
+        for _ in range(rng.randint(1, 4)):
+            roll = rng.randrange(4)
+            if roll == 0:  # a conjunctive left side
+                sub, sup = DLAnd(tuple(rng.sample(atoms, 2))), rng.choice(atoms)
+            elif roll == 1:  # a | right side
+                sub, sup = rng.choice(atoms), DLOr(tuple(rng.sample(atoms, 2)))
+            elif roll == 2:
+                sub, sup = DLAnd(tuple(rng.sample(atoms, rng.randint(2, 3)))), DL_NOTHING
+            else:
+                sub, sup = rng.choice(atoms), DL_NOTHING
+            axioms.append(_as_dl_axiom(DLSubClassOf(sub, sup)))
+        rng.shuffle(axioms)
+        derivation = _Derivation(axioms)
+        subs = atoms + [ax.sub for ax in axioms] + [c for goal in goals for c in goal]
+        for sub in subs:
+            reached, fired = derivation._reach(sub)
+            expected, expected_fired = _two_pass_reach(axioms, sub)
+            assert (None if reached is None else set(reached)) == expected, (seed, sub)
+            assert Counter(fired) == Counter(expected_fired), (seed, sub)
+            closed += expected is not None and len(expected) > 1
+            nothing_reached += expected is None
+    assert closed >= 5000 and nothing_reached >= 5000
 
 
 def _ring(n):

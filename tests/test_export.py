@@ -59,6 +59,7 @@ _HEADS = frozenset(
         "DataOneOf",
         "DataIntersectionOf",
         "DataUnionOf",
+        "DataComplementOf",
     }
 )
 
@@ -160,6 +161,19 @@ def test_difference_renders_as_complement_within_intersection():
     assert (
         "SubClassOf(ObjectIntersectionOf(:User ObjectComplementOf(:Guest)) "
         ":Member)" in text
+    )
+
+
+def test_region_difference_renders_as_a_data_complement():
+    m = parsed("model d;\nfunc F := Send <object: [1, 2] - [3, 4]>;\n")
+    text = emit_owl(m)
+    assert_valid_functional_syntax(text)
+    assert (
+        "DataExactCardinality(1 :object_value DataIntersectionOf("
+        'DatatypeRestriction(xsd:decimal xsd:minInclusive "1"^^xsd:decimal '
+        'xsd:maxInclusive "2"^^xsd:decimal) '
+        'DataComplementOf(DatatypeRestriction(xsd:decimal xsd:minInclusive "3"^^xsd:decimal '
+        'xsd:maxInclusive "4"^^xsd:decimal))))' in text
     )
 
 

@@ -386,6 +386,20 @@ def test_a_term_emptied_by_an_atomic_axiom_falls_under_the_disjoint_group():
     ]
 
 
+def test_only_an_atom_that_is_a_whole_left_side_is_a_term():
+    # A | B :< Nothing empties A and B, but neither is a whole left side;
+    # T, the left side of T :< A, is the one term named
+    text = "model u;\naxiom C D :< Nothing;\naxiom A | B :< Nothing;\naxiom T :< A;\n"
+    hits = findings(parsed(text), Issue.INCONSISTENT)
+    assert [(f.element_id, f.detail) for f in hits] == [
+        (
+            "model",
+            "term T falls under C and D, which are declared disjoint; "
+            "the two uses need distinct names",
+        )
+    ]
+
+
 def test_a_resolution_drops_the_axioms_of_its_dropped_element():
     text = """
 model u;

@@ -479,6 +479,14 @@ def _random_description(rng: random.Random, depth: int):
             rng.choice(modifiers),
             Region(Interval(Fraction(0), Fraction(rng.randint(1, 30)))),
         ),
+        lambda: SlotRestriction(
+            rng.choice(["r", "s"]),
+            rng.choice(modifiers),
+            Difference(
+                Region(Interval(Fraction(0), Fraction(rng.randint(1, 30)))),
+                Region(Interval(Fraction(rng.randint(0, 15)), Fraction(rng.randint(15, 30)))),
+            ),
+        ),
         lambda: InverseProjection(_random_description(rng, depth - 1), rng.choice(["r", "s"])),
     ]
     return rng.choice(branches + leaves)()
@@ -512,7 +520,7 @@ def _random_world(rng: random.Random) -> World:
 def _is_data_filler(d) -> bool:
     if isinstance(d, Region):
         return isinstance(d.expr, (Interval, ValueSet))
-    if isinstance(d, (Intersection, Union)):
+    if isinstance(d, (Intersection, Union, Difference)):
         return _is_data_filler(d.left) and _is_data_filler(d.right)
     return False
 
@@ -522,6 +530,8 @@ def _value_member(d, value) -> bool:
         return _value_member(d.left, value) and _value_member(d.right, value)
     if isinstance(d, Union):
         return _value_member(d.left, value) or _value_member(d.right, value)
+    if isinstance(d, Difference):
+        return _value_member(d.left, value) and not _value_member(d.right, value)
     raw, unit = value, None
     if isinstance(value, Quantity):
         raw, unit = value.value, value.unit
@@ -618,6 +628,27 @@ def test_a_union_of_regions_filler_reads_as_a_data_range():
     w = world(individuals={"a", "b"}, data_values={("a", "r"): Fraction(3)})
     assert _oracle_extension(d, w) == frozenset({"a"})
     assert eval_description(d, w) == frozenset({"a"})
+
+def test_a_region_difference_filler_reads_as_a_data_range():
+    # 7 lies in [1, 10] - [3, 4] and outside [1, 2] - [3, 4]
+    def filler(low, high):
+        return Difference(
+            Region(Interval(Fraction(low), Fraction(high))),
+            Region(Interval(Fraction(3), Fraction(4))),
+        )
+
+    w = world(
+        individuals={"x"},
+        concept_extensions={"A": {"x"}},
+        data_values={("x", "object"): Fraction(7)},
+    )
+    some = SlotRestriction("object", SOME, filler(1, 10))
+    only = SlotRestriction("object", ONLY, filler(1, 2))
+    assert eval_description(some, w) == frozenset({"x"})
+    assert eval_description(only, w) == frozenset()
+    assert eval_dl(translate_description(some), w) == frozenset({"x"})
+    assert eval_dl(translate_description(only), w) == frozenset()
+
 
 
 def test_normalize_preserves_evaluation():
@@ -734,3 +765,4 @@ def test_copies_and_pickles_are_equal_concepts(concept):
         assert type(copied) is type(concept)
         assert hash(copied) == hash(concept)
         assert repr(copied) == repr(concept)
+
