@@ -50,6 +50,16 @@ def _finding_line(finding) -> str:
     return line
 
 
+def _note_unknown_world(consistency) -> None:
+    """An undecided world is no defect, so the axiom saturation left
+    unsettled is a note on stderr and the exit code stays."""
+    from .reasoner import ConsistencyStatus
+
+    if consistency.status is ConsistencyStatus.UNKNOWN:
+        for line in consistency.explanation:
+            print(f"world: unknown: {line}", file=sys.stderr)
+
+
 def _print_findings(findings, as_json: bool) -> int:
     if as_json:
         from .export import emit_report
@@ -92,11 +102,13 @@ def _cmd_check(args) -> int:
     if consistency.status is ConsistencyStatus.INCONSISTENT:
         for line in consistency.explanation:
             findings.append(LintFinding("world", Issue.INCONSISTENT, line))
+    _note_unknown_world(consistency)
     return _print_findings(findings, args.json)
 
 
 def _cmd_lint(args) -> int:
     from .lint import LintConfig, lint_model, parse_config
+    from .reasoner import check_consistency
 
     model = _load_model(args.file)
     config = LintConfig()
@@ -106,7 +118,9 @@ def _cmd_lint(args) -> int:
             config = parse_config(text)
         except ValueError as err:
             raise _CliError(str(err)) from err
-    return _print_findings(lint_model(model, config), args.json)
+    findings = lint_model(model, config)
+    _note_unknown_world(check_consistency(model))  # lint_model kept it on the model
+    return _print_findings(findings, args.json)
 
 
 def _cmd_query(args) -> int:

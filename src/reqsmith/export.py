@@ -211,8 +211,9 @@ def emit_owl(model: Model) -> str:
     """Write the model as one deterministic functional-style document.
 
     Element blocks are ordered by element id; within a block the class
-    declaration precedes its definition. Declared subsumptions, operator
-    edges, and fulfillment marks follow as plain axioms.
+    declaration precedes its definition. Element axioms, save those of an
+    element a resolution dropped, declared subsumptions, operator edges,
+    and fulfillment marks follow as plain axioms.
     """
     for e in model.elements:
         if (
@@ -232,6 +233,7 @@ def emit_owl(model: Model) -> str:
     lines.extend(_SCAFFOLD)
 
     ordered = sorted(model.elements, key=lambda e: e.id)
+    dropped = model.dropped_ids()
     subclass_lines: list[str] = []
     if ordered:
         lines.append("")
@@ -241,6 +243,8 @@ def emit_owl(model: Model) -> str:
             continue
         concept, axioms = translate_element(e)
         lines.append(f"EquivalentClasses(:{e.id} {_render(concept)})")
+        if e.id in dropped:
+            continue
         for axiom in axioms:
             subclass_lines.append(
                 f"SubClassOf({_render(axiom.sub)} {_render(axiom.sup)})"

@@ -30,7 +30,7 @@ from .model import (
     mentions,
     subterms,
 )
-from .reasoner import ConsistencyStatus, _Derivation, _norm, check_consistency
+from .reasoner import ConsistencyStatus, _Derivation, _norm, check_consistency, derivation
 from .semantics import DL_NOTHING, DLAnd, DLAtomic, DLConcept, translate_description
 
 
@@ -306,9 +306,10 @@ def _inconsistent(model: Model, live) -> list[LintFinding]:
             out.append(LintFinding("world", Issue.INCONSISTENT, line))
 
     # atom sets declared jointly empty; only a term under all of a set clashes
+    shared = derivation(model)
     disjoint = {
         frozenset(arg.name for arg in ax.sub.args)
-        for ax in result.axioms
+        for ax in shared.axioms
         if ax.sup == DL_NOTHING
         and isinstance(ax.sub, DLAnd)
         and all(isinstance(arg, DLAtomic) for arg in ax.sub.args)
@@ -326,21 +327,20 @@ def _inconsistent(model: Model, live) -> list[LintFinding]:
         for name in sorted(names):
             first_mention.setdefault(name, e.id)
 
-    def under(derivation: _Derivation, term: str, group) -> bool:
-        return all(derivation.proves(DLAtomic(term), DLAtomic(a)) for a in group)
+    def under(declared: _Derivation, term: str, group) -> bool:
+        return all(declared.proves(DLAtomic(term), DLAtomic(a)) for a in group)
 
     groups = sorted(disjoint, key=sorted)
-    derivation = _Derivation(result.axioms)
     # A term, an atom that is a whole left side, falls under a whole group
     # exactly when it is empty, and then under every group; name first a
     # group its declarations reach without the `:< Nothing` axioms.
-    terms = {ax.sub.name for ax in result.axioms if isinstance(ax.sub, DLAtomic)}
+    terms = {ax.sub.name for ax in shared.axioms if isinstance(ax.sub, DLAtomic)}
     declared = None
     for term in sorted(terms):
-        if not derivation.proves(DLAtomic(term), DL_NOTHING):
+        if not shared.proves(DLAtomic(term), DL_NOTHING):
             continue
         if declared is None:
-            declared = _Derivation([ax for ax in result.axioms if ax.sup != DL_NOTHING])
+            declared = _Derivation([ax for ax in shared.axioms if ax.sup != DL_NOTHING])
         group = next((g for g in groups if under(declared, term, g)), groups[0])
         *rest, last = sorted(group)
         count = "two" if len(group) == 2 else len(group)

@@ -37,7 +37,7 @@ from .model import (
     scale_error,
     strength_error,
 )
-from .reasoner import _Derivation, collect_axioms, scale_order_error
+from .reasoner import derivation, scale_order_error
 
 
 class OperatorError(ValueError):
@@ -255,7 +255,7 @@ def apply_scale(
     by_id = {input_id: element}
     unscalable = scale_error(app, by_id)
     if unscalable is None and not factor.is_quantitative:
-        unscalable = scale_order_error(app, by_id, _Derivation(collect_axioms(model)))
+        unscalable = scale_order_error(app, by_id, derivation(model))
     if unscalable is not None:
         raise OperatorError(unscalable)
     region = element.body.region

@@ -12,7 +12,6 @@ Fulfillment propagation lives in `fulfillment` and is re-exported here.
 from __future__ import annotations
 
 from enum import Enum
-from functools import cache
 from typing import Iterable, NamedTuple, Optional
 
 from .fulfillment import FulfillmentState, FulfillmentStatus, propagate_fulfillment
@@ -169,8 +168,7 @@ def collect_axioms(model: Model) -> list[DLSubClassOf]:
     dropped = model.dropped_ids()
     for element in model.elements:
         if isinstance(element.body, Subsumption) and element.id not in dropped:
-            _, derived = translate_element(element)
-            axioms.extend(_as_dl_axiom(a) for a in derived)
+            axioms.append(_as_dl_axiom(element.body))
     return list(dict.fromkeys(axioms))
 
 
@@ -244,7 +242,12 @@ class _Derivation:
         self.normal: dict = {}  # concept -> its _norm, for `proves`
 
     def proves(self, sub: DLConcept, sup: DLConcept) -> bool:
-        return bool(self.entails(self._normal(sub), self._normal(sup)))
+        try:
+            return bool(self.entails(self._normal(sub), self._normal(sup)))
+        except BaseException:
+            # a derivation outlives one proof, so it drops the goals left open
+            self.__init__(self.axioms)
+            raise
 
     def _normal(self, c: DLConcept) -> DLConcept:
         normal = self.normal.get(c)
@@ -423,6 +426,15 @@ class _Derivation:
         return _NO
 
 
+def derivation(model: Model) -> _Derivation:
+    """The one derivation over `collect_axioms(model)`, built on first use and
+    kept on the model object the way `functools.cached_property` keeps one."""
+    kept = vars(model)
+    if "_derivation" not in kept:
+        kept["_derivation"] = _Derivation(collect_axioms(model))
+    return kept["_derivation"]
+
+
 # ===== PART 3: subsumption verdicts =====
 
 
@@ -484,16 +496,19 @@ class ConsistencyResult(NamedTuple):
     status: ConsistencyStatus
     witness: Optional[World] = None
     explanation: tuple[str, ...] = ()
-    axioms: tuple[DLSubClassOf, ...] = ()  # the normalized axioms saturated under
 
 
 def check_consistency(model: Model) -> ConsistencyResult:
-    """Saturate the model's world under all axioms and look for a clash."""
-    from .saturation import _Saturator
+    """Saturate the model's world under all axioms and look for a clash;
+    the verdict is kept on the model object as its derivation is."""
+    kept = vars(model)
+    if "_consistency" not in kept:
+        from .saturation import _Saturator
 
-    axioms = tuple(collect_axioms(model))
-    world = model.world if model.world is not None else World()
-    return ConsistencyResult(*_Saturator(world, axioms).run(), axioms)
+        world = model.world if model.world is not None else World()
+        verdict = _Saturator(world, derivation(model).axioms).run()
+        kept["_consistency"] = ConsistencyResult(*verdict)
+    return kept["_consistency"]
 
 
 # ===== PART 5: interrelation queries =====
@@ -553,11 +568,10 @@ def query(model: Model, pattern: Description) -> frozenset[str]:
     element_ids = {e.id for e in model.elements}
     matches = set(eval_description(pattern, _reified_world(model))) & element_ids
     pattern_dl = translate_description(pattern)
-    derivation = _Derivation(collect_axioms(model))
     for element in model.elements:
         if element.id in matches or isinstance(element.body, NaturalLanguage):
             continue
-        if derivation.proves(translate_element(element)[0], pattern_dl):
+        if derivation(model).proves(translate_element(element)[0], pattern_dl):
             matches.add(element.id)
     return frozenset(matches)
 
@@ -606,7 +620,7 @@ def check_strength_tags(model: Model):
     """
     by_id = model.by_id()
     # An element is translated when an application first reads it, and the
-    # derivation is built when the first proof is asked for.
+    # model's derivation is built when the first proof is asked for.
     concepts: dict[str, Optional[DLConcept]] = {}
 
     def concept(eid: str) -> Optional[DLConcept]:
@@ -618,17 +632,13 @@ def check_strength_tags(model: Model):
             concepts[eid] = translate_element(element)[0] if structured else None
         return concepts[eid]
 
-    @cache
-    def derivation() -> _Derivation:
-        return _Derivation(collect_axioms(model))
-
     diagnostics: list[StrengthDiagnostic] = []
     for index, app in enumerate(model.applications):
         if app.op is Operator.RESOLVE:
             continue
         error = strength_error(app, by_id)
         if error is None and app.op is Operator.SCALE:
-            error = scale_order_error(app, by_id, derivation())
+            error = scale_order_error(app, by_id, derivation(model))
         if error is not None:
             diagnostics.append(StrengthDiagnostic(index, app.strength, error))
             continue
@@ -643,8 +653,8 @@ def check_strength_tags(model: Model):
             combined = output_concepts[0]
         else:
             combined = DLAnd(tuple(output_concepts))
-        proven_f = derivation().proves(combined, input_concept)
-        proven_b = derivation().proves(input_concept, combined)
+        proven_f = derivation(model).proves(combined, input_concept)
+        proven_b = derivation(model).proves(input_concept, combined)
         message = None
         if app.strength is Strength.STRENGTHENING and not proven_f and proven_b:
             message = (

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import reqsmith
+from reqsmith import saturation
 from reqsmith.cli import main
 from reqsmith.parser import parse_model, print_model
 
@@ -255,7 +256,12 @@ def test_descriptions_at_the_nesting_limit_are_accepted(
     if command == "translate":
         args += ["--out", str(tmp_path / "deep.ofn")]
     assert main(args) in (0, 1)
-    assert capsys.readouterr().err == ""
+    expected = ""
+    if description.startswith("A0 | ") and command in ("check", "lint"):
+        # saturation never guesses a disjunct, so the world stays undecided
+        names = " or ".join(sorted(f"A{i}" for i in range(101)))
+        expected = f"world: unknown: could not establish axiom A :< ({names}) on the world\n"
+    assert capsys.readouterr().err == expected
 
 
 def test_unknown_flag_exits_two(tmp_path, capsys):
@@ -729,6 +735,13 @@ def test_a_dropped_element_carries_no_axiom_for_any_command(tmp_path, capsys, re
     clash = capsys.readouterr().out
     assert main(["query", path, "--pattern", "<object: Information_entity>"]) == 0
     matches = capsys.readouterr().out
+    assert main(["translate", path, "--out", str(tmp_path / "d.ofn")]) == 0
+    owl = (tmp_path / "d.ofn").read_text(encoding="utf-8").splitlines()
+    # a dropped element keeps its name and definition, but asserts nothing
+    assert "Declaration(Class(:DA1))" in owl
+    assert any(line.startswith("EquivalentClasses(:DA1 ") for line in owl)
+    assert ("SubClassOf(:User :Information_entity)" in owl) is not resolved
+    assert "SubClassOf(:User :Real_world_entity)" in owl
     if resolved:
         assert (lint, check, clash, matches) == ([], 0, "", "")
     else:
@@ -740,6 +753,41 @@ def test_a_dropped_element_carries_no_axiom_for_any_command(tmp_path, capsys, re
         assert check == 1
         assert "forces u1 into Nothing" in clash
         assert matches == "F1\n"
+
+
+# Saturation never guesses a disjunct or a name, so each world stays undecided.
+UNDECIDED_WORLDS = {
+    "names": ("axiom A :< {a, b};", "A :< ({a} or {b})"),
+    "or": ("axiom A :< B | C;", "A :< (B or C)"),
+}
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("command", ["check", "lint"])
+@pytest.mark.parametrize(
+    ("axiom", "shown"), UNDECIDED_WORLDS.values(), ids=list(UNDECIDED_WORLDS)
+)
+def test_an_undecided_world_is_a_note_on_stderr(
+    tmp_path, capsys, monkeypatch, axiom, shown, command, as_json
+):
+    runs = []
+    real_run = saturation._Saturator.run
+    monkeypatch.setattr(
+        saturation._Saturator, "run", lambda s: runs.append(s) or real_run(s)
+    )
+    path = write(tmp_path, f"model u;\n{axiom}\nworld {{ individual c : A; }}\n")
+    assert main([command, path] + (["--json"] if as_json else [])) == 0
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"world: unknown: could not establish axiom {shown} on the world\n"
+    )
+    if as_json:
+        assert json.loads(captured.out) == {
+            "version": 1, "findings": [], "fulfillment": {}, "subsumptions": []
+        }
+    else:
+        assert captured.out == ""
+    assert len(runs) == 1
 
 
 BENCH = Path(__file__).parents[1] / "bench"

@@ -5,6 +5,7 @@ import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +36,8 @@ from reqsmith.model import (
     exactly,
 )
 from reqsmith import reasoner, saturation, semantics
+from reqsmith.cli import main
+from reqsmith.lint import lint_model
 from reqsmith.operators import OperatorError, apply_scale
 from reqsmith.parser import parse_description, parse_model
 from reqsmith.reasoner import (
@@ -653,7 +656,7 @@ def test_saturation_decides_what_two_passes_decided():
     for seed in range(3000):
         model = _consistency_case(seed)
         axioms = tuple(collect_axioms(model))
-        expected = ConsistencyResult(*_TwoPass(model.world, axioms).run(), axioms)
+        expected = ConsistencyResult(*_TwoPass(model.world, axioms).run())
         result = check_consistency(model)
         assert result == expected, seed
         statuses[result.status] += 1
@@ -865,35 +868,45 @@ def test_reduce_weaken_mutant_is_flagged():
     assert "weaken" in flags[0].message
 
 
-def _count_audit_work(monkeypatch):
-    translated, derivations = [], []
-    real_translate, real_collect = reasoner.translate_element, reasoner.collect_axioms
+def _count_work(monkeypatch):
+    """Count the axiom collections, derivations built and saturations run,
+    and how often the reasoner translates each element, by id."""
+    work, translated = Counter(), Counter()
+
+    def count(owner, name, key):
+        real = getattr(owner, name)
+
+        def counted(*args):
+            work[key] += 1
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(reasoner, "collect_axioms", "collect_axioms")
+    count(reasoner._Derivation, "__init__", "derivations")
+    count(saturation._Saturator, "run", "saturations")
+    real_translate = reasoner.translate_element
 
     def translate(element):
-        translated.append(element.id)
+        translated[element.id] += 1
         return real_translate(element)
 
-    def collect(model):
-        derivations.append(model.name)
-        return real_collect(model)
-
     monkeypatch.setattr(reasoner, "translate_element", translate)
-    monkeypatch.setattr(reasoner, "collect_axioms", collect)
-    return translated, derivations
+    return work, translated
 
 
 def test_strength_audit_translates_only_what_applications_read(monkeypatch):
     text = BOOKING_REDUCTION.format(tag="weaken") + "func F5 := Pay <object: Ticket>;\n"
-    translated, derivations = _count_audit_work(monkeypatch)
+    work, translated = _count_work(monkeypatch)
     assert len(check_strength_tags(parsed(text))) == 1
-    assert sorted(translated) == ["F2", "F3", "F4"]
-    assert derivations == ["booking"]
+    assert translated == {"F2": 1, "F3": 1, "F4": 1}
+    assert work["collect_axioms"] == 1
 
     translated.clear()
-    derivations.clear()
+    work.clear()
     unapplied = text.replace("reduce F2 -> F3, F4 [weaken];", "")
     assert check_strength_tags(parsed(unapplied)) == []
-    assert translated == [] and derivations == []
+    assert not translated and not work
 
 
 def test_reduce_equate_with_one_direction_is_flagged():
@@ -939,6 +952,89 @@ def test_prose_bodies_stay_silent():
         "reduce G -> Ga, Gb [weaken];"
     )
     assert check_strength_tags(m) == []
+
+
+# ----- one derivation per model -----
+
+FIXTURES = sorted((Path(__file__).parent / "fixtures").glob("*.dsr"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["check"], ["lint"], ["query", "--pattern", "<object: Ticket>"]],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("fixture", FIXTURES, ids=lambda p: p.stem)
+def test_each_command_builds_the_reasoning_inputs_once(
+    monkeypatch, capsys, fixture, argv
+):
+    work, translated = _count_work(monkeypatch)
+    main([argv[0], str(fixture), *argv[1:]])
+    capsys.readouterr()
+    assert work["collect_axioms"] <= 1
+    # lint's second derivation leaves out the `:< Nothing` axioms
+    assert work["derivations"] <= (2 if argv[0] == "lint" else 1)
+    assert work["saturations"] <= 1
+    assert max(translated.values(), default=0) <= 1, translated
+
+
+KEPT = """model kept;
+axiom Airline_ticket :< Ticket;
+axiom Ticket Refund :< Nothing;
+func F1 := Book <object: Ticket>;
+func F2 := Book <object: Airline_ticket>;
+reduce F1 -> F2 [weaken];
+world {
+  individual t : Airline_ticket, Refund;
+}
+"""
+
+
+def test_the_kept_derivation_and_verdict_are_invisible():
+    model, fresh = parsed(KEPT), parsed(KEPT)
+    assert len(check_strength_tags(model)) == 1
+    assert check_consistency(model).status is ConsistencyStatus.INCONSISTENT
+    assert query(model, desc("<object: Ticket>")) == {"F1", "F2"}
+    assert lint_model(model)
+    assert reasoner.derivation(model) is reasoner.derivation(model)
+    assert check_consistency(model) is check_consistency(model)
+    assert (model, hash(model), repr(model)) == (fresh, hash(fresh), repr(fresh))
+
+    # an edited model is a new object, with a derivation and verdict of its own
+    edited = dataclasses.replace(model, axioms=())
+    assert reasoner.derivation(edited) is not reasoner.derivation(model)
+    assert check_strength_tags(edited) == []
+    assert check_consistency(edited).status is ConsistencyStatus.CONSISTENT
+    assert query(edited, desc("<object: Ticket>")) == {"F1"}
+    assert len(check_strength_tags(model)) == 1
+
+
+@pytest.mark.parametrize("tag", ["strengthen", "weaken", "equate"])
+def test_a_proof_cut_short_leaves_no_goal_open(monkeypatch, tag):
+    # The derivation outlives the audit that raised, so the next audit on the
+    # same model object must not read the goals the cut proof left open.
+    text = BOOKING_REDUCTION.format(tag=tag)
+    expected = check_strength_tags(parsed(text))
+    real = reasoner._Derivation._rules
+    calls = 0
+
+    def rules(derivation, sub, sup):
+        nonlocal calls
+        calls += 1
+        if calls == cut:
+            raise RecursionError("cut short")
+        return real(derivation, sub, sup)
+
+    monkeypatch.setattr(reasoner._Derivation, "_rules", rules)
+    cut = None
+    check_strength_tags(parsed(text))
+    cuts = calls
+    assert cuts > 20
+    for cut in range(1, cuts + 1):
+        model, calls = parsed(text), 0
+        with pytest.raises(RecursionError):
+            check_strength_tags(model)
+        assert check_strength_tags(model) == expected, cut
 
 
 # ----- fulfillment propagation -----
