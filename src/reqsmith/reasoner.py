@@ -1,11 +1,11 @@
 """Decision procedures over the logic fragment.
 
-A sound structural derivation proves subsumptions; `subsumes` adds a
-bounded hunt for a finite counter-world when the derivation fails (module
-`search`, loaded only then), with Unknown as the honest fallback. Beside
-them sit model-level services: consistency checking by axiom saturation
-(module `saturation`, loaded when a check runs), interrelation queries and
-strength tag auditing for operator applications (both read only proofs).
+A sound structural derivation proves subsumptions; when it fails,
+`subsumes` builds a finite counter-world by saturation (module
+`saturation`, loaded only then), with Unknown as the honest fallback.
+Beside them sit model-level services: consistency checking by the same
+saturation (loaded when a check runs), interrelation queries and strength
+tag auditing for operator applications (both read only proofs).
 Fulfillment propagation lives in `fulfillment` and is re-exported here.
 """
 
@@ -219,18 +219,7 @@ class _Derivation:
 
     def __init__(self, axioms: list[DLSubClassOf]):
         self.axioms = axioms
-        # atom -> (atoms the left side needs, told names of the right side,
-        # axiom) for each axiom whose left side needs that atom
-        self.watch: dict[str, list] = {}
-        self.free: list = []  # the axioms whose left side needs no atom
-        self.free_names: list = []  # the told names of their right sides
-        for ax in axioms:
-            needs, names = _needs(ax.sub), _told(ax.sup)
-            for name in needs:
-                self.watch.setdefault(name, []).append((needs, names, ax))
-            if not needs:
-                self.free.append(ax)
-                self.free_names.extend(names)
+        self.watch: Optional[dict[str, list]] = None  # built by the first `_reach`
         self.reached: dict = {}  # sub -> what _reach found
         # goal -> final value, or [stack place, value this pass, value it was
         # first read at while open, or None] for a goal of an open component;
@@ -307,6 +296,8 @@ class _Derivation:
         """
         found = self.reached.get(sub)
         if found is None:
+            if self.watch is None:
+                self._index()
             reached: dict = {}
             fired: list = []
             todo = _told(sub) + self.free_names
@@ -322,6 +313,20 @@ class _Derivation:
             found = (None if None in reached else reached, fired + self.free)
             self.reached[sub] = found
         return found
+
+    def _index(self):
+        # atom -> (atoms the left side needs, told names of the right side,
+        # axiom) for each axiom whose left side needs that atom
+        self.watch = {}
+        self.free: list = []  # the axioms whose left side needs no atom
+        self.free_names: list = []  # the told names of their right sides
+        for ax in self.axioms:
+            needs, names = _needs(ax.sub), _told(ax.sup)
+            for name in needs:
+                self.watch.setdefault(name, []).append((needs, names, ax))
+            if not needs:
+                self.free.append(ax)
+                self.free_names.extend(names)
 
     def _all(self, pairs) -> int:
         best = _PURE
@@ -461,8 +466,9 @@ def subsumes(
     """Decide sub `⊑` super under the axioms: Proven, Refuted, or Unknown.
 
     Proven verdicts come from the structural derivation and are sound;
-    Refuted verdicts carry a finite world of at most `bound` individuals
-    separating the two concepts.
+    Refuted verdicts carry a finite world separating the two concepts. It
+    holds what the two concepts ask for, and at most `bound` individuals
+    more that the axioms ask for.
     """
     if bound is None:
         bound = DEFAULT_BOUND
@@ -471,9 +477,9 @@ def subsumes(
     sup_n = _norm(super_)
     if _Derivation(dl_axioms).entails(sub_n, sup_n):
         return SubsumptionVerdict(VerdictStatus.PROVEN, method="structural")
-    from .search import _ModelSearch
+    from .saturation import counter_world
 
-    witness = _ModelSearch(sub_n, sup_n, dl_axioms, bound).run()
+    witness = counter_world(sub_n, sup_n, dl_axioms, bound)
     if witness is not None:
         return SubsumptionVerdict(
             VerdictStatus.REFUTED, witness=witness, method="bounded-model"

@@ -1141,8 +1141,7 @@ _CONSISTENCY = _REASONING | {"reqsmith.saturation", "reqsmith.findings"}
 _EXPORT = {"reqsmith.semantics", "reqsmith.export"}
 
 # The reqsmith modules each command loads as text; a `--json` run adds
-# _EXPORT, and `fmt --json` prints no model, so it loads no printer. No
-# command loads `reqsmith.search` (only the library's `subsumes` runs it).
+# _EXPORT, and `fmt --json` prints no model, so it loads no printer.
 IMPORT_BUDGET = {
     "fmt": _PARSING | {"reqsmith.printer"},
     "membership": _PARSING | {"reqsmith.membership"},
@@ -1195,12 +1194,27 @@ def test_each_command_imports_only_the_modules_it_runs(tmp_path, command, json_f
     if json_flag:
         expected = (expected - {"reqsmith.printer"}) | _EXPORT
     assert set(modules) == expected
-    assert "reqsmith.search" not in modules
     if command == "fulfill" and not json_flag:
         assert not {"reqsmith.semantics", "reqsmith.reasoner"} & set(modules)
     if command == "query":
         assert "reqsmith.saturation" not in modules
     assert ("reqsmith.printer" in modules) == (command == "fmt" and not json_flag)
+
+
+@pytest.mark.parametrize(
+    ("sub", "sup", "loaded"), [("A", "Thing", False), ("A", "B", True)]
+)
+def test_subsumes_loads_saturation_only_when_the_derivation_fails(sub, sup, loaded):
+    script = (
+        "import sys; from reqsmith.reasoner import subsumes; "
+        "from reqsmith.semantics import DLAtomic, DL_THING; "
+        "concept = lambda name: DL_THING if name == 'Thing' else DLAtomic(name); "
+        "print(subsumes(concept(sys.argv[1]), concept(sys.argv[2])).status.value, "
+        "'reqsmith.saturation' in sys.modules)"
+    )
+    run = _run_python(script, sub, sup)
+    status = "refuted" if loaded else "proven"
+    assert run.stdout.split() == [status, str(loaded)]
 
 
 def test_fmt_run_as_a_module_imports_neither_reasoner_nor_semantics(tmp_path):

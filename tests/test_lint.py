@@ -30,6 +30,7 @@ from reqsmith.operators import (
     apply_resolve,
 )
 from reqsmith.parser import parse_model, print_model
+from reqsmith.semantics import DLAtomic
 
 
 def parsed(text):
@@ -421,6 +422,15 @@ def test_lint_collects_the_axioms_once(monkeypatch):
     text = "model u;\naxiom A B :< Nothing;\naxiom T :< A B;\n"
     assert len(findings(parsed(text), Issue.INCONSISTENT)) == 1
     assert len(calls) == 1
+
+
+def test_lint_without_a_disjointness_axiom_indexes_no_axiom():
+    # lint reads the derivation's axioms; only a proof needs its index
+    m = parsed("model u;\naxiom A :< B;\nda DA1 := User :< A;\n")
+    lint_model(m)
+    assert reasoner.derivation(m).watch is None
+    assert reasoner.derivation(m).proves(DLAtomic("A"), DLAtomic("B"))
+    assert reasoner.derivation(m).watch is not None
 
 
 def _reference_disjointness(model):

@@ -166,6 +166,20 @@ def test_independent_atoms_refuted_by_single_individual():
     assert len(v.witness.individuals) == 1
 
 
+def test_bound_caps_only_the_individuals_the_axioms_ask_for():
+    # the pair's own concepts get every individual they ask for
+    own = verdict(dl("<r: >=3 Alpha>"), dl("Beta"), bound=1)
+    assert own.status is VerdictStatus.REFUTED
+    assert len(own.witness.individuals) == 3
+    axiom = Subsumption(A("Alpha"), desc("<r: >=3 Thing>"))
+    assert verdict(dl("Alpha"), dl("Beta"), [axiom], bound=1).status is (
+        VerdictStatus.UNKNOWN
+    )
+    forced = verdict(dl("Alpha"), dl("Beta"), [axiom], bound=2)
+    assert forced.status is VerdictStatus.REFUTED
+    assert len(forced.witness.individuals) == 3
+
+
 def test_pct_relaxation_order():
     m = parsed(
         "qc U90 := Processing_time (File_search) :: [0, 30 (Sec.)]"
