@@ -8,7 +8,6 @@ verdicts into one versioned JSON document for scripting.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -302,6 +301,8 @@ def emit_report(
     verdicts: Sequence[tuple[str, str, SubsumptionVerdict]],
 ) -> str:
     """Render findings, fulfillment states, and verdicts as versioned JSON."""
+    import json  # only `--json` runs load it; text `translate` does not
+
     states = {
         key: value if isinstance(value, str) else value.value
         for key, value in fulfillment.items()

@@ -7,7 +7,6 @@ input and the operation's arguments. Every operation returns a new model
 value and leaves the input model untouched.
 """
 
-from dataclasses import replace
 from fractions import Fraction
 from typing import Optional, Sequence, Union as TypingUnion
 
@@ -33,6 +32,7 @@ from .model import (
     Union,
     annotation_path_error,
     application_diagnostics,
+    replace,
     resolve_error,
     scale_error,
     strength_error,

@@ -11,7 +11,6 @@ import random
 import re
 import time
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -54,6 +53,7 @@ from reqsmith.model import (
     World,
     at_least,
     at_most,
+    replace,
 )
 from reqsmith.operators import apply_scale
 from reqsmith.parser import parse_model, print_model

@@ -1179,21 +1179,32 @@ def _run_python(script, *args):
     return run
 
 
+# Standard-library modules no command needs: `dataclasses` and the modules
+# it pulls in would cost every command several milliseconds at start-up.
+_UNUSED_STDLIB = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
 @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
 @pytest.mark.parametrize("command", sorted(IMPORT_BUDGET))
 def test_each_command_imports_only_the_modules_it_runs(tmp_path, command, json_flag):
     argv = _command_argv(command, tmp_path) + json_flag
+    # The script notes what the interpreter had loaded before reqsmith and
+    # imports json only after the command has run.
     script = (
-        "import json, sys; from reqsmith import cli; code = cli.main(sys.argv[1:]); "
-        "print(json.dumps([code, [m for m in sys.modules if m.startswith('reqsmith')]]))"
+        "import sys; before = set(sys.modules); from reqsmith import cli; "
+        "code = cli.main(sys.argv[1:]); loaded = sorted(set(sys.modules) - before); "
+        "import json; print(json.dumps([code, loaded]))"
     )
     run = _run_python(script, *argv)
-    code, modules = json.loads(run.stdout.splitlines()[-1])
+    code, loaded = json.loads(run.stdout.splitlines()[-1])
     assert code in (0, 1)
+    modules = {m for m in loaded if m.startswith("reqsmith")}
     expected = IMPORT_BUDGET[command]
     if json_flag:
         expected = (expected - {"reqsmith.printer"}) | _EXPORT
-    assert set(modules) == expected
+    assert modules == expected
+    assert _UNUSED_STDLIB & set(loaded) == set()
+    assert ("json" in loaded) == bool(json_flag)
     if command == "fulfill" and not json_flag:
         assert not {"reqsmith.semantics", "reqsmith.reasoner"} & set(modules)
     if command == "query":
@@ -1284,11 +1295,14 @@ def test_traced_and_benchmarked_names_stay_bound(tmp_path):
     assert unbound == []
 
 
-def _source_classes():
+def _source_nodes():
     for path in sorted(Path(reqsmith.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.ClassDef):
-                yield path.name, node
+            yield path.name, node
+
+
+def _source_classes():
+    return ((m, node) for m, node in _source_nodes() if isinstance(node, ast.ClassDef))
 
 
 def _decorator_names(node: ast.ClassDef) -> set:
@@ -1296,36 +1310,35 @@ def _decorator_names(node: ast.ClassDef) -> set:
     return {getattr(t, "id", None) or getattr(t, "attr", None) for t in targets}
 
 
-def test_every_dataclass_has_a_docstring():
-    # Without one, dataclass() builds __doc__ from inspect.signature, which
-    # costs about a sixth more per class on every start.
+def test_every_record_has_a_docstring():
+    # The docstring is each record's documentation: a record with none would
+    # show only its fields in help().
     missing = [
         f"{module}:{node.lineno} {node.name}"
         for module, node in _source_classes()
-        if _decorator_names(node) & {"dataclass", "_record"}
-        and ast.get_docstring(node) is None
+        if "_record" in _decorator_names(node) and ast.get_docstring(node) is None
     ]
     assert missing == []
 
 
 def test_no_record_generates_its_own_value_methods():
-    # dataclass() generates and compiles each class's methods at import. The
-    # model records share one __eq__, __hash__ and __repr__ through
-    # model._record; every other record is a named tuple.
+    # dataclass() compiles each class's methods at import, and importing
+    # dataclasses loads inspect and ast. The model records share one set of
+    # methods through model._record; every other record is a named tuple.
     declared = [
         f"{module}:{node.lineno} {node.name}"
         for module, node in _source_classes()
-        if "dataclass" in _decorator_names(node)
-        or (module != "model.py" and "_record" in _decorator_names(node))
+        if module != "model.py" and "_record" in _decorator_names(node)
     ]
     assert declared == []
-    model_source = Path(reqsmith.__file__).with_name("model.py").read_text(encoding="utf-8")
-    calls = [
-        {k.arg: ast.literal_eval(k.value) for k in node.keywords}
-        for node in ast.walk(ast.parse(model_source))
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "dataclass"
+    uses = [
+        f"{module}:{node.lineno}"
+        for module, node in _source_nodes()
+        if (isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")
+        or (isinstance(node, ast.Name) and node.id == "dataclass")
     ]
-    assert calls == [{"frozen": True, "eq": False, "repr": False}]
+    assert uses == []
 
 
 # ===== golden output =====

@@ -49,6 +49,7 @@ from reqsmith.model import (
     children,
     exact_decimal,
     mentions,
+    replace,
     subterms,
     World,
     validate_model,
@@ -474,12 +475,24 @@ def _bench_models(workdir):
     return texts
 
 
+def _is_record_class(value) -> bool:
+    """Whether `value` is a class that `model._record` made."""
+    return isinstance(value, type) and value.__repr__ is model_module._record_repr
+
+
+def _record_classes():
+    return sorted(
+        (value for value in vars(model_module).values() if _is_record_class(value)),
+        key=lambda cls: cls.__name__,
+    )
+
+
 def _walk_records(value, found: dict) -> None:
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+    if _is_record_class(type(value)):
         if id(value) not in found:
             found[id(value)] = value
-            for f in dataclasses.fields(value):
-                _walk_records(getattr(value, f.name), found)
+            for name in type(value).__match_args__:
+                _walk_records(getattr(value, name), found)
     elif isinstance(value, (tuple, frozenset)):
         for item in value:
             _walk_records(item, found)
@@ -523,7 +536,7 @@ def records_by_class(tmp_path_factory):
     texts = [p.read_text(encoding="utf-8") for p in sorted(fixtures.glob("*.dsr"))]
     texts += _bench_models(tmp_path_factory.mktemp("bench"))
     rare = parse_model(RARE_RECORDS)
-    doubled = dataclasses.replace(rare, elements=rare.elements * 2)
+    doubled = replace(rare, elements=rare.elements * 2)
     found: dict = {}
     _walk_records(tuple(validate_model(doubled)), found)
     _walk_records(apply_focus(rare, "FQ1", ["Safety", A("The_data_module")]), found)
@@ -544,19 +557,14 @@ def _as_generated_dataclass(record):
     """`record` as an instance of its class rebuilt by plain
     `dataclass(frozen=True)`, whose methods are generated."""
     cls = type(record)
-    names = [f.name for f in dataclasses.fields(cls)]
+    names = cls.__match_args__
     if cls not in _GENERATED:
         _GENERATED[cls] = dataclasses.make_dataclass(cls.__qualname__, names, frozen=True)
     return _GENERATED[cls](*[getattr(record, name) for name in names])
 
 
 def test_model_records_compare_hash_and_print_as_generated_dataclasses(records_by_class):
-    records = {
-        value
-        for value in vars(model_module).values()
-        if isinstance(value, type) and dataclasses.is_dataclass(value)
-    }
-    assert set(records_by_class) == records
+    assert set(records_by_class) == set(_record_classes())
     other = {cls: group[0] for cls, group in records_by_class.items()}
     for cls, group in records_by_class.items():
         stranger = next(r for c, r in other.items() if c is not cls)
@@ -568,7 +576,7 @@ def test_model_records_compare_hash_and_print_as_generated_dataclasses(records_b
             assert hash(a) == hash(ref_a)
             assert (a == b) == (ref_a == ref_b)
             assert (a != b) == (ref_a != ref_b)
-            assert a == dataclasses.replace(a)
+            assert a == replace(a)
             assert a.__eq__(stranger) is NotImplemented
             assert ref_a.__eq__(_as_generated_dataclass(stranger)) is NotImplemented
 
@@ -598,12 +606,12 @@ def test_a_model_with_a_world_hashes():
     assert hash(model) == hash(parse_model(fixture.read_text(encoding="utf-8")))
 
 
-def test_model_records_stay_frozen_dataclasses_that_copy(records_by_class):
+def test_model_records_stay_frozen_and_copy(records_by_class):
     for cls, group in records_by_class.items():
-        names = [f.name for f in dataclasses.fields(cls)]
+        names = cls.__match_args__
         for record in (group[0], group[-1]):
             if names:
-                same = dataclasses.replace(record, **{names[0]: getattr(record, names[0])})
+                same = replace(record, **{names[0]: getattr(record, names[0])})
                 assert same == record and same is not record
             for copied in (
                 copy.copy(record),
@@ -613,7 +621,49 @@ def test_model_records_stay_frozen_dataclasses_that_copy(records_by_class):
                 assert type(copied) is cls
                 assert copied == record
             name = names[0] if names else "extra"
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            with pytest.raises(AttributeError, match=f"cannot assign to field {name!r}"):
                 setattr(record, name, None)
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            with pytest.raises(AttributeError, match=f"cannot delete field {name!r}"):
                 delattr(record, name)
+            assert record == copied
+
+
+@pytest.mark.parametrize("cls", _record_classes(), ids=lambda cls: cls.__name__)
+def test_a_record_call_refuses_what_its_fields_do_not_take(cls):
+    names = cls.__match_args__
+    with pytest.raises(TypeError, match=f"takes {len(names)} arguments but"):
+        cls(*range(len(names) + 1))
+    with pytest.raises(TypeError, match="unexpected keyword argument 'no_such_field'"):
+        cls(no_such_field=1)
+
+
+def test_a_record_call_binds_by_position_keyword_and_default():
+    some, at_most = ModifierKind.SOME, ModifierKind.AT_MOST
+    assert CardinalityModifier(some).n is None
+    assert CardinalityModifier(kind=at_most, n=2) == CardinalityModifier(at_most, 2)
+    assert CardinalityModifier(at_most, n=2) == CardinalityModifier(at_most, 2)
+    with pytest.raises(TypeError, match="missing required argument 'kind'"):
+        CardinalityModifier()
+    with pytest.raises(TypeError, match="missing required argument 'body'"):
+        Element("G1", Kind.GOAL)
+    with pytest.raises(TypeError, match="multiple values for argument 'kind'"):
+        CardinalityModifier(some, kind=some)
+
+
+def test_each_world_gets_dicts_of_its_own():
+    first, second = World(), World()
+    for name in ("concept_extensions", "slot_tuples", "data_values"):
+        assert getattr(first, name) == {}
+        assert getattr(first, name) is not getattr(second, name)
+
+
+def test_replace_checks_the_changed_record_again():
+    interval = Interval(F(1), F(2))
+    assert replace(interval, unit="ms") == Interval(F(1), F(2), "ms")
+    with pytest.raises(ValueError) as built:
+        Interval(F(3), F(2))
+    with pytest.raises(ValueError) as replaced:
+        replace(interval, low=F(3))
+    assert str(replaced.value) == str(built.value) == "interval low bound exceeds high bound"
+    with pytest.raises(TypeError, match="Interval has no field 'middle'"):
+        replace(interval, middle=F(0))

@@ -1,7 +1,6 @@
 """Tests for subsumption verdicts, consistency checking, interrelation
 queries, strength tag auditing, and fulfillment propagation."""
 
-import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
@@ -34,6 +33,7 @@ from reqsmith.model import (
     at_least,
     at_most,
     exactly,
+    replace,
 )
 from reqsmith import reasoner, saturation, semantics
 from reqsmith.cli import main
@@ -730,21 +730,21 @@ def _swapped(d):
     if isinstance(d, Difference):
         return Difference(_swapped(d.left), _swapped(d.right))
     if isinstance(d, SlotRestriction):
-        return dataclasses.replace(d, filler=_swapped(d.filler))
+        return replace(d, filler=_swapped(d.filler))
     if isinstance(d, InverseProjection):
-        return dataclasses.replace(d, source=_swapped(d.source))
+        return replace(d, source=_swapped(d.source))
     return d
 
 
 def _reshaped_body(body):
     if isinstance(body, FunctionDesc):
-        return dataclasses.replace(
+        return replace(
             body, slots=tuple(_swapped(s) for s in reversed(body.slots))
         )
     if isinstance(body, Subsumption):
         return Subsumption(_swapped(body.subsumee), _swapped(body.subsumer))
     if isinstance(body, QualityStatement):
-        return dataclasses.replace(
+        return replace(
             body,
             quality=_swapped(body.quality),
             subject=_swapped(body.subject),
@@ -755,10 +755,10 @@ def _reshaped_body(body):
 
 def test_query_invariant_under_normalization(traffic):
     elements = tuple(
-        dataclasses.replace(e, body=_reshaped_body(e.body))
+        replace(e, body=_reshaped_body(e.body))
         for e in traffic.elements
     )
-    reshaped = dataclasses.replace(traffic, elements=elements)
+    reshaped = replace(traffic, elements=elements)
     assert reshaped != traffic
     for pattern in ("<inheres_in: {F5}>", "<object: Traffic_info>", "Collect"):
         assert query(traffic, desc(pattern)) == query(reshaped, desc(pattern))
@@ -1015,7 +1015,7 @@ def test_the_kept_derivation_and_verdict_are_invisible():
     assert (model, hash(model), repr(model)) == (fresh, hash(fresh), repr(fresh))
 
     # an edited model is a new object, with a derivation and verdict of its own
-    edited = dataclasses.replace(model, axioms=())
+    edited = replace(model, axioms=())
     assert reasoner.derivation(edited) is not reasoner.derivation(model)
     assert check_strength_tags(edited) == []
     assert check_consistency(edited).status is ConsistencyStatus.CONSISTENT

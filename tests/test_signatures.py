@@ -3,7 +3,6 @@ validation, the strength audit and the operators all read from one table."""
 
 import hashlib
 import itertools
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -24,6 +23,7 @@ from reqsmith.model import (
     ScaleDirection,
     ScaleFactor,
     Strength,
+    replace,
     validate_model,
 )
 from reqsmith.operators import (
