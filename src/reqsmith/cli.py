@@ -8,10 +8,11 @@ instead of plain text.
 """
 
 import argparse
+import gc
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import NoReturn, Optional
 
 # Each command imports the modules it runs inside its own function, so a
 # short command such as `fmt` never loads the reasoner, lint or export,
@@ -310,5 +311,15 @@ def main(argv: Optional[list] = None) -> int:
         return 0
 
 
+def run() -> NoReturn:
+    """Process entry of the `reqsmith` script and `python -m reqsmith.cli`:
+    the command runs without the cyclic collector, and the heap is frozen so
+    that shutdown does not collect it either. Callers of `main` keep theirs."""
+    gc.disable()
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

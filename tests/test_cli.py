@@ -2,12 +2,14 @@
 
 import ast
 import contextlib
+import gc
 import hashlib
 import importlib.util
 import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -1339,6 +1341,156 @@ def test_no_record_generates_its_own_value_methods():
         or (isinstance(node, ast.Name) and node.id == "dataclass")
     ]
     assert uses == []
+
+
+# ===== process entry =====
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize(
+    ("text", "argv", "expected"),
+    [
+        (CLEAN, ["check"], 0),
+        (BAD_TAG, ["check"], 1),
+        (CLEAN, ["query"], 2),  # --pattern is required
+        ("model m;\ngoal G1 := ;\n", ["check"], 2),
+    ],
+    ids=["exit-0", "exit-1", "usage-error", "parse-error"],
+)
+def test_main_leaves_the_collector_as_it_found_it(
+    tmp_path, capsys, enabled, text, argv, expected
+):
+    path = write(tmp_path, text)
+    was_enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        code = main([*argv, path])
+        after = (gc.isenabled(), gc.get_freeze_count())
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    capsys.readouterr()
+    assert code == expected
+    assert after == (enabled, frozen)
+
+
+def _script_target():
+    """The `module:function` that pyproject.toml names as the reqsmith script,
+    read as text because Python 3.10 has no `tomllib`."""
+    text = (Path(reqsmith.__file__).parents[2] / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    (target,) = re.findall(r'^reqsmith\s*=\s*"([\w.]+:\w+)"\s*$', scripts, re.M)
+    return target
+
+
+def test_the_script_and_the_main_block_name_one_entry():
+    module, function = _script_target().split(":")
+    assert module == "reqsmith.cli"
+    tree = ast.parse((Path(reqsmith.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    (block,) = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+    ]
+    called = [
+        node.func.id
+        for node in ast.walk(block)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    ]
+    assert called == [function]
+
+
+# Launches the CLI as the console script does (`sys.exit(function())` for the
+# script target) or as `python -m` does (`-m module`), with the command's
+# arguments after the target, and reports last on stderr whether the
+# collector is enabled and how many objects are frozen when the process exits.
+_LAUNCH = (
+    "import atexit, gc, importlib, runpy, sys\n"
+    "atexit.register(lambda: print('gc', gc.isenabled(), gc.get_freeze_count(), file=sys.stderr))\n"
+    "target = sys.argv.pop(1)\n"
+    "if target.startswith('-m '):\n"
+    "    runpy.run_module(target[3:], run_name='__main__', alter_sys=True)\n"
+    "else:\n"
+    "    module, function = target.split(':')\n"
+    "    sys.exit(getattr(importlib.import_module(module), function)())\n"
+)
+
+
+def _child_env():
+    return dict(os.environ, PYTHONPATH=str(Path(reqsmith.__file__).parents[1]))
+
+
+@pytest.mark.parametrize("launch", ["script", "module"])
+@pytest.mark.parametrize(
+    "fixture",
+    sorted((Path(__file__).parent / "fixtures").glob("*.dsr")),
+    ids=lambda p: p.stem,
+)
+def test_the_entry_runs_main_without_the_collector(fixture, launch):
+    argv = ["lint", str(fixture)]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    target = _script_target() if launch == "script" else "-m reqsmith.cli"
+    run = subprocess.run(
+        [sys.executable, "-c", _LAUNCH, target, *argv],
+        env=_child_env(),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    *diagnostics, at_exit = run.stderr.splitlines()
+    assert (run.returncode, run.stdout) == (code, stdout.getvalue())
+    assert diagnostics == stderr.getvalue().splitlines()
+    word, enabled, frozen = at_exit.split()
+    assert (word, enabled) == ("gc", "False")
+    assert int(frozen) > 0
+
+
+# The peak RSS the kernel reports for a child is at least the RSS of the
+# process that started it, so a small interpreter starts the measured one
+# and reports its exit code and peak RSS (KiB) on stderr.
+_PEAK = (
+    "import os, subprocess, sys\n"
+    "child = subprocess.Popen(sys.argv[1:], stderr=subprocess.DEVNULL)\n"
+    "_, status, usage = os.wait4(child.pid, 0)\n"
+    "child.returncode = os.waitstatus_to_exitcode(status)\n"
+    "print(child.returncode, usage.ru_maxrss, file=sys.stderr)\n"
+)
+
+
+def _child_peak_kib(script, *args):
+    """Run `script` in a fresh interpreter; return (exit code, stdout, peak RSS in KiB)."""
+    run = subprocess.run(
+        [sys.executable, "-c", _PEAK, sys.executable, "-c", script, *args],
+        env=_child_env(),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    code, peak = map(int, run.stderr.split())
+    return code, run.stdout, peak
+
+
+def test_the_entry_costs_no_memory_on_a_thousand_groups(tmp_path):
+    # Without the collector, cyclic garbage stays until exit. A query that
+    # needs a proof per element, the costliest allocation pattern measured,
+    # must not peak more than a tenth higher than with the collector on.
+    lines = ["model many;", "axiom Fast :< Acceptable;"]
+    for g in range(1000):
+        lines += [
+            f'goal EG{g} := "keep record {g} current";',
+            f"fg EFG{g} := Record{g} :< Kept;",
+            f"func EF{g} := Keep <actor: SOME User> <object: Record{g}>;",
+            f"qg EQG{g} := Speed (EF{g}.object) :: Fast;",
+            f"qc EQC{g} := Processing_time (EF{g}.object) :: [0, 30 (Sec)];",
+        ]
+    argv = ["query", write(tmp_path, "\n".join(lines) + "\n"), "--pattern", "<object: Record3>"]
+    entry = _child_peak_kib(_LAUNCH, _script_target(), *argv)
+    collected = _child_peak_kib(
+        "import sys; from reqsmith.cli import main; sys.exit(main(sys.argv[1:]))", *argv
+    )
+    assert entry[:2] == collected[:2] == (0, "EF3\n")
+    assert entry[2] <= 1.1 * collected[2]
 
 
 # ===== golden output =====
