@@ -16,8 +16,9 @@ from typing import NoReturn, Optional
 
 # Each command imports the modules it runs inside its own function, so a
 # short command such as `fmt` never loads the reasoner, lint or export,
-# `check` takes its findings from `findings`, not from `lint`, and `fulfill`
-# takes its propagation from `fulfillment`, not from `reasoner`.
+# `check` takes its findings from `findings`, not from `lint`, `fulfill`
+# takes its propagation from `fulfillment`, not from `reasoner`, and a
+# `--json` run takes its report from `findings`, not from `export`.
 
 
 class _CliError(Exception):
@@ -25,8 +26,11 @@ class _CliError(Exception):
 
 
 def _read_text(path: str) -> str:
+    """The file's text, without a leading UTF-8 byte-order mark. It is
+    decoded as plain UTF-8 first, so a decoding error's offset counts bytes
+    from the start of the file."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except OSError as err:
         raise _CliError(str(err)) from err
     except UnicodeDecodeError as err:
@@ -63,7 +67,7 @@ def _note_unknown_world(consistency) -> None:
 
 def _print_findings(findings, as_json: bool) -> int:
     if as_json:
-        from .export import emit_report
+        from .findings import emit_report
 
         print(emit_report(findings, {}, []), end="")
     else:
@@ -75,7 +79,7 @@ def _print_findings(findings, as_json: bool) -> int:
 def _cmd_fmt(args) -> int:
     model = _load_model(args.file)
     if args.json:
-        from .export import emit_report
+        from .findings import emit_report
 
         print(emit_report([], {}, []), end="")
     else:
@@ -134,7 +138,7 @@ def _cmd_query(args) -> int:
         raise _CliError("\n".join(str(d) for d in pattern))
     matches = sorted(query(model, pattern))
     if args.json:
-        from .export import emit_report
+        from .findings import emit_report
         from .reasoner import SubsumptionVerdict, VerdictStatus
 
         verdict = SubsumptionVerdict(VerdictStatus.PROVEN, method="query")
@@ -154,7 +158,7 @@ def _cmd_fulfill(args) -> int:
     for warning in state.warnings:
         print(warning, file=sys.stderr)
     if args.json:
-        from .export import emit_report
+        from .findings import emit_report
 
         print(emit_report([], state.states, []), end="")
     else:
@@ -164,7 +168,7 @@ def _cmd_fulfill(args) -> int:
 
 
 def _cmd_translate(args) -> int:
-    from .export import NestedUNotExportable, emit_owl, emit_report
+    from .export import NestedUNotExportable, emit_owl
 
     model = _load_model(args.file)
     try:
@@ -177,6 +181,8 @@ def _cmd_translate(args) -> int:
     except OSError as err:
         raise _CliError(str(err)) from err
     if args.json:
+        from .findings import emit_report
+
         print(emit_report([], {}, []), end="")
     return 0
 
@@ -208,7 +214,7 @@ def _cmd_membership(args) -> int:
             )
         names = [args.region]
     if args.json:
-        from .export import emit_report
+        from .findings import emit_report
 
         report = {name: format_degree(degrees[name]) for name in names}
         print(emit_report([], report, []), end="")

@@ -1,14 +1,22 @@
-"""Findings: what `check` and `lint` report.
+"""Findings: what `check` and `lint` report, and the JSON report.
 
 A finding ties one issue of the requirement taxonomy to an element, an
 application or the world. `check` builds its findings from this module
 alone, so it never loads the lint rules; `lint` re-exports both names.
+`emit_report` bundles findings, fulfillment states, and subsumption
+verdicts into one versioned JSON document for scripting; every `--json`
+run loads it from here, without the ontology exporter.
 """
 
+from __future__ import annotations
+
 from enum import Enum
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence
 
 from .model import Operator
+
+if TYPE_CHECKING:
+    from .reasoner import SubsumptionVerdict
 
 
 class Issue(Enum):
@@ -62,3 +70,42 @@ class LintFinding(_FindingFields):
     def _make(cls, iterable):
         # `_replace` builds through `_make`, which skips `__new__`.
         return cls(*iterable)
+
+
+def _finding_dict(finding: LintFinding) -> dict:
+    return {
+        "element": finding.element_id,
+        "issue": finding.issue.value,
+        "detail": finding.detail,
+        "suggestion": finding.suggested_operator,
+        "span": list(finding.span) if finding.span is not None else None,
+    }
+
+
+def emit_report(
+    findings: Sequence[LintFinding],
+    fulfillment: Mapping[str, object],
+    verdicts: Sequence[tuple[str, str, SubsumptionVerdict]],
+) -> str:
+    """Render findings, fulfillment states, and verdicts as versioned JSON."""
+    import json  # only `--json` runs load it; `check` and `lint` text runs do not
+
+    states = {
+        key: value if isinstance(value, str) else value.value
+        for key, value in fulfillment.items()
+    }
+    document = {
+        "version": 1,
+        "findings": [_finding_dict(f) for f in findings],
+        "fulfillment": {key: states[key] for key in sorted(states)},
+        "subsumptions": [
+            {
+                "sub": sub,
+                "sup": sup,
+                "status": verdict.status.value,
+                "method": verdict.method,
+            }
+            for sub, sup, verdict in verdicts
+        ],
+    }
+    return json.dumps(document, indent=2) + "\n"

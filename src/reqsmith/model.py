@@ -900,9 +900,8 @@ def validate_model(model: Model) -> list[ValidationDiagnostic]:
     seen: set[str] = set()
     for element in model.elements:
         if element.id in seen:
-            diags.append(
-                ValidationDiagnostic(element.id, "unique-ids", "duplicate element id")
-            )
+            message = "duplicate element id"
+            diags.append(ValidationDiagnostic(element.id, "unique-ids", message))
         seen.add(element.id)
         diags.extend(_validate_element(element))
 
@@ -920,28 +919,21 @@ def validate_model(model: Model) -> list[ValidationDiagnostic]:
     for index, conflict in enumerate(model.conflicts):
         cid = f"conflict[{index}]"
         if len(conflict) < 2:
-            diags.append(
-                ValidationDiagnostic(cid, "conflict-size", "conflict sets need >= 2 ids")
-            )
+            message = "conflict sets need >= 2 ids"
+            diags.append(ValidationDiagnostic(cid, "conflict-size", message))
         for eid in conflict:
             if eid not in by_id:
-                diags.append(
-                    ValidationDiagnostic(cid, "dangling-reference", f"unknown id {eid}")
-                )
+                message = f"unknown id {eid}"
+                diags.append(ValidationDiagnostic(cid, "dangling-reference", message))
     for eid in sorted(model.fulfilled_marks):
         if eid not in by_id:
+            message = f"unknown id {eid}"
             diags.append(
-                ValidationDiagnostic(
-                    "fulfilled_marks", "dangling-reference", f"unknown id {eid}"
-                )
+                ValidationDiagnostic("fulfilled_marks", "dangling-reference", message)
             )
-    dropped = model.dropped_ids()
-    for eid in sorted(dropped & model.fulfilled_marks):
-        diags.append(
-            ValidationDiagnostic(
-                eid, "dropped-fulfilled", "resolution-dropped element marked fulfilled"
-            )
-        )
+    for eid in sorted(model.dropped_ids() & model.fulfilled_marks):
+        message = "resolution-dropped element marked fulfilled"
+        diags.append(ValidationDiagnostic(eid, "dropped-fulfilled", message))
     diags.extend(_check_acyclic(model))
     for index, axiom in enumerate(model.axioms):
         diags.extend(_validate_descriptions(axiom, f"axiom[{index}]"))
@@ -960,9 +952,7 @@ def validate_model(model: Model) -> list[ValidationDiagnostic]:
 
 def _validate_element(element: Element) -> list[ValidationDiagnostic]:
     diags: list[ValidationDiagnostic] = []
-    body = element.body
-    kind = element.kind
-
+    body, kind = element.body, element.kind
     if isinstance(body, NaturalLanguage):
         return diags
     if isinstance(body, FunctionDesc):
@@ -972,31 +962,20 @@ def _validate_element(element: Element) -> list[ValidationDiagnostic]:
     else:
         shape, allowed = "quality", kind in QUALITY_KINDS
     if not allowed and kind is not Kind.GOAL:
-        diags.append(
-            ValidationDiagnostic(
-                element.id, "kind-body", f"{kind.display} cannot carry a {shape} body"
-            )
-        )
+        message = f"{kind.display} cannot carry a {shape} body"
+        diags.append(ValidationDiagnostic(element.id, "kind-body", message))
     quality = isinstance(body, QualityStatement)
     if quality and kind is Kind.QC:
         region = body.region
         if isinstance(region, NamedRegion) and region.qualitative:
-            diags.append(
-                ValidationDiagnostic(
-                    element.id,
-                    "qc-region",
-                    "a quality constraint needs a measurable region",
-                )
-            )
+            message = "a quality constraint needs a measurable region"
+            diags.append(ValidationDiagnostic(element.id, "qc-region", message))
     diags.extend(_validate_descriptions(body, element.id))
-    if quality:
+    if quality and body.pct_annotations:
         paths = [ann.matched_path for ann in body.pct_annotations]
         if len(set(paths)) != len(paths):
-            diags.append(
-                ValidationDiagnostic(
-                    element.id, "pct-paths", "two pct annotations share one path"
-                )
-            )
+            message = "two pct annotations share one path"
+            diags.append(ValidationDiagnostic(element.id, "pct-paths", message))
         for path in paths:
             error = annotation_path_error(body, path)
             if error is not None:
@@ -1182,11 +1161,6 @@ def _validate_descriptions(body: ElementBody, owner: str) -> list[ValidationDiag
     (a subsumption side, the quality, a projection's source) in the body's
     descriptions, in pre-order."""
     diags: list[ValidationDiagnostic] = []
-
-    def misplaced(position: str) -> None:
-        message = f"{position} is a region, where a class is expected"
-        diags.append(ValidationDiagnostic(owner, "region-position", message))
-
     positions: tuple[str, ...] = ()
     if isinstance(body, Subsumption):
         positions = ("the left side", "the right side")
@@ -1194,19 +1168,35 @@ def _validate_descriptions(body: ElementBody, owner: str) -> list[ValidationDiag
         positions = ("the quality",)
     for index, desc in enumerate(body_descriptions(body)):
         if index < len(positions) and _is_region(desc):
-            misplaced(positions[index])
-        for d in subterms(desc):
+            diags.append(_misplaced(owner, positions[index]))
+        # Pre-order, left to right, on a stack of its own; an atom, the
+        # commonest node, has nothing to check.
+        stack = [desc]
+        while stack:
+            d = stack.pop()
+            if isinstance(d, AtomicConcept):
+                continue
             if isinstance(d, (SlotRestriction, InverseProjection)):
                 if d.slot in REASONING_INTERNAL_SLOTS:
                     message = f"slot {d.slot} is reserved for reasoning"
                     diags.append(ValidationDiagnostic(owner, "reserved-slot", message))
-                if isinstance(d, InverseProjection) and _is_region(d.source):
-                    misplaced(f"the source of .{d.slot}")
+                if isinstance(d, SlotRestriction):
+                    stack.append(d.filler)
+                    continue
+                if _is_region(d.source):
+                    diags.append(_misplaced(owner, f"the source of .{d.slot}"))
+                stack.append(d.source)
             elif isinstance(d, (Intersection, Union, Difference)):
                 if _is_region(d.left) != _is_region(d.right):
                     message = "regions combine only with regions, not with concepts"
                     diags.append(ValidationDiagnostic(owner, "region-mixing", message))
+                stack += (d.right, d.left)
     return diags
+
+
+def _misplaced(owner: str, position: str) -> ValidationDiagnostic:
+    message = f"{position} is a region, where a class is expected"
+    return ValidationDiagnostic(owner, "region-position", message)
 
 
 # ===== PART 6: traversal and symbol collection =====

@@ -76,6 +76,8 @@ KIND_KEYWORDS = {kind.value: kind for kind in Kind}
 OPERATOR_KEYWORDS = {op.value: op for op in Operator if op is not Operator.SCALE}
 OPERATOR_KEYWORDS.update(scale_up=Operator.SCALE, scale_down=Operator.SCALE)
 STRENGTH_KEYWORDS = {s.value: s for s in Strength}
+_STATEMENT_KEYWORDS = {"model", "conflict", "fulfilled", "axiom", "world", "regions"}
+_STATEMENT_KEYWORDS.update(KIND_KEYWORDS, OPERATOR_KEYWORDS)
 
 
 class SourceSpan(NamedTuple):
@@ -105,21 +107,22 @@ class ParseDiagnostic(NamedTuple):
 
 # ===== PART 1: lexer =====
 
-# One match per token: the leading group skips the whitespace and comments
-# before it, and the one capture group is the lexeme. The alternation ends in
-# a catch-all for an unexpected character and a match at the end of the text,
-# so the pattern matches at every position and a scan covers the whole text
-# without a gap. Lexemes never contain a newline; only the skipped prefix
-# moves the line count. `tokenize` keeps only the lexemes, and
-# `token_positions` runs the same pattern again to place them when a
-# diagnostic needs a span.
+# One match per token: the leading part skips the whitespace and comments
+# before it, and the one capture group is the lexeme. The skip and a string
+# are written unrolled, `x*(?:y x*)*`, so a run of plain characters is one
+# step rather than one alternation each. The alternation ends in a catch-all
+# for an unexpected character and a match at the end of the text, so the
+# pattern matches at every position and a scan covers the whole text without
+# a gap. Lexemes never contain a newline; only the skipped prefix moves the
+# line count. `tokenize` keeps only the lexemes, and `token_positions` runs
+# the same pattern again to place them when a diagnostic needs a span.
 _TOKEN_RE = re.compile(
     r"""
-    (?:\s+|//[^\n]*)*
+    \s*(?://[^\n]*\s*)*
     (
-      \d+\.\d+|\d+/\d+|\d+
+      \d+(?:[./]\d+)?
     | [A-Za-z_][A-Za-z0-9_']*
-    | "(?:[^"\\\n]|\\.)*"
+    | "[^"\\\n]*(?:\\.[^"\\\n]*)*"
     | :=|:<|::|<=|>=|->|[;,{}()\[\]<>:=|\-.?%]
     | .
     | \Z
@@ -135,6 +138,8 @@ _TOKEN_RE = re.compile(
 # included, is an unexpected character.
 _ID_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 _ONE_CHAR_TOKENS = _ID_START | frozenset(";,{}()[]<>:=|-.?%")
+# The first characters of a primary other than a slot restriction.
+_OPERAND_START = _ID_START | frozenset("{(")
 
 
 def _is_id(lexeme: str) -> bool:
@@ -147,6 +152,11 @@ def _is_num(lexeme: str) -> bool:
 
 def _is_str(lexeme: str) -> bool:
     return lexeme[:1] == '"'
+
+
+def _is_restriction(tokens: list[str], index: int) -> bool:
+    """Whether the `<` at `index` opens a slot restriction, `<slot:`."""
+    return tokens[index + 1][:1] in _ID_START and tokens[index + 2] == ":"
 
 
 def _is_bad(lexeme: str) -> bool:
@@ -195,8 +205,9 @@ def tokenize(text: str, file: str) -> tuple[list[str], list[ParseDiagnostic]]:
     diagnostic for each unexpected character, which is left out."""
     tokens = _TOKEN_RE.findall(text)
     # Trailing whitespace leaves a second empty match after the first.
-    del tokens[tokens.index("") + 1 :]
-    bad = {lexeme for lexeme in set(tokens) if _is_bad(lexeme)}
+    if tokens[-2:] == ["", ""]:
+        tokens.pop()
+    bad = {lexeme for lexeme in set(tokens) if len(lexeme) == 1 and _is_bad(lexeme)}
     if not bad:
         return tokens, []
     diagnostics = [
@@ -246,14 +257,17 @@ class _Parser:
         self.text = text
         self.file = file
         self.positions: Optional[list[tuple[int, int, int]]] = None
+        # Atoms and numbers are immutable, so each is built once per parse
+        # and shared by every mention of it.
+        self.atoms: dict[str, AtomicConcept] = {}
+        self.numbers: dict[str, Fraction] = {}
 
     # --- token plumbing ---
     # The token list ends in "" and `advance` never moves past it, so the
-    # current token is always `tokens[pos]`; only a look-ahead is clamped.
+    # current token is always `tokens[pos]`, and a token after one that is
+    # not "" exists: the hot paths below read `tokens` directly.
 
-    def peek(self, ahead: int = 0) -> str:
-        if ahead:
-            return self.tokens[min(self.pos + ahead, self.last)]
+    def peek(self) -> str:
         return self.tokens[self.pos]
 
     def advance(self) -> str:
@@ -266,6 +280,13 @@ class _Parser:
         # Only punctuation and identifiers can equal a keyword or symbol: a
         # string keeps its quotes, a number starts with a digit, eof is "".
         return self.tokens[self.pos] == value
+
+    def atom(self, name: str) -> AtomicConcept:
+        """The atom `name`, shared by every mention in this parse."""
+        atom = self.atoms.get(name)
+        if atom is None:
+            atom = self.atoms[name] = AtomicConcept(name)
+        return atom
 
     def span(self, index: int) -> SourceSpan:
         """Where token `index` starts; the first call places every token."""
@@ -298,7 +319,7 @@ class _Parser:
 
     def expect_ident(self, what: str = "identifier") -> str:
         token = self.tokens[self.pos]
-        if not _is_id(token):
+        if token[:1] not in _ID_START:
             found = token or "end of input"
             raise self.error(f"expected {what}, found {found!r}", expected=what)
         self.pos += 1
@@ -338,20 +359,22 @@ class _Parser:
     # --- rationals ---
 
     def parse_rational(self) -> Fraction:
-        negative = False
-        if self.at("-"):
-            self.advance()
-            negative = True
-        token = self.peek()
+        negative = self.tokens[self.pos] == "-"
+        if negative:
+            self.pos += 1
+        token = self.tokens[self.pos]
         if not _is_num(token):
             raise self.error("expected a number", expected="number")
-        try:
-            value = Fraction(token)
-        except ZeroDivisionError:
-            raise self.error(f"a rational needs a nonzero denominator, found {token}")
-        self.advance()
-        if self.at("%"):
-            self.advance()
+        value = self.numbers.get(token)
+        if value is None:
+            try:
+                value = Fraction(int(token)) if token.isdecimal() else Fraction(token)
+            except ZeroDivisionError:
+                raise self.error(f"a rational needs a nonzero denominator, found {token}")
+            self.numbers[token] = value
+        self.pos += 1
+        if self.tokens[self.pos] == "%":
+            self.pos += 1
             value /= 100
         return -value if negative else value
 
@@ -378,55 +401,48 @@ class _Parser:
         return desc
 
     def _parse_difference(self) -> Description:
-        left = self._parse_union()
-        while self.at("-"):
-            self.advance()
-            right = self._parse_union()
-            left = Difference(left, right)
-        return left
-
-    def _parse_union(self) -> Description:
-        left = self._parse_adjacency()
-        while self.at("|"):
-            self.advance()
-            right = self._parse_adjacency()
-            left = Union(left, right)
-        return left
-
-    def _starts_primary(self) -> bool:
-        token = self.peek()
-        if _is_id(token):
-            return True
-        if token in ("{", "("):
-            return True
-        if token == "<":
-            return _is_id(self.peek(1)) and self.peek(2) == ":"
-        return False
-
-    def _parse_adjacency(self) -> Description:
-        left = self._parse_postfix()
-        while self._starts_primary():
-            right = self._parse_postfix()
-            left = Intersection(left, right)
-        return left
+        """Operands joined by adjacency, then `|`, then `-`, the loosest, each
+        left-associative: one loop keeps the open operand of each level."""
+        tokens = self.tokens
+        difference = union = None
+        while True:
+            node = self._parse_postfix()
+            token = tokens[self.pos]
+            # Adjacency: the next token starts another primary.
+            while token[:1] in _OPERAND_START or (
+                token == "<" and _is_restriction(tokens, self.pos)
+            ):
+                node = Intersection(node, self._parse_postfix())
+                token = tokens[self.pos]
+            union = node if union is None else Union(union, node)
+            if token == "|":
+                self.pos += 1
+                continue
+            difference = union if difference is None else Difference(difference, union)
+            if token != "-":
+                return difference
+            self.pos += 1
+            union = None
 
     def _parse_postfix(self) -> Description:
-        node = self._parse_primary()
-        while self.at(".") and _is_id(self.peek(1)):
-            self.advance()
-            slot = self.expect_ident("slot name")
-            node = InverseProjection(node, slot)
+        tokens = self.tokens
+        token = tokens[self.pos]
+        if token[:1] in _ID_START:
+            self.pos += 1
+            node = _CONSTANTS[token] if token in _CONSTANTS else self.atom(token)
+        else:
+            node = self._parse_primary()
+        while tokens[self.pos] == "." and tokens[self.pos + 1][:1] in _ID_START:
+            node = InverseProjection(node, tokens[self.pos + 1])
+            self.pos += 2
         return node
 
     def _parse_primary(self) -> Description:
-        token = self.peek()
-        if _is_id(token):
-            self.advance()
-            return _CONSTANTS[token] if token in _CONSTANTS else AtomicConcept(token)
+        token = self.tokens[self.pos]
         if token == "{":
             return self._parse_braced()
         if token == "(":
-            self.advance()
+            self.pos += 1
             inner = self.parse_description()
             self.expect(")")
             return inner
@@ -440,7 +456,8 @@ class _Parser:
 
     def _parse_braced(self) -> Description:
         self.expect("{")
-        if _is_num(self.peek()) or _is_str(self.peek()) or self.at("-"):
+        token = self.tokens[self.pos]
+        if _is_num(token) or _is_str(token) or token == "-":
             values = self.comma_list(self._parse_set_value)
             self.expect("}")
             return Region(ValueSet(tuple(values)))
@@ -454,23 +471,24 @@ class _Parser:
         return self.parse_rational()
 
     def _parse_slot_restriction(self) -> SlotRestriction:
+        tokens = self.tokens
         self.expect("<")
         slot = self.expect_ident("slot name")
         self.expect(":")
         modifier = EXACTLY_ONE
-        token = self.peek()
-        if token in _COUNTED and _is_num(self.peek(1)):
-            self.advance()
-            count = self.peek()
+        token = tokens[self.pos]
+        if token in _UNCOUNTED:
+            self.pos += 1
+            modifier = _UNCOUNTED[token]
+        elif token in _COUNTED and _is_num(tokens[self.pos + 1]):
+            self.pos += 1
+            count = tokens[self.pos]
             if not count.isdigit() or int(count) < 1:
                 raise self.error(
                     f"a cardinality count must be a whole number >= 1, found {count}"
                 )
-            self.advance()
+            self.pos += 1
             modifier = _COUNTED[token](int(count))
-        elif token in _UNCOUNTED:
-            self.advance()
-            modifier = _UNCOUNTED[token]
         filler = self.parse_description()
         self.expect(">")
         return SlotRestriction(slot, modifier, filler)
@@ -479,12 +497,12 @@ class _Parser:
 
     def _parse_unit(self) -> Optional[str]:
         """An optional `(unit)`, also written `(unit.)`."""
-        if not self.at("("):
+        if self.tokens[self.pos] != "(":
             return None
-        self.advance()
+        self.pos += 1
         unit = self.expect_ident("unit")
-        if self.at("."):
-            self.advance()
+        if self.tokens[self.pos] == ".":
+            self.pos += 1
         self.expect(")")
         return unit
 
@@ -498,11 +516,12 @@ class _Parser:
         return Interval(low, high, unit)
 
     def parse_region_expr(self) -> RegionExpr:
-        token = self.peek()
+        tokens = self.tokens
+        token = tokens[self.pos]
         if token == "[":
             return self._parse_interval()
         if token == "<=":
-            self.advance()
+            self.pos += 1
             high = self.parse_rational()
             return Interval(Fraction(0), high, self._parse_unit())
         if token == "{":
@@ -512,10 +531,8 @@ class _Parser:
             return region.expr
         name = self.expect_ident("region name")
         qualitative = True
-        if self.at("(") and self.peek(1) == "measured" and self.peek(2) == ")":
-            self.advance()
-            self.advance()
-            self.advance()
+        if tokens[self.pos : self.pos + 3] == ["(", "measured", ")"]:
+            self.pos += 3
             qualitative = False
         return NamedRegion(name, qualitative)
 
@@ -523,12 +540,11 @@ class _Parser:
 
     def _scan_body_shape(self) -> str:
         """Look ahead to the statement end and report the body connective."""
-        depth = 0
-        index = self.pos
-        while index < len(self.tokens):
+        depth, index = 0, self.pos
+        while True:
             token = self.tokens[index]
             if not token or (token == ";" and depth == 0):
-                break
+                return "function"
             if token in "({[":
                 depth += 1
             elif token in ")}]":
@@ -538,22 +554,16 @@ class _Parser:
             elif depth == 0 and token == ":<":
                 return "subsumption"
             index += 1
-        return "function"
 
     def parse_body(self, kind: Kind):
-        if _is_str(self.peek()):
-            return NaturalLanguage(_unquote(self.advance()))
-        if kind is Kind.F:
-            shape = "function"
-        elif kind in (Kind.QG, Kind.QC):
-            shape = "quality"
-        elif kind is Kind.GOAL:
-            shape = self._scan_body_shape()
-        else:
-            shape = "subsumption"
-        if shape == "function":
+        token = self.tokens[self.pos]
+        if token[:1] == '"':
+            self.pos += 1
+            return NaturalLanguage(_unquote(token))
+        shape = self._scan_body_shape() if kind is Kind.GOAL else None
+        if kind is Kind.F or shape == "function":
             return self._parse_function_body()
-        if shape == "quality":
+        if kind is Kind.QG or kind is Kind.QC or shape == "quality":
             return self._parse_quality_body()
         subsumee = self.parse_description()
         self.expect(":<")
@@ -561,15 +571,19 @@ class _Parser:
         return Subsumption(subsumee, subsumer)
 
     def _parse_function_body(self) -> FunctionDesc:
+        tokens = self.tokens
         head = self.expect_ident("function head")
         slots: list[SlotRestriction] = []
-        while self.at("<") and _is_id(self.peek(1)) and self.peek(2) == ":":
+        while tokens[self.pos] == "<" and _is_restriction(tokens, self.pos):
             slots.append(self._parse_slot_restriction())
         return FunctionDesc(head, tuple(slots))
 
     def _parse_quality_body(self) -> QualityStatement:
-        if _is_id(self.peek()):
-            quality: Description = AtomicConcept(self.advance())
+        tokens = self.tokens
+        token = tokens[self.pos]
+        if token[:1] in _ID_START:
+            self.pos += 1
+            quality: Description = self.atom(token)
         else:
             self.expect("(")
             quality = self.parse_description()
@@ -582,13 +596,13 @@ class _Parser:
         observers: list[Description] = []
         annotations: list[UAnnotation] = []
         while True:
-            if self.at("<") and self.peek(1) == "observed_by":
-                self.advance()
-                self.advance()
+            token = tokens[self.pos]
+            if token == "<" and tokens[self.pos + 1] == "observed_by":
+                self.pos += 2
                 self.expect(":")
                 observers.append(self.parse_description())
                 self.expect(">")
-            elif self.at("u") and self.peek(1) == "(":
+            elif token == "u" and tokens[self.pos + 1] == "(":
                 annotations.append(self._parse_annotation())
             else:
                 break
@@ -614,12 +628,11 @@ class _Parser:
     # --- statements ---
 
     def parse_strength(self, default: Optional[Strength]) -> Strength:
-        if self.at("["):
-            if self.peek(1) in STRENGTH_KEYWORDS and self.peek(2) == "]":
-                self.advance()
-                strength = STRENGTH_KEYWORDS[self.advance()]
-                self.advance()
-                return strength
+        tokens, pos = self.tokens, self.pos
+        if tokens[pos] == "[":
+            if tokens[pos + 1] in STRENGTH_KEYWORDS and tokens[pos + 2] == "]":
+                self.pos += 3
+                return STRENGTH_KEYWORDS[tokens[pos + 1]]
             raise self.error("expected a strength tag", expected="[strengthen|weaken|equate]")
         if default is None:
             raise self.error(
@@ -838,32 +851,32 @@ class _Builder:
 
 def _parse_statements(parser: _Parser) -> _Builder:
     build = _Builder()
-    while parser.peek():
-        keyword = parser.peek()
+    tokens = parser.tokens
+    while tokens[parser.pos]:
         start = parser.pos
+        keyword = tokens[start]
         try:
             if not _is_id(keyword):
                 raise parser.error(f"expected a statement, found {keyword!r}")
-            if keyword == "model":
-                parser.advance()
-                build.name = parser.expect_ident("model name")
-                parser.expect(";")
-            elif keyword in KIND_KEYWORDS:
-                parser.advance()
+            if keyword not in _STATEMENT_KEYWORDS:
+                raise parser.error(f"unknown statement keyword {keyword!r}")
+            parser.pos += 1
+            if keyword in KIND_KEYWORDS:
                 ident = parser.expect_ident("element id")
                 parser.expect(":=")
                 body = parser.parse_body(KIND_KEYWORDS[keyword])
                 parser.expect(";")
                 build.elements.append(Element(ident, KIND_KEYWORDS[keyword], body))
                 build.starts[ident] = start + 1
+            elif keyword == "model":
+                build.name = parser.expect_ident("model name")
+                parser.expect(";")
             elif keyword in OPERATOR_KEYWORDS:
-                parser.advance()
                 app = parser.parse_operator_statement(keyword)
                 parser.expect(";")
                 build.starts[f"application[{len(build.applications)}]"] = start
                 build.applications.append(app)
             elif keyword == "conflict":
-                parser.advance()
                 parser.expect("{")
                 ids = parser.parse_id_list()
                 parser.expect("}")
@@ -873,11 +886,9 @@ def _parse_statements(parser: _Parser) -> _Builder:
             elif keyword == "fulfilled":
                 if build.fulfilled is None:
                     build.fulfilled = start
-                parser.advance()
                 build.marks.update(parser.parse_id_list())
                 parser.expect(";")
             elif keyword == "axiom":
-                parser.advance()
                 subsumee = parser.parse_description()
                 parser.expect(":<")
                 subsumer = parser.parse_description()
@@ -885,14 +896,10 @@ def _parse_statements(parser: _Parser) -> _Builder:
                 build.starts[f"axiom[{len(build.axioms)}]"] = start
                 build.axioms.append(Subsumption(subsumee, subsumer))
             elif keyword == "world":
-                parser.advance()
                 build.world = parser.parse_world_block()
-            elif keyword == "regions":
-                parser.advance()
+            else:  # regions
                 build.specs.append(parser.parse_regions_block())
                 build.starts[f"regions[{len(build.specs) - 1}]"] = start
-            else:
-                raise parser.error(f"unknown statement keyword {keyword!r}")
         except (_Abort, ValueError) as exc:
             parser.recover(exc)
         if len(parser.diagnostics) >= MAX_DIAGNOSTICS:

@@ -108,6 +108,35 @@ def test_non_utf8_lint_config_exits_two_naming_the_file(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("text", [CLEAN, CLEAN + "goal G9 := ;\n"], ids=["clean", "broken"])
+@pytest.mark.parametrize("command", ["fmt", "check", "lint"])
+def test_a_byte_order_mark_changes_no_output(tmp_path, capsys, command, text):
+    runs = []
+    for folder, mark in (("plain", b""), ("marked", b"\xef\xbb\xbf")):
+        (tmp_path / folder).mkdir()
+        model, config = tmp_path / folder / "m.dsr", tmp_path / folder / "lint.cfg"
+        model.write_bytes(mark + text.encode("utf-8"))
+        config.write_bytes(mark + b"required_slots = object\n")
+        argv = [command, str(model)]
+        if command == "lint":
+            argv += ["--config", str(config)]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        runs.append((code, out, err.replace(str(tmp_path / folder), "DIR")))
+    assert runs[0] == runs[1]
+    if text != CLEAN:
+        # The mark is no character of line 1, and the spans after it stay.
+        assert runs[0][:2] == (2, "")
+        assert runs[0][2].startswith("DIR/m.dsr:3:12: error: expected ")
+
+
+def test_a_decoding_error_after_a_byte_order_mark_counts_file_bytes(tmp_path, capsys):
+    path = tmp_path / "bad.dsr"
+    path.write_bytes(b"\xef\xbb\xbfmodel m;\n\xff")
+    assert main(["fmt", str(path)]) == 2
+    assert capsys.readouterr().err.endswith("invalid start byte at offset 12\n")
+
+
 def test_parse_errors_exit_two_with_span(tmp_path, capsys):
     path = write(tmp_path, "model m;\ngoal G1 := ;\n")
     assert main(["check", path]) == 2
@@ -1140,14 +1169,14 @@ _REASONING = _PARSING | {
     "reqsmith.fulfillment",
 }
 _CONSISTENCY = _REASONING | {"reqsmith.saturation", "reqsmith.findings"}
-_EXPORT = {"reqsmith.semantics", "reqsmith.export"}
 
 # The reqsmith modules each command loads as text; a `--json` run adds
-# _EXPORT, and `fmt --json` prints no model, so it loads no printer.
+# `findings`, which writes the report, and `fmt --json` prints no model, so
+# it loads no printer.
 IMPORT_BUDGET = {
     "fmt": _PARSING | {"reqsmith.printer"},
     "membership": _PARSING | {"reqsmith.membership"},
-    "translate": _PARSING | _EXPORT,
+    "translate": _PARSING | {"reqsmith.semantics", "reqsmith.export"},
     "query": _REASONING,
     "fulfill": _PARSING | {"reqsmith.fulfillment"},
     "check": _CONSISTENCY,
@@ -1203,7 +1232,7 @@ def test_each_command_imports_only_the_modules_it_runs(tmp_path, command, json_f
     modules = {m for m in loaded if m.startswith("reqsmith")}
     expected = IMPORT_BUDGET[command]
     if json_flag:
-        expected = (expected - {"reqsmith.printer"}) | _EXPORT
+        expected = (expected - {"reqsmith.printer"}) | {"reqsmith.findings"}
     assert modules == expected
     assert _UNUSED_STDLIB & set(loaded) == set()
     assert ("json" in loaded) == bool(json_flag)

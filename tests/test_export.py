@@ -5,7 +5,8 @@ import re
 
 import pytest
 
-from reqsmith.export import NestedUNotExportable, emit_owl, emit_report
+from reqsmith.export import NestedUNotExportable, emit_owl
+from reqsmith.findings import emit_report
 from reqsmith.lint import Issue, LintFinding
 from reqsmith.parser import parse_model
 from reqsmith.reasoner import SubsumptionVerdict, VerdictStatus, propagate_fulfillment

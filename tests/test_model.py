@@ -244,6 +244,92 @@ def test_element_diagnostics_keep_their_order():
     ]
 
 
+def _reference_validate_descriptions(body, owner):
+    """The description checks as they were before the walk kept a stack of
+    its own: a `subterms` list per description, read in pre-order. It is
+    the reference `_validate_descriptions` must agree with."""
+    is_region = model_module._is_region
+    diags = []
+
+    def misplaced(position):
+        message = f"{position} is a region, where a class is expected"
+        diags.append(model_module.ValidationDiagnostic(owner, "region-position", message))
+
+    positions = ()
+    if isinstance(body, Subsumption):
+        positions = ("the left side", "the right side")
+    elif isinstance(body, QualityStatement):
+        positions = ("the quality",)
+    for index, desc in enumerate(body_descriptions(body)):
+        if index < len(positions) and is_region(desc):
+            misplaced(positions[index])
+        for d in subterms(desc):
+            if isinstance(d, (SlotRestriction, InverseProjection)):
+                if d.slot in model_module.REASONING_INTERNAL_SLOTS:
+                    message = f"slot {d.slot} is reserved for reasoning"
+                    diags.append(
+                        model_module.ValidationDiagnostic(owner, "reserved-slot", message)
+                    )
+                if isinstance(d, InverseProjection) and is_region(d.source):
+                    misplaced(f"the source of .{d.slot}")
+            elif isinstance(d, (Intersection, Union, Difference)):
+                if is_region(d.left) != is_region(d.right):
+                    message = "regions combine only with regions, not with concepts"
+                    diags.append(
+                        model_module.ValidationDiagnostic(owner, "region-mixing", message)
+                    )
+    return diags
+
+
+_DRAWN_SLOTS = ("s", "r", "pct", "relate_to", "subsumer")
+_DRAWN_LEAVES = (
+    A("X"),
+    A("Y"),
+    THING,
+    Enumeration(("a", "b")),
+    Region(Interval(Fraction(0), Fraction(1))),
+    Region(NamedRegion("low")),
+)
+
+
+def _drawn_description(rng, depth):
+    """A description over reserved and plain slots, classes and regions."""
+    choice = rng.randrange(6) if depth else 5
+    if choice < 3:
+        combine = (Intersection, Union, Difference)[choice]
+        left = _drawn_description(rng, depth - 1)
+        return combine(left, _drawn_description(rng, depth - 1))
+    if choice == 3:
+        return slot(rng.choice(_DRAWN_SLOTS), _drawn_description(rng, depth - 1))
+    if choice == 4:
+        source = _drawn_description(rng, depth - 1)
+        return InverseProjection(source, rng.choice(_DRAWN_SLOTS))
+    return rng.choice(_DRAWN_LEAVES)
+
+
+def test_description_checks_agree_with_the_subterms_walk():
+    rng = random.Random(11)
+
+    def draw():
+        return _drawn_description(rng, rng.randint(0, 4))
+
+    rules = set()
+    for _ in range(3000):
+        shape = rng.randrange(3)
+        if shape == 0:
+            body = Subsumption(draw(), draw())
+        elif shape == 1:
+            observers = tuple(draw() for _ in range(rng.randrange(3)))
+            body = QualityStatement(draw(), draw(), NamedRegion("low"), observers)
+        else:
+            slots = tuple(slot(rng.choice(_DRAWN_SLOTS), draw()) for _ in range(3))
+            body = FunctionDesc("Go", slots[: rng.randrange(4)])
+        expected = _reference_validate_descriptions(body, "E1")
+        assert model_module._validate_descriptions(body, "E1") == expected
+        rules |= {d.rule for d in expected}
+    assert rules == {"reserved-slot", "region-mixing", "region-position"}
+
+
 def test_cyclic_applications_flagged():
     model = Model(
         elements=(goal("G1"), goal("G2")),

@@ -1,8 +1,10 @@
 """Tests for the textual model format: lexer, parser, and printer."""
 
 import importlib.util
+import os
 import random
 import re
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -56,6 +58,7 @@ from reqsmith.parser import (
     print_model,
     token_positions,
     tokenize,
+    _CONSTANTS,
     _is_id,
     _is_num,
     _is_str,
@@ -518,8 +521,8 @@ def lexed(text, file="lexed.dsr"):
     return rows, diags
 
 
-def _bench_models():
-    """Every model file the benchmark generator writes, for two seeds."""
+def _bench_models(seeds=(1, 2)):
+    """Every model file the benchmark generator writes, for each seed."""
     spec = importlib.util.spec_from_file_location("reqsmith_bench_gen", ROOT / "bench" / "gen.py")
     gen = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = gen
@@ -528,7 +531,7 @@ def _bench_models():
         return [
             text
             for name in gen.WORKLOADS
-            for seed in (1, 2)
+            for seed in seeds
             for text in gen.generate(name, seed, ROOT / "unused").files.values()
         ]
     finally:
@@ -601,6 +604,136 @@ def _is_result(result, kind):
     )
 
 
+# ---- descriptions: the precedence loop against the descent ----
+
+
+class _DescentParser(parser_module._Parser):
+    """The parser with descriptions read as before the precedence loop, one
+    method per level: difference over union over adjacency over postfix. It
+    is the reference the loop must agree with, tree for tree and diagnostic
+    for diagnostic."""
+
+    def _ahead(self, distance):
+        return self.tokens[min(self.pos + distance, self.last)]
+
+    def _parse_difference(self):
+        left = self._parse_union()
+        while self.at("-"):
+            self.advance()
+            left = Difference(left, self._parse_union())
+        return left
+
+    def _parse_union(self):
+        left = self._parse_adjacency()
+        while self.at("|"):
+            self.advance()
+            left = Union(left, self._parse_adjacency())
+        return left
+
+    def _starts_primary(self):
+        token = self.peek()
+        if _is_id(token) or token in ("{", "("):
+            return True
+        return token == "<" and _is_id(self._ahead(1)) and self._ahead(2) == ":"
+
+    def _parse_adjacency(self):
+        left = self._parse_postfix()
+        while self._starts_primary():
+            left = Intersection(left, self._parse_postfix())
+        return left
+
+    def _parse_postfix(self):
+        token = self.peek()
+        if _is_id(token):
+            self.advance()
+            node = _CONSTANTS[token] if token in _CONSTANTS else AtomicConcept(token)
+        else:
+            node = self._parse_primary()
+        while self.at(".") and _is_id(self._ahead(1)):
+            self.advance()
+            node = InverseProjection(node, self.expect_ident("slot name"))
+        return node
+
+
+def parsed_by_descent(function, text):
+    """`function`, `parse_model` or `parse_description`, run with the
+    descent in place of the precedence loop."""
+    loop, parser_module._Parser = parser_module._Parser, _DescentParser
+    try:
+        return function(text)
+    finally:
+        parser_module._Parser = loop
+
+
+def parses_like_the_descent(text):
+    """Both entry points return a result for `text`, not an exception, and
+    the same result as the descent."""
+    for function, kind in ((parse_model, Model), (parse_description, Description)):
+        result = function(text)
+        assert _is_result(result, kind)
+        assert result == parsed_by_descent(function, text)
+
+
+def test_the_descent_binds_adjacency_then_union_then_difference():
+    assert parsed_by_descent(parse_description, "A B | C - D.s") == Difference(
+        Union(Intersection(AtomicConcept("A"), AtomicConcept("B")), AtomicConcept("C")),
+        InverseProjection(AtomicConcept("D"), "s"),
+    )
+
+
+def test_the_loop_parses_the_bench_models_like_the_descent():
+    models = _bench_models(seeds=range(1, 6))
+    assert len(models) >= 40
+    for text in models:
+        result = parse_model(text)
+        assert isinstance(result, Model)
+        assert result == parsed_by_descent(parse_model, text)
+
+
+# Python-level calls (`sys.setprofile` "call" events) of one parse of the
+# seed-1 edit-session bench model: 1,200 elements, 14,574 tokens. The
+# descent with one method per precedence level made 77,945.
+_PARSE_CALL_BUDGET = 33_500
+
+_COUNT_PARSE_CALLS = """
+import sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+import gen
+from reqsmith.parser import parse_model
+text = gen.generate("edit-session", 1, Path("unused")).files["model.dsr"]
+calls = 0
+def count(frame, event, arg):
+    global calls
+    calls += event == "call"
+sys.setprofile(count)
+parse_model(text)
+sys.setprofile(None)
+print(calls)
+"""
+
+
+def test_a_large_parse_stays_within_its_call_budget():
+    counts = []
+    for hash_seed in ("0", "123"):
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(Path(parser_module.__file__).parents[1]),
+            PYTHONHASHSEED=hash_seed,
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", _COUNT_PARSE_CALLS, str(ROOT / "bench")],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert run.returncode == 0, run.stderr
+        counts.append(int(run.stdout))
+    assert counts[0] == counts[1]
+    assert counts[0] <= _PARSE_CALL_BUDGET
+
+
 def test_drawn_text_lexes_like_the_reference_and_parses_without_raising():
     hypothesis = pytest.importorskip("hypothesis")
     strategies = hypothesis.strategies
@@ -615,8 +748,7 @@ def test_drawn_text_lexes_like_the_reference_and_parses_without_raising():
     def check(opening, drawn):
         text = opening + "".join(drawn)
         assert lexed(text) == reference_tokenize(text)
-        assert _is_result(parse_model(text), Model)
-        assert _is_result(parse_description(text), Description)
+        parses_like_the_descent(text)
 
     check()
 
@@ -663,9 +795,7 @@ def test_token_mutations_of_the_fixtures_parse_without_raising():
         strategies.lists(edit, min_size=1, max_size=4),
     )
     def check(tokens, edits):
-        text = " ".join(_mutate(tokens, edits))
-        assert _is_result(parse_model(text), Model)
-        assert _is_result(parse_description(text), Description)
+        parses_like_the_descent(" ".join(_mutate(tokens, edits)))
 
     check()
 
