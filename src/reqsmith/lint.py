@@ -360,6 +360,7 @@ def _inconsistent(model: Model, live) -> list[LintFinding]:
 def _ambiguous(live, config) -> list[LintFinding]:
     """Attachment words and double-reading terms admit rival parses."""
     out = []
+    double_reading = config.entity_terms & config.quality_terms
     for e in live:
         body = e.body
         if isinstance(body, NaturalLanguage):
@@ -375,14 +376,15 @@ def _ambiguous(live, config) -> list[LintFinding]:
                     )
                 )
             continue
+        if not double_reading:
+            continue
         for node in (n for d in body_descriptions(body) for n in subterms(d)):
             if not isinstance(node, SlotRestriction):
                 continue
             filler = node.filler
             if not isinstance(filler, AtomicConcept):
                 continue
-            name = filler.name.casefold()
-            if name in config.entity_terms and name in config.quality_terms:
+            if filler.name.casefold() in double_reading:
                 out.append(
                     LintFinding(
                         e.id,

@@ -9,35 +9,23 @@ description traversal, and symbol collection.
 
 from __future__ import annotations
 
+from collections import _tuplegetter
 from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union as TypingUnion
 
 
-# Each record below is a frozen value class made by `_record`. Its field
-# names are its own annotations, in order, kept as `__match_args__`. It
-# takes `__eq__`, `__hash__` and `__repr__` from the functions here:
-# equality within one class, the hash of the field tuple, and
-# `Name(field=value, ...)`. Nothing is compiled per class, so importing
-# the model stays cheap for every command.
-
-
-def _field_values(record) -> tuple:
-    return tuple([getattr(record, name) for name in record.__match_args__])
-
-
-def _record_eq(self, other):
-    if other.__class__ is not self.__class__:
-        return NotImplemented
-    return _field_values(self) == _field_values(other)
-
-
-def _record_hash(self) -> int:
-    return hash(_field_values(self))
+# Each record below is an immutable tuple made by `_record`: its class name
+# followed by its fields, so `Quantity(F(5), "ms")` is the tuple
+# `("Quantity", F(5), "ms")`. Equality and hashing are the tuple's, which
+# run in C, and records of different classes differ in their first item.
+# The field names are the class's own annotations, in order, kept as
+# `__match_args__`; each field reads through the C getter that named tuples
+# use. Nothing is compiled per class, so importing the model stays cheap.
 
 
 def _record_repr(self) -> str:
-    fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+    fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__match_args__, self[1:]))
     return f"{self.__class__.__qualname__}({fields})"
 
 
@@ -49,6 +37,10 @@ def _record_delattr(self, name):
     raise AttributeError(f"cannot delete field {name!r}")
 
 
+def _record_newargs(self) -> tuple:
+    return self[1:]
+
+
 class _Fresh:
     """A field default built anew for each record, such as `_Fresh(dict)`."""
 
@@ -58,10 +50,10 @@ class _Fresh:
         self.make = make
 
 
-def _bind(record, names: tuple, defaults: dict, args: tuple, kwargs: dict) -> list:
+def _bind(cls, names: tuple, defaults: dict, args: tuple, kwargs: dict) -> tuple:
     """The field values of a call that does not pass every field by position,
     or the TypeError a function with these parameters would raise."""
-    call = f"{record.__class__.__qualname__}()"
+    call = f"{cls.__qualname__}()"
     if len(args) > len(names):
         raise TypeError(f"{call} takes {len(names)} arguments but {len(args)} were given")
     for name in names[: len(args)]:
@@ -79,90 +71,53 @@ def _bind(record, names: tuple, defaults: dict, args: tuple, kwargs: dict) -> li
             values.append(default.make() if isinstance(default, _Fresh) else default)
         else:
             raise TypeError(f"{call} missing required argument {name!r}")
-    return values
-
-
-def _make_init(names: tuple, defaults: dict, post_init):
-    """The `__init__` of a record with fields `names`: it takes them by
-    position or keyword, fills in `defaults` and then runs `post_init`, if
-    there is one.
-
-    The parser passes every field by position, and nearly every record it
-    builds has one to three fields. Those records store their fields
-    unrolled: on CPython 3.11 a loop over the names costs about 100 ns more
-    per record, a few percent of a parse.
-    """
-    count, set_field = len(names), object.__setattr__
-
-    if count == 1:
-        (first,) = names
-
-        def __init__(self, *args, **kwargs):
-            if kwargs or len(args) != 1:
-                args = _bind(self, names, defaults, args, kwargs)
-            set_field(self, first, args[0])
-            if post_init is not None:
-                post_init(self)
-
-    elif count == 2:
-        first, second = names
-
-        def __init__(self, *args, **kwargs):
-            if kwargs or len(args) != 2:
-                args = _bind(self, names, defaults, args, kwargs)
-            set_field(self, first, args[0])
-            set_field(self, second, args[1])
-            if post_init is not None:
-                post_init(self)
-
-    elif count == 3:
-        first, second, third = names
-
-        def __init__(self, *args, **kwargs):
-            if kwargs or len(args) != 3:
-                args = _bind(self, names, defaults, args, kwargs)
-            set_field(self, first, args[0])
-            set_field(self, second, args[1])
-            set_field(self, third, args[2])
-            if post_init is not None:
-                post_init(self)
-
-    else:
-
-        def __init__(self, *args, **kwargs):
-            if kwargs or len(args) != count:
-                args = _bind(self, names, defaults, args, kwargs)
-            for name, value in zip(names, args):
-                set_field(self, name, value)
-            if post_init is not None:
-                post_init(self)
-
-    return __init__
+    return tuple(values)
 
 
 def _record(cls):
-    """Make `cls` a frozen record with the shared value methods.
+    """Rebuild `cls` as a record: a tuple of its class name and its fields.
 
     Its fields are its own annotations, in order; a class attribute of the
-    same name is the field's default. A class that defines its own `__eq__`
-    keeps it, and keeps its own `__hash__` too.
+    same name is the field's default. After the fields are bound, the
+    class's `__post_init__`, if it has one, checks the record. A class that
+    defines its own `__eq__` keeps it, and keeps its own `__hash__` too. A
+    record has no instance dict unless its class declares
+    `__slots__ = ("__dict__",)`.
     """
     names = tuple(cls.__annotations__)
-    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
-    cls.__init__ = _make_init(names, defaults, cls.__dict__.get("__post_init__"))
-    cls.__match_args__ = names
-    cls.__setattr__ = _record_setattr
-    cls.__delattr__ = _record_delattr
-    if "__eq__" not in cls.__dict__:
-        cls.__eq__ = _record_eq
-        cls.__hash__ = _record_hash
-    cls.__repr__ = _record_repr
-    return cls
+    namespace = dict(cls.__dict__)
+    defaults = {name: namespace.pop(name) for name in names if name in namespace}
+    if "__dict__" not in namespace.pop("__slots__", ()):
+        namespace["__slots__"] = ()
+    namespace.pop("__dict__", None)
+    namespace.pop("__weakref__", None)
+    tag, count, post_init = cls.__name__, len(names), namespace.get("__post_init__")
+    new = tuple.__new__
+
+    def __new__(cls, *args, **kwargs):
+        if kwargs or len(args) != count:
+            args = _bind(cls, names, defaults, args, kwargs)
+        record = new(cls, (tag,) + args)
+        if post_init is not None:
+            post_init(record)
+        return record
+
+    namespace.update(
+        {name: _tuplegetter(index, None) for index, name in enumerate(names, 1)},
+        __new__=__new__,
+        __match_args__=names,
+        __setattr__=_record_setattr,
+        __delattr__=_record_delattr,
+        __repr__=_record_repr,
+        __getnewargs__=_record_newargs,
+    )
+    bases = tuple(base for base in cls.__bases__ if base is not object)
+    return type(cls.__name__, (*bases, tuple), namespace)
 
 
 def replace(record, **changes):
-    """A copy of `record` with the given fields changed. It is built through
-    `__init__`, so the record's checks run again."""
+    """A copy of `record` with the given fields changed. It is built by
+    calling its class, so the record's checks run again."""
     values = [changes.pop(name, getattr(record, name)) for name in record.__match_args__]
     if changes:
         name = next(iter(changes))
@@ -832,6 +787,9 @@ class MembershipSpec:
 @_record
 class Model:
     """A requirements model: elements, applications, axioms, marks and world."""
+
+    # `reasoner` keeps the model's derivation and consistency verdict here.
+    __slots__ = ("__dict__",)
 
     name: str = ""
     elements: tuple[Element, ...] = ()

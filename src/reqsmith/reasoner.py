@@ -93,9 +93,11 @@ def _norm(c: DLConcept) -> DLConcept:
     if isinstance(c, DLExists):
         return DLCard(c.slot, "min", 1, _norm(c.filler))
     if isinstance(c, DLCard):
-        return DLCard(c.slot, c.kind, c.n, _norm(c.filler))
+        filler = _norm(c.filler)
+        return c if filler is c.filler else DLCard(c.slot, c.kind, c.n, filler)
     if isinstance(c, DLForAll):
-        return DLForAll(c.slot, _norm(c.filler))
+        filler = _norm(c.filler)
+        return c if filler is c.filler else DLForAll(c.slot, filler)
     if isinstance(c, DLExistsInverse):
         filler = _norm(c.filler)
         if isinstance(filler, DLNothing):

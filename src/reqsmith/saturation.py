@@ -6,7 +6,6 @@ a tableau does (Baader & Sattler, Studia Logica 2001): it saturates a world
 of individuals it makes, guessing on them one branch per pick, depth first.
 """
 
-import copy
 import itertools
 from typing import Optional
 
@@ -377,6 +376,8 @@ class _Saturator:
 
     def _branch(self, key: tuple, pick) -> "_Saturator":
         """A copy of this state that picks `pick` for the guess `key`."""
+        import copy  # only `counter_world` branches; `check` and `lint` never load it
+
         child = copy.copy(self)
         child.individuals = set(self.individuals)
         child.extensions = {k: set(v) for k, v in self.extensions.items()}

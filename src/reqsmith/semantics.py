@@ -9,7 +9,6 @@ evaluates a description through its translation.
 
 from __future__ import annotations
 
-from collections import _tuplegetter
 from typing import Optional
 
 from .model import (
@@ -37,6 +36,7 @@ from .model import (
     World,
     ModifierKind,
     SOME,
+    _record,
     annotation_path_error,
 )
 
@@ -57,187 +57,123 @@ def eval_description(d: Description, world: World) -> frozenset[str]:
 # ===== PART 2: the logic fragment =====
 
 
-# Each concept is a tuple whose first item names its class, so
-# `DLExists("r", A)` is `("DLExists", "r", A)`. Equality and hashing are
-# tuple's, which run in C, and no class here generates code at import.
-# Fields read through the C getter that named tuples use.
+# Each concept is a record, a tuple whose first item names its class, so
+# `DLExists("r", A)` is `("DLExists", "r", A)`.
 
 
-class _Tagged(tuple):
-    """An immutable tuple of a class name followed by the fields."""
-
-    __slots__ = ()
-    _fields: tuple[str, ...] = ()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self[1:]))
-        return f"{self[0]}({fields})"
-
-    def __getnewargs__(self):
-        return self[1:]
-
-
-class DLConcept(_Tagged):
+class DLConcept:
     """A concept of the logic fragment."""
 
     __slots__ = ()
 
 
+@_record
 class DLThing(DLConcept):
     """Every individual."""
 
-    __slots__ = ()
 
-    def __new__(cls):
-        return tuple.__new__(cls, ("DLThing",))
-
-
+@_record
 class DLNothing(DLConcept):
     """No individual."""
 
-    __slots__ = ()
 
-    def __new__(cls):
-        return tuple.__new__(cls, ("DLNothing",))
-
-
+@_record
 class DLAtomic(DLConcept):
     """A named concept."""
 
-    __slots__ = ()
-    _fields = ("name",)
-    name = _tuplegetter(1, None)
-
-    def __new__(cls, name: str):
-        return tuple.__new__(cls, ("DLAtomic", name))
+    name: str
 
 
+@_record
 class DLAnd(DLConcept):
     """The individuals in every argument."""
 
-    __slots__ = ()
-    _fields = ("args",)
-    args = _tuplegetter(1, None)
-
-    def __new__(cls, args: tuple[DLConcept, ...]):
-        return tuple.__new__(cls, ("DLAnd", args))
+    args: tuple[DLConcept, ...]
 
 
+@_record
 class DLOr(DLConcept):
     """The individuals in some argument."""
 
-    __slots__ = ()
-    _fields = ("args",)
-    args = _tuplegetter(1, None)
-
-    def __new__(cls, args: tuple[DLConcept, ...]):
-        return tuple.__new__(cls, ("DLOr", args))
+    args: tuple[DLConcept, ...]
 
 
+@_record
 class DLNot(DLConcept):
     """The individuals outside `inner`."""
 
-    __slots__ = ()
-    _fields = ("inner",)
-    inner = _tuplegetter(1, None)
-
-    def __new__(cls, inner: DLConcept):
-        return tuple.__new__(cls, ("DLNot", inner))
+    inner: DLConcept
 
 
+@_record
 class DLExists(DLConcept):
     """The individuals with some `slot` successor in `filler`."""
 
-    __slots__ = ()
-    _fields = ("slot", "filler")
-    slot = _tuplegetter(1, None)
-    filler = _tuplegetter(2, None)
-
-    def __new__(cls, slot: str, filler: DLConcept):
-        return tuple.__new__(cls, ("DLExists", slot, filler))
+    slot: str
+    filler: DLConcept
 
 
+@_record
 class DLForAll(DLConcept):
     """The individuals whose every `slot` successor is in `filler`."""
 
-    __slots__ = ()
-    _fields = ("slot", "filler")
-    slot = _tuplegetter(1, None)
-    filler = _tuplegetter(2, None)
-
-    def __new__(cls, slot: str, filler: DLConcept):
-        return tuple.__new__(cls, ("DLForAll", slot, filler))
+    slot: str
+    filler: DLConcept
 
 
+@_record
 class DLCard(DLConcept):
     """The individuals with at least, at most or exactly `n` `slot`
     successors in `filler`; `kind` is min, max or exact."""
 
-    __slots__ = ()
-    _fields = ("slot", "kind", "n", "filler")
-    slot = _tuplegetter(1, None)
-    kind = _tuplegetter(2, None)
-    n = _tuplegetter(3, None)
-    filler = _tuplegetter(4, None)
+    slot: str
+    kind: str
+    n: int
+    filler: DLConcept
 
-    def __new__(cls, slot: str, kind: str, n: int, filler: DLConcept):
-        if kind not in ("min", "max", "exact"):
-            raise ValueError(f"bad cardinality kind {kind!r}")
-        if n < 1:
+    def __post_init__(self) -> None:
+        if self.kind not in ("min", "max", "exact"):
+            raise ValueError(f"bad cardinality kind {self.kind!r}")
+        if self.n < 1:
             raise ValueError("cardinalities start at 1")
-        return tuple.__new__(cls, ("DLCard", slot, kind, n, filler))
 
 
+@_record
 class DLExistsInverse(DLConcept):
     """The individuals that some individual in `filler` has as a `slot`
     successor."""
 
-    __slots__ = ()
-    _fields = ("slot", "filler")
-    slot = _tuplegetter(1, None)
-    filler = _tuplegetter(2, None)
-
-    def __new__(cls, slot: str, filler: DLConcept):
-        return tuple.__new__(cls, ("DLExistsInverse", slot, filler))
+    slot: str
+    filler: DLConcept
 
 
+@_record
 class DLDataRange(DLConcept):
     """The data values at least (min), at most (max) or equal to (eq)
     `value`, in `unit` when one is given."""
 
-    __slots__ = ()
-    _fields = ("facet", "value", "unit")
-    facet = _tuplegetter(1, None)
-    value = _tuplegetter(2, None)
-    unit = _tuplegetter(3, None)
+    facet: str
+    value: object
+    unit: Optional[str] = None
 
-    def __new__(cls, facet: str, value: object, unit: Optional[str] = None):
-        if facet not in ("min", "max", "eq"):
-            raise ValueError(f"bad facet {facet!r}")
-        return tuple.__new__(cls, ("DLDataRange", facet, value, unit))
+    def __post_init__(self) -> None:
+        if self.facet not in ("min", "max", "eq"):
+            raise ValueError(f"bad facet {self.facet!r}")
 
 
+@_record
 class DLNominal(DLConcept):
     """The named individuals `ids`."""
 
-    __slots__ = ()
-    _fields = ("ids",)
-    ids = _tuplegetter(1, None)
-
-    def __new__(cls, ids: tuple[str, ...]):
-        return tuple.__new__(cls, ("DLNominal", ids))
+    ids: tuple[str, ...]
 
 
-class DLSubClassOf(_Tagged):
+@_record
+class DLSubClassOf:
     """The axiom that `sub` is below `sup`."""
 
-    __slots__ = ()
-    _fields = ("sub", "sup")
-    sub = _tuplegetter(1, None)
-    sup = _tuplegetter(2, None)
-
-    def __new__(cls, sub: DLConcept, sup: DLConcept):
-        return tuple.__new__(cls, ("DLSubClassOf", sub, sup))
+    sub: DLConcept
+    sup: DLConcept
 
 
 DL_THING = DLThing()

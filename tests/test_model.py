@@ -58,7 +58,23 @@ from reqsmith.operators import apply_focus
 from reqsmith.parser import parse_model
 from reqsmith.printer import format_rational
 from reqsmith.reasoner import _norm
-from reqsmith.semantics import DL_NOTHING, translate_description
+from reqsmith import semantics as semantics_module
+from reqsmith.semantics import (
+    DL_NOTHING,
+    DL_THING,
+    DLAnd,
+    DLAtomic,
+    DLCard,
+    DLDataRange,
+    DLExists,
+    DLExistsInverse,
+    DLForAll,
+    DLNominal,
+    DLNot,
+    DLOr,
+    DLSubClassOf,
+    translate_description,
+)
 
 A = AtomicConcept
 F = Fraction
@@ -566,11 +582,43 @@ def _is_record_class(value) -> bool:
     return isinstance(value, type) and value.__repr__ is model_module._record_repr
 
 
-def _record_classes():
+def _record_classes(module=model_module):
+    """The record classes `module` defines, by name."""
     return sorted(
-        (value for value in vars(model_module).values() if _is_record_class(value)),
+        (
+            value
+            for value in vars(module).values()
+            if _is_record_class(value) and value.__module__ == module.__name__
+        ),
         key=lambda cls: cls.__name__,
     )
+
+
+_ALPHA = DLAtomic("Alpha")
+
+# One record of each logic class, beside the model records the fixtures reach.
+LOGIC_RECORDS = {
+    type(record): record
+    for record in (
+        DL_THING,
+        DL_NOTHING,
+        _ALPHA,
+        DLAnd((_ALPHA, DL_THING)),
+        DLOr((_ALPHA, DL_THING)),
+        DLNot(_ALPHA),
+        DLExists("r", _ALPHA),
+        DLForAll("r", _ALPHA),
+        DLCard("r", "max", 2, DLNominal(("x", "y"))),
+        DLExistsInverse("r", _ALPHA),
+        DLDataRange("min", F(1, 2), "Sec."),
+        DLNominal(("x",)),
+        DLSubClassOf(_ALPHA, DLExists("r", DL_NOTHING)),
+    )
+}
+
+
+def test_every_logic_class_is_a_record():
+    assert set(LOGIC_RECORDS) == set(_record_classes(semantics_module))
 
 
 def _walk_records(value, found: dict) -> None:
@@ -659,12 +707,21 @@ def test_model_records_compare_hash_and_print_as_generated_dataclasses(records_b
             assert repr(a) == repr(ref_a)
             if cls is World:
                 continue
-            assert hash(a) == hash(ref_a)
             assert (a == b) == (ref_a == ref_b)
             assert (a != b) == (ref_a != ref_b)
-            assert a == replace(a)
-            assert a.__eq__(stranger) is NotImplemented
+            assert a == replace(a) and hash(a) == hash(replace(a))
+            assert a != b or hash(a) == hash(b)
+            # A record is the tuple of its class name and its fields, and
+            # hashes as that tuple; a record of another class is unequal,
+            # where the dataclass reference returns NotImplemented.
+            fields = tuple(getattr(a, name) for name in cls.__match_args__)
+            assert tuple(a) == (cls.__name__, *fields)
+            assert hash(a) == hash((cls.__name__, *fields))
+            assert a.__eq__(stranger) is False
             assert ref_a.__eq__(_as_generated_dataclass(stranger)) is NotImplemented
+    # so records of different classes with equal fields differ
+    assert Intersection(A("a"), A("b")) != Union(A("a"), A("b"))
+    assert DLAnd((_ALPHA,)) != DLOr((_ALPHA,))
 
 
 def test_a_world_keeps_its_own_equality_and_a_hash_that_agrees():
@@ -692,29 +749,42 @@ def test_a_model_with_a_world_hashes():
     assert hash(model) == hash(parse_model(fixture.read_text(encoding="utf-8")))
 
 
+def _assert_frozen_and_copies(record):
+    cls, names = type(record), type(record).__match_args__
+    if names:
+        same = replace(record, **{names[0]: getattr(record, names[0])})
+        assert same == record and same is not record
+    for copied in (
+        copy.copy(record),
+        copy.deepcopy(record),
+        pickle.loads(pickle.dumps(record)),
+    ):
+        assert type(copied) is cls
+        assert copied == record
+    name = names[0] if names else "extra"
+    with pytest.raises(AttributeError, match=f"cannot assign to field {name!r}"):
+        setattr(record, name, None)
+    with pytest.raises(AttributeError, match=f"cannot delete field {name!r}"):
+        delattr(record, name)
+    assert record == copied
+
+
 def test_model_records_stay_frozen_and_copy(records_by_class):
-    for cls, group in records_by_class.items():
-        names = cls.__match_args__
+    for group in records_by_class.values():
         for record in (group[0], group[-1]):
-            if names:
-                same = replace(record, **{names[0]: getattr(record, names[0])})
-                assert same == record and same is not record
-            for copied in (
-                copy.copy(record),
-                copy.deepcopy(record),
-                pickle.loads(pickle.dumps(record)),
-            ):
-                assert type(copied) is cls
-                assert copied == record
-            name = names[0] if names else "extra"
-            with pytest.raises(AttributeError, match=f"cannot assign to field {name!r}"):
-                setattr(record, name, None)
-            with pytest.raises(AttributeError, match=f"cannot delete field {name!r}"):
-                delattr(record, name)
-            assert record == copied
+            _assert_frozen_and_copies(record)
 
 
-@pytest.mark.parametrize("cls", _record_classes(), ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("record", LOGIC_RECORDS.values(), ids=lambda r: type(r).__name__)
+def test_logic_records_stay_frozen_and_copy(record):
+    _assert_frozen_and_copies(record)
+
+
+@pytest.mark.parametrize(
+    "cls",
+    _record_classes() + _record_classes(semantics_module),
+    ids=lambda cls: cls.__name__,
+)
 def test_a_record_call_refuses_what_its_fields_do_not_take(cls):
     names = cls.__match_args__
     with pytest.raises(TypeError, match=f"takes {len(names)} arguments but"):
@@ -734,6 +804,12 @@ def test_a_record_call_binds_by_position_keyword_and_default():
         Element("G1", Kind.GOAL)
     with pytest.raises(TypeError, match="multiple values for argument 'kind'"):
         CardinalityModifier(some, kind=some)
+    assert DLDataRange("eq", 5) == DLDataRange(facet="eq", value=5, unit=None)
+    assert DLExists("r", filler=_ALPHA) == DLExists(filler=_ALPHA, slot="r")
+    with pytest.raises(TypeError, match="DLCard\\(\\) missing required argument 'filler'"):
+        DLCard("r", "min", 1)
+    with pytest.raises(ValueError, match="cardinalities start at 1"):
+        DLCard(slot="r", kind="min", n=0, filler=_ALPHA)
 
 
 def test_each_world_gets_dicts_of_its_own():
