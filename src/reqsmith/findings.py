@@ -11,9 +11,9 @@ run loads it from here, without the ontology exporter.
 from __future__ import annotations
 
 from enum import Enum
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
-from .model import Operator
+from .model import Operator, _record
 
 if TYPE_CHECKING:
     from .reasoner import SubsumptionVerdict
@@ -41,8 +41,8 @@ class Issue(Enum):
 _OPERATOR_NAMES = frozenset(op.value for op in Operator)
 
 
-class _FindingFields(NamedTuple):
-    """The fields of a finding; `LintFinding` checks them."""
+class LintFinding(metaclass=_record):
+    """One detected issue, tied to an element (or to the world)."""
 
     element_id: str
     issue: Issue
@@ -50,26 +50,13 @@ class _FindingFields(NamedTuple):
     suggested_operator: Optional[str] = None
     span: Optional[tuple[int, int]] = None
 
-
-class LintFinding(_FindingFields):
-    """One detected issue, tied to an element (or to the world)."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        finding = super().__new__(cls, *args, **kwargs)
-        operator = finding.suggested_operator
+    def __post_init__(self) -> None:
+        operator = self.suggested_operator
         if operator is not None and operator not in _OPERATOR_NAMES:
             raise ValueError(
                 f"suggested_operator must name a transformation operator, "
                 f"not {operator!r}"
             )
-        return finding
-
-    @classmethod
-    def _make(cls, iterable):
-        # `_replace` builds through `_make`, which skips `__new__`.
-        return cls(*iterable)
 
 
 def _finding_dict(finding: LintFinding) -> dict:

@@ -1,9 +1,11 @@
 """Fulfillment propagation: `fulfill` runs it without `semantics` or `reasoner`."""
 
-from enum import Enum
-from typing import NamedTuple, Optional
+from __future__ import annotations
 
-from .model import Kind, Model, ONE_TO_MANY_OPS, ONE_TO_ONE_OPS, Operator
+from enum import Enum
+from typing import Optional
+
+from .model import Kind, Model, ONE_TO_MANY_OPS, ONE_TO_ONE_OPS, Operator, _record
 
 
 class FulfillmentStatus(Enum):
@@ -12,7 +14,7 @@ class FulfillmentStatus(Enum):
     UNKNOWN = "unknown"
 
 
-class FulfillmentState(NamedTuple):
+class FulfillmentState(metaclass=_record):
     """The fulfillment status of each element, and any warnings."""
 
     states: dict[str, FulfillmentStatus]
@@ -56,24 +58,25 @@ def propagate_fulfillment(
                 f"ThresholdUnreachable: no application has {threshold} outputs",
             )
 
-    changed = True
-    while changed:
-        changed = False
-        for app in model.applications:
-            if app.op is Operator.RESOLVE:
-                continue
-            source = app.inputs[0]
-            if states.get(source) is not FulfillmentStatus.UNKNOWN:
-                continue
-            done = sum(
-                1
-                for o in app.outputs
-                if states.get(o) is FulfillmentStatus.FULFILLED
-            )
+    # Each application waits for a number of its outputs to be fulfilled; an
+    # element that becomes fulfilled wakes the applications that output it.
+    # States only move from unknown to fulfilled, so the order in which the
+    # worklist runs does not change the result.
+    waiting: dict[str, list[list]] = {}  # output -> [input, outputs to wait for]
+    for app in model.applications:
+        if app.op is not Operator.RESOLVE and app.outputs:
             need = len(app.outputs)
             if threshold is not None and app.op not in ONE_TO_ONE_OPS:
                 need = threshold
-            if app.outputs and done >= need:
+            wait = [app.inputs[0], need]
+            for output in app.outputs:
+                waiting.setdefault(output, []).append(wait)
+    fulfilled = [eid for eid, state in states.items() if state is FulfillmentStatus.FULFILLED]
+    while fulfilled:
+        for wait in waiting.get(fulfilled.pop(), ()):
+            wait[1] -= 1
+            source = wait[0]
+            if wait[1] == 0 and states.get(source) is FulfillmentStatus.UNKNOWN:
                 states[source] = FulfillmentStatus.FULFILLED
-                changed = True
+                fulfilled.append(source)
     return FulfillmentState(states, threshold, warnings)

@@ -7,9 +7,10 @@ transformation that usually repairs the issue, and applying that
 transformation silences the finding on re-lint.
 """
 
+from __future__ import annotations
+
 import re
 from collections import Counter
-from typing import NamedTuple
 
 from .findings import Issue, LintFinding
 from .model import (
@@ -26,6 +27,7 @@ from .model import (
     QualityStatement,
     SlotRestriction,
     Subsumption,
+    _record,
     body_descriptions,
     mentions,
     subterms,
@@ -34,7 +36,7 @@ from .reasoner import ConsistencyStatus, _Derivation, _norm, check_consistency, 
 from .semantics import DL_NOTHING, DLAnd, DLAtomic, DLConcept, translate_description
 
 
-class LintConfig(NamedTuple):
+class LintConfig(metaclass=_record):
     """Tunable lexicons and slot profiles for the surface-level checks."""
 
     universal_tokens: frozenset[str] = frozenset(
@@ -60,7 +62,7 @@ _CASEFOLDED_KEYS = frozenset(
 def parse_config(text: str) -> LintConfig:
     """Read `key = value, value` lines into a lint configuration; a line
     without `=` or with an unknown key raises ValueError."""
-    values = {}
+    values, defaults = {}, LintConfig()
     for number, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -69,7 +71,7 @@ def parse_config(text: str) -> LintConfig:
         key = key.strip()
         if not equals:
             raise ValueError(f"lint config line {number}: expected key = values")
-        if key not in LintConfig._fields:
+        if key not in LintConfig.__match_args__:
             raise ValueError(f"lint config line {number}: unknown key {key!r}")
         items = []
         for part in rest.split(","):
@@ -82,7 +84,7 @@ def parse_config(text: str) -> LintConfig:
                 part = part.casefold()
             items.append(part)
         # a field keeps the kind of its default: a tuple or a frozenset
-        values[key] = type(LintConfig._field_defaults[key])(items)
+        values[key] = type(getattr(defaults, key))(items)
     return LintConfig(**values)
 
 

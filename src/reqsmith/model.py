@@ -12,11 +12,11 @@ from __future__ import annotations
 from collections import _tuplegetter
 from enum import Enum
 from fractions import Fraction
-from typing import NamedTuple, Optional, Union as TypingUnion
+from typing import Optional, Union as TypingUnion
 
 
-# Each record below is an immutable tuple made by `_record`: its class name
-# followed by its fields, so `Quantity(F(5), "ms")` is the tuple
+# Each record in the package is an immutable tuple made by `_record`: its
+# class name followed by its fields, so `Quantity(F(5), "ms")` is the tuple
 # `("Quantity", F(5), "ms")`. Equality and hashing are the tuple's, which
 # run in C, and records of different classes differ in their first item.
 # The field names are the class's own annotations, in order, kept as
@@ -74,8 +74,11 @@ def _bind(cls, names: tuple, defaults: dict, args: tuple, kwargs: dict) -> tuple
     return tuple(values)
 
 
-def _record(cls):
-    """Rebuild `cls` as a record: a tuple of its class name and its fields.
+def _record(name: str, bases: tuple, namespace: dict) -> type:
+    """Make the class `name` a record: a tuple of its class name and its
+    fields. A class statement calls it as its metaclass,
+    `class Interval(RegionExpr, metaclass=_record):`, so the class is made
+    once, as a plain `type`.
 
     Its fields are its own annotations, in order; a class attribute of the
     same name is the field's default. After the fields are bound, the
@@ -84,26 +87,34 @@ def _record(cls):
     record has no instance dict unless its class declares
     `__slots__ = ("__dict__",)`.
     """
-    names = tuple(cls.__annotations__)
-    namespace = dict(cls.__dict__)
-    defaults = {name: namespace.pop(name) for name in names if name in namespace}
+    names = tuple(namespace.get("__annotations__", ()))
+    defaults = {field: namespace.pop(field) for field in names if field in namespace}
     if "__dict__" not in namespace.pop("__slots__", ()):
         namespace["__slots__"] = ()
-    namespace.pop("__dict__", None)
-    namespace.pop("__weakref__", None)
-    tag, count, post_init = cls.__name__, len(names), namespace.get("__post_init__")
+    count, post_init = len(names), namespace.get("__post_init__")
+    # pads[n]: the plain trailing defaults that a call of n values by position takes
+    pads, pad = {}, ()
+    for field in reversed(names):
+        if field not in defaults or isinstance(defaults[field], _Fresh):
+            break
+        pad = (defaults[field],) + pad
+        pads[count - len(pad)] = pad
     new = tuple.__new__
 
     def __new__(cls, *args, **kwargs):
         if kwargs or len(args) != count:
-            args = _bind(cls, names, defaults, args, kwargs)
-        record = new(cls, (tag,) + args)
+            pad = pads.get(len(args))
+            if kwargs or pad is None:
+                args = _bind(cls, names, defaults, args, kwargs)
+            else:
+                args += pad
+        record = new(cls, (name,) + args)
         if post_init is not None:
             post_init(record)
         return record
 
     namespace.update(
-        {name: _tuplegetter(index, None) for index, name in enumerate(names, 1)},
+        {field: _tuplegetter(index, None) for index, field in enumerate(names, 1)},
         __new__=__new__,
         __match_args__=names,
         __setattr__=_record_setattr,
@@ -111,8 +122,7 @@ def _record(cls):
         __repr__=_record_repr,
         __getnewargs__=_record_newargs,
     )
-    bases = tuple(base for base in cls.__bases__ if base is not object)
-    return type(cls.__name__, (*bases, tuple), namespace)
+    return type(name, (*bases, tuple), namespace)
 
 
 def replace(record, **changes):
@@ -143,8 +153,7 @@ class ModifierKind(Enum):
     ONLY = "only"
 
 
-@_record
-class CardinalityModifier:
+class CardinalityModifier(metaclass=_record):
     """How many slot fillers of the given filler type a member must have.
 
     The default (no written modifier) requires exactly one matching filler.
@@ -191,8 +200,7 @@ class RegionExpr:
     __slots__ = ()
 
 
-@_record
-class NamedRegion(RegionExpr):
+class NamedRegion(RegionExpr, metaclass=_record):
     """A region referred to by name.
 
     `qualitative` is True for vague regions (no agreed measurement) and False
@@ -203,8 +211,7 @@ class NamedRegion(RegionExpr):
     qualitative: bool = True
 
 
-@_record
-class Interval(RegionExpr):
+class Interval(RegionExpr, metaclass=_record):
     """An inclusive numeric range `[low, high]`, in `unit` when one is given."""
 
     low: Fraction
@@ -216,8 +223,7 @@ class Interval(RegionExpr):
             raise ValueError("interval low bound exceeds high bound")
 
 
-@_record
-class ValueSet(RegionExpr):
+class ValueSet(RegionExpr, metaclass=_record):
     """A finite set of admissible values (rationals or strings)."""
 
     values: tuple
@@ -227,15 +233,13 @@ class ValueSet(RegionExpr):
             raise ValueError("value set must be non-empty")
 
 
-@_record
-class AtomicConcept(Description):
+class AtomicConcept(Description, metaclass=_record):
     """A named class, written as its bare name."""
 
     name: str
 
 
-@_record
-class Enumeration(Description):
+class Enumeration(Description, metaclass=_record):
     """A finite set of named individuals, written `{id1, id2}`."""
 
     ids: tuple[str, ...]
@@ -247,8 +251,7 @@ class Enumeration(Description):
             raise ValueError("enumeration ids must be duplicate-free")
 
 
-@_record
-class SlotRestriction(Description):
+class SlotRestriction(Description, metaclass=_record):
     """`<slot: modifier filler>`: members restricted through a slot."""
 
     slot: str
@@ -256,52 +259,45 @@ class SlotRestriction(Description):
     filler: Description
 
 
-@_record
-class InverseProjection(Description):
+class InverseProjection(Description, metaclass=_record):
     """`D.s`: everything some member of D points at through slot s."""
 
     source: Description
     slot: str
 
 
-@_record
-class Intersection(Description):
+class Intersection(Description, metaclass=_record):
     """The members of both sides, written by juxtaposition."""
 
     left: Description
     right: Description
 
 
-@_record
-class Union(Description):
+class Union(Description, metaclass=_record):
     """The members of either side, written `left | right`."""
 
     left: Description
     right: Description
 
 
-@_record
-class Difference(Description):
+class Difference(Description, metaclass=_record):
     """The members of the left side outside the right, written `left - right`."""
 
     left: Description
     right: Description
 
 
-@_record
-class Region(Description):
+class Region(Description, metaclass=_record):
     """A region expression used in description position (slot fillers)."""
 
     expr: RegionExpr
 
 
-@_record
-class Thing(Description):
+class Thing(Description, metaclass=_record):
     """Every individual."""
 
 
-@_record
-class Nothing(Description):
+class Nothing(Description, metaclass=_record):
     """No individual."""
 
 
@@ -333,31 +329,27 @@ QUALITY_KINDS = frozenset({Kind.QG, Kind.QC})
 SUBSUMPTION_KINDS = frozenset({Kind.FG, Kind.FC, Kind.CTG, Kind.SC, Kind.DA})
 
 
-@_record
-class NaturalLanguage:
+class NaturalLanguage(metaclass=_record):
     """An unstructured body: raw text awaiting interpretation."""
 
     text: str
 
 
-@_record
-class FunctionDesc:
+class FunctionDesc(metaclass=_record):
     """A capability: a head verb concept plus slot restrictions."""
 
     head: str
     slots: tuple[SlotRestriction, ...] = ()
 
 
-@_record
-class Subsumption:
+class Subsumption(metaclass=_record):
     """`subsumee :< subsumer`: every subsumee member is a subsumer member."""
 
     subsumee: Description
     subsumer: Description
 
 
-@_record
-class UAnnotation:
+class UAnnotation(metaclass=_record):
     """A per-fraction relaxation: only `pct_low` of the matched population
     needs to satisfy the statement.
 
@@ -380,8 +372,7 @@ class UAnnotation:
             raise ValueError("pct_high is fixed at 1")
 
 
-@_record
-class QualityStatement:
+class QualityStatement(metaclass=_record):
     """`Quality (Subject) :: Region` with optional observers and pct marks.
 
     The quality position is a description because focusing may widen an
@@ -398,8 +389,7 @@ class QualityStatement:
 ElementBody = TypingUnion[NaturalLanguage, FunctionDesc, Subsumption, QualityStatement]
 
 
-@_record
-class Element:
+class Element(metaclass=_record):
     """One declared requirement: its id, its kind and its body."""
 
     id: str
@@ -429,8 +419,7 @@ class ScaleDirection(Enum):
     DOWN = "down"
 
 
-@_record
-class ScaleFactor:
+class ScaleFactor(metaclass=_record):
     """Either a pair of bound multipliers or a target region name.
 
     Down-scaling may only enlarge the region (low factor <= 1 <= high
@@ -465,30 +454,26 @@ class ScaleFactor:
         return self.low_factor >= 1 and self.high_factor <= 1
 
 
-@_record
-class ScaleArgs:
+class ScaleArgs(metaclass=_record):
     """The factor and direction of a scale application."""
 
     factor: ScaleFactor
     direction: ScaleDirection
 
 
-@_record
-class FocusArgs:
+class FocusArgs(metaclass=_record):
     """Focus targets: quality names and/or subject descriptions."""
 
     targets: tuple[TypingUnion[str, Description], ...]
 
 
-@_record
-class ObserveArgs:
+class ObserveArgs(metaclass=_record):
     """The observer an observe application adds."""
 
     observer: Description
 
 
-@_record
-class DeUniversalizeArgs:
+class DeUniversalizeArgs(metaclass=_record):
     """The percentage annotation a deuniversalize application adds."""
 
     annotation: UAnnotation
@@ -497,8 +482,7 @@ class DeUniversalizeArgs:
 OperatorArgs = TypingUnion[ScaleArgs, FocusArgs, ObserveArgs, DeUniversalizeArgs, None]
 
 
-@_record
-class OperatorApplication:
+class OperatorApplication(metaclass=_record):
     """One operator applied to input elements, giving output elements."""
 
     op: Operator
@@ -524,7 +508,7 @@ _OPERATIONALIZE_TARGETS = {
 }
 
 
-class _Signature(NamedTuple):
+class _Signature(metaclass=_record):
     """Where an operator may take an element.
 
     `inputs` are the kinds it reads; another input kind is reported with
@@ -631,8 +615,7 @@ REASONING_INTERNAL_SLOTS = frozenset(
 # ===== PART 3: worlds and membership specs =====
 
 
-@_record
-class Quantity:
+class Quantity(metaclass=_record):
     """A rational value tagged with a measurement unit."""
 
     value: Fraction
@@ -660,8 +643,7 @@ def exact_decimal(value: Fraction) -> Optional[str]:
     return f"{sign}{digits[:-places]}.{digits[-places:]}"
 
 
-@_record
-class QualityRecord:
+class QualityRecord(metaclass=_record):
     """One concrete quality instance living in a world."""
 
     quality_id: str
@@ -672,8 +654,7 @@ class QualityRecord:
     observers: frozenset[str] = frozenset()
 
 
-@_record
-class World:
+class World(metaclass=_record):
     """A finite instance structure: the brute-force semantic oracle.
 
     `data_values` maps (individual, slot) to a rational, string, or Quantity.
@@ -742,8 +723,7 @@ def _nonempty(mapping: dict) -> frozenset:
     return frozenset((k, frozenset(v)) for k, v in mapping.items() if v)
 
 
-@_record
-class PointPrototypes:
+class PointPrototypes(metaclass=_record):
     """Prototype points of a region, e.g. two observed exemplar values."""
 
     values: tuple[Fraction, ...]
@@ -753,8 +733,7 @@ class PointPrototypes:
             raise ValueError("prototype point set must be non-empty")
 
 
-@_record
-class IntervalPrototypes:
+class IntervalPrototypes(metaclass=_record):
     """A whole interval of prototype values."""
 
     a: Fraction
@@ -765,16 +744,14 @@ class IntervalPrototypes:
             raise ValueError("prototype interval needs a < b")
 
 
-@_record
-class PrototypeRegion:
+class PrototypeRegion(metaclass=_record):
     """A named region of a quality space and its prototypes."""
 
     name: str
     prototypes: TypingUnion[PointPrototypes, IntervalPrototypes]
 
 
-@_record
-class MembershipSpec:
+class MembershipSpec(metaclass=_record):
     """Prototype regions of a one-dimensional quality space."""
 
     quality: str
@@ -784,8 +761,7 @@ class MembershipSpec:
 # ===== PART 4: the model container =====
 
 
-@_record
-class Model:
+class Model(metaclass=_record):
     """A requirements model: elements, applications, axioms, marks and world."""
 
     # `reasoner` keeps the model's derivation and consistency verdict here.
@@ -833,8 +809,7 @@ class Model:
         return None
 
 
-@_record
-class ValidationDiagnostic:
+class ValidationDiagnostic(metaclass=_record):
     """A rule a model breaks, tied to the statement that breaks it."""
 
     subject_id: str

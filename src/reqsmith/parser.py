@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional, TypeVar, Union as TypingUnion
+from typing import Callable, Optional, TypeVar, Union as TypingUnion
 
 from .model import (
     EXACTLY_ONE,
@@ -55,6 +55,7 @@ from .model import (
     Union,
     ValueSet,
     World,
+    _record,
     at_least,
     at_most,
     children,
@@ -80,7 +81,7 @@ _STATEMENT_KEYWORDS = {"model", "conflict", "fulfilled", "axiom", "world", "regi
 _STATEMENT_KEYWORDS.update(KIND_KEYWORDS, OPERATOR_KEYWORDS)
 
 
-class SourceSpan(NamedTuple):
+class SourceSpan(metaclass=_record):
     """A position in a source file, by line, column and offset."""
 
     file: str
@@ -92,7 +93,7 @@ class SourceSpan(NamedTuple):
         return f"{self.file}:{self.line}:{self.column}"
 
 
-class ParseDiagnostic(NamedTuple):
+class ParseDiagnostic(metaclass=_record):
     """A parse or validation problem at a source position."""
 
     span: SourceSpan

@@ -12,7 +12,7 @@ Fulfillment propagation lives in `fulfillment` and is re-exported here.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Optional
 
 from .fulfillment import FulfillmentState, FulfillmentStatus, propagate_fulfillment
 from .model import (
@@ -29,6 +29,7 @@ from .model import (
     Strength,
     Subsumption,
     World,
+    _record,
     mentions,
     strength_error,
 )
@@ -451,7 +452,7 @@ class VerdictStatus(Enum):
     UNKNOWN = "unknown"
 
 
-class SubsumptionVerdict(NamedTuple):
+class SubsumptionVerdict(metaclass=_record):
     """A subsumption verdict, with the refuting world when there is one."""
 
     status: VerdictStatus
@@ -498,7 +499,7 @@ class ConsistencyStatus(Enum):
     UNKNOWN = "unknown"
 
 
-class ConsistencyResult(NamedTuple):
+class ConsistencyResult(metaclass=_record):
     """Whether a model's world is consistent with its axioms, and why."""
 
     status: ConsistencyStatus
@@ -587,7 +588,7 @@ def query(model: Model, pattern: Description) -> frozenset[str]:
 # ===== PART 6: strength tag audit =====
 
 
-class StrengthDiagnostic(NamedTuple):
+class StrengthDiagnostic(metaclass=_record):
     """A strength tag the audit rejects, with the reason."""
 
     application_index: int

@@ -149,16 +149,20 @@ class _Saturator:
         self.tuples = flat.slot_tuples
         self.data = flat.data_values
         self.axioms = axioms
-        self.clashes: list[str] = []
+        # clash texts in the order first met, without repeats
+        self.clashes: dict[str, None] = {}
         self.changed = False
         # Slot successor lists, built on first use and sorted, so assertions
         # run in name order whatever the hash seed. Only a guess adds a tuple,
         # so without one the lists hold for every round.
         self.successors: dict[str, dict[str, list[str]]] = {}
-        # Per round: extensions and slot counts over the round's snapshot,
-        # keyed by concept. `_assert` reads only the snapshot, so they are exact.
+        # Per round: extensions over the round's snapshot, keyed by concept,
+        # and slot counts, keyed by (slot, filler). Two memos, since a concept
+        # is a tuple that can equal a count key. `_assert` reads only the
+        # snapshot, so they are exact.
         self.snapshot = World()
         self.memo: dict = {}
+        self.counts: dict = {}
         # Guessing, which `counter_world` alone does, on a world of individuals
         # it made: the axiom that puts the root into the refuted pair (None
         # where saturation never guesses), this branch's pick per (individual,
@@ -191,7 +195,7 @@ class _Saturator:
         while True:
             self.changed = False
             self.snapshot = self.current()
-            self.memo = {}
+            self.memo, self.counts = {}, {}
             unsettled = []
             for ax in self.axioms:
                 outside = self._extension(ax.sub) - self._extension(ax.sup)
@@ -218,9 +222,9 @@ class _Saturator:
 
     def _count(self, x: str, slot: str, filler: DLConcept) -> int:
         key = (slot, filler)
-        counts = self.memo.get(key)
+        counts = self.counts.get(key)
         if counts is None:
-            counts = self.memo[key] = _slot_counts(slot, filler, self.snapshot)
+            counts = self.counts[key] = _slot_counts(slot, filler, self.snapshot)
         return counts.get(x, (0, 0))[1]
 
     def _successors(self, slot: str, x: str) -> list[str]:
@@ -232,9 +236,7 @@ class _Saturator:
         return index.get(x, [])
 
     def _clash(self, ax: DLSubClassOf, text: str):
-        message = f"axiom {_axiom_repr(ax)}{text}"
-        if message not in self.clashes:
-            self.clashes.append(message)
+        self.clashes[f"axiom {_axiom_repr(ax)}{text}"] = None
 
     def _assert(self, x: str, c: DLConcept, ax: DLSubClassOf):
         if isinstance(c, DLAtomic):
@@ -383,7 +385,7 @@ class _Saturator:
         child.extensions = {k: set(v) for k, v in self.extensions.items()}
         child.tuples = {k: set(v) for k, v in self.tuples.items()}
         child.data = dict(self.data)
-        child.clashes = []
+        child.clashes = {}
         child.successors = {}
         child.chosen = {**self.chosen, key: pick}
         child.choice = None

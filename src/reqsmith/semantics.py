@@ -67,62 +67,53 @@ class DLConcept:
     __slots__ = ()
 
 
-@_record
-class DLThing(DLConcept):
+class DLThing(DLConcept, metaclass=_record):
     """Every individual."""
 
 
-@_record
-class DLNothing(DLConcept):
+class DLNothing(DLConcept, metaclass=_record):
     """No individual."""
 
 
-@_record
-class DLAtomic(DLConcept):
+class DLAtomic(DLConcept, metaclass=_record):
     """A named concept."""
 
     name: str
 
 
-@_record
-class DLAnd(DLConcept):
+class DLAnd(DLConcept, metaclass=_record):
     """The individuals in every argument."""
 
     args: tuple[DLConcept, ...]
 
 
-@_record
-class DLOr(DLConcept):
+class DLOr(DLConcept, metaclass=_record):
     """The individuals in some argument."""
 
     args: tuple[DLConcept, ...]
 
 
-@_record
-class DLNot(DLConcept):
+class DLNot(DLConcept, metaclass=_record):
     """The individuals outside `inner`."""
 
     inner: DLConcept
 
 
-@_record
-class DLExists(DLConcept):
+class DLExists(DLConcept, metaclass=_record):
     """The individuals with some `slot` successor in `filler`."""
 
     slot: str
     filler: DLConcept
 
 
-@_record
-class DLForAll(DLConcept):
+class DLForAll(DLConcept, metaclass=_record):
     """The individuals whose every `slot` successor is in `filler`."""
 
     slot: str
     filler: DLConcept
 
 
-@_record
-class DLCard(DLConcept):
+class DLCard(DLConcept, metaclass=_record):
     """The individuals with at least, at most or exactly `n` `slot`
     successors in `filler`; `kind` is min, max or exact."""
 
@@ -138,8 +129,7 @@ class DLCard(DLConcept):
             raise ValueError("cardinalities start at 1")
 
 
-@_record
-class DLExistsInverse(DLConcept):
+class DLExistsInverse(DLConcept, metaclass=_record):
     """The individuals that some individual in `filler` has as a `slot`
     successor."""
 
@@ -147,8 +137,7 @@ class DLExistsInverse(DLConcept):
     filler: DLConcept
 
 
-@_record
-class DLDataRange(DLConcept):
+class DLDataRange(DLConcept, metaclass=_record):
     """The data values at least (min), at most (max) or equal to (eq)
     `value`, in `unit` when one is given."""
 
@@ -161,15 +150,13 @@ class DLDataRange(DLConcept):
             raise ValueError(f"bad facet {self.facet!r}")
 
 
-@_record
-class DLNominal(DLConcept):
+class DLNominal(DLConcept, metaclass=_record):
     """The named individuals `ids`."""
 
     ids: tuple[str, ...]
 
 
-@_record
-class DLSubClassOf:
+class DLSubClassOf(metaclass=_record):
     """The axiom that `sub` is below `sup`."""
 
     sub: DLConcept

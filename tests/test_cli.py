@@ -413,6 +413,31 @@ def test_check_reports_world_clashes(tmp_path, capsys):
     assert "Nothing" in out
 
 
+@pytest.mark.parametrize("command", ["check", "lint"])
+def test_a_slot_named_like_a_concept_class_counts_its_fillers(tmp_path, capsys, command):
+    # `DLNot(B)` is the tuple ("DLNot", B), which is also the key of the
+    # DLNot fillers in B; saturation keeps extensions and counts apart.
+    text = (
+        "model m;\n"
+        "axiom Thing - B :< D;\n"
+        "axiom A :< <DLNot: <=1 B>;\n"
+        "world {\n"
+        "  individual a : A;\n"
+        "  individual b1 : B;\n"
+        "  individual b2 : B;\n"
+        "  slot DLNot(a, b1);\n"
+        "  slot DLNot(a, b2);\n"
+        "}\n"
+    )
+    assert main([command, write(tmp_path, text)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "world: inconsistent: axiom A :< <=1 DLNot.B: a has 2 DLNot fillers in B, "
+        "more than 1\n"
+    )
+    assert captured.err == ""
+
+
 @pytest.mark.parametrize("length", [60, 200])
 def test_check_saturates_a_chain_of_any_length(tmp_path, capsys, length):
     chain = "".join(f"axiom C{i} :< C{i + 1};\n" for i in range(1, length + 1))
@@ -1337,31 +1362,36 @@ def _source_classes():
     return ((m, node) for m, node in _source_nodes() if isinstance(node, ast.ClassDef))
 
 
-def _decorator_names(node: ast.ClassDef) -> set:
-    targets = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
-    return {getattr(t, "id", None) or getattr(t, "attr", None) for t in targets}
+def _makes_record(node: ast.ClassDef) -> bool:
+    """Whether the class statement is a record's: `metaclass=_record`."""
+    return any(
+        keyword.arg == "metaclass" and getattr(keyword.value, "id", None) == "_record"
+        for keyword in node.keywords
+    )
 
 
 def test_every_record_has_a_docstring():
     # The docstring is each record's documentation: a record with none would
     # show only its fields in help().
+    records = [(module, node) for module, node in _source_classes() if _makes_record(node)]
     missing = [
         f"{module}:{node.lineno} {node.name}"
-        for module, node in _source_classes()
-        if "_record" in _decorator_names(node) and ast.get_docstring(node) is None
+        for module, node in records
+        if ast.get_docstring(node) is None
     ]
+    assert records
     assert missing == []
 
 
 def test_no_record_generates_its_own_value_methods():
-    # dataclass() compiles each class's methods at import, and importing
-    # dataclasses loads inspect and ast. The model and logic records share
-    # one set of methods through model._record; every other record is a
-    # named tuple.
+    # dataclass() and NamedTuple compile each class's methods at import, and
+    # importing dataclasses loads inspect and ast. Every class that declares
+    # fields is a record and shares one set of methods through model._record.
     declared = [
         f"{module}:{node.lineno} {node.name}"
         for module, node in _source_classes()
-        if module not in ("model.py", "semantics.py") and "_record" in _decorator_names(node)
+        if any(isinstance(line, ast.AnnAssign) for line in node.body)
+        and not _makes_record(node)
     ]
     assert declared == []
     uses = [
@@ -1369,7 +1399,7 @@ def test_no_record_generates_its_own_value_methods():
         for module, node in _source_nodes()
         if (isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names))
         or (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")
-        or (isinstance(node, ast.Name) and node.id == "dataclass")
+        or (isinstance(node, ast.Name) and node.id in ("dataclass", "NamedTuple"))
     ]
     assert uses == []
 

@@ -24,15 +24,24 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 # family -> (the sizes n and 4n, the bound on the ratio of their counts).
-# The counts are those of CPython 3.10 and 3.11; 3.12 and 3.13 count a few
-# lines less, and their ratio is the one in parentheses.
+# The counts are those of CPython 3.11; 3.12 and 3.13 count a few lines
+# less.
 GUARDS = {
     # parse, strength audit and world check of the seed-7 bench ladder at
-    # n refinement steps: 284,645 -> 1,410,627 lines, ratio 4.956 (4.962)
+    # n refinement steps: 281,706 -> 1,398,728 lines, ratio 4.965
     "ladder": ((56, 224), 4.97),
     # world check of an n-individual chain, where saturation adds one
-    # membership a round: 146,141 -> 2,177,891 lines, ratio 14.903 (14.922)
+    # membership a round: 146,398 -> 2,178,898 lines, ratio 14.883
     "chain": ((125, 500), 14.95),
+    # parse and `query --pattern "<object: C0>"` of the same ladder:
+    # 192,985 -> 1,029,735 lines, ratio 5.336
+    "ladder-query": ((56, 224), 5.34),
+    # parse, lint and world check of the same ladder: 99,250 -> 382,572
+    # lines, ratio 3.855
+    "ladder-lint": ((56, 224), 3.86),
+    # fulfillment of an n-step reduce chain whose last goal alone is marked,
+    # which wakes one application per step: 2,303 -> 9,203 lines, ratio 3.996
+    "fulfill": ((100, 400), 4.0),
 }
 
 
@@ -79,27 +88,52 @@ def _chain_text(size: int) -> str:
     return "\n".join(lines + ["}"]) + "\n"
 
 
+def _fulfill_text(steps: int) -> str:
+    """A reduce chain G0 -> G1 -> ... whose last goal alone is fulfilled."""
+    lines = ["model chain;"]
+    lines += [f'goal G{i} := "step {i}";' for i in range(steps)]
+    lines += [f"reduce G{i} -> G{i + 1} [strengthen];" for i in range(steps - 1)]
+    return "\n".join(lines + [f"fulfilled G{steps - 1};"]) + "\n"
+
+
 def _counts() -> dict:
     """The line counts of each family at each of its sizes."""
     import reqsmith.saturation  # noqa: F401  (its import is not the work counted)
-    from reqsmith.parser import parse_model
-    from reqsmith.reasoner import check_consistency, check_strength_tags
+    from reqsmith.fulfillment import propagate_fulfillment
+    from reqsmith.lint import lint_model
+    from reqsmith.parser import parse_description, parse_model
+    from reqsmith.reasoner import check_consistency, check_strength_tags, query
+
+    pattern = parse_description("<object: C0>")
 
     def ladder(text):
         model = parse_model(text)
         check_strength_tags(model)
         check_consistency(model)
 
+    def ladder_query(text):
+        query(parse_model(text), pattern)
+
+    def ladder_lint(text):
+        model = parse_model(text)
+        lint_model(model)
+        check_consistency(model)
+
+    # family -> (the work counted, its input at a size, built uncounted)
+    runs = {
+        "ladder": (ladder, _ladder_text),
+        "chain": (check_consistency, lambda size: parse_model(_chain_text(size))),
+        "ladder-query": (ladder_query, _ladder_text),
+        "ladder-lint": (ladder_lint, _ladder_text),
+        "fulfill": (propagate_fulfillment, lambda size: parse_model(_fulfill_text(size))),
+    }
     counts = {}
     for family, (sizes, _) in GUARDS.items():
+        run, given = runs[family]
         counts[family] = []
         for size in sizes:
-            if family == "ladder":
-                text = _ladder_text(size)
-                counts[family].append(_count_lines(lambda: ladder(text)))
-            else:
-                model = parse_model(_chain_text(size))
-                counts[family].append(_count_lines(lambda: check_consistency(model)))
+            value = given(size)
+            counts[family].append(_count_lines(lambda: run(value)))
     return counts
 
 

@@ -618,6 +618,8 @@ def test_findings_only_suggest_real_operators():
         LintFinding("E1", Issue.AMBIGUOUS, "detail", "rewrite")
     finding = LintFinding("E1", Issue.AMBIGUOUS, "detail", suggested_operator="reduce")
     with pytest.raises(ValueError, match="operator"):
-        finding._replace(suggested_operator="rewrite")
-    assert finding._replace(detail="other").detail == "other"
-    assert finding == ("E1", Issue.AMBIGUOUS, "detail", "reduce", None)
+        model_module.replace(finding, suggested_operator="rewrite")
+    assert model_module.replace(finding, detail="other").detail == "other"
+    # a finding is a record: its class name leads its fields
+    assert tuple(finding) == ("LintFinding", "E1", Issue.AMBIGUOUS, "detail", "reduce", None)
+    assert finding != ("E1", Issue.AMBIGUOUS, "detail", "reduce", None)

@@ -3,15 +3,23 @@
 import copy
 import dataclasses
 import importlib.util
+import json
+import os
 import pickle
 import random
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from reqsmith import findings as findings_module
+from reqsmith import fulfillment as fulfillment_module
+from reqsmith import lint as lint_module
 from reqsmith import model as model_module
+from reqsmith import parser as parser_module
+from reqsmith import reasoner as reasoner_module
 from reqsmith.export import _decimal_digits
 from reqsmith.membership import format_degree
 from reqsmith.model import (
@@ -582,16 +590,24 @@ def _is_record_class(value) -> bool:
     return isinstance(value, type) and value.__repr__ is model_module._record_repr
 
 
-def _record_classes(module=model_module):
-    """The record classes `module` defines, by name."""
+def _record_classes(module=model_module, private=False):
+    """The record classes `module` defines, by name; the private ones, such
+    as the rows of the operator table, only when `private` is set."""
     return sorted(
         (
             value
-            for value in vars(module).values()
-            if _is_record_class(value) and value.__module__ == module.__name__
+            for name, value in vars(module).items()
+            if _is_record_class(value)
+            and value.__module__ == module.__name__
+            and (private or not name.startswith("_"))
         ),
         key=lambda cls: cls.__name__,
     )
+
+
+# The records a command returns rather than reads: results, findings and
+# diagnostics.
+RESULT_MODULES = (parser_module, reasoner_module, lint_module, findings_module, fulfillment_module)
 
 
 _ALPHA = DLAtomic("Alpha")
@@ -619,6 +635,53 @@ LOGIC_RECORDS = {
 
 def test_every_logic_class_is_a_record():
     assert set(LOGIC_RECORDS) == set(_record_classes(semantics_module))
+
+
+def test_result_records_are_records():
+    names = {cls.__name__ for module in RESULT_MODULES for cls in _record_classes(module)}
+    assert names == {
+        "SourceSpan",
+        "ParseDiagnostic",
+        "SubsumptionVerdict",
+        "ConsistencyResult",
+        "StrengthDiagnostic",
+        "LintConfig",
+        "LintFinding",
+        "FulfillmentState",
+    }
+
+
+def test_each_record_class_is_made_once_as_a_plain_type():
+    # With the collector off, as under `cli.run`, a class built and then
+    # thrown away would stay in memory beside the record class.
+    script = """
+import gc, json
+gc.disable()
+from reqsmith import model, semantics
+made = {}
+for value in gc.get_objects():
+    if isinstance(value, type) and value.__module__ in (model.__name__, semantics.__name__):
+        made.setdefault(value.__module__ + "." + value.__qualname__, []).append(value)
+records = {
+    name: [type(cls) is type for cls in classes]
+    for name, classes in made.items()
+    if any(cls.__repr__ is model._record_repr for cls in classes)
+}
+print(json.dumps(records))
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(model_module.__file__).parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert run.returncode == 0, run.stderr
+    records = json.loads(run.stdout)
+    expected = {
+        f"{cls.__module__}.{cls.__qualname__}"
+        for module in (model_module, semantics_module)
+        for cls in _record_classes(module, private=True)
+    }
+    assert set(records) == expected
+    assert all(plain == [True] for plain in records.values())
 
 
 def _walk_records(value, found: dict) -> None:
@@ -782,7 +845,11 @@ def test_logic_records_stay_frozen_and_copy(record):
 
 @pytest.mark.parametrize(
     "cls",
-    _record_classes() + _record_classes(semantics_module),
+    [
+        cls
+        for module in (model_module, semantics_module, *RESULT_MODULES)
+        for cls in _record_classes(module, private=True)
+    ],
     ids=lambda cls: cls.__name__,
 )
 def test_a_record_call_refuses_what_its_fields_do_not_take(cls):

@@ -11,22 +11,29 @@ import pytest
 from reqsmith.model import (
     NOTHING,
     THING,
+    ONE_TO_ONE_OPS,
     AtomicConcept,
     Difference,
+    Element,
     Enumeration,
     EXACTLY_ONE,
     FunctionDesc,
     Intersection,
     Interval,
     InverseProjection,
+    Kind,
     Model,
+    NaturalLanguage,
     ONLY,
+    Operator,
+    OperatorApplication,
     QualityStatement,
     Region,
     SOME,
     ScaleDirection,
     ScaleFactor,
     SlotRestriction,
+    Strength,
     Subsumption,
     Union,
     World,
@@ -233,6 +240,17 @@ def test_exact_filler_widening_fires_only_through_axioms():
     axiom = Subsumption(A("Gamma"), A("Delta"))
     linked = verdict(dl("<r: =1 Gamma>"), dl("<r: =1 Delta>"), [axiom])
     assert linked.status is VerdictStatus.PROVEN
+    # The rule departs from the world semantics: x r a, x r b with a in
+    # Gamma and Delta and b in Delta satisfies the axiom, and puts x in the
+    # first concept only. The README states this.
+    world = World(
+        individuals=frozenset({"x", "a", "b"}),
+        concept_extensions={"Gamma": frozenset({"a"}), "Delta": frozenset({"a", "b"})},
+        slot_tuples={"r": frozenset({("x", "a"), ("x", "b")})},
+    )
+    assert eval_dl(dl("Gamma"), world) <= eval_dl(dl("Delta"), world)
+    assert "x" in eval_dl(dl("<r: =1 Gamma>"), world)
+    assert "x" not in eval_dl(dl("<r: =1 Delta>"), world)
 
 
 def test_universal_filler_covariance():
@@ -572,7 +590,7 @@ class _TwoPass(saturation._Saturator):
         while True:
             self.changed = False
             self.snapshot = self.current()
-            self.memo = {}
+            self.memo, self.counts = {}, {}
             for ax in self.axioms:
                 for x in sorted(self._extension(ax.sub)):
                     self._assert(x, ax.sup, ax)
@@ -1190,3 +1208,72 @@ def test_traffic_fulfillment_with_function_marked(traffic):
     assert state.states["FG4"] is FulfillmentStatus.FULFILLED
     assert state.states["G1"] is FulfillmentStatus.FULFILLED
     assert state.states["G0"] is FulfillmentStatus.UNKNOWN
+
+
+def _fulfillment_by_rounds(model: Model, threshold=None) -> dict:
+    """The states as a loop of rounds over every application gave them,
+    the reference for the worklist."""
+    dropped = model.dropped_ids()
+    states = {}
+    for element in model.elements:
+        if element.id in dropped:
+            states[element.id] = FulfillmentStatus.UNFULFILLED
+        elif element.id in model.fulfilled_marks or element.kind is Kind.DA:
+            states[element.id] = FulfillmentStatus.FULFILLED
+        else:
+            states[element.id] = FulfillmentStatus.UNKNOWN
+    changed = True
+    while changed:
+        changed = False
+        for app in model.applications:
+            if app.op is Operator.RESOLVE:
+                continue
+            source = app.inputs[0]
+            if states.get(source) is not FulfillmentStatus.UNKNOWN:
+                continue
+            done = sum(1 for o in app.outputs if states.get(o) is FulfillmentStatus.FULFILLED)
+            need = len(app.outputs)
+            if threshold is not None and app.op not in ONE_TO_ONE_OPS:
+                need = threshold
+            if app.outputs and done >= need:
+                states[source] = FulfillmentStatus.FULFILLED
+                changed = True
+    return states
+
+
+def _random_refinement_dag(rng) -> Model:
+    """Elements E0..En, design artifacts among them, applications from each
+    element to later ones (an output may repeat), resolutions that drop
+    some, and marks, some on ids no element has."""
+    ids = [f"E{i}" for i in range(rng.randint(2, 12))]
+    kinds = (Kind.GOAL, Kind.GOAL, Kind.GOAL, Kind.DA)
+    elements = tuple(Element(eid, rng.choice(kinds), NaturalLanguage(eid)) for eid in ids)
+    applications = []
+    for _ in range(rng.randint(0, 2 * len(ids))):
+        op = rng.choice(list(Operator))
+        if op is Operator.RESOLVE:
+            inputs = tuple(rng.sample(ids, rng.randint(2, min(3, len(ids)))))
+            outputs = inputs[: rng.randint(1, len(inputs) - 1)]
+        else:
+            i = rng.randrange(len(ids) - 1)
+            inputs = (ids[i],)
+            width = 1 if op in ONE_TO_ONE_OPS else rng.randint(1, 4)
+            outputs = tuple(rng.choices(ids[i + 1 :], k=width))
+        applications.append(OperatorApplication(op, inputs, outputs, Strength.STRENGTHENING))
+    marks = rng.sample(ids + ["X1", "X2"], rng.randint(0, 4))
+    return Model(
+        elements=elements, applications=tuple(applications), fulfilled_marks=frozenset(marks)
+    )
+
+
+def test_worklist_fulfillment_matches_the_round_loop():
+    rng = random.Random(20261020)
+    fulfilled = 0
+    for _ in range(600):
+        model = _random_refinement_dag(rng)
+        threshold = rng.choice((None, None, 1, 2, 3))
+        states = propagate_fulfillment(model, threshold).states
+        expected = _fulfillment_by_rounds(model, threshold)
+        assert list(states.items()) == list(expected.items())
+        fulfilled += list(states.values()).count(FulfillmentStatus.FULFILLED)
+    assert fulfilled > 600
