@@ -205,6 +205,27 @@ def _needs(c: DLConcept) -> frozenset:
     return frozenset()
 
 
+class _Lazy:
+    """The items of a generator, each made once, when first read; the
+    sequence can be read again, also while another read is under way."""
+
+    __slots__ = ("items", "more")
+
+    def __init__(self, more) -> None:
+        self.items, self.more = [], more
+
+    def __iter__(self):
+        items, index = self.items, 0
+        while True:
+            if index == len(items):
+                item = next(self.more, None)
+                if item is None:
+                    return
+                items.append(item)
+            yield items[index]
+            index += 1
+
+
 class _Derivation:
     """Structural derivation of sub ⊑ sup under one list of axioms.
 
@@ -289,33 +310,60 @@ class _Derivation:
 
         sub ⊑ A for an atom A needs A among the told names of sub closed
         under every axiom whose left side needs only names reached so far:
-        propositional Horn closure, one worklist (Dowling & Gallier, J.
-        Logic Programming 1984). A reached Nothing may put sub below every
-        atom, so the atoms are then None; the axiom that reached Nothing is
-        among those returned, and if sub is below Nothing that axiom alone
-        proves each goal of sub. The axioms fire breadth first from the
-        atoms of sub itself, as their left premise mostly holds outright;
-        that keeps chains of atoms shallow.
+        propositional Horn closure (Dowling & Gallier, J. Logic Programming
+        1984). The atoms are a set of bits, one bit per atom (see `_index`):
+        the closures of the told names, joined with those of the axioms
+        that need several atoms until none adds more. A reached Nothing may
+        put sub below every atom, so the atoms are then None; the axiom
+        that reached Nothing is among those returned, and if sub is below
+        Nothing that axiom alone proves each goal of sub. The axioms are
+        made as they are read, by `_fire`.
         """
         found = self.reached.get(sub)
         if found is None:
             if self.watch is None:
                 self._index()
-            reached: dict = {}
-            fired: list = []
-            todo = _told(sub) + self.free_names
-            for name in todo:  # the list grows as axioms fire
-                if name in reached:
-                    continue
-                reached[name] = None
-                # an axiom fires when the last atom it needs is reached
-                for needs, names, ax in self.watch.get(name, ()):
-                    if reached.keys() >= needs:
-                        fired.append(ax)
-                        todo.extend(names)
-            found = (None if None in reached else reached, fired + self.free)
+            told = _told(sub)
+            atoms = self.base | self._atoms(told)
+            grew = True
+            while grew:
+                grew = False
+                for needs, adds in self.joins:
+                    if atoms & needs == needs and atoms | adds != atoms:
+                        atoms |= adds
+                        grew = True
+            found = (None if atoms & 1 else atoms, _Lazy(self._fire(told + self.free_names)))
             self.reached[sub] = found
         return found
+
+    def _fire(self, todo: list):
+        """Yield the axioms that the names in todo fire, by one worklist. They
+        fire breadth first from the atoms of sub itself, as their left
+        premise mostly holds outright; that keeps chains of atoms shallow."""
+        reached: dict = {}
+        for name in todo:  # the list grows as axioms fire
+            if name in reached:
+                continue
+            reached[name] = None
+            # an axiom fires when the last atom it needs is reached
+            for needs, names, ax in self.watch.get(name, ()):
+                if reached.keys() >= needs:
+                    todo.extend(names)
+                    yield ax
+        yield from self.free
+
+    def _bit(self, name) -> int:
+        bit = self.bits.get(name)
+        if bit is None:
+            bit = self.bits[name] = 1 << len(self.bits)
+        return bit
+
+    def _atoms(self, names) -> int:
+        """The atoms that names reach through axioms that need one atom."""
+        atoms = 0
+        for name in names:
+            atoms |= self.closed.get(name) or self._bit(name)
+        return atoms
 
     def _index(self):
         # atom -> (atoms the left side needs, told names of the right side,
@@ -323,6 +371,9 @@ class _Derivation:
         self.watch = {}
         self.free: list = []  # the axioms whose left side needs no atom
         self.free_names: list = []  # the told names of their right sides
+        self.bits = {None: 1}  # atom -> its bit in a set of atoms; Nothing's is 1
+        edges: dict = {}  # atom -> the told names of the axioms it alone fires
+        joins = []  # (needs, names) of the axioms that need several atoms
         for ax in self.axioms:
             needs, names = _needs(ax.sub), _told(ax.sup)
             for name in needs:
@@ -330,6 +381,44 @@ class _Derivation:
             if not needs:
                 self.free.append(ax)
                 self.free_names.extend(names)
+            elif len(needs) == 1:
+                edges.setdefault(*needs, []).extend(names)
+            else:
+                joins.append((needs, names))
+        # closed[a], the atoms a reaches by axioms that need one atom, is the
+        # least fixpoint of closed[a] = a | closed[b] over the edges a -> b.
+        # Atoms visited after their successors, depth first, settle a graph
+        # without cycles in one pass, and one pass more finds nothing grows.
+        # (Nuutila, "Efficient Transitive Closure Computation in Large
+        # Digraphs", 1995, would condense each cycle first.)
+        self.closed = closed = {atom: self._bit(atom) for atom in edges}
+        order, visited = [], set()
+        for root in edges:
+            if root in visited:
+                continue
+            visited.add(root)
+            stack = [(root, iter(edges[root]))]
+            while stack:
+                atom, successors = stack[-1]
+                for name in successors:
+                    if name in edges and name not in visited:
+                        visited.add(name)
+                        stack.append((name, iter(edges[name])))
+                        break
+                else:
+                    stack.pop()
+                    order.append(atom)
+        grew = True
+        while grew:
+            grew = False
+            for atom in order:
+                atoms = closed[atom] | self._atoms(edges[atom])
+                if atoms != closed[atom]:
+                    closed[atom] = atoms
+                    grew = True
+        self.base = self._atoms(self.free_names)
+        # the bits of distinct atoms are distinct, so their sum is their union
+        self.joins = [(sum(map(self._bit, needs)), self._atoms(names)) for needs, names in joins]
 
     def _all(self, pairs) -> int:
         best = _PURE
@@ -356,9 +445,13 @@ class _Derivation:
             return _PURE
         if isinstance(sup, DLThing) or isinstance(sub, DLNothing):
             return _PURE
-        if isinstance(sup, DLAtomic):
+        if isinstance(sup, (DLAtomic, DLNothing)):
+            # sub ⊑ A needs A among the atoms sub reaches, and sub ⊑ Nothing
+            # needs Nothing among them, when the atoms are not None
             atoms = self._reach(sub)[0]
-            if atoms is not None and sup.name not in atoms:
+            if atoms is not None and (
+                isinstance(sup, DLNothing) or not atoms & self.bits.get(sup.name, 0)
+            ):
                 return _NO
         if isinstance(sub, DLOr):
             return self._all((arg, sup) for arg in sub.args)
