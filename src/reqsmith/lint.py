@@ -307,17 +307,28 @@ def _inconsistent(model: Model, live) -> list[LintFinding]:
         for line in result.explanation:
             out.append(LintFinding("world", Issue.INCONSISTENT, line))
 
-    # atom sets declared jointly empty; only a term under all of a set clashes
+    # atom sets declared jointly empty: the left sides of `:< Nothing` axioms
+    # that are ands of atoms, whose atoms `_norm` sorted and deduplicated;
+    # only a term under all of a set clashes
     shared = derivation(model)
-    disjoint = {
-        frozenset(arg.name for arg in ax.sub.args)
+    groups = [
+        ax.sub
         for ax in shared.axioms
         if ax.sup == DL_NOTHING
         and isinstance(ax.sub, DLAnd)
         and all(isinstance(arg, DLAtomic) for arg in ax.sub.args)
-    }
-    if not disjoint:
+    ]
+    if not groups:
         return out
+    groups.sort(key=lambda group: [arg.name for arg in group.args])
+    # A term, an atom that is a whole left side, falls under a whole group
+    # exactly when it is empty, and then under every group; name first a
+    # group its declarations reach without the `:< Nothing` axioms.
+    terms = {ax.sub.name for ax in shared.axioms if isinstance(ax.sub, DLAtomic)}
+    empty = [term for term in sorted(terms) if shared.proves(DLAtomic(term), DL_NOTHING)]
+    if not empty:
+        return out
+    declared = _Derivation([ax for ax in shared.axioms if ax.sup != DL_NOTHING])
     first_mention: dict[str, str] = {}
     for e in live:
         body = e.body
@@ -328,24 +339,10 @@ def _inconsistent(model: Model, live) -> list[LintFinding]:
             names.add(body.region.name)
         for name in sorted(names):
             first_mention.setdefault(name, e.id)
-
-    def under(declared: _Derivation, term: str, group) -> bool:
-        return all(declared.proves(DLAtomic(term), DLAtomic(a)) for a in group)
-
-    groups = sorted(disjoint, key=sorted)
-    # A term, an atom that is a whole left side, falls under a whole group
-    # exactly when it is empty, and then under every group; name first a
-    # group its declarations reach without the `:< Nothing` axioms.
-    terms = {ax.sub.name for ax in shared.axioms if isinstance(ax.sub, DLAtomic)}
-    declared = None
-    for term in sorted(terms):
-        if not shared.proves(DLAtomic(term), DL_NOTHING):
-            continue
-        if declared is None:
-            declared = _Derivation([ax for ax in shared.axioms if ax.sup != DL_NOTHING])
-        group = next((g for g in groups if under(declared, term, g)), groups[0])
-        *rest, last = sorted(group)
-        count = "two" if len(group) == 2 else len(group)
+    for term in empty:
+        group = next((g for g in groups if declared.proves(DLAtomic(term), g)), groups[0])
+        *rest, last = (arg.name for arg in group.args)
+        count = "two" if len(group.args) == 2 else len(group.args)
         out.append(
             LintFinding(
                 first_mention.get(term, "model"),

@@ -1,17 +1,27 @@
 """Growth guards: how the work of a command grows, counted, not timed.
 
-Each guard runs one family of inputs at a size n and at 4n and counts the
-line events `sys.settrace` reports in `reqsmith` frames. The ratio of the
-two counts is bounded. Counts are deterministic where timings drift, so a
-bound can sit at today's ratio: a change that raises the ratio changes how
-the work grows. A change that lowers it should tighten the bound. This is
-empirical complexity by counted work (Goldsmith, Aiken & Wilkerson,
-"Measuring Empirical Computational Complexity", FSE 2007).
+Each guard runs one family of inputs at several sizes and counts the line
+events `sys.settrace` reports in `reqsmith` frames. Counts are
+deterministic where timings drift, so a bound can sit close to today's
+growth. This is empirical complexity by counted work (Goldsmith, Aiken &
+Wilkerson, "Measuring Empirical Computational Complexity", FSE 2007).
+
+A family whose work should be linear runs at n, 2n and 4n, and its bound
+is on the increment ratio (c(4n) - c(2n)) / (c(2n) - c(n)). That is 2 for
+any count a + b*n, so a change that only cuts fixed or linear work leaves
+it at 2, and only work that grows faster than n raises it. A family run at
+n and 4n alone is bounded on c(4n) / c(n).
+
+Beside the growth guards, the module pins two counts of work at one size:
+what one disjointness axiom adds to lint, and how often the derivation runs
+its rules for the strength audit and for a query.
 
 The counts run in child processes under two hash seeds, which must agree.
-Run this file as a script to print the counts.
+`PYTHONPATH=src python tests/test_growth.py` prints the counts and ratios;
+it needs no pytest.
 """
 
+import functools
 import importlib.util
 import json
 import os
@@ -19,37 +29,62 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 ROOT = Path(__file__).resolve().parents[1]
 
-# family -> (the sizes n and 4n, the bound on the ratio of their counts).
-# The counts are those of CPython 3.10 and 3.11, which count alike; the
-# ratios under 3.12 and 3.13 follow in brackets.
+# family -> (its sizes, the bound on how its counts grow). The ratios hold
+# on CPython 3.10, 3.11, 3.12 and 3.13, the versions CI runs; where 3.12 and
+# 3.13 differ, theirs follow in brackets.
 GUARDS = {
     # parse, strength audit and world check of the seed-7 bench ladder at
-    # n refinement steps: 276,572 -> 1,095,307 lines, ratio 3.960 (3.960,
-    # 3.960); a derivation that closes each left side afresh measured 4.965
-    # (4.970, 4.972)
-    "ladder": ((56, 224), 3.97),
+    # n refinement steps: 276,572, 549,544 and 1,095,307 lines, increment
+    # ratio 1.9993; a derivation that closes each left side afresh measured
+    # 2.433, one that makes its fired axioms in full 2.418, and one that
+    # settles the atoms' closures in axiom order 2.444
+    "ladder": ((56, 112, 224), 2.02),
     # world check of an n-individual chain, where saturation adds one
     # membership a round: 146,398 -> 2,178,898 lines, ratio 14.883 (14.902,
-    # 14.902)
+    # 14.902); a saturator that runs a full round after each assertion
+    # differs from it by a constant factor, so this bound stays on the
+    # ratio until a round's work depends on the change
     "chain": ((125, 500), 14.95),
     # parse and `query --pattern "<object: C0>"` of the same ladder:
-    # 179,135 -> 690,030 lines, ratio 3.852 (3.852, 3.852); closing each
-    # left side afresh measured 5.336 (5.338, 5.343)
-    "ladder-query": ((56, 224), 3.86),
+    # increment ratio 1.9985; the three derivations above measured 2.608,
+    # 2.590 and 2.639
+    "ladder-query": ((56, 112, 224), 2.02),
     # parse, lint and world check of the same ladder with one disjointness
-    # axiom, so lint asks each term whether it is empty: 122,348 -> 471,019
-    # lines, ratio 3.850 (3.851, 3.850); closing each left side afresh
-    # measured 10.426 (10.422, 10.440)
-    "ladder-lint": ((56, 224), 3.86),
+    # axiom, so lint asks each term whether it is empty: increment ratio
+    # 1.9982; the three derivations above measured 3.578, 2.809 and 2.897,
+    # and one that does not refute `term :< Nothing` at once 3.659
+    "ladder-lint": ((56, 112, 224), 2.02),
     # fulfillment of an n-step reduce chain whose last goal alone is marked,
-    # which wakes one application per step: 2,303 -> 9,203 lines, ratio
-    # 3.996 (3.997, 3.997)
-    "fulfill": ((100, 400), 4.0),
+    # which wakes one application per step: increment ratio 2.0000
+    "fulfill": ((100, 200, 400), 2.02),
 }
+
+# lint of the 224-step ladder with one disjointness axiom against lint of the
+# same ladder without it: ratio 1.308 (1.310, 1.307); a lint that walks
+# every element's mentions before it knows a term is empty measured 1.771
+LINT_DISJOINT = (224, 1.35)
+
+# the `_Derivation._rules` runs of the strength audit and of `query
+# --pattern "<object: C0>"` on the seed-7 ladder at 56 and 224 steps, and of
+# the audit of the seed-1 bench `open-audit` model
+RULES = {
+    "ladder-56 audit": 2471,
+    "ladder-56 query": 531,
+    "ladder-224 audit": 9863,
+    "ladder-224 query": 2042,
+    "open-audit audit": 99,
+}
+
+
+def _growth(counts: list) -> float:
+    """The increment ratio of counts at n, 2n and 4n; the ratio of two counts."""
+    if len(counts) == 3:
+        small, middle, large = counts
+        return (large - middle) / (middle - small)
+    small, large = counts
+    return large / small
 
 
 def _count_lines(run) -> int:
@@ -76,13 +111,37 @@ def _count_lines(run) -> int:
     return count
 
 
-def _ladder_text(steps: int) -> str:
+def _count_rules(run) -> int:
+    """The runs of `_Derivation._rules` that `run()` makes."""
+    from reqsmith.reasoner import _Derivation
+
+    rules, count = _Derivation._rules, 0
+
+    def counted(derivation, sub, sup):
+        nonlocal count
+        count += 1
+        return rules(derivation, sub, sup)
+
+    _Derivation._rules = counted
+    try:
+        run()
+    finally:
+        _Derivation._rules = rules
+    return count
+
+
+def _bench_text(workload: str, seed: int, **sizes) -> str:
     spec = importlib.util.spec_from_file_location("reqsmith_bench_gen", ROOT / "bench" / "gen.py")
     gen = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
-    gen.LADDER_STEPS = steps
+    for name, value in sizes.items():
+        setattr(gen, name, value)
     # generate only names paths under its directory; it writes nothing
-    return gen.generate("ladder", 7, Path("unused")).files["model.dsr"]
+    return gen.generate(workload, seed, Path("unused")).files["model.dsr"]
+
+
+def _ladder_text(steps: int) -> str:
+    return _bench_text("ladder", 7, LADDER_STEPS=steps)
 
 
 # C5 and Other share no instance: lint then asks of each term whether it is
@@ -109,7 +168,8 @@ def _fulfill_text(steps: int) -> str:
 
 
 def _counts() -> dict:
-    """The line counts of each family at each of its sizes."""
+    """The line counts of each family at each of its sizes, of lint with and
+    without a disjointness axiom, and the derivation's rule runs."""
     import reqsmith.saturation  # noqa: F401  (its import is not the work counted)
     from reqsmith.fulfillment import propagate_fulfillment
     from reqsmith.lint import lint_model
@@ -126,6 +186,9 @@ def _counts() -> dict:
     def ladder_query(text):
         query(parse_model(text), pattern)
 
+    def audit(text):
+        check_strength_tags(parse_model(text))
+
     def ladder_lint(text):
         model = parse_model(text)
         lint_model(model)
@@ -139,20 +202,33 @@ def _counts() -> dict:
         "ladder-lint": (ladder_lint, lambda size: _ladder_text(size) + _DISJOINT),
         "fulfill": (propagate_fulfillment, lambda size: parse_model(_fulfill_text(size))),
     }
-    counts = {}
+    lines = {}
     for family, (sizes, _) in GUARDS.items():
         run, given = runs[family]
-        counts[family] = []
+        lines[family] = []
         for size in sizes:
             value = given(size)
-            counts[family].append(_count_lines(lambda: run(value)))
-    return counts
+            lines[family].append(_count_lines(lambda: run(value)))
+    text = _ladder_text(LINT_DISJOINT[0])
+    lines["lint-disjoint"] = [
+        _count_lines(lambda: lint_model(model))
+        for model in (parse_model(text), parse_model(text + _DISJOINT))
+    ]
+
+    rules = {}
+    for steps in (56, 224):
+        text = _ladder_text(steps)
+        rules[f"ladder-{steps} audit"] = _count_rules(lambda: audit(text))
+        rules[f"ladder-{steps} query"] = _count_rules(lambda: ladder_query(text))
+    text = _bench_text("open-audit", 1)
+    rules["open-audit audit"] = _count_rules(lambda: audit(text))
+    return {"lines": lines, "rules": rules}
 
 
-@pytest.fixture(scope="module")
-def counts_by_seed():
+@functools.cache
+def _reports_by_seed() -> dict:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    runs = {}
+    reports = {}
     for seed in ("0", "123"):
         run = subprocess.run(
             [sys.executable, __file__],
@@ -162,19 +238,34 @@ def counts_by_seed():
             timeout=120,
         )
         assert run.returncode == 0, run.stderr
-        runs[seed] = json.loads(run.stdout)
-    return runs
+        reports[seed] = json.loads(run.stdout)
+    return reports
 
 
-def test_counts_repeat_under_two_hash_seeds(counts_by_seed):
-    assert counts_by_seed["0"] == counts_by_seed["123"]
+def pytest_generate_tests(metafunc):
+    if "family" in metafunc.fixturenames:
+        metafunc.parametrize("family", list(GUARDS))
 
 
-@pytest.mark.parametrize("family", GUARDS)
-def test_work_grows_within_its_bound(counts_by_seed, family):
-    small, large = counts_by_seed["0"][family]
-    assert large / small <= GUARDS[family][1]
+def test_counts_repeat_under_two_hash_seeds():
+    assert _reports_by_seed()["0"] == _reports_by_seed()["123"]
+
+
+def test_work_grows_within_its_bound(family):
+    assert _growth(_reports_by_seed()["0"]["lines"][family]) <= GUARDS[family][1]
+
+
+def test_a_disjointness_axiom_adds_little_to_lint():
+    assert _growth(_reports_by_seed()["0"]["lines"]["lint-disjoint"]) <= LINT_DISJOINT[1]
+
+
+def test_the_derivation_runs_its_rules_as_often_as_pinned():
+    # each change to the derivation has so far kept these counts; a change
+    # that lowers one should lower it here
+    assert _reports_by_seed()["0"]["rules"] == RULES
 
 
 if __name__ == "__main__":
-    print(json.dumps(_counts()))
+    counts = _counts()
+    counts["growth"] = {name: round(_growth(c), 4) for name, c in counts["lines"].items()}
+    print(json.dumps(counts, indent=1))
