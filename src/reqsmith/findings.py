@@ -48,7 +48,6 @@ class LintFinding(metaclass=_record):
     issue: Issue
     detail: str
     suggested_operator: Optional[str] = None
-    span: Optional[tuple[int, int]] = None
 
     def __post_init__(self) -> None:
         operator = self.suggested_operator
@@ -65,7 +64,7 @@ def _finding_dict(finding: LintFinding) -> dict:
         "issue": finding.issue.value,
         "detail": finding.detail,
         "suggestion": finding.suggested_operator,
-        "span": list(finding.span) if finding.span is not None else None,
+        "span": None,  # kept so version-1 readers see the same keys
     }
 
 

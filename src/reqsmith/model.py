@@ -361,15 +361,12 @@ class UAnnotation(metaclass=_record):
     var_id: str
     matched_path: tuple[str, ...]
     pct_low: Fraction
-    pct_high: Fraction = Fraction(1)
 
     def __post_init__(self) -> None:
         if not self.matched_path:
             raise ValueError("annotation path must be non-empty")
         if not (0 < self.pct_low <= 1):
             raise ValueError("pct_low must be in (0, 1]")
-        if self.pct_high != 1:
-            raise ValueError("pct_high is fixed at 1")
 
 
 class QualityStatement(metaclass=_record):
@@ -461,12 +458,6 @@ class ScaleArgs(metaclass=_record):
     direction: ScaleDirection
 
 
-class FocusArgs(metaclass=_record):
-    """Focus targets: quality names and/or subject descriptions."""
-
-    targets: tuple[TypingUnion[str, Description], ...]
-
-
 class ObserveArgs(metaclass=_record):
     """The observer an observe application adds."""
 
@@ -479,7 +470,7 @@ class DeUniversalizeArgs(metaclass=_record):
     annotation: UAnnotation
 
 
-OperatorArgs = TypingUnion[ScaleArgs, FocusArgs, ObserveArgs, DeUniversalizeArgs, None]
+OperatorArgs = TypingUnion[ScaleArgs, ObserveArgs, DeUniversalizeArgs, None]
 
 
 class OperatorApplication(metaclass=_record):
@@ -909,10 +900,11 @@ def _validate_element(element: Element) -> list[ValidationDiagnostic]:
         if len(set(paths)) != len(paths):
             message = "two pct annotations share one path"
             diags.append(ValidationDiagnostic(element.id, "pct-paths", message))
-        for path in paths:
-            error = annotation_path_error(body, path)
-            if error is not None:
-                diags.append(ValidationDiagnostic(element.id, "pct-path", error))
+        for ann in body.pct_annotations:
+            try:
+                graft_annotations(body, (ann,))
+            except ValueError as error:
+                diags.append(ValidationDiagnostic(element.id, "pct-path", str(error)))
     return diags
 
 
@@ -1024,28 +1016,66 @@ def strength_error(app: OperatorApplication, by_id: dict[str, Element]) -> Optio
     return f"{app.op.value} cannot be tagged {app.strength.value}: {reason}"
 
 
-def annotation_path_error(body: QualityStatement, path: tuple[str, ...]) -> Optional[str]:
-    """Why a `u(…)` annotation cannot follow `path` in `body`, or None.
+def graft_annotations(
+    body: QualityStatement, annotations: tuple[UAnnotation, ...]
+) -> tuple[Description, tuple[Description, ...]]:
+    """`body`'s subject and observers with each annotation's `<pct: SOME
+    [p, 1]>` grafted where its path ends, as `filler | <pct: …>`; a
+    ValueError names the first path that `body` does not have.
 
-    The path starts at `inheres_in` (the subject) or `observed_by` (every
+    A path starts at `inheres_in` (the subject) or `observed_by` (every
     observer); each later step is the first restriction on that slot, in
-    pre-order, inside the filler the step before reached.
+    pre-order, inside the filler the step before reached. Every path is
+    followed in the body as written, never in what another graft widened.
     """
-    head = path[0]
-    if head not in ("inheres_in", "observed_by"):
-        return f"annotation path cannot start at {head!r}"
-    starts = (body.subject,) if head == "inheres_in" else body.observers
-    if not starts:
-        return "annotation follows observed_by but the element has no observers"
-    for d in starts:
-        for slot in path[1:]:
-            found = [
-                n for n in subterms(d) if isinstance(n, SlotRestriction) and n.slot == slot
-            ]
-            if not found:
-                return f"no slot {slot!r} found on the annotation path"
-            d = found[0].filler
+    starts = (body.subject, *body.observers)
+    grafts: dict[tuple[int, ...], list[SlotRestriction]] = {}
+    for ann in annotations:
+        head = ann.matched_path[0]
+        if head not in ("inheres_in", "observed_by"):
+            raise ValueError(f"annotation path cannot start at {head!r}")
+        if head == "observed_by" and not body.observers:
+            message = "annotation follows observed_by but the element has no observers"
+            raise ValueError(message)
+        pct = SlotRestriction("pct", SOME, Region(Interval(ann.pct_low, Fraction(1))))
+        for index in range(1, len(starts)) if head == "observed_by" else (0,):
+            d, at = starts[index], (index,)
+            for slot in ann.matched_path[1:]:
+                found = _first_restriction(d, slot)
+                if found is None:
+                    raise ValueError(f"no slot {slot!r} found on the annotation path")
+                d, at = found[0].filler, at + found[1] + (0,)
+            grafts.setdefault(at, []).append(pct)
+    grafted = [_graft(d, (index,), grafts) for index, d in enumerate(starts)]
+    return grafted[0], tuple(grafted[1:])
+
+
+def _first_restriction(d: Description, slot: str):
+    """The first restriction on `slot` in `d`, in pre-order, with its
+    position below `d` (child indices), or None."""
+    stack = [(d, ())]
+    while stack:
+        node, at = stack.pop()
+        if isinstance(node, SlotRestriction) and node.slot == slot:
+            return node, at
+        stack += [(kid, at + (i,)) for i, kid in enumerate(children(node))][::-1]
     return None
+
+
+def _graft(d: Description, at: tuple[int, ...], grafts: dict) -> Description:
+    """`d`, found at position `at`, with the grafts at or below `at` made."""
+    if not any(position[: len(at)] == at for position in grafts):
+        return d
+    inner = [_graft(kid, at + (i,), grafts) for i, kid in enumerate(children(d))]
+    if isinstance(d, SlotRestriction):
+        d = SlotRestriction(d.slot, d.modifier, *inner)
+    elif isinstance(d, InverseProjection):
+        d = InverseProjection(*inner, d.slot)
+    elif inner:
+        d = d.__class__(*inner)
+    for pct in grafts.get(at, ()):
+        d = Union(d, pct)
+    return d
 
 
 def _check_acyclic(model: Model) -> list[ValidationDiagnostic]:

@@ -15,7 +15,6 @@ from .model import (
     Description,
     DeUniversalizeArgs,
     Element,
-    FocusArgs,
     Interval,
     Kind,
     Model,
@@ -30,7 +29,7 @@ from .model import (
     Strength,
     UAnnotation,
     Union,
-    annotation_path_error,
+    _validate_element,
     application_diagnostics,
     replace,
     resolve_error,
@@ -92,11 +91,16 @@ def _quality_input(model: Model, eid: str, op_name: str) -> Element:
     return element
 
 
-def _record(model: Model, app: OperatorApplication) -> Model:
+def _record(model: Model, app: OperatorApplication, outputs: Sequence[OutputRef]) -> Model:
     """`model` with `app` recorded, once `app` fits its operator's signature,
-    its strength rule and, for a resolution, a declared conflict."""
+    `validate_model` accepts each element among `outputs` (the elements the
+    operator adds), and `app` fits its strength rule and, for a resolution,
+    a declared conflict. The first rule broken, in that order, is the error."""
     by_id = model.by_id()
     diagnostics = application_diagnostics(app, by_id)
+    for out in outputs:
+        if isinstance(out, Element):
+            diagnostics += _validate_element(out)
     if diagnostics:
         message = diagnostics[0].message
     else:
@@ -121,7 +125,7 @@ def apply_reduce(
     """
     model, ids = _with_outputs(model, outputs)
     return _record(
-        model, OperatorApplication(Operator.REDUCE, (input_id,), ids, strength)
+        model, OperatorApplication(Operator.REDUCE, (input_id,), ids, strength), outputs
     )
 
 
@@ -136,7 +140,9 @@ def apply_interpret(
     """
     model, ids = _with_outputs(model, [output])
     return _record(
-        model, OperatorApplication(Operator.INTERPRET, (input_id,), ids, strength)
+        model,
+        OperatorApplication(Operator.INTERPRET, (input_id,), ids, strength),
+        [output],
     )
 
 
@@ -157,7 +163,7 @@ def apply_operationalize(
     app = OperatorApplication(Operator.OPERATIONALIZE, (input_id,), ids, strength)
     if strength_error(app, model.by_id()) is not None:
         app = replace(app, strength=Strength.WEAKENING)
-    return _record(model, app)
+    return _record(model, app, outputs)
 
 
 def apply_resolve(
@@ -175,6 +181,7 @@ def apply_resolve(
         OperatorApplication(
             Operator.RESOLVE, tuple(input_ids), out_ids, Strength.WEAKENING
         ),
+        outputs,
     )
 
 
@@ -203,7 +210,7 @@ def apply_focus(
     if output_ids is not None and len(output_ids) != len(targets):
         raise OperatorError("output_ids must match targets one-to-one")
     body = element.body
-    ids: list[str] = []
+    added: list[Element] = []
     for index, target in enumerate(targets):
         if isinstance(target, str):
             new_body = replace(
@@ -212,13 +219,13 @@ def apply_focus(
         else:
             new_body = replace(body, subject=Union(body.subject, target))
         oid = output_ids[index] if output_ids is not None else _fresh_id(model, input_id)
-        model, new_ids = _with_outputs(model, [Element(oid, element.kind, new_body)])
-        ids += new_ids
+        added.append(Element(oid, element.kind, new_body))
+        model, _ = _with_outputs(model, added[-1:])
+    ids = tuple(out.id for out in added)
     return _record(
         model,
-        OperatorApplication(
-            Operator.FOCUS, (input_id,), tuple(ids), strength, FocusArgs(targets)
-        ),
+        OperatorApplication(Operator.FOCUS, (input_id,), ids, strength),
+        added,
     )
 
 
@@ -265,7 +272,7 @@ def apply_scale(
         new_region = NamedRegion(factor.region_name, region.qualitative)
     output = Element(oid, element.kind, replace(element.body, region=new_region))
     model, _ = _with_outputs(model, [output])
-    return _record(model, app)
+    return _record(model, app, [output])
 
 
 def apply_deuniversalize(
@@ -298,9 +305,6 @@ def apply_deuniversalize(
                 f"{'.'.join(annotation.matched_path)}; "
                 "relax the original statement instead"
             )
-    error = annotation_path_error(body, annotation.matched_path)
-    if error is not None:
-        raise OperatorError(error)
     new_body = replace(
         body, pct_annotations=body.pct_annotations + (annotation,)
     )
@@ -315,6 +319,7 @@ def apply_deuniversalize(
             Strength.WEAKENING,
             DeUniversalizeArgs(annotation),
         ),
+        [output],
     )
 
 
@@ -351,4 +356,5 @@ def apply_observe(
             Strength.STRENGTHENING,
             ObserveArgs(observer),
         ),
+        [output],
     )

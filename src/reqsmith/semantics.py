@@ -35,9 +35,8 @@ from .model import (
     Union,
     World,
     ModifierKind,
-    SOME,
     _record,
-    annotation_path_error,
+    graft_annotations,
 )
 
 
@@ -224,56 +223,6 @@ def translate_description(d: Description) -> DLConcept:
     return DLCard(d.slot, card_kind, d.modifier.n, filler)
 
 
-def _wrap_at_path(d: Description, rest: tuple[str, ...], pct: SlotRestriction):
-    return _replace_first(d, rest, pct) if rest else Union(d, pct)
-
-
-def _replace_first(d: Description, rest, pct) -> Optional[Description]:
-    """Rebuild `d` with the first restriction on `rest[0]` deepened; None
-    when the slot does not occur anywhere."""
-    if isinstance(d, SlotRestriction):
-        if d.slot == rest[0]:
-            return SlotRestriction(
-                d.slot, d.modifier, _wrap_at_path(d.filler, rest[1:], pct)
-            )
-        inner = _replace_first(d.filler, rest, pct)
-        if inner is not None:
-            return SlotRestriction(d.slot, d.modifier, inner)
-        return None
-    if isinstance(d, (Intersection, Union, Difference)):
-        left = _replace_first(d.left, rest, pct)
-        if left is not None:
-            return type(d)(left, d.right)
-        right = _replace_first(d.right, rest, pct)
-        if right is not None:
-            return type(d)(d.left, right)
-        return None
-    if isinstance(d, InverseProjection):
-        inner = _replace_first(d.source, rest, pct)
-        if inner is not None:
-            return InverseProjection(inner, d.slot)
-        return None
-    return None
-
-
-def _graft_annotations(body: QualityStatement):
-    subject = body.subject
-    observers = body.observers
-    for ann in body.pct_annotations:
-        # grafting only widens fillers, so a path that holds in the body
-        # holds in the grafted descriptions too
-        error = annotation_path_error(body, ann.matched_path)
-        if error is not None:
-            raise PathMismatch(error)
-        pct = SlotRestriction("pct", SOME, Region(Interval(ann.pct_low, ann.pct_high)))
-        head, rest = ann.matched_path[0], ann.matched_path[1:]
-        if head == "inheres_in":
-            subject = _wrap_at_path(subject, rest, pct)
-        else:
-            observers = tuple(_wrap_at_path(o, rest, pct) for o in observers)
-    return subject, observers
-
-
 def translate_element(e: Element) -> tuple[DLConcept, list]:
     """Build the logical image of one element: its concept plus any axioms."""
     body = e.body
@@ -290,7 +239,10 @@ def translate_element(e: Element) -> tuple[DLConcept, list]:
         concept = DLAnd((root, DLExists("subsumee", sub), DLExists("subsumer", sup)))
         return concept, [DLSubClassOf(sub, sup)]
     assert isinstance(body, QualityStatement)
-    subject, observers = _graft_annotations(body)
+    try:
+        subject, observers = graft_annotations(body, body.pct_annotations)
+    except ValueError as error:
+        raise PathMismatch(str(error)) from None
     parts = [
         root,
         translate_description(body.quality),

@@ -903,6 +903,12 @@ def test_the_readme_modules_table_lists_each_module_once():
     assert sorted(listed) == sorted(modules)
 
 
+def test_the_package_docstring_names_each_module_once():
+    named = re.findall(r"\(`(\w+)`\)", reqsmith.__doc__)
+    modules = [p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__"]
+    assert sorted(named) == sorted(modules)
+
+
 def test_no_module_has_an_unused_module_level_import():
     unused = {}
     for path in sorted(PACKAGE.glob("*.py")):

@@ -345,6 +345,17 @@ def test_fmt_parenthesizes_an_interval_after_a_description(tmp_path, capsys):
     assert capsys.readouterr().out == once
 
 
+def test_fmt_prints_a_quality_union_and_a_region_name_factor_back(tmp_path, capsys):
+    text = (
+        "model m;\n"
+        "qg Q1 := Speed (System) :: Fast;\n"
+        "qg Q2 := (Speed | Latency) (System) :: Fast;\n"
+        "scale_up Q1 -> Q2 by Slow [strengthen];\n"
+    )
+    assert main(["fmt", write(tmp_path, text)]) == 0
+    assert capsys.readouterr().out == text
+
+
 def test_fmt_matches_the_library_printer(tmp_path, capsys):
     path = write(tmp_path, COST_REGIONS)
     assert main(["fmt", path]) == 0
@@ -559,6 +570,13 @@ def test_query_prints_matching_ids(tmp_path, capsys):
     path = write(tmp_path, CLEAN + 'goal G2 := "collect";\n')
     assert main(["query", path, "--pattern", "<object: Ticket>"]) == 0
     assert capsys.readouterr().out == "F1\n"
+
+
+def test_query_finds_an_element_through_its_observer(tmp_path, capsys):
+    # only the interrelation graph's observed_by edges name Tester
+    path = write(tmp_path, "model m;\nqc Q5 := Speed (System) :: [1, 5] <observed_by: Tester>;\n")
+    assert main(["query", path, "--pattern", "<refer_to: SOME Tester>"]) == 0
+    assert capsys.readouterr().out == "Q5\n"
 
 
 def test_query_without_matches_is_quiet(tmp_path, capsys):

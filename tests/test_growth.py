@@ -36,7 +36,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # 3.13 differ, theirs follow in brackets.
 GUARDS = {
     # parse, strength audit and world check of the seed-7 bench ladder at
-    # n refinement steps: 276,572, 549,544 and 1,095,307 lines, increment
+    # n refinement steps: 276,964, 550,328 and 1,096,875 lines, increment
     # ratio 1.9993; a derivation that closes each left side afresh measured
     # 2.433, one that makes its fired axioms in full 2.418, and one that
     # settles the atoms' closures in axiom order 2.444
@@ -59,10 +59,21 @@ GUARDS = {
     # fulfillment of an n-step reduce chain whose last goal alone is marked,
     # which wakes one application per step: increment ratio 2.0000
     "fulfill": ((100, 200, 400), 2.02),
+    # parse and `fmt` of the seed-1 bench `edit-session` model at n edit
+    # groups: 64,819, 127,560 and 252,870 lines, increment ratio 1.9973
+    # (1.9973, 1.9972)
+    "edit-fmt": ((60, 120, 240), 2.02),
+    # parse and `query --pattern "<object: Record3>"` of the same model,
+    # the query that must prove: increment ratio 1.9989
+    "edit-query": ((60, 120, 240), 2.02),
+    # parse, strength audit and world check of the seed-1 bench `ring-world`
+    # model at n ring individuals: 14,933, 25,340 and 46,097 lines,
+    # increment ratio 1.9945
+    "ring-check": ((55, 110, 220), 2.02),
 }
 
 # lint of the 224-step ladder with one disjointness axiom against lint of the
-# same ladder without it: ratio 1.308 (1.310, 1.307); a lint that walks
+# same ladder without it: ratio 1.312 (1.313, 1.311); a lint that walks
 # every element's mentions before it knows a term is empty measured 1.771
 LINT_DISJOINT = (224, 1.35)
 
@@ -173,12 +184,13 @@ def _counts() -> dict:
     import reqsmith.saturation  # noqa: F401  (its import is not the work counted)
     from reqsmith.fulfillment import propagate_fulfillment
     from reqsmith.lint import lint_model
-    from reqsmith.parser import parse_description, parse_model
+    from reqsmith.parser import parse_description, parse_model, print_model
     from reqsmith.reasoner import check_consistency, check_strength_tags, query
 
     pattern = parse_description("<object: C0>")
+    record = parse_description("<object: Record3>")
 
-    def ladder(text):
+    def check(text):
         model = parse_model(text)
         check_strength_tags(model)
         check_consistency(model)
@@ -196,11 +208,20 @@ def _counts() -> dict:
 
     # family -> (the work counted, its input at a size, built uncounted)
     runs = {
-        "ladder": (ladder, _ladder_text),
+        "ladder": (check, _ladder_text),
         "chain": (check_consistency, lambda size: parse_model(_chain_text(size))),
         "ladder-query": (ladder_query, _ladder_text),
         "ladder-lint": (ladder_lint, lambda size: _ladder_text(size) + _DISJOINT),
         "fulfill": (propagate_fulfillment, lambda size: parse_model(_fulfill_text(size))),
+        "edit-fmt": (
+            lambda text: print_model(parse_model(text)),
+            lambda size: _bench_text("edit-session", 1, EDIT_GROUPS=size),
+        ),
+        "edit-query": (
+            lambda text: query(parse_model(text), record),
+            lambda size: _bench_text("edit-session", 1, EDIT_GROUPS=size),
+        ),
+        "ring-check": (check, lambda size: _bench_text("ring-world", 1, RING_INDIVIDUALS=size)),
     }
     lines = {}
     for family, (sizes, _) in GUARDS.items():

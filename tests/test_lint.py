@@ -61,6 +61,15 @@ def test_whole_class_subject_is_an_unsatisfiable_risk():
     assert hits[0].suggested_operator == "deuniv"
 
 
+def test_a_universal_subject_name_is_an_unsatisfiable_risk():
+    m = parsed("model t;\nqg Q1 := Speed (All_users) :: Fast;\n")
+    hits = findings(m, Issue.UNSATISFIABLE)
+    assert [(f.element_id, f.detail) for f in hits] == [
+        ("Q1", "the subject names a universal (all); relax it to a fraction of the population")
+    ]
+    assert hits[0].suggested_operator == "deuniv"
+
+
 def test_universal_wording_is_an_unsatisfiable_risk():
     m = parsed('model t;\nqg QG1 := "all tasks shall finish within 5 seconds";\n')
     hits = findings(m, Issue.UNSATISFIABLE)
@@ -621,5 +630,5 @@ def test_findings_only_suggest_real_operators():
         model_module.replace(finding, suggested_operator="rewrite")
     assert model_module.replace(finding, detail="other").detail == "other"
     # a finding is a record: its class name leads its fields
-    assert tuple(finding) == ("LintFinding", "E1", Issue.AMBIGUOUS, "detail", "reduce", None)
-    assert finding != ("E1", Issue.AMBIGUOUS, "detail", "reduce", None)
+    assert tuple(finding) == ("LintFinding", "E1", Issue.AMBIGUOUS, "detail", "reduce")
+    assert finding != ("E1", Issue.AMBIGUOUS, "detail", "reduce")

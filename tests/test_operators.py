@@ -32,7 +32,7 @@ from reqsmith.operators import (
     apply_resolve,
     apply_scale,
 )
-from reqsmith.parser import parse_description, parse_model
+from reqsmith.parser import parse_description, parse_model, print_model
 from reqsmith.reasoner import (
     VerdictStatus,
     check_strength_tags,
@@ -86,6 +86,24 @@ def content_proven(model, sub_id, sup_id):
 def clean(model):
     assert validate_model(model) == []
     assert check_strength_tags(model) == []
+
+
+@pytest.fixture(autouse=True)
+def every_result_is_valid_and_prints_back(monkeypatch):
+    """Every model an operator returns in these tests passes validation, and
+    its canonical text parses back to an equal model."""
+
+    def checked(apply):
+        def run(*args, **kwargs):
+            model = apply(*args, **kwargs)
+            assert validate_model(model) == []
+            assert parse_model(print_model(model)) == model
+            return model
+
+        return run
+
+    for name in [name for name in globals() if name.startswith("apply_")]:
+        monkeypatch.setitem(globals(), name, checked(globals()[name]))
 
 
 # ===== reduce =====
@@ -695,6 +713,39 @@ def test_observe_stacks_observers():
 def test_observe_rejects_non_quality_inputs():
     with pytest.raises(OperatorError, match="quality"):
         apply_observe(BOOKING, "F1", AtomicConcept("Stopwatch"))
+
+
+# ===== added elements pass validation =====
+
+OBSERVED = parsed(
+    "model o;\nqg Q1 := Speed (System) :: Fast <observed_by: <role: Tester>>"
+    " u(?x, observed_by.role, 50%);\n"
+)
+PLAIN = parsed("model o;\nqg Q1 := Speed (System) :: Fast;\n")
+
+
+@pytest.mark.parametrize(
+    ("apply", "message"),
+    [
+        (
+            lambda: apply_observe(OBSERVED, "Q1", AtomicConcept("Auditor")),
+            "no slot 'role' found on the annotation path",
+        ),
+        (
+            lambda: apply_observe(PLAIN, "Q1", desc("<pct: SOME X>")),
+            "slot pct is reserved for reasoning",
+        ),
+        (
+            lambda: apply_focus(PLAIN, "Q1", [desc("[1, 2]")]),
+            "regions combine only with regions, not with concepts",
+        ),
+    ],
+    ids=["observer-off-the-path", "reserved-slot", "region-mixing"],
+)
+def test_operators_refuse_an_element_the_validator_rejects(apply, message):
+    with pytest.raises(OperatorError) as caught:
+        apply()
+    assert str(caught.value) == message
 
 
 # ===== resolve =====

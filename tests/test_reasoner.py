@@ -230,6 +230,13 @@ def test_exact_weakens_to_min_and_max():
     )
 
 
+def test_exact_counts_over_equivalent_fillers_are_equivalent():
+    axioms = [Subsumption(A("A"), A("B")), Subsumption(A("B"), A("A"))]
+    two_a, two_b = dl("<r: =2 A>"), dl("<r: =2 B>")
+    assert verdict(two_a, two_b, axioms).status is VerdictStatus.PROVEN
+    assert verdict(two_b, two_a, axioms).status is VerdictStatus.PROVEN
+
+
 def test_exact_filler_widening_fires_only_through_axioms():
     # an extra Alpha-successor outside Alpha-and-Beta breaks the exact count,
     # so widening an exact filler is refutable when the filler link is a

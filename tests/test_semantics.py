@@ -39,7 +39,10 @@ from reqsmith.model import (
     at_least,
     at_most,
     exactly,
+    replace,
+    validate_model,
 )
+from reqsmith.parser import parse_description, parse_model
 from reqsmith.reasoner import _norm
 from reqsmith.semantics import (
     DL_NOTHING,
@@ -422,6 +425,78 @@ def test_slot_path_annotation_grafts_at_the_first_matching_restriction(first, se
     )
     expected = subject(Union(A(first), pct_slot(Fraction(4, 5))))
     assert grafted == DLExists("inheres_in", translate_description(expected))
+
+
+# Paths that pass a restriction on another slot, the right side of `|`, `-`
+# and adjacency, and an inverse projection; one that ends in several
+# observers; and several paths in one body, two of them nested. Each
+# element's expected subject and observers, grafted, are written out.
+GRAFTED_PATHS = """model paths;
+qg P1 := Speed (Run <step: <run_of: Task>>) :: Fast u(?x, inheres_in.run_of, 80%);
+qg P2 := Speed (Job | <run_of: Task>) :: Fast u(?x, inheres_in.run_of, 70%);
+qg P3 := Speed (Job - <run_of: Task>) :: Fast u(?x, inheres_in.run_of, 60%);
+qg P4 := Speed (Job <run_of: Task>) :: Fast u(?x, inheres_in.run_of, 50%);
+qg P5 := Speed (<run_of: Task>.owner) :: Fast u(?x, inheres_in.run_of, 40%);
+qc P6 := Speed (System) :: [1, 5] <observed_by: <role: Tester>>
+  <observed_by: Panel <role: Auditor>> u(?y, observed_by.role, 30%);
+qg P7 := Speed (Run <step: <run_of: Task <part: Sub>>>) :: Fast
+  u(?x, inheres_in.run_of.part, 90%) u(?y, inheres_in.run_of, 80%) u(?z, inheres_in, 75%);
+qc P8 := Speed (Job <run_of: Task> <run_of: Other>) :: [1, 5]
+  <observed_by: Tester> <observed_by: Auditor> u(?z, observed_by, 20%) u(?x, inheres_in.run_of, 10%);
+"""
+
+EXPECTED_GRAFTS = {
+    "P1": ("Run <step: <run_of: Task | <pct: SOME [0.8, 1]>>>", ()),
+    "P2": ("Job | <run_of: Task | <pct: SOME [0.7, 1]>>", ()),
+    "P3": ("Job - <run_of: Task | <pct: SOME [0.6, 1]>>", ()),
+    "P4": ("Job <run_of: Task | <pct: SOME [0.5, 1]>>", ()),
+    "P5": ("<run_of: Task | <pct: SOME [0.4, 1]>>.owner", ()),
+    "P6": (
+        "System",
+        ("<role: Tester | <pct: SOME [0.3, 1]>>", "Panel <role: Auditor | <pct: SOME [0.3, 1]>>"),
+    ),
+    "P7": (
+        "Run <step: <run_of: Task <part: Sub | <pct: SOME [0.9, 1]>> | <pct: SOME [0.8, 1]>>>"
+        " | <pct: SOME [0.75, 1]>",
+        (),
+    ),
+    "P8": (
+        "Job <run_of: Task | <pct: SOME [0.1, 1]>> <run_of: Other>",
+        ("Tester | <pct: SOME [0.2, 1]>", "Auditor | <pct: SOME [0.2, 1]>"),
+    ),
+}
+
+
+def test_annotation_paths_graft_where_they_end_in_the_body_as_written():
+    model = parse_model(GRAFTED_PATHS)
+    assert not isinstance(model, list), model
+    assert validate_model(model) == []
+    for element in model.elements:
+        subject, observers = EXPECTED_GRAFTS[element.id]
+        written = replace(
+            element.body,
+            subject=parse_description(subject),
+            observers=tuple(map(parse_description, observers)),
+            pct_annotations=(),
+        )
+        expected = translate_element(replace(element, body=written))
+        assert translate_element(element) == expected, element.id
+
+
+def test_a_path_never_follows_a_pct_restriction_another_graft_added():
+    # The first annotation grafts a pct restriction onto the subject; the
+    # second path, followed in the body as written, finds no pct slot.
+    body = QualityStatement(
+        A("Processing_time"),
+        A("File_search"),
+        NamedRegion("Fast"),
+        pct_annotations=(
+            UAnnotation("X", ("inheres_in",), Fraction(1, 2)),
+            UAnnotation("Y", ("inheres_in", "pct"), Fraction(1, 2)),
+        ),
+    )
+    with pytest.raises(PathMismatch, match="no slot 'pct' found on the annotation path"):
+        translate_element(Element("QG", Kind.QG, body))
 
 
 def test_translate_observer_path_without_observers_fails():

@@ -10,7 +10,6 @@ import pytest
 from reqsmith.model import (
     AtomicConcept,
     Element,
-    FocusArgs,
     Interval,
     Kind,
     Model,
@@ -23,6 +22,7 @@ from reqsmith.model import (
     ScaleDirection,
     ScaleFactor,
     Strength,
+    Union,
     replace,
     validate_model,
 )
@@ -161,17 +161,18 @@ AGREEMENT_CASES = [
 )
 def test_operators_raise_exactly_when_validation_reports(op, source, target):
     if op is Operator.FOCUS:
-        inp, out = _quality_element("IN", source), _quality_element("OUT", target)
-        args = FocusArgs(("Latency",))
+        inp = _quality_element("IN", source)
+        # the element focus adds: the input with its quality widened
+        widened = replace(inp.body, quality=Union(inp.body.quality, AtomicConcept("Latency")))
+        out = Element("OUT", target, widened)
     else:
         inp = Element("IN", source, NaturalLanguage("in"))
         out = Element("OUT", target, NaturalLanguage("out"))
-        args = None
-    app = OperatorApplication(op, ("IN",), ("OUT",), Strength.EQUATING, args)
-    recorded = Model("m", (inp, out), (app,))
-    expected = [
-        d.message for d in validate_model(recorded) if d.subject_id == "application[0]"
-    ]
+    app = OperatorApplication(op, ("IN",), ("OUT",), Strength.EQUATING)
+    # the application's own diagnostics first, then those of the added element
+    diagnostics = validate_model(Model("m", (inp, out), (app,)))
+    expected = [d.message for d in diagnostics if d.subject_id == "application[0]"]
+    expected = expected or [d.message for d in diagnostics if d.subject_id == "OUT"]
     base = Model("m", (inp,))
     if expected:
         with pytest.raises(OperatorError) as caught:
@@ -198,8 +199,7 @@ def test_operators_raise_exactly_when_validation_reports(op, source, target):
 )
 def test_operators_reject_exactly_the_tags_the_audit_flags(op, strength, legal):
     inp, out = _quality_element("IN", Kind.QG), _quality_element("OUT", Kind.QG)
-    args = FocusArgs(("Latency",)) if op is Operator.FOCUS else None
-    app = OperatorApplication(op, ("IN",), ("OUT",), strength, args)
+    app = OperatorApplication(op, ("IN",), ("OUT",), strength)
     audit = [d.message for d in check_strength_tags(Model("m", (inp, out), (app,)))]
     base = Model("m", (inp,))
     if op is Operator.FOCUS:
