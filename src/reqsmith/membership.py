@@ -9,18 +9,21 @@ a counting measure for point prototypes, an area measure for interval
 prototypes. Degrees are computed pointwise, one queried value at a time; the
 library exposes no closed-form pieces of the membership function.
 
+Both measures are graded by one neighbour-loss rule. In ordered, disjoint
+regions, only the neighbour on p's side of a region's pick can pick as
+close to p, since any farther pick lies beyond the neighbour's. So the
+degree is 1 minus each neighbour's chance to pick at least as close.
+
 All arithmetic is exact over rationals.
 """
 
 from __future__ import annotations
 
-import itertools
+from bisect import bisect_right
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .model import IntervalPrototypes, PointPrototypes, PrototypeRegion, exact_decimal
-
-COMPLETION_CAP = 1_000_000
 
 
 class MembershipError(ValueError):
@@ -39,6 +42,22 @@ def _prototypes(regions: Sequence[PrototypeRegion], style: type) -> list:
     return [region.prototypes for region in regions]
 
 
+def _collate(
+    regions: Sequence[PrototypeRegion], hulls: list, message: str, losses: Callable
+) -> dict[str, Fraction]:
+    """Each region's degree: 1 minus its losses to its neighbours. `losses(k)`
+    is the chance that region k + 1's pick is at least as close as region
+    k's, and the converse. Hulls out of order raise MembershipError(message)."""
+    degrees = [Fraction(1)] * len(regions)
+    for k, ((_, hi), (lo, _)) in enumerate(zip(hulls, hulls[1:])):
+        if not hi < lo:
+            raise MembershipError(message)
+        lower, upper = losses(k)
+        degrees[k] -= lower
+        degrees[k + 1] -= upper
+    return {region.name: degree for region, degree in zip(regions, degrees)}
+
+
 # ===== point prototypes =====
 
 
@@ -51,26 +70,18 @@ def membership_points(
     region whose selected prototype is strictly nearest. Ties assign `p` to
     no region, so degrees can undershoot a full partition on tie points.
     """
-    protos = _prototypes(regions, PointPrototypes)
-    hulls = [(min(pp.values), max(pp.values)) for pp in protos]
-    for (_, hi), (lo, _) in zip(hulls, hulls[1:]):
-        if not hi < lo:
-            raise MembershipError("prototype point sets must not interleave")
-    total = 1
-    for pp in protos:
-        total *= len(pp.values)
-        if total > COMPLETION_CAP:
-            raise MembershipError(f"completion count exceeds cap ({COMPLETION_CAP})")
-    counts = [0] * len(regions)
-    for completion in itertools.product(*(pp.values for pp in protos)):
-        distances = [abs(p - chosen) for chosen in completion]
-        best = min(distances)
-        winners = [i for i, dist in enumerate(distances) if dist == best]
-        if len(winners) == 1:
-            counts[winners[0]] += 1
-    return {
-        region.name: Fraction(count, total) for region, count in zip(regions, counts)
-    }
+    values = [pp.values for pp in _prototypes(regions, PointPrototypes)]
+    distances = [sorted(abs(p - q) for q in points) for points in values]
+
+    def losses(k: int) -> tuple[Fraction, Fraction]:
+        lower, upper = distances[k], distances[k + 1]
+        pairs = len(lower) * len(upper)
+        lower_lost = sum(bisect_right(upper, own) for own in lower)
+        upper_lost = sum(bisect_right(lower, own) for own in upper)
+        return Fraction(lower_lost, pairs), Fraction(upper_lost, pairs)
+
+    hulls = [(min(points), max(points)) for points in values]
+    return _collate(regions, hulls, "prototype point sets must not interleave", losses)
 
 
 # ===== interval prototypes =====
@@ -105,29 +116,17 @@ def membership_intervals(
 ) -> dict[str, Fraction]:
     """Degrees of `p` in an ordered family of interval-prototype regions.
 
-    Adjacent pairs are evaluated with the two-region measure and collated:
-    a region's degree is bounded by its pair with the previous region on the
-    left and by its pair with the next region on the right. Outermost flanks
+    Adjacent regions lose to each other by the two-region area measure: the
+    lower one's pick is nearer above the line x + y = 2p. Outermost flanks
     stay at one toward the open side, so the degrees always sum to one.
     """
-    bounds = [(i.a, i.b) for i in _prototypes(regions, IntervalPrototypes)]
-    for (_, hi), (lo, _) in zip(bounds, bounds[1:]):
-        if not hi < lo:
-            raise MembershipError("interval regions must be ordered and disjoint")
-    degrees: dict[str, Fraction] = {}
-    for index, region in enumerate(regions):
-        left = Fraction(1)
-        right = Fraction(1)
-        if index > 0:
-            a, b = bounds[index - 1]
-            c, d = bounds[index]
-            left = 1 - _pair_degree_r1(p, a, b, c, d)
-        if index + 1 < len(regions):
-            a, b = bounds[index]
-            c, d = bounds[index + 1]
-            right = _pair_degree_r1(p, a, b, c, d)
-        degrees[region.name] = min(left, right)
-    return degrees
+    hulls = [(i.a, i.b) for i in _prototypes(regions, IntervalPrototypes)]
+
+    def losses(k: int) -> tuple[Fraction, Fraction]:
+        lower_nearer = _pair_degree_r1(p, *hulls[k], *hulls[k + 1])
+        return 1 - lower_nearer, lower_nearer
+
+    return _collate(regions, hulls, "interval regions must be ordered and disjoint", losses)
 
 
 def membership_degrees(

@@ -896,11 +896,13 @@ def _validate_element(element: Element) -> list[ValidationDiagnostic]:
             diags.append(ValidationDiagnostic(element.id, "qc-region", message))
     diags.extend(_validate_descriptions(body, element.id))
     if quality and body.pct_annotations:
-        paths = [ann.matched_path for ann in body.pct_annotations]
-        if len(set(paths)) != len(paths):
+        # one annotation per path: whether a path can be followed depends
+        # on the path alone
+        by_path = {ann.matched_path: ann for ann in body.pct_annotations}
+        if len(by_path) != len(body.pct_annotations):
             message = "two pct annotations share one path"
             diags.append(ValidationDiagnostic(element.id, "pct-paths", message))
-        for ann in body.pct_annotations:
+        for ann in by_path.values():
             try:
                 graft_annotations(body, (ann,))
             except ValueError as error:

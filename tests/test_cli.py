@@ -1043,6 +1043,33 @@ def test_membership_on_an_empty_regions_block_exits_two(tmp_path, capsys, json_f
 
 
 @pytest.mark.parametrize(
+    "regions,message",
+    [
+        (
+            "low = points {500, 900};\n  medium = points {800, 1000};",
+            "prototype point sets must not interleave",
+        ),
+        (
+            "high = interval [800, 1000];\n  low = interval [500, 700];",
+            "interval regions must be ordered and disjoint",
+        ),
+        (
+            "low = points {500, 700};\n  medium = interval [800, 1000];",
+            "point and interval prototype styles may not be mixed in one computation",
+        ),
+    ],
+    ids=["interleaving-points", "unordered-intervals", "mixed-styles"],
+)
+def test_membership_on_regions_it_cannot_grade_exits_two(tmp_path, capsys, regions, message):
+    # validation accepts these blocks; grading them is what fails
+    path = write(tmp_path, f"model m;\nregions Cost {{\n  {regions}\n}}\n")
+    assert main(["membership", path, "--quality", "Cost", "--value", "740"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{message}\n"
+
+
+@pytest.mark.parametrize(
     "command", ["check", "fmt", "fulfill", "lint", "membership", "query", "translate"]
 )
 def test_a_region_declared_twice_exits_two_on_every_command(tmp_path, capsys, command):

@@ -27,6 +27,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -70,6 +71,12 @@ GUARDS = {
     # model at n ring individuals: 14,933, 25,340 and 46,097 lines,
     # increment ratio 1.9945
     "ring-check": ((55, 110, 220), 2.02),
+    # `membership_degrees` of n point regions of 10 prototypes each, at the
+    # midpoint between the two middle regions: 182, 378 and 770 lines
+    # (177, 373, 765), increment ratio 2.0000; a count that multiplies one
+    # factor per other region measured 3.752, and the completion enumerator
+    # exits at its cap of 1,000,000 from 8 regions on
+    "membership": ((4, 8, 16), 2.02),
 }
 
 # lint of the 224-step ladder with one disjointness axiom against lint of the
@@ -178,12 +185,23 @@ def _fulfill_text(steps: int) -> str:
     return "\n".join(lines + [f"fulfilled G{steps - 1};"]) + "\n"
 
 
+def _membership_case(size: int) -> tuple:
+    """A value and `size` point regions r{i} = {10i, ..., 10i + 9}; the value
+    ties the two middle regions' nearest prototypes."""
+    from reqsmith.model import PointPrototypes, PrototypeRegion
+
+    points = [tuple(map(Fraction, range(10 * i, 10 * i + 10))) for i in range(size)]
+    regions = [PrototypeRegion(f"r{i}", PointPrototypes(p)) for i, p in enumerate(points)]
+    return Fraction(10 * (size // 2)) - Fraction(1, 2), regions
+
+
 def _counts() -> dict:
     """The line counts of each family at each of its sizes, of lint with and
     without a disjointness axiom, and the derivation's rule runs."""
     import reqsmith.saturation  # noqa: F401  (its import is not the work counted)
     from reqsmith.fulfillment import propagate_fulfillment
     from reqsmith.lint import lint_model
+    from reqsmith.membership import membership_degrees
     from reqsmith.parser import parse_description, parse_model, print_model
     from reqsmith.reasoner import check_consistency, check_strength_tags, query
 
@@ -222,6 +240,7 @@ def _counts() -> dict:
             lambda size: _bench_text("edit-session", 1, EDIT_GROUPS=size),
         ),
         "ring-check": (check, lambda size: _bench_text("ring-world", 1, RING_INDIVIDUALS=size)),
+        "membership": (lambda case: membership_degrees(*case), _membership_case),
     }
     lines = {}
     for family, (sizes, _) in GUARDS.items():

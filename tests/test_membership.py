@@ -2,22 +2,30 @@
 
 The interval formulas are cross-checked against an independent oracle: an
 exact midpoint-grid count of the completion measure (the fraction of the
-prototype rectangle lying above the line x + y = 2p).
+prototype rectangle lying above the line x + y = 2p). The neighbour-loss
+rule is cross-checked against two references kept here: an enumeration of
+every point completion, and the collation of adjacent interval pairs by
+`min`.
 """
 
+import itertools
 import math
+import random
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from reqsmith.membership import (
-    COMPLETION_CAP,
     MembershipError,
+    _pair_degree_r1,
     format_degree,
     membership_intervals,
     membership_points,
 )
 from reqsmith.model import IntervalPrototypes, PointPrototypes, PrototypeRegion
+from reqsmith.parser import parse_model
 
 F = Fraction
 
@@ -88,12 +96,65 @@ def test_point_case_interleaving_rejected():
         membership_points(F(740), regions)
 
 
-def test_point_case_cap():
-    # 8 ** 7 = 2,097,152 completions; the count is refused before any is built
+def test_point_case_seven_regions_answer():
+    # 8 ** 7 = 2,097,152 completions; only the two regions around 8.5 grade
     regions = tuple(pregion(f"r{i}", *range(10 * i, 10 * i + 8)) for i in range(7))
-    assert 8**7 > COMPLETION_CAP
-    with pytest.raises(MembershipError, match=rf"exceeds cap \({COMPLETION_CAP}\)"):
-        membership_points(F(4), regions)
+    degrees = membership_points(F(17, 2), regions)
+    assert degrees == {"r0": F(7, 16), "r1": F(7, 16), **{f"r{i}": 0 for i in range(2, 7)}}
+
+
+def test_point_case_six_regions_of_ten_within_a_tenth_of_a_second():
+    regions = tuple(pregion(f"r{i}", *range(10 * i, 10 * i + 10)) for i in range(6))
+    start = time.perf_counter()
+    degrees = membership_points(F(19, 2), regions)
+    elapsed = time.perf_counter() - start
+    assert degrees == {"r0": F(9, 20), "r1": F(9, 20), **{f"r{i}": 0 for i in range(2, 6)}}
+    assert elapsed < 0.1
+
+
+def enumerated_points(p, regions):
+    """Reference: count every completion, one prototype per region, that
+    puts `p` strictly nearest to one region's pick."""
+    values = [region.prototypes.values for region in regions]
+    distances = [[abs(p - q) for q in points] for points in values]
+    # each distance as its rank among all of them, which keeps order and ties
+    rank = {d: i for i, d in enumerate(sorted({d for ds in distances for d in ds}))}
+    counts = [0] * len(regions)
+    for completion in itertools.product(*([rank[d] for d in ds] for ds in distances)):
+        best = min(completion)
+        winners = [i for i, d in enumerate(completion) if d == best]
+        if len(winners) == 1:
+            counts[winners[0]] += 1
+    total = math.prod(len(v) for v in values)
+    return {region.name: F(n, total) for region, n in zip(regions, counts)}
+
+
+def breakpoints(values):
+    """Every value, and the midpoint of every pair of values."""
+    return sorted({(x + y) / 2 for x, y in itertools.combinations_with_replacement(values, 2)})
+
+
+def test_points_agree_with_enumeration_on_random_families():
+    rng = random.Random(31)
+    for _ in range(2000):
+        sizes = [rng.randint(1, 4) for _ in range(rng.randint(1, 5))]
+        # a narrow integer range, so ties between picks are common
+        points = sorted(rng.sample(range(3 * sum(sizes)), sum(sizes)))
+        cuts = list(itertools.accumulate(sizes, initial=0))
+        regions = tuple(
+            pregion(f"r{i}", *points[lo:hi]) for i, (lo, hi) in enumerate(zip(cuts, cuts[1:]))
+        )
+        values = rng.sample(breakpoints(map(F, points)), 3) if len(points) > 1 else []
+        for p in values + [F(rng.randint(-30, 90), rng.randint(1, 6))]:
+            assert membership_points(p, regions) == enumerated_points(p, regions)
+
+
+def test_points_agree_with_enumeration_on_the_cost_points_fixture():
+    fixture = Path(__file__).parent / "fixtures" / "cost_points.dsr"
+    regions = parse_model(fixture.read_text(encoding="utf-8")).membership_specs[0].regions
+    values = [q for region in regions for q in region.prototypes.values]
+    for p in breakpoints(values) + [F(-100000), F(1100), F(100000)]:
+        assert membership_points(p, regions) == enumerated_points(p, regions)
 
 
 # ===== interval pairs =====
@@ -191,6 +252,32 @@ def test_collation_edge_monotonicity():
     highs = [membership_intervals(p, COST_INTERVALS)["high"] for p in samples]
     assert all(x >= y for x, y in zip(lows, lows[1:]))
     assert all(x <= y for x, y in zip(highs, highs[1:]))
+
+
+def min_collated_intervals(p, regions):
+    """Reference: bound each region by its pair with the previous region
+    on the left and by its pair with the next region on the right."""
+    bounds = [(r.prototypes.a, r.prototypes.b) for r in regions]
+    degrees = {}
+    for index, region in enumerate(regions):
+        left = right = F(1)
+        if index > 0:
+            left = 1 - _pair_degree_r1(p, *bounds[index - 1], *bounds[index])
+        if index + 1 < len(regions):
+            right = _pair_degree_r1(p, *bounds[index], *bounds[index + 1])
+        degrees[region.name] = min(left, right)
+    return degrees
+
+
+def test_intervals_agree_with_the_min_collation_on_random_families():
+    rng = random.Random(31)
+    for _ in range(500):
+        count, scale = rng.randint(1, 4), rng.choice((1, 2, 3))
+        ends = sorted(F(n, scale) for n in rng.sample(range(60), 2 * count))
+        regions = tuple(iregion(f"r{i}", *ends[2 * i : 2 * i + 2]) for i in range(count))
+        randoms = [F(rng.randint(-70, 490), 7) for _ in range(2)]
+        for p in breakpoints(ends) + randoms:
+            assert membership_intervals(p, regions) == min_collated_intervals(p, regions)
 
 
 # ===== mixed styles and rendering =====

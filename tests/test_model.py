@@ -268,6 +268,17 @@ def test_element_diagnostics_keep_their_order():
     ]
 
 
+
+def test_a_pct_path_written_twice_is_followed_once():
+    text = (
+        "model m;\nqc Q := Processing_time (System) :: [0, 5 (Sec)]"
+        " u(?x, inheres_in.run_of, 90%) u(?y, inheres_in.run_of, 80%);\n"
+    )
+    assert [d.message for d in parse_model(text)] == [
+        "Q: [pct-paths] two pct annotations share one path",
+        "Q: [pct-path] no slot 'run_of' found on the annotation path",
+    ]
+
 def _reference_validate_descriptions(body, owner):
     """The description checks as they were before the walk kept a stack of
     its own: a `subterms` list per description, read in pre-order. It is
