@@ -188,7 +188,7 @@ def _cmd_translate(args) -> int:
 
 
 def _cmd_membership(args) -> int:
-    from .membership import MembershipError, format_degree, membership_degrees
+    from .membership import format_degree, membership_degrees
 
     model = _load_model(args.file)
     spec = model.spec_for(args.quality)
@@ -200,10 +200,7 @@ def _cmd_membership(args) -> int:
         value = Fraction(args.value)
     except (ValueError, ZeroDivisionError) as err:
         raise _CliError(f"--value must be a number, not {args.value!r}") from err
-    try:
-        degrees = membership_degrees(value, spec.regions)
-    except MembershipError as err:
-        raise _CliError(str(err)) from err
+    degrees = membership_degrees(value, spec.regions)
     # Text prints one line per declared region; a single --region prints its
     # degree alone.
     names = [region.name for region in spec.regions]
@@ -305,8 +302,9 @@ def main(argv: Optional[list] = None) -> int:
         print(err, file=sys.stderr)
         return 2
     except RecursionError:
-        # The parser bounds nesting, but the structural derivation can still
-        # recurse past Python's limit on deep, wide models.
+        # Every pass over a description or concept is a step of `model.fold`,
+        # which keeps its own stack; only the structural derivation recurses,
+        # and it can pass Python's limit on deep, wide models.
         print(
             f"{args.file}: error: the model nests too deeply for the reasoner "
             "(recursion limit reached)",

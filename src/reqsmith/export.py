@@ -16,6 +16,7 @@ from .model import (
     Operator,
     QualityStatement,
     exact_decimal,
+    fold,
 )
 from .semantics import (
     DLAnd,
@@ -31,7 +32,7 @@ from .semantics import (
     DLNothing,
     DLOr,
     DLThing,
-    _is_dataish,
+    DL_CHILDREN,
     translate_description,
     translate_element,
 )
@@ -123,7 +124,57 @@ def _data_property(slot: str) -> str:
     return _DATA_PROPERTY_NAMES.get(slot, f"{slot}_value")
 
 
-def _render_data_range(c: DLConcept) -> str:
+_CARD_WORDS = {"min": "Min", "max": "Max", "exact": "Exact"}
+
+
+def _render(c: DLConcept) -> str:
+    text, data = fold(c, _render_step, DL_CHILDREN)
+    if data:
+        raise ValueError("a bare data range cannot stand as a class")
+    return text
+
+
+def _render_step(c: DLConcept, kids) -> tuple[str, bool]:
+    """c rendered, and whether that is a data range, from that pair for each
+    child. A data value range, and data ranges combined by and, or and not,
+    are data ranges; only a restriction's filler may be one."""
+    parts = [text for text, _ in kids]
+    data = [is_data for _, is_data in kids]
+    if isinstance(c, DLDataRange) or (isinstance(c, (DLAnd, DLOr, DLNot)) and all(data)):
+        return _render_data_range(c, parts), True
+    if isinstance(c, (DLExists, DLForAll, DLCard)):
+        kind, slot = ("Data", _data_property(c.slot)) if data[0] else ("Object", c.slot)
+        filler = f":{slot} {parts[0]}"
+        if isinstance(c, DLCard) and isinstance(c.filler, DLThing):
+            filler = f":{slot}"  # a qualified count of Thing is an unqualified one
+        if isinstance(c, DLExists):
+            return f"{kind}SomeValuesFrom({filler})", False
+        if isinstance(c, DLForAll):
+            return f"{kind}AllValuesFrom({filler})", False
+        return f"{kind}{_CARD_WORDS[c.kind]}Cardinality({c.n} {filler})", False
+    if any(data):
+        raise ValueError("a bare data range cannot stand as a class")
+    if isinstance(c, DLThing):
+        return "owl:Thing", False
+    if isinstance(c, DLNothing):
+        return "owl:Nothing", False
+    if isinstance(c, DLAtomic):
+        return f":{c.name}", False
+    if isinstance(c, DLNominal):
+        names = " ".join(f":{i}" for i in c.ids)
+        return f"ObjectOneOf({names})", False
+    if isinstance(c, DLAnd):
+        return f"ObjectIntersectionOf({' '.join(parts)})", False
+    if isinstance(c, DLOr):
+        return f"ObjectUnionOf({' '.join(parts)})", False
+    if isinstance(c, DLNot):
+        return f"ObjectComplementOf({parts[0]})", False
+    assert isinstance(c, DLExistsInverse)
+    return f"ObjectSomeValuesFrom(ObjectInverseOf(:{c.slot}) {parts[0]})", False
+
+
+def _render_data_range(c: DLConcept, parts: list[str]) -> str:
+    """A data range, given its arguments rendered."""
     if isinstance(c, DLDataRange):
         if c.facet == "eq":
             return f"DataOneOf({_data_literal(c.value)})"
@@ -137,67 +188,14 @@ def _render_data_range(c: DLConcept) -> str:
                 f"{_FACET_NAMES[a.facet]} {_data_literal(a.value)}" for a in c.args
             )
             return f"DatatypeRestriction(xsd:decimal {pairs})"
-        parts = " ".join(_render_data_range(a) for a in c.args)
-        return f"DataIntersectionOf({parts})"
+        return f"DataIntersectionOf({' '.join(parts)})"
     if isinstance(c, DLNot):
-        return f"DataComplementOf({_render_data_range(c.inner)})"
+        return f"DataComplementOf({parts[0]})"
     assert isinstance(c, DLOr)
     if all(isinstance(a, DLDataRange) and a.facet == "eq" for a in c.args):
         values = " ".join(_data_literal(a.value) for a in c.args)
         return f"DataOneOf({values})"
-    parts = " ".join(_render_data_range(a) for a in c.args)
-    return f"DataUnionOf({parts})"
-
-
-_CARD_WORDS = {"min": "Min", "max": "Max", "exact": "Exact"}
-
-
-def _render(c: DLConcept) -> str:
-    if _is_dataish(c):
-        raise ValueError("a bare data range cannot stand as a class")
-    if isinstance(c, DLThing):
-        return "owl:Thing"
-    if isinstance(c, DLNothing):
-        return "owl:Nothing"
-    if isinstance(c, DLAtomic):
-        return f":{c.name}"
-    if isinstance(c, DLNominal):
-        names = " ".join(f":{i}" for i in c.ids)
-        return f"ObjectOneOf({names})"
-    if isinstance(c, DLAnd):
-        parts = " ".join(_render(a) for a in c.args)
-        return f"ObjectIntersectionOf({parts})"
-    if isinstance(c, DLOr):
-        parts = " ".join(_render(a) for a in c.args)
-        return f"ObjectUnionOf({parts})"
-    if isinstance(c, DLNot):
-        return f"ObjectComplementOf({_render(c.inner)})"
-    if isinstance(c, DLExists):
-        if _is_dataish(c.filler):
-            return (
-                f"DataSomeValuesFrom(:{_data_property(c.slot)} "
-                f"{_render_data_range(c.filler)})"
-            )
-        return f"ObjectSomeValuesFrom(:{c.slot} {_render(c.filler)})"
-    if isinstance(c, DLForAll):
-        if _is_dataish(c.filler):
-            return (
-                f"DataAllValuesFrom(:{_data_property(c.slot)} "
-                f"{_render_data_range(c.filler)})"
-            )
-        return f"ObjectAllValuesFrom(:{c.slot} {_render(c.filler)})"
-    if isinstance(c, DLCard):
-        word = _CARD_WORDS[c.kind]
-        if _is_dataish(c.filler):
-            return (
-                f"Data{word}Cardinality({c.n} :{_data_property(c.slot)} "
-                f"{_render_data_range(c.filler)})"
-            )
-        if isinstance(c.filler, DLThing):
-            return f"Object{word}Cardinality({c.n} :{c.slot})"
-        return f"Object{word}Cardinality({c.n} :{c.slot} {_render(c.filler)})"
-    assert isinstance(c, DLExistsInverse)
-    return f"ObjectSomeValuesFrom(ObjectInverseOf(:{c.slot}) {_render(c.filler)})"
+    return f"DataUnionOf({' '.join(parts)})"
 
 
 def emit_owl(model: Model) -> str:

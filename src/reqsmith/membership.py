@@ -23,7 +23,13 @@ from bisect import bisect_right
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .model import IntervalPrototypes, PointPrototypes, PrototypeRegion, exact_decimal
+from .model import (
+    IntervalPrototypes,
+    PointPrototypes,
+    PrototypeRegion,
+    exact_decimal,
+    regions_error,
+)
 
 
 class MembershipError(ValueError):
@@ -34,24 +40,20 @@ class MembershipError(ValueError):
 
 
 def _prototypes(regions: Sequence[PrototypeRegion], style: type) -> list:
-    """The prototypes of every region, each of which must be of `style`."""
-    if not all(isinstance(region.prototypes, style) for region in regions):
-        raise MembershipError(
-            "point and interval prototype styles may not be mixed in one computation"
-        )
+    """The prototypes of every region, which `regions_error` must accept for
+    `style`; validation rejects a model whose regions it refuses."""
+    error = regions_error(regions, style)
+    if error is not None:
+        raise MembershipError(error)
     return [region.prototypes for region in regions]
 
 
-def _collate(
-    regions: Sequence[PrototypeRegion], hulls: list, message: str, losses: Callable
-) -> dict[str, Fraction]:
+def _collate(regions: Sequence[PrototypeRegion], losses: Callable) -> dict[str, Fraction]:
     """Each region's degree: 1 minus its losses to its neighbours. `losses(k)`
     is the chance that region k + 1's pick is at least as close as region
-    k's, and the converse. Hulls out of order raise MembershipError(message)."""
+    k's, and the converse."""
     degrees = [Fraction(1)] * len(regions)
-    for k, ((_, hi), (lo, _)) in enumerate(zip(hulls, hulls[1:])):
-        if not hi < lo:
-            raise MembershipError(message)
+    for k in range(len(regions) - 1):
         lower, upper = losses(k)
         degrees[k] -= lower
         degrees[k + 1] -= upper
@@ -80,8 +82,7 @@ def membership_points(
         upper_lost = sum(bisect_right(lower, own) for own in upper)
         return Fraction(lower_lost, pairs), Fraction(upper_lost, pairs)
 
-    hulls = [(min(points), max(points)) for points in values]
-    return _collate(regions, hulls, "prototype point sets must not interleave", losses)
+    return _collate(regions, losses)
 
 
 # ===== interval prototypes =====
@@ -126,7 +127,7 @@ def membership_intervals(
         lower_nearer = _pair_degree_r1(p, *hulls[k], *hulls[k + 1])
         return 1 - lower_nearer, lower_nearer
 
-    return _collate(regions, hulls, "interval regions must be ordered and disjoint", losses)
+    return _collate(regions, losses)
 
 
 def membership_degrees(

@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import _tuplegetter
 from enum import Enum
 from fractions import Fraction
+from operator import attrgetter
 from typing import Optional, Union as TypingUnion
 
 
@@ -871,6 +872,10 @@ def validate_model(model: Model) -> list[ValidationDiagnostic]:
         for name in sorted({n for n in names if names.count(n) > 1}):
             message = f"quality {spec.quality} declares region {name} more than once"
             diags.append(ValidationDiagnostic(rid, "unique-regions", message))
+        if spec.regions:
+            ungradable = regions_error(spec.regions, spec.regions[0].prototypes.__class__)
+            if ungradable is not None:
+                diags.append(ValidationDiagnostic(rid, "regions-order", ungradable))
     return diags
 
 
@@ -1006,6 +1011,23 @@ def scale_error(app: OperatorApplication, by_id: dict[str, Element]) -> Optional
     return None
 
 
+def regions_error(regions: tuple[PrototypeRegion, ...], style: type) -> Optional[str]:
+    """Why `membership` cannot grade `regions` by the measure of prototype
+    `style`, or None: every region has prototypes of that style, and each
+    region's prototypes lie below the next region's."""
+    if not all(isinstance(region.prototypes, style) for region in regions):
+        return "point and interval prototype styles may not be mixed in one computation"
+    if style is PointPrototypes:
+        hulls = [(min(r.prototypes.values), max(r.prototypes.values)) for r in regions]
+        message = "prototype point sets must not interleave"
+    else:
+        hulls = [(r.prototypes.a, r.prototypes.b) for r in regions]
+        message = "interval regions must be ordered and disjoint"
+    if any(not high < low for (_, high), (low, _) in zip(hulls, hulls[1:])):
+        return message
+    return None
+
+
 def strength_error(app: OperatorApplication, by_id: dict[str, Element]) -> Optional[str]:
     """Why `app`'s strength tag is illegal for its operator, or None."""
     legal, reason = _FIXED_STRENGTH.get(app.op, (None, ""))
@@ -1066,18 +1088,28 @@ def _first_restriction(d: Description, slot: str):
 
 def _graft(d: Description, at: tuple[int, ...], grafts: dict) -> Description:
     """`d`, found at position `at`, with the grafts at or below `at` made."""
-    if not any(position[: len(at)] == at for position in grafts):
-        return d
-    inner = [_graft(kid, at + (i,), grafts) for i, kid in enumerate(children(d))]
-    if isinstance(d, SlotRestriction):
-        d = SlotRestriction(d.slot, d.modifier, *inner)
-    elif isinstance(d, InverseProjection):
-        d = InverseProjection(*inner, d.slot)
-    elif inner:
-        d = d.__class__(*inner)
-    for pct in grafts.get(at, ()):
-        d = Union(d, pct)
-    return d
+
+    def kids(located):
+        # a node with no graft at or below it is kept as it is
+        node, at = located
+        if not any(position[: len(at)] == at for position in grafts):
+            return ()
+        return [(kid, at + (i,)) for i, kid in enumerate(children(node))]
+
+    def step(located, inner):
+        node, at = located
+        if isinstance(node, SlotRestriction) and inner:
+            node = SlotRestriction(node.slot, node.modifier, *inner)
+        elif isinstance(node, InverseProjection) and inner:
+            node = InverseProjection(*inner, node.slot)
+        elif inner:
+            node = node.__class__(*inner)
+        for pct in grafts.get(at, ()):
+            node = Union(node, pct)
+        return node
+
+    # each node is folded with its position, as a plain (node, position) tuple
+    return fold((d, at), step, {tuple: kids})
 
 
 def _check_acyclic(model: Model) -> list[ValidationDiagnostic]:
@@ -1114,11 +1146,15 @@ def _check_acyclic(model: Model) -> list[ValidationDiagnostic]:
     return []
 
 
+def _region_step(d: Description, kids) -> bool:
+    if isinstance(d, (Intersection, Union, Difference)):
+        return all(kids)
+    return isinstance(d, Region)
+
+
 def _is_region(d: Description) -> bool:
     """Whether `d` is a region, or regions combined by `|`, `-` or adjacency."""
-    if isinstance(d, (Intersection, Union, Difference)):
-        return _is_region(d.left) and _is_region(d.right)
-    return isinstance(d, Region)
+    return fold(d, _region_step)
 
 
 def _validate_descriptions(body: ElementBody, owner: str) -> list[ValidationDiagnostic]:
@@ -1131,8 +1167,20 @@ def _validate_descriptions(body: ElementBody, owner: str) -> list[ValidationDiag
         positions = ("the left side", "the right side")
     elif isinstance(body, QualityStatement):
         positions = ("the quality",)
+    # Whether a node is a region, by its id: the first node of `|`, `-` or
+    # adjacency asked about records its whole subtree in one fold, so the
+    # pre-order walk below reads each answer without walking again.
+    region: dict[int, bool] = {}
+
+    def is_region(d: Description) -> bool:
+        if not isinstance(d, (Intersection, Union, Difference)):
+            return isinstance(d, Region)
+        if id(d) not in region:
+            fold(d, lambda node, kids: region.setdefault(id(node), _region_step(node, kids)))
+        return region[id(d)]
+
     for index, desc in enumerate(body_descriptions(body)):
-        if index < len(positions) and _is_region(desc):
+        if index < len(positions) and is_region(desc):
             diags.append(_misplaced(owner, positions[index]))
         # Pre-order, left to right, on a stack of its own; an atom, the
         # commonest node, has nothing to check.
@@ -1148,11 +1196,11 @@ def _validate_descriptions(body: ElementBody, owner: str) -> list[ValidationDiag
                 if isinstance(d, SlotRestriction):
                     stack.append(d.filler)
                     continue
-                if _is_region(d.source):
+                if is_region(d.source):
                     diags.append(_misplaced(owner, f"the source of .{d.slot}"))
                 stack.append(d.source)
             elif isinstance(d, (Intersection, Union, Difference)):
-                if _is_region(d.left) != _is_region(d.right):
+                if is_region(d.left) != is_region(d.right):
                     message = "regions combine only with regions, not with concepts"
                     diags.append(ValidationDiagnostic(owner, "region-mixing", message))
                 stack += (d.right, d.left)
@@ -1167,15 +1215,53 @@ def _misplaced(owner: str, position: str) -> ValidationDiagnostic:
 # ===== PART 6: traversal and symbol collection =====
 
 
+# The getter of each composite description's children, left to right; a
+# class missing here is a leaf.
+CHILDREN = {
+    **dict.fromkeys((Intersection, Union, Difference), attrgetter("left", "right")),
+    SlotRestriction: lambda d: (d.filler,),
+    InverseProjection: lambda d: (d.source,),
+}
+
+
 def children(d: Description) -> tuple[Description, ...]:
     """The descriptions directly inside `d`, left to right."""
-    if isinstance(d, (Intersection, Union, Difference)):
-        return (d.left, d.right)
-    if isinstance(d, SlotRestriction):
-        return (d.filler,)
-    if isinstance(d, InverseProjection):
-        return (d.source,)
-    return ()
+    get = CHILDREN.get(d.__class__)
+    return () if get is None else get(d)
+
+
+def fold(term, step, kids=CHILDREN):
+    """`step(node, results)` for each node of `term`, children first, where
+    `results` holds what `step` gave the node's children, left to right;
+    the value is what it gave `term`. `kids` maps a node's class to the
+    getter of its children; a node of a class it lacks is a leaf, and goes
+    straight to `step` with no results.
+
+    Every function over descriptions and logic concepts is a step of this
+    one post-order walk (a catamorphism: Meijer, Fokkinga & Paterson, FPCA
+    1991). It keeps its own stack, so a term's depth is not bounded by the
+    interpreter's recursion limit.
+    """
+    get = kids.get(term.__class__)
+    if get is None:
+        return step(term, ())
+    frames = []  # the nodes above this one, each with its children and results
+    node, inner, results = term, get(term), []
+    while True:
+        if len(results) < len(inner):
+            kid = inner[len(results)]
+            get = kids.get(kid.__class__)
+            if get is None:
+                results.append(step(kid, ()))
+            else:
+                frames.append((node, inner, results))
+                node, inner, results = kid, get(kid), []
+        elif frames:
+            value = step(node, results)
+            node, inner, results = frames.pop()
+            results.append(value)
+        else:
+            return step(node, results)
 
 
 def subterms(d: Description) -> list[Description]:

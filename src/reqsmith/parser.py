@@ -58,17 +58,16 @@ from .model import (
     _record,
     at_least,
     at_most,
-    children,
     exactly,
     validate_model,
 )
 
 MAX_DIAGNOSTICS = 20
-# Deepest description the parser accepts: parentheses and slot restrictions
-# may nest this deep, and a description's tree may have this many levels.
-# It keeps the parser and the recursive passes over one description
-# (validation, translation, evaluation, printing) inside Python's default
-# recursion limit.
+# Deepest the parser's own descent may go: parentheses and slot restrictions
+# nest at most this deep, since each level of them is a recursive call. A
+# chain of `|`, `-`, adjacency or `.slot` is read by a loop and may be as long
+# as it likes; every pass over a parsed description is a step of `model.fold`,
+# which keeps its own stack.
 MAX_NESTING = 100
 _TOO_DEEP = f"description nested more than {MAX_NESTING} levels deep"
 
@@ -223,16 +222,6 @@ def tokenize(text: str, file: str) -> tuple[list[str], list[ParseDiagnostic]]:
     return [lexeme for lexeme in tokens if lexeme not in bad], diagnostics
 
 
-def _height(desc: Description) -> int:
-    """Operator levels above the deepest leaf, counted without recursion."""
-    height, stack = 0, [(desc, 0)]
-    while stack:
-        node, level = stack.pop()
-        height = max(height, level)
-        stack += [(child, level + 1) for child in children(node)]
-    return height
-
-
 def _unquote(raw: str) -> str:
     body = raw[1:-1]
     return body.replace('\\"', '"').replace("\\\\", "\\")
@@ -295,15 +284,10 @@ class _Parser:
             self.positions = token_positions(self.text)
         return SourceSpan(self.file, *self.positions[index])
 
-    def error(
-        self,
-        message: str,
-        expected: Optional[str] = None,
-        span: Optional[SourceSpan] = None,
-    ) -> _Abort:
+    def error(self, message: str, expected: Optional[str] = None) -> _Abort:
         if len(self.diagnostics) < MAX_DIAGNOSTICS:
             self.diagnostics.append(
-                ParseDiagnostic(span or self.span(self.pos), "error", message, expected)
+                ParseDiagnostic(self.span(self.pos), "error", message, expected)
             )
         return _Abort()
 
@@ -384,22 +368,11 @@ class _Parser:
     def parse_description(self) -> Description:
         if self.nesting > MAX_NESTING:
             raise self.error(_TOO_DEEP)
-        start = self.pos
         self.nesting += 1
         try:
-            desc = self._parse_difference()
+            return self._parse_difference()
         finally:
             self.nesting -= 1
-        # Each level of a tree owns at least one token outside the subtree
-        # below it, so a description of at most MAX_NESTING tokens is never
-        # too high and its tree need not be walked.
-        if (
-            not self.nesting
-            and self.pos - start > MAX_NESTING
-            and _height(desc) > MAX_NESTING
-        ):
-            raise self.error(_TOO_DEEP, span=self.span(start))
-        return desc
 
     def _parse_difference(self) -> Description:
         """Operands joined by adjacency, then `|`, then `-`, the loosest, each

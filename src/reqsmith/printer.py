@@ -32,6 +32,7 @@ from .model import (
     Union,
     World,
     exact_decimal,
+    fold,
 )
 
 
@@ -83,50 +84,47 @@ def format_region_expr(region: RegionExpr) -> str:
     return "{" + ", ".join(parts) + "}"
 
 
-def format_description(desc: Description, parent_prec: int = 0) -> str:
+def format_description(desc: Description) -> str:
+    return fold(desc, _format_step)[0]
+
+
+def _wrap(kid: tuple[str, int], least: int) -> str:
+    """A child's text, in parentheses when it binds looser than `least`."""
+    text, prec = kid
+    return f"({text})" if prec < least else text
+
+
+def _format_step(desc: Description, kids) -> tuple[str, int]:
+    """desc's text and how tightly it binds, from that pair for each child."""
     if isinstance(desc, Thing):
-        return "Thing"
+        return "Thing", _PREC_POSTFIX
     if isinstance(desc, Nothing):
-        return "Nothing"
+        return "Nothing", _PREC_POSTFIX
     if isinstance(desc, AtomicConcept):
-        return desc.name
+        return desc.name, _PREC_POSTFIX
     if isinstance(desc, Enumeration):
-        return "{" + ", ".join(desc.ids) + "}"
+        return "{" + ", ".join(desc.ids) + "}", _PREC_POSTFIX
     if isinstance(desc, Region):
-        return format_region_expr(desc.expr)
+        return format_region_expr(desc.expr), _PREC_POSTFIX
     if isinstance(desc, SlotRestriction):
-        inner = format_description(desc.filler, _PREC_DIFFERENCE)
-        return f"<{desc.slot}: {_format_modifier(desc.modifier)}{inner}>"
+        inner = kids[0][0]
+        return f"<{desc.slot}: {_format_modifier(desc.modifier)}{inner}>", _PREC_POSTFIX
     if isinstance(desc, InverseProjection):
-        source = format_description(desc.source, _PREC_POSTFIX)
-        return f"{source}.{desc.slot}"
+        return f"{_wrap(kids[0], _PREC_POSTFIX)}.{desc.slot}", _PREC_POSTFIX
     if isinstance(desc, Intersection):
-        right = format_description(desc.right, _PREC_POSTFIX)
+        right = _wrap(kids[1], _PREC_POSTFIX)
         if right.startswith("["):
             # a `[` after a description may open a strength tag, so the
             # parser reads an interval operand only in parentheses
             right = f"({right})"
-        text = format_description(desc.left, _PREC_ADJACENCY) + " " + right
-        prec = _PREC_ADJACENCY
-    elif isinstance(desc, Union):
-        text = (
-            format_description(desc.left, _PREC_UNION)
-            + " | "
-            + format_description(desc.right, _PREC_ADJACENCY)
-        )
-        prec = _PREC_UNION
-    elif isinstance(desc, Difference):
-        text = (
-            format_description(desc.left, _PREC_DIFFERENCE)
-            + " - "
-            + format_description(desc.right, _PREC_UNION)
-        )
-        prec = _PREC_DIFFERENCE
-    else:
-        raise TypeError(f"unknown description: {desc!r}")
-    if prec < parent_prec:
-        return f"({text})"
-    return text
+        return _wrap(kids[0], _PREC_ADJACENCY) + " " + right, _PREC_ADJACENCY
+    if isinstance(desc, Union):
+        text = _wrap(kids[0], _PREC_UNION) + " | " + _wrap(kids[1], _PREC_ADJACENCY)
+        return text, _PREC_UNION
+    if isinstance(desc, Difference):
+        text = _wrap(kids[0], _PREC_DIFFERENCE) + " - " + _wrap(kids[1], _PREC_UNION)
+        return text, _PREC_DIFFERENCE
+    raise TypeError(f"unknown description: {desc!r}")
 
 
 def _format_annotation(ann: UAnnotation) -> str:

@@ -30,10 +30,13 @@ from .model import (
     Subsumption,
     World,
     _record,
+    fold,
     mentions,
+    replace,
     strength_error,
 )
 from .semantics import (
+    CONNECTIVES,
     DLAnd,
     DLAtomic,
     DLCard,
@@ -50,6 +53,7 @@ from .semantics import (
     DLThing,
     DL_NOTHING,
     DL_THING,
+    DL_CHILDREN,
     eval_description,
     translate_description,
     translate_element,
@@ -63,6 +67,10 @@ DEFAULT_BOUND = 4
 
 def _dl_key(c: DLConcept):
     """The key by which `_norm` orders and dedupes and/or arguments."""
+    return fold(c, _key_step, DL_CHILDREN)
+
+
+def _key_step(c: DLConcept, kids):
     if isinstance(c, DLAtomic):
         return ("atomic", c.name)
     if isinstance(c, DLThing):
@@ -74,38 +82,51 @@ def _dl_key(c: DLConcept):
     if isinstance(c, DLDataRange):
         return ("data", c.facet, str(c.value), isinstance(c.value, str), c.unit or "")
     if isinstance(c, DLNot):
-        return ("not", _dl_key(c.inner))
+        return ("not", kids[0])
     if isinstance(c, DLAnd):
-        return ("and", tuple(_dl_key(a) for a in c.args))
+        return ("and", tuple(kids))
     if isinstance(c, DLOr):
-        return ("or", tuple(_dl_key(a) for a in c.args))
+        return ("or", tuple(kids))
     if isinstance(c, DLForAll):
-        return ("all", c.slot, _dl_key(c.filler))
+        return ("all", c.slot, kids[0])
     if isinstance(c, DLExistsInverse):
-        return ("inv", c.slot, _dl_key(c.filler))
+        return ("inv", c.slot, kids[0])
     assert isinstance(c, DLCard)
-    return ("card", c.slot, c.kind, c.n, _dl_key(c.filler))
+    return ("card", c.slot, c.kind, c.n, kids[0])
+
+
+def _run(c: DLConcept) -> list:
+    """The arguments of the whole run of nested ands below an and, spliced in
+    order, or of nested ors below an or: the children `_norm` reads."""
+    args, todo = [], list(reversed(c.args))
+    while todo:
+        arg = todo.pop()
+        if arg.__class__ is c.__class__:
+            todo += reversed(arg.args)
+        else:
+            args.append(arg)
+    return args
+
+
+_RUNS = {**DL_CHILDREN, DLAnd: _run, DLOr: _run}
 
 
 def _norm(c: DLConcept) -> DLConcept:
     """Flatten, dedupe, and order boolean structure; fold constants and
     complement pairs; turn bare existentials into min-1 cardinalities so
     rules need one shape. Lint's duplicate check compares the result."""
+    return fold(c, _norm_step, _RUNS)
+
+
+def _norm_step(c: DLConcept, kids) -> DLConcept:
     if isinstance(c, DLExists):
-        return DLCard(c.slot, "min", 1, _norm(c.filler))
-    if isinstance(c, DLCard):
-        filler = _norm(c.filler)
-        return c if filler is c.filler else DLCard(c.slot, c.kind, c.n, filler)
-    if isinstance(c, DLForAll):
-        filler = _norm(c.filler)
-        return c if filler is c.filler else DLForAll(c.slot, filler)
-    if isinstance(c, DLExistsInverse):
-        filler = _norm(c.filler)
-        if isinstance(filler, DLNothing):
-            return DL_NOTHING
-        return DLExistsInverse(c.slot, filler)
+        return DLCard(c.slot, "min", 1, kids[0])
+    if isinstance(c, DLExistsInverse) and isinstance(kids[0], DLNothing):
+        return DL_NOTHING
+    if isinstance(c, (DLCard, DLForAll, DLExistsInverse)):
+        return c if kids[0] is c.filler else replace(c, filler=kids[0])
     if isinstance(c, DLNot):
-        inner = _norm(c.inner)
+        inner = kids[0]
         if isinstance(inner, DLNot):
             return inner.inner
         if isinstance(inner, DLThing):
@@ -114,25 +135,21 @@ def _norm(c: DLConcept) -> DLConcept:
             return DL_THING
         return DLNot(inner)
     if isinstance(c, (DLAnd, DLOr)):
+        # the run's arguments came spliced, but a normalized argument, such
+        # as a double negation, may still be of the same connective
         flat: list[DLConcept] = []
-        for arg in c.args:
-            normed = _norm(arg)
+        for normed in kids:
             if isinstance(normed, type(c)):
                 flat.extend(normed.args)
             else:
                 flat.append(normed)
-        if isinstance(c, DLAnd):
-            flat = [a for a in flat if not isinstance(a, DLThing)]
-            if any(isinstance(a, DLNothing) for a in flat):
-                return DL_NOTHING
-            if not flat:
-                return DL_THING
-        else:
-            flat = [a for a in flat if not isinstance(a, DLNothing)]
-            if any(isinstance(a, DLThing) for a in flat):
-                return DL_THING
-            if not flat:
-                return DL_NOTHING
+        # Thing is an and's unit and Nothing its zero; an or's are the reverse
+        unit, zero = (DL_THING, DL_NOTHING) if isinstance(c, DLAnd) else (DL_NOTHING, DL_THING)
+        flat = [a for a in flat if a != unit]
+        if zero in flat:
+            return zero
+        if not flat:
+            return unit
         # an argument beside its complement, or beside every argument of it
         # when it is of the same connective, empties an and and fills an or
         negated = [a.inner for a in flat if isinstance(a, DLNot)]
@@ -142,14 +159,12 @@ def _norm(c: DLConcept) -> DLConcept:
                 if inner in present or (
                     isinstance(inner, type(c)) and present.issuperset(inner.args)
                 ):
-                    return DL_NOTHING if isinstance(c, DLAnd) else DL_THING
+                    return zero
         unique: dict = {}
         for arg in flat:
             unique.setdefault(_dl_key(arg), arg)
         ordered = tuple(unique[k] for k in sorted(unique))
-        if len(ordered) == 1:
-            return ordered[0]
-        return DLAnd(ordered) if isinstance(c, DLAnd) else DLOr(ordered)
+        return ordered[0] if len(ordered) == 1 else type(c)(ordered)
     return c
 
 
@@ -184,8 +199,12 @@ _VIA_AXIOM = 2
 
 def _told(c: DLConcept) -> list:
     """Names of the atoms at the top of c, through and/or; None marks Nothing."""
+    return fold(c, _told_step, CONNECTIVES)
+
+
+def _told_step(c: DLConcept, kids) -> list:
     if isinstance(c, (DLAnd, DLOr)):
-        return [name for arg in c.args for name in _told(arg)]
+        return [name for names in kids for name in names]
     if isinstance(c, DLAtomic):
         return [c.name]
     if isinstance(c, DLNothing):
@@ -196,12 +215,16 @@ def _told(c: DLConcept) -> list:
 def _needs(c: DLConcept) -> frozenset:
     """Atoms every concept provably below c must reach: those of an and,
     those every argument of an or needs, none for any other shape."""
+    return fold(c, _needs_step, CONNECTIVES)
+
+
+def _needs_step(c: DLConcept, kids) -> frozenset:
     if isinstance(c, DLAtomic):
         return frozenset((c.name,))
     if isinstance(c, DLAnd):
-        return frozenset().union(*map(_needs, c.args))
+        return frozenset().union(*kids)
     if isinstance(c, DLOr):
-        return frozenset.intersection(*map(_needs, c.args))
+        return frozenset.intersection(*kids)
     return frozenset()
 
 

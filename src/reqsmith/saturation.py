@@ -9,7 +9,7 @@ of individuals it makes, guessing on them one branch per pick, depth first.
 import itertools
 from typing import Optional
 
-from .model import Quantity, World
+from .model import Quantity, World, fold, replace
 from .reasoner import ConsistencyStatus
 from .semantics import (
     DLAnd,
@@ -27,6 +27,7 @@ from .semantics import (
     DLThing,
     DL_NOTHING,
     DL_THING,
+    DL_CHILDREN,
     _eval_dl,
     _is_dataish,
     _slot_counts,
@@ -43,6 +44,10 @@ def _value_text(value, unit: Optional[str] = None) -> str:
 
 def _dl_repr(c: DLConcept) -> str:
     """A normalized concept as clash texts print it."""
+    return fold(c, _repr_step, DL_CHILDREN)
+
+
+def _repr_step(c: DLConcept, kids) -> str:
     if isinstance(c, DLAtomic):
         return c.name
     if isinstance(c, DLThing):
@@ -52,21 +57,21 @@ def _dl_repr(c: DLConcept) -> str:
     if isinstance(c, DLNominal):
         return "{" + ", ".join(c.ids) + "}"
     if isinstance(c, DLAnd):
-        return "(" + " and ".join(_dl_repr(a) for a in c.args) + ")"
+        return "(" + " and ".join(kids) + ")"
     if isinstance(c, DLOr):
-        return "(" + " or ".join(_dl_repr(a) for a in c.args) + ")"
+        return "(" + " or ".join(kids) + ")"
     if isinstance(c, DLNot):
-        return f"not {_dl_repr(c.inner)}"
+        return f"not {kids[0]}"
     if isinstance(c, DLForAll):
-        return f"only {c.slot}.{_dl_repr(c.filler)}"
+        return f"only {c.slot}.{kids[0]}"
     if isinstance(c, DLExistsInverse):
-        return f"some inverse({c.slot}).{_dl_repr(c.filler)}"
+        return f"some inverse({c.slot}).{kids[0]}"
     if isinstance(c, DLDataRange):
         symbol = {"min": ">=", "max": "<=", "eq": "="}[c.facet]
         return f"({symbol} {_value_text(c.value, c.unit)})"
     assert isinstance(c, DLCard)
     symbol = {"min": ">=", "max": "<=", "exact": "="}[c.kind]
-    return f"{symbol}{c.n} {c.slot}.{_dl_repr(c.filler)}"
+    return f"{symbol}{c.n} {c.slot}.{kids[0]}"
 
 
 def _axiom_repr(ax: DLSubClassOf) -> str:
@@ -80,40 +85,40 @@ _BRANCHES = 4000
 def _negate(c: DLConcept) -> DLConcept:
     """not c with the negation pushed inward, until it wraps only an atom, a
     nominal, an inverse existential or a data value range."""
-    if isinstance(c, DLNot):
-        return _nnf(c.inner)
-    if isinstance(c, DLThing):
-        return DL_NOTHING
-    if isinstance(c, DLNothing):
-        return DL_THING
-    if isinstance(c, DLAnd):
-        return DLOr(tuple(map(_negate, c.args)))
-    if isinstance(c, DLOr):
-        return DLAnd(tuple(map(_negate, c.args)))
-    if isinstance(c, DLForAll):
-        return DLCard(c.slot, "min", 1, _negate(c.filler))
-    if isinstance(c, DLCard):
-        filler = _nnf(c.filler)
-        if c.n > 1:
-            fewer = DLCard(c.slot, "max", c.n - 1, filler)
-        else:
-            fewer = DLForAll(c.slot, _negate(c.filler))
-        more = DLCard(c.slot, "min", c.n + 1, filler)
-        return {"min": fewer, "max": more}.get(c.kind) or DLOr((fewer, more))
-    return DLNot(c)
+    return fold(c, _nnf_step, DL_CHILDREN)[1]
 
 
 def _nnf(c: DLConcept) -> DLConcept:
     """c in negation normal form."""
+    return fold(c, _nnf_step, DL_CHILDREN)[0]
+
+
+def _nnf_step(c: DLConcept, kids) -> tuple[DLConcept, DLConcept]:
+    """`_nnf(c)` and `_negate(c)`, from that pair for each child."""
     if isinstance(c, DLNot):
-        return _negate(c.inner)
+        inner, negated = kids[0]
+        return negated, inner
+    if isinstance(c, DLThing):
+        return c, DL_NOTHING
+    if isinstance(c, DLNothing):
+        return c, DL_THING
     if isinstance(c, (DLAnd, DLOr)):
-        return type(c)(tuple(map(_nnf, c.args)))
-    if isinstance(c, (DLForAll, DLExistsInverse)):
-        return type(c)(c.slot, _nnf(c.filler))
-    if isinstance(c, DLCard):
-        return DLCard(c.slot, c.kind, c.n, _nnf(c.filler))
-    return c
+        dual = DLOr if isinstance(c, DLAnd) else DLAnd
+        return type(c)(tuple(k[0] for k in kids)), dual(tuple(k[1] for k in kids))
+    if isinstance(c, (DLForAll, DLExistsInverse, DLCard)):
+        filler, negated = kids[0]
+        if isinstance(c, DLForAll):
+            return replace(c, filler=filler), DLCard(c.slot, "min", 1, negated)
+        if isinstance(c, DLExistsInverse):
+            return replace(c, filler=filler), DLNot(c)
+        if c.n > 1:
+            fewer = DLCard(c.slot, "max", c.n - 1, filler)
+        else:
+            fewer = DLForAll(c.slot, negated)
+        more = DLCard(c.slot, "min", c.n + 1, filler)
+        negation = {"min": fewer, "max": more}.get(c.kind) or DLOr((fewer, more))
+        return replace(c, filler=filler), negation
+    return c, DLNot(c)
 
 
 def _vocabulary(concepts) -> tuple[list[str], dict]:
@@ -224,7 +229,8 @@ class _Saturator:
         key = (slot, filler)
         counts = self.counts.get(key)
         if counts is None:
-            counts = self.counts[key] = _slot_counts(slot, filler, self.snapshot)
+            targets = self._extension(filler)
+            counts = self.counts[key] = _slot_counts(slot, filler, targets, self.snapshot)
         return counts.get(x, (0, 0))[1]
 
     def _successors(self, slot: str, x: str) -> list[str]:

@@ -9,6 +9,7 @@ evaluates a description through its translation.
 
 from __future__ import annotations
 
+import operator
 from typing import Optional
 
 from .model import (
@@ -36,6 +37,7 @@ from .model import (
     World,
     ModifierKind,
     _record,
+    fold,
     graft_annotations,
 )
 
@@ -183,8 +185,21 @@ def translate_region(expr: RegionExpr) -> DLConcept:
     return parts[0] if len(parts) == 1 else DLOr(parts)
 
 
+# The getter of each composite concept's children, left to right, for
+# `model.fold`; a class missing here is a leaf.
+DL_CHILDREN = {
+    **dict.fromkeys((DLAnd, DLOr), operator.attrgetter("args")),
+    DLNot: lambda c: (c.inner,),
+    **dict.fromkeys((DLExists, DLForAll, DLCard, DLExistsInverse), lambda c: (c.filler,)),
+}
+
+
 def translate_description(d: Description) -> DLConcept:
     """Map a description to its logical form, preserving structure."""
+    return fold(d, _translate_step)
+
+
+def _translate_step(d: Description, kids) -> DLConcept:
     if isinstance(d, AtomicConcept):
         return DLAtomic(d.name)
     if isinstance(d, Thing):
@@ -195,19 +210,17 @@ def translate_description(d: Description) -> DLConcept:
         parts = tuple(DLNominal((i,)) for i in d.ids)
         return parts[0] if len(parts) == 1 else DLOr(parts)
     if isinstance(d, Intersection):
-        return DLAnd((translate_description(d.left), translate_description(d.right)))
+        return DLAnd(tuple(kids))
     if isinstance(d, Union):
-        return DLOr((translate_description(d.left), translate_description(d.right)))
+        return DLOr(tuple(kids))
     if isinstance(d, Difference):
-        return DLAnd(
-            (translate_description(d.left), DLNot(translate_description(d.right)))
-        )
+        return DLAnd((kids[0], DLNot(kids[1])))
     if isinstance(d, Region):
         return translate_region(d.expr)
     if isinstance(d, InverseProjection):
-        return DLExistsInverse(d.slot, translate_description(d.source))
+        return DLExistsInverse(d.slot, kids[0])
     assert isinstance(d, SlotRestriction)
-    filler = translate_description(d.filler)
+    filler = kids[0]
     kind = d.modifier.kind
     if kind is ModifierKind.EXACTLY_ONE:
         return DLCard(d.slot, "exact", 1, filler)
@@ -257,95 +270,97 @@ def translate_element(e: Element) -> tuple[DLConcept, list]:
 # ===== PART 4: evaluating the logic fragment over a world =====
 
 
+# A walk through ands, ors and nots alone; every other concept is a leaf.
+CONNECTIVES = {cls: DL_CHILDREN[cls] for cls in (DLAnd, DLOr, DLNot)}
+
+
 def _is_dataish(c: DLConcept) -> bool:
-    if isinstance(c, DLDataRange):
-        return True
-    if isinstance(c, (DLAnd, DLOr)):
-        return all(_is_dataish(a) for a in c.args)
-    if isinstance(c, DLNot):
-        return _is_dataish(c.inner)
-    return False
+    return fold(c, _dataish_step, CONNECTIVES)
+
+
+def _dataish_step(c: DLConcept, kids) -> bool:
+    if isinstance(c, (DLAnd, DLOr, DLNot)):
+        return all(kids)
+    return isinstance(c, DLDataRange)
 
 
 def _value_test(c: DLConcept, value) -> bool:
-    if isinstance(c, DLAnd):
-        return all(_value_test(a, value) for a in c.args)
-    if isinstance(c, DLOr):
-        return any(_value_test(a, value) for a in c.args)
-    if isinstance(c, DLNot):
-        return not _value_test(c.inner, value)
-    assert isinstance(c, DLDataRange)
     raw, unit = value, None
     if isinstance(value, Quantity):
         raw, unit = value.value, value.unit
-    if c.facet == "eq":
-        return raw == c.value
-    if isinstance(raw, str):
-        return False
-    if c.unit and unit and c.unit != unit:
-        return False
-    return raw >= c.value if c.facet == "min" else raw <= c.value
+
+    def step(c: DLConcept, kids) -> bool:
+        if isinstance(c, DLAnd):
+            return all(kids)
+        if isinstance(c, DLOr):
+            return any(kids)
+        if isinstance(c, DLNot):
+            return not kids[0]
+        assert isinstance(c, DLDataRange)
+        if c.facet == "eq":
+            return raw == c.value
+        if isinstance(raw, str):
+            return False
+        if c.unit and unit and c.unit != unit:
+            return False
+        return raw >= c.value if c.facet == "min" else raw <= c.value
+
+    return fold(c, step, CONNECTIVES)
 
 
-def _slot_counts(slot: str, filler: DLConcept, w: World) -> dict[str, tuple[int, int]]:
+def _slot_counts(
+    slot: str, filler: DLConcept, targets: frozenset[str], w: World
+) -> dict[str, tuple[int, int]]:
     """For each individual with a slot successor: how many it has, and how
-    many land in the filler. The filler is evaluated once for the whole slot."""
+    many land in the filler, whose extension is `targets`; a data filler
+    tests the individual's value instead."""
     counts: dict[str, tuple[int, int]] = {}
     if _is_dataish(filler):
         for (x, s), value in w.data_values.items():
             if s == slot:
                 counts[x] = (1, int(_value_test(filler, value)))
         return counts
-    targets = _eval_dl(filler, w)
     for x, y in w.tuples(slot):
         total, inside = counts.get(x, (0, 0))
         counts[x] = (total + 1, inside + (y in targets))
     return counts
 
 
+_COUNT_TESTS = {"min": operator.ge, "max": operator.le, "exact": operator.eq}
+
+
 def _eval_dl(c: DLConcept, w: World) -> frozenset[str]:
-    if isinstance(c, DLAtomic):
-        return w.extension(c.name)
-    if isinstance(c, DLThing):
-        return frozenset(w.individuals)
-    if isinstance(c, (DLNothing, DLDataRange)):
-        return frozenset()
-    if isinstance(c, DLNominal):
-        return frozenset(c.ids) & w.individuals
-    if isinstance(c, DLAnd):
-        result = frozenset(w.individuals)
-        for arg in c.args:
-            result &= _eval_dl(arg, w)
-        return result
-    if isinstance(c, DLOr):
-        result: frozenset[str] = frozenset()
-        for arg in c.args:
-            result |= _eval_dl(arg, w)
-        return result
-    if isinstance(c, DLNot):
-        return frozenset(w.individuals) - _eval_dl(c.inner, w)
-    if isinstance(c, DLExistsInverse):
-        sources = _eval_dl(c.filler, w)
-        return frozenset(y for (x, y) in w.tuples(c.slot) if x in sources)
-    counts = _slot_counts(c.slot, c.filler, w)
-    if isinstance(c, DLExists):
-        return w.individuals & {x for x, (_, inside) in counts.items() if inside}
-    if isinstance(c, DLForAll):
-        missed = {x for x, (total, inside) in counts.items() if inside < total}
-        return w.individuals - missed
-    assert isinstance(c, DLCard)
-    result = set()
-    for x in w.individuals:
-        count = counts.get(x, (0, 0))[1]
-        if c.kind == "min":
-            ok = count >= c.n
-        elif c.kind == "max":
-            ok = count <= c.n
-        else:
-            ok = count == c.n
-        if ok:
-            result.add(x)
-    return frozenset(result)
+    def step(c: DLConcept, kids) -> frozenset[str]:
+        if isinstance(c, DLAtomic):
+            return w.extension(c.name)
+        if isinstance(c, DLThing):
+            return frozenset(w.individuals)
+        if isinstance(c, (DLNothing, DLDataRange)):
+            return frozenset()
+        if isinstance(c, DLNominal):
+            return frozenset(c.ids) & w.individuals
+        if isinstance(c, DLAnd):
+            result = frozenset(w.individuals)
+            for extension in kids:
+                result &= extension
+            return result
+        if isinstance(c, DLOr):
+            return frozenset().union(*kids)
+        if isinstance(c, DLNot):
+            return frozenset(w.individuals) - kids[0]
+        if isinstance(c, DLExistsInverse):
+            return frozenset(y for (x, y) in w.tuples(c.slot) if x in kids[0])
+        counts = _slot_counts(c.slot, c.filler, kids[0], w)
+        if isinstance(c, DLExists):
+            return w.individuals & {x for x, (_, inside) in counts.items() if inside}
+        if isinstance(c, DLForAll):
+            missed = {x for x, (total, inside) in counts.items() if inside < total}
+            return w.individuals - missed
+        assert isinstance(c, DLCard)
+        holds = _COUNT_TESTS[c.kind]
+        return frozenset(x for x in w.individuals if holds(counts.get(x, (0, 0))[1], c.n))
+
+    return fold(c, step, DL_CHILDREN)
 
 
 def eval_dl(c: DLConcept, world: World) -> frozenset[str]:

@@ -6,9 +6,11 @@ evaluation, fulfillment walkthroughs, and the parser round-trip contract.
 """
 
 import ast
+import importlib.util
 import math
 import random
 import re
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
@@ -17,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import reqsmith
-from reqsmith.export import emit_owl
+from reqsmith.export import _render, emit_owl
 from reqsmith.membership import (
     format_degree,
     membership_intervals,
@@ -41,6 +43,7 @@ from reqsmith.model import (
     Kind,
     Model,
     NamedRegion,
+    NaturalLanguage,
     Operator,
     PointPrototypes,
     PrototypeRegion,
@@ -57,26 +60,34 @@ from reqsmith.model import (
 )
 from reqsmith.operators import apply_scale
 from reqsmith.parser import parse_model, print_model
+from reqsmith.printer import format_description
 from reqsmith.reasoner import (
     ConsistencyStatus,
     FulfillmentStatus,
     VerdictStatus,
+    _norm,
     check_consistency,
     check_strength_tags,
     propagate_fulfillment,
     subsumes,
 )
+from reqsmith.saturation import _dl_repr, _negate, _nnf
 from reqsmith.semantics import (
     DLAnd,
     DLAtomic,
     DLCard,
     DLDataRange,
     DLExists,
+    DLExistsInverse,
     DLForAll,
+    DLNominal,
     DLNot,
+    DLNothing,
     DLOr,
     DLSubClassOf,
+    DLThing,
     DL_NOTHING,
+    DL_THING,
     eval_description,
     eval_dl,
     translate_description,
@@ -351,6 +362,168 @@ def test_structural_proofs_sound_against_brute_force_evaluation():
     assert verdicts[VerdictStatus.REFUTED] == 6155
     assert verdicts[VerdictStatus.UNKNOWN] == 370
     assert elapsed < 60.0
+
+
+def _reference_key(c):
+    """The key `_norm` orders and dedupes by, as the recursive function
+    computed it before it became a step of `model.fold`."""
+    if isinstance(c, DLAtomic):
+        return ("atomic", c.name)
+    if isinstance(c, DLThing):
+        return ("thing",)
+    if isinstance(c, DLNothing):
+        return ("nothing",)
+    if isinstance(c, DLNominal):
+        return ("nominal", c.ids)
+    if isinstance(c, DLDataRange):
+        return ("data", c.facet, str(c.value), isinstance(c.value, str), c.unit or "")
+    if isinstance(c, DLNot):
+        return ("not", _reference_key(c.inner))
+    if isinstance(c, DLAnd):
+        return ("and", tuple(_reference_key(a) for a in c.args))
+    if isinstance(c, DLOr):
+        return ("or", tuple(_reference_key(a) for a in c.args))
+    if isinstance(c, DLForAll):
+        return ("all", c.slot, _reference_key(c.filler))
+    if isinstance(c, DLExistsInverse):
+        return ("inv", c.slot, _reference_key(c.filler))
+    assert isinstance(c, DLCard)
+    return ("card", c.slot, c.kind, c.n, _reference_key(c.filler))
+
+
+def _reference_norm(c):
+    """`reasoner._norm` as it was before it became a step of `model.fold`:
+    each level of a run of ands, or of ors, is normalized on its own, then
+    flattened, deduped and sorted again by the level above. `_norm` now
+    reads a whole run as one node's children; it must agree with this."""
+    if isinstance(c, DLExists):
+        return DLCard(c.slot, "min", 1, _reference_norm(c.filler))
+    if isinstance(c, DLCard):
+        filler = _reference_norm(c.filler)
+        return c if filler is c.filler else DLCard(c.slot, c.kind, c.n, filler)
+    if isinstance(c, DLForAll):
+        filler = _reference_norm(c.filler)
+        return c if filler is c.filler else DLForAll(c.slot, filler)
+    if isinstance(c, DLExistsInverse):
+        filler = _reference_norm(c.filler)
+        if isinstance(filler, DLNothing):
+            return DL_NOTHING
+        return DLExistsInverse(c.slot, filler)
+    if isinstance(c, DLNot):
+        inner = _reference_norm(c.inner)
+        if isinstance(inner, DLNot):
+            return inner.inner
+        if isinstance(inner, DLThing):
+            return DL_NOTHING
+        if isinstance(inner, DLNothing):
+            return DL_THING
+        return DLNot(inner)
+    if isinstance(c, (DLAnd, DLOr)):
+        flat = []
+        for arg in c.args:
+            normed = _reference_norm(arg)
+            if isinstance(normed, type(c)):
+                flat.extend(normed.args)
+            else:
+                flat.append(normed)
+        if isinstance(c, DLAnd):
+            flat = [a for a in flat if not isinstance(a, DLThing)]
+            if any(isinstance(a, DLNothing) for a in flat):
+                return DL_NOTHING
+            if not flat:
+                return DL_THING
+        else:
+            flat = [a for a in flat if not isinstance(a, DLNothing)]
+            if any(isinstance(a, DLThing) for a in flat):
+                return DL_THING
+            if not flat:
+                return DL_NOTHING
+        negated = [a.inner for a in flat if isinstance(a, DLNot)]
+        if negated:
+            present = set(flat)
+            for inner in negated:
+                if inner in present or (
+                    isinstance(inner, type(c)) and present.issuperset(inner.args)
+                ):
+                    return DL_NOTHING if isinstance(c, DLAnd) else DL_THING
+        unique = {}
+        for arg in flat:
+            unique.setdefault(_reference_key(arg), arg)
+        ordered = tuple(unique[k] for k in sorted(unique))
+        if len(ordered) == 1:
+            return ordered[0]
+        return DLAnd(ordered) if isinstance(c, DLAnd) else DLOr(ordered)
+    return c
+
+
+def _bench_model_texts(seeds):
+    """Every model file the benchmark generator writes, for each seed."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("reqsmith_bench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = gen
+    try:
+        spec.loader.exec_module(gen)
+        return [
+            text
+            for name in gen.WORKLOADS
+            for seed in seeds
+            for text in gen.generate(name, seed, Path("unused")).files.values()
+        ]
+    finally:
+        del sys.modules[spec.name]
+
+
+def _normalized_concepts(model):
+    """The concepts the reasoner normalizes for `model`: the sides of its
+    axioms, and the logical image and axioms of each structured element."""
+    concepts = []
+    for axiom in model.axioms:
+        concepts += [translate_description(axiom.subsumee), translate_description(axiom.subsumer)]
+    for element in model.elements:
+        if not isinstance(element.body, NaturalLanguage):
+            concept, axioms = translate_element(element)
+            concepts += [concept, *(side for ax in axioms for side in (ax.sub, ax.sup))]
+    return concepts
+
+
+def test_norm_agrees_with_its_recursive_reference():
+    rng = random.Random(91542)
+    concepts = []
+    for _ in range(10_000):  # the draws of the soundness sweep above
+        concepts.append(translate_description(_random_description(rng, rng.randint(0, 3))))
+        concepts.append(translate_description(_random_description(rng, rng.randint(0, 3))))
+        _random_world(rng)
+    texts = [path.read_text() for path in sorted(FIXTURES.glob("*.dsr"))]
+    models = [parse_model(text) for text in texts + _bench_model_texts(range(1, 6))]
+    assert sum(isinstance(model, Model) for model in models) >= 45
+    for model in models:
+        if isinstance(model, Model):
+            concepts += _normalized_concepts(model)
+    for c in concepts:
+        assert _norm(c) == _reference_norm(c), c
+
+
+def test_every_term_function_takes_a_description_ten_thousand_levels_deep():
+    # at the default recursion limit: each is a step of one fold that keeps
+    # its own stack
+    d = A("A")
+    for _ in range(10_000):
+        d = SlotRestriction("r", SOME, d)
+    concept = translate_description(d)
+    normal = _norm(concept)
+    assert normal.kind == "min" and normal.filler.kind == "min"
+    assert format_description(d) == "<r: SOME " * 10_000 + "A" + ">" * 10_000
+    assert _render(concept) == "ObjectSomeValuesFrom(:r " * 10_000 + ":A" + ")" * 10_000
+    ring = World(
+        individuals=frozenset({"a", "b"}),
+        concept_extensions={"A": frozenset({"b"})},
+        slot_tuples={"r": frozenset({("a", "b"), ("b", "a")})},
+    )
+    assert eval_dl(concept, ring) == frozenset({"a" if 10_000 % 2 else "b"})
+    assert _dl_repr(normal) == ">=1 r." * 10_000 + "A"
+    assert _dl_repr(_nnf(normal)) == _dl_repr(normal)
+    assert _dl_repr(_negate(normal)) == "only r." * 10_000 + "not A"
 
 
 _PROOF_ATOMS = ("A", "B", "C")
@@ -737,12 +910,11 @@ def _random_model_text(rng, index):
         lines.append(f"fulfilled {funcs[0]};")
     if rng.random() < 0.4:
         lines.append(f"regions {rng.choice(('Cost', 'Speed'))} {{")
-        lines.append(
-            "  low = points {500, 700};"
-            if rng.random() < 0.5
-            else "  low = interval [500, 700];"
-        )
-        lines.append("  high = interval [1200, 1500];")
+        # one prototype style per block: validation refuses a mixed one
+        if rng.random() < 0.5:
+            lines += ["  low = points {500, 700};", "  high = points {1200, 1500};"]
+        else:
+            lines += ["  low = interval [500, 700];", "  high = interval [1200, 1500];"]
         lines.append("}")
     if rng.random() < 0.4:
         lines.append("world {")

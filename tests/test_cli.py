@@ -241,16 +241,15 @@ def test_deeply_nested_restrictions_are_checked_quickly(tmp_path, command):
     assert (run.returncode, run.stdout, run.stderr) == (0, b"", b"")
 
 
+def _chain(joiner: str, size: int) -> str:
+    return joiner.join(f"A{i}" for i in range(size))
+
+
 @pytest.mark.parametrize("command", ["fmt", "check", "lint", "translate"])
 @pytest.mark.parametrize(
     "description",
-    [
-        _some_chain(101),
-        _some_chain(140),
-        " | ".join(f"A{i}" for i in range(1500)),
-        "(" * 150 + "A" + ")" * 150,
-    ],
-    ids=["some-101", "some-140", "or-1500", "parens-150"],
+    [_some_chain(101), _some_chain(140), "(" * 150 + "A" + ")" * 150],
+    ids=["some-101", "some-140", "parens-150"],
 )
 def test_over_deep_descriptions_exit_two_with_span(
     tmp_path, capsys, command, description
@@ -267,30 +266,39 @@ def test_over_deep_descriptions_exit_two_with_span(
     assert captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("command", ["fmt", "check", "lint", "translate"])
+@pytest.mark.parametrize("command", ["fmt", "check", "lint", "query", "translate"])
 @pytest.mark.parametrize(
-    "description",
+    "statement",
     [
-        _some_chain(100),
-        "<s: ONLY " * 100 + "A" + ">" * 100,
-        " | ".join(f"A{i}" for i in range(101)),
-        "(" + " ".join(f"A{i}" for i in range(101)) + ")",
-        " - ".join(f"A{i}" for i in range(101)),
+        f"axiom A :< {_some_chain(100)};",
+        f"axiom A :< {'<s: ONLY ' * 100}A{'>' * 100};",
+        f"axiom A :< {_chain(' | ', 101)};",
+        f"axiom A :< ({_chain(' ', 101)});",
+        f"axiom A :< {_chain(' - ', 101)};",
+        f"axiom A :< {_chain(' | ', 1500)};",
+        f"axiom A :< {_chain(' | ', 5000)};",
+        f"axiom A :< {_chain(' - ', 5000)};",
+        f"axiom A :< ({_chain(' ', 5000)});",
+        # the annotation's path ends 2,000 levels down, where it is grafted
+        f"qg Q := Cost (<run_of: R> {_chain(' ', 1999)}) :: Fast"
+        " u(?X, inheres_in.run_of, 80%);",
     ],
-    ids=["some", "only", "or", "and", "minus"],
+    ids=[
+        "some", "only", "or", "and", "minus",
+        "or-1500", "or-5000", "minus-5000", "and-5000", "pct-2000",
+    ],
 )
 def test_descriptions_at_the_nesting_limit_are_accepted(
-    tmp_path, capsys, command, description
+    tmp_path, capsys, command, statement
 ):
-    path = write(tmp_path, f"model deep;\naxiom A :< {description};\n" + TWO_INDIVIDUALS)
-    args = [command, path]
-    if command == "translate":
-        args += ["--out", str(tmp_path / "deep.ofn")]
-    assert main(args) in (0, 1)
+    # Only parentheses and slot restrictions count toward the limit: a chain
+    # of `|`, `-` or adjacency is read by a loop, however long it is.
+    text = f"model deep;\n{statement}\n" + TWO_INDIVIDUALS
+    assert main(_command_argv(command, tmp_path, text)) in (0, 1)
     expected = ""
-    if description.startswith("A0 | ") and command in ("check", "lint"):
+    if statement.startswith("axiom A :< A0 | ") and command in ("check", "lint"):
         # saturation never guesses a disjunct, so the world stays undecided
-        names = " or ".join(sorted(f"A{i}" for i in range(101)))
+        names = " or ".join(sorted(statement.removeprefix("axiom A :< ")[:-1].split(" | ")))
         expected = f"world: unknown: could not establish axiom A :< ({names}) on the world\n"
     assert capsys.readouterr().err == expected
 
@@ -1042,50 +1050,59 @@ def test_membership_on_an_empty_regions_block_exits_two(tmp_path, capsys, json_f
     assert captured.err == "no membership regions are declared for quality 'Cost'\n"
 
 
-@pytest.mark.parametrize(
-    "regions,message",
-    [
-        (
-            "low = points {500, 900};\n  medium = points {800, 1000};",
-            "prototype point sets must not interleave",
-        ),
-        (
-            "high = interval [800, 1000];\n  low = interval [500, 700];",
-            "interval regions must be ordered and disjoint",
-        ),
-        (
-            "low = points {500, 700};\n  medium = interval [800, 1000];",
-            "point and interval prototype styles may not be mixed in one computation",
-        ),
-    ],
-    ids=["interleaving-points", "unordered-intervals", "mixed-styles"],
-)
-def test_membership_on_regions_it_cannot_grade_exits_two(tmp_path, capsys, regions, message):
-    # validation accepts these blocks; grading them is what fails
+_UNGRADABLE_REGIONS = {
+    "interleaving-points": (
+        "low = points {500, 900};\n  medium = points {800, 1000};",
+        "prototype point sets must not interleave",
+    ),
+    "unordered-intervals": (
+        "high = interval [800, 1000];\n  low = interval [500, 700];",
+        "interval regions must be ordered and disjoint",
+    ),
+    "mixed-styles": (
+        "low = points {500, 700};\n  medium = interval [800, 1000];",
+        "point and interval prototype styles may not be mixed in one computation",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_UNGRADABLE_REGIONS))
+def test_membership_on_regions_it_cannot_grade_exits_two(tmp_path, capsys, case):
+    # validation refuses these blocks, with the message grading would raise
+    regions, message = _UNGRADABLE_REGIONS[case]
     path = write(tmp_path, f"model m;\nregions Cost {{\n  {regions}\n}}\n")
     assert main(["membership", path, "--quality", "Cost", "--value", "740"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"{message}\n"
+    assert captured.err == f"{path}:2:1: error: regions[0]: [regions-order] {message}\n"
+
+
+_COMMANDS = ["check", "fmt", "fulfill", "lint", "membership", "query", "translate"]
+_REGION_CASES = [(command, None) for command in _COMMANDS] + [
+    (command, case) for case in _UNGRADABLE_REGIONS for command in _COMMANDS
+]
 
 
 @pytest.mark.parametrize(
-    "command", ["check", "fmt", "fulfill", "lint", "membership", "query", "translate"]
+    "command,case",
+    _REGION_CASES,
+    ids=[command if case is None else f"{command}-{case}" for command, case in _REGION_CASES],
 )
-def test_a_region_declared_twice_exits_two_on_every_command(tmp_path, capsys, command):
-    text = (
-        "model m;\n"
-        "regions Speed { fast = points {1}; }\n"
-        "regions Cost {\n  low = interval [1, 2];\n  low = interval [3, 4];\n}\n"
-    )
+def test_a_region_declared_twice_exits_two_on_every_command(tmp_path, capsys, command, case):
+    # and so does a block that membership cannot grade
+    text = "model m;\nregions Speed { fast = points {1}; }\n"
+    if case is None:
+        text += "regions Cost {\n  low = interval [1, 2];\n  low = interval [3, 4];\n}\n"
+        rule, message = "unique-regions", "quality Cost declares region low more than once"
+    else:
+        regions, message = _UNGRADABLE_REGIONS[case]
+        text += f"regions Cost {{\n  {regions}\n}}\n"
+        rule = "regions-order"
     argv = _command_argv(command, tmp_path, text)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (
-        f"{argv[1]}:3:1: error: regions[1]: [unique-regions] "
-        "quality Cost declares region low more than once\n"
-    )
+    assert captured.err == f"{argv[1]}:3:1: error: regions[1]: [{rule}] {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -5,11 +5,12 @@ import re
 
 import pytest
 
-from reqsmith.export import NestedUNotExportable, emit_owl
+from reqsmith.export import NestedUNotExportable, _render, emit_owl
 from reqsmith.findings import emit_report
 from reqsmith.lint import Issue, LintFinding
 from reqsmith.parser import parse_model
 from reqsmith.reasoner import SubsumptionVerdict, VerdictStatus, propagate_fulfillment
+from reqsmith.semantics import DLAnd, DLAtomic, DLDataRange, DLExists, DLExistsInverse, DLNot
 
 
 def parsed(text):
@@ -334,3 +335,17 @@ def test_reports_round_trip_and_stay_stable():
     args = ([finding], {"G1": "unknown"}, [])
     assert emit_report(*args) == emit_report(*args)
     assert json.loads(emit_report(*args))["version"] == 1
+
+
+def test_a_data_range_renders_only_as_a_restriction_filler():
+    # data-ness is carried up the fold: a range, or ranges combined, is data
+    # under a restriction and refused wherever a class is expected
+    data = DLAnd((DLDataRange("min", 1), DLNot(DLDataRange("eq", 3))))
+    assert _render(DLExists("size", data)) == (
+        "DataSomeValuesFrom(:size_value DataIntersectionOf("
+        'DatatypeRestriction(xsd:decimal xsd:minInclusive "1"^^xsd:decimal) '
+        'DataComplementOf(DataOneOf("3"^^xsd:decimal))))'
+    )
+    for concept in (data, DLAnd((DLAtomic("A"), data)), DLExistsInverse("r", data)):
+        with pytest.raises(ValueError, match="a bare data range cannot stand as a class"):
+            _render(concept)

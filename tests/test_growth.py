@@ -32,55 +32,64 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# family -> (its sizes, the bound on how its counts grow). The ratios hold
-# on CPython 3.10, 3.11, 3.12 and 3.13, the versions CI runs; where 3.12 and
-# 3.13 differ, theirs follow in brackets.
+# family -> (its sizes, the bound on how its counts grow). CI checks the
+# bounds on CPython 3.10, 3.11, 3.12 and 3.13; the counts and ratios quoted
+# were measured on 3.11.
 GUARDS = {
     # parse, strength audit and world check of the seed-7 bench ladder at
-    # n refinement steps: 276,964, 550,328 and 1,096,875 lines, increment
-    # ratio 1.9993; a derivation that closes each left side afresh measured
+    # n refinement steps: 310,194, 616,710 and 1,229,561 lines, increment
+    # ratio 1.9994; a derivation that closes each left side afresh measured
     # 2.433, one that makes its fired axioms in full 2.418, and one that
     # settles the atoms' closures in axiom order 2.444
     "ladder": ((56, 112, 224), 2.02),
     # world check of an n-individual chain, where saturation adds one
-    # membership a round: 146,398 -> 2,178,898 lines, ratio 14.883 (14.902,
-    # 14.902); a saturator that runs a full round after each assertion
-    # differs from it by a constant factor, so this bound stays on the
-    # ratio until a round's work depends on the change
+    # membership a round: 78,937 -> 1,065,187 lines, ratio 13.494; a
+    # saturator that runs a full round after each assertion differs from it
+    # by a constant factor, so this bound stays on the ratio until a round's
+    # work depends on the change
     "chain": ((125, 500), 14.95),
     # parse and `query --pattern "<object: C0>"` of the same ladder:
-    # increment ratio 1.9985; the three derivations above measured 2.608,
+    # increment ratio 1.9987; the three derivations above measured 2.608,
     # 2.590 and 2.639
     "ladder-query": ((56, 112, 224), 2.02),
     # parse, lint and world check of the same ladder with one disjointness
     # axiom, so lint asks each term whether it is empty: increment ratio
-    # 1.9982; the three derivations above measured 3.578, 2.809 and 2.897,
+    # 1.9983; the three derivations above measured 3.578, 2.809 and 2.897,
     # and one that does not refute `term :< Nothing` at once 3.659
     "ladder-lint": ((56, 112, 224), 2.02),
     # fulfillment of an n-step reduce chain whose last goal alone is marked,
     # which wakes one application per step: increment ratio 2.0000
     "fulfill": ((100, 200, 400), 2.02),
     # parse and `fmt` of the seed-1 bench `edit-session` model at n edit
-    # groups: 64,819, 127,560 and 252,870 lines, increment ratio 1.9973
-    # (1.9973, 1.9972)
+    # groups: 67,940, 133,820 and 265,370 lines, increment ratio 1.9968
     "edit-fmt": ((60, 120, 240), 2.02),
     # parse and `query --pattern "<object: Record3>"` of the same model,
-    # the query that must prove: increment ratio 1.9989
+    # the query that must prove: increment ratio 1.9991
     "edit-query": ((60, 120, 240), 2.02),
     # parse, strength audit and world check of the seed-1 bench `ring-world`
-    # model at n ring individuals: 14,933, 25,340 and 46,097 lines,
-    # increment ratio 1.9945
+    # model at n ring individuals: 13,026, 21,099 and 37,192 lines,
+    # increment ratio 1.9934
     "ring-check": ((55, 110, 220), 2.02),
     # `membership_degrees` of n point regions of 10 prototypes each, at the
-    # midpoint between the two middle regions: 182, 378 and 770 lines
-    # (177, 373, 765), increment ratio 2.0000; a count that multiplies one
+    # midpoint between the two middle regions: 189, 385 and 777 lines,
+    # increment ratio 2.0000; a count that multiplies one
     # factor per other region measured 3.752, and the completion enumerator
     # exits at its cap of 1,000,000 from 8 regions on
     "membership": ((4, 8, 16), 2.02),
+    # translate, `_norm`, `format_description`, `_render` and `eval_dl` of a
+    # library-built `<r: SOME ...>` description n levels deep, each one fold:
+    # 38,296, 76,546 and 153,046 lines, increment ratio 2.0000
+    "nested": ((250, 500, 1000), 2.02),
+    # parse, strength audit, world check and `translate` of an n-operand
+    # adjacency chain and an n-operand `|` chain: 306,413, 611,413 and
+    # 1,221,413 lines, increment ratio 2.0000; a `_render` that asks
+    # `_is_dataish` of every node measured 3.965, and a `_norm` that
+    # flattens and sorts each level of a run again 3.923
+    "flat-chain": ((500, 1000, 2000), 2.02),
 }
 
 # lint of the 224-step ladder with one disjointness axiom against lint of the
-# same ladder without it: ratio 1.312 (1.313, 1.311); a lint that walks
+# same ladder without it: ratio 1.269; a lint that walks
 # every element's mentions before it knows a term is empty measured 1.771
 LINT_DISJOINT = (224, 1.35)
 
@@ -185,6 +194,25 @@ def _fulfill_text(steps: int) -> str:
     return "\n".join(lines + [f"fulfilled G{steps - 1};"]) + "\n"
 
 
+def _nested(depth: int):
+    """`<r: SOME ...<r: SOME A>...>`, `depth` restrictions deep."""
+    from reqsmith.model import SOME, AtomicConcept, SlotRestriction
+
+    d = AtomicConcept("A")
+    for _ in range(depth):
+        d = SlotRestriction("r", SOME, d)
+    return d
+
+
+def _flat_chain_text(size: int) -> str:
+    """Axioms whose right sides chain `size` atoms by adjacency and by `|`,
+    over a world whose one individual the first axiom fires on."""
+    adjacency = " ".join(f"A{i}" for i in range(size))
+    union = " | ".join(f"A{i}" for i in range(size))
+    world = "world { individual a : A; }"
+    return f"model flat;\naxiom A :< ({adjacency});\naxiom B :< {union};\n{world}\n"
+
+
 def _membership_case(size: int) -> tuple:
     """A value and `size` point regions r{i} = {10i, ..., 10i + 9}; the value
     ties the two middle regions' nearest prototypes."""
@@ -199,11 +227,15 @@ def _counts() -> dict:
     """The line counts of each family at each of its sizes, of lint with and
     without a disjointness axiom, and the derivation's rule runs."""
     import reqsmith.saturation  # noqa: F401  (its import is not the work counted)
+    from reqsmith.export import _render, emit_owl
     from reqsmith.fulfillment import propagate_fulfillment
     from reqsmith.lint import lint_model
     from reqsmith.membership import membership_degrees
+    from reqsmith.model import World
     from reqsmith.parser import parse_description, parse_model, print_model
-    from reqsmith.reasoner import check_consistency, check_strength_tags, query
+    from reqsmith.printer import format_description
+    from reqsmith.reasoner import _norm, check_consistency, check_strength_tags, query
+    from reqsmith.semantics import eval_dl, translate_description
 
     pattern = parse_description("<object: C0>")
     record = parse_description("<object: Record3>")
@@ -224,6 +256,23 @@ def _counts() -> dict:
         lint_model(model)
         check_consistency(model)
 
+    ring = World(
+        individuals=frozenset({"a", "b"}),
+        concept_extensions={"A": frozenset({"b"})},
+        slot_tuples={"r": frozenset({("a", "b"), ("b", "a")})},
+    )
+
+    def nested(d):
+        concept = translate_description(d)
+        _norm(concept)
+        format_description(d)
+        _render(concept)
+        eval_dl(concept, ring)
+
+    def flat_chain(text):
+        check(text)
+        emit_owl(parse_model(text))
+
     # family -> (the work counted, its input at a size, built uncounted)
     runs = {
         "ladder": (check, _ladder_text),
@@ -241,6 +290,8 @@ def _counts() -> dict:
         ),
         "ring-check": (check, lambda size: _bench_text("ring-world", 1, RING_INDIVIDUALS=size)),
         "membership": (lambda case: membership_degrees(*case), _membership_case),
+        "nested": (nested, _nested),
+        "flat-chain": (flat_chain, _flat_chain_text),
     }
     lines = {}
     for family, (sizes, _) in GUARDS.items():

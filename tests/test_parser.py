@@ -391,18 +391,17 @@ def test_world_block_round_trips_through_records():
 
 
 def test_regions_block():
+    # one prototype style per block: validation refuses a mixed one
     model = parsed(
-        "regions Cost {\n"
-        "  low = points {500, 700};\n"
-        "  medium = interval [800, 1000];\n"
-        "}\n"
+        "regions Cost {\n  low = points {500, 700};\n}\n"
+        "regions Speed {\n  medium = interval [800, 1000];\n}\n"
     )
-    spec = model.membership_specs[0]
-    assert spec.quality == "Cost"
-    assert spec.regions[0] == PrototypeRegion(
+    cost, speed = model.membership_specs
+    assert (cost.quality, speed.quality) == ("Cost", "Speed")
+    assert cost.regions[0] == PrototypeRegion(
         "low", PointPrototypes((Fraction(500), Fraction(700)))
     )
-    assert spec.regions[1] == PrototypeRegion(
+    assert speed.regions[0] == PrototypeRegion(
         "medium", IntervalPrototypes(Fraction(800), Fraction(1000))
     )
 
@@ -891,7 +890,7 @@ ROUND_TRIP_SAMPLES = [
     "qc Q1 := Cost (S) :: [0, 10];\nqc Q2 := Cost (S) :: [0, 12];\n"
     "scale_down Q1 -> Q2 by (1, 6/5);",
     "axiom Airline_ticket :< Ticket;\naxiom Fast :< Speed_region;",
-    "regions Cost {\n  low = points {500, 700};\n  high = interval [1200, 1500];\n}",
+    "regions Cost {\n  low = points {500, 700};\n  high = points {1200, 1500};\n}",
     "world {\n  individual m1 : Manager;\n  slot actor(c1, m1);\n}",
     "func F2 := Book <object: <=2 Airline_ticket - Charter>;",
     "axiom (A | B).s - C :< Thing <p: SOME (A B)>;",
