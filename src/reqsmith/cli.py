@@ -1,10 +1,13 @@
 """Command-line front end: parse a model file, then format, audit,
 query, propagate, translate, or grade it.
 
-Exit codes follow the usual triage: 0 for a clean run, 1 when findings
-or diagnostics were reported, 2 for usage, file, or parse errors. Every
-subcommand accepts `--json` to emit the machine-readable report schema
-instead of plain text.
+Each command is a function of the loaded model and the arguments. It
+writes its notes on stderr as it goes and returns its report: the text,
+and the findings, states and verdicts of the JSON report, or None when it
+failed and said why on stderr. `main` alone loads the model, writes stdout
+once, as the text or under `--json` as the version-1 report, and picks the
+exit code: 0 for a clean run, 1 for findings or a failed command, 2 for
+usage, file, or parse errors.
 """
 
 import argparse
@@ -16,9 +19,11 @@ from typing import NoReturn, Optional
 
 # Each command imports the modules it runs inside its own function, so a
 # short command such as `fmt` never loads the reasoner, lint or export,
-# `check` takes its findings from `findings`, not from `lint`, `fulfill`
-# takes its propagation from `fulfillment`, not from `reasoner`, and a
-# `--json` run takes its report from `findings`, not from `export`.
+# `check` takes its findings from `findings`, not from `lint`, and `fulfill`
+# takes its propagation from `fulfillment`, not from `reasoner`. A report's
+# text is a function that `main` calls only without `--json`, so `fmt
+# --json` loads no printer; under `--json`, `main` takes the report writer
+# from `findings`, not from `export`.
 
 
 class _CliError(Exception):
@@ -48,6 +53,12 @@ def _load_model(path: str):
     return result
 
 
+def _lines(lines):
+    """A report's text: one line each."""
+    text = "".join(f"{line}\n" for line in lines)
+    return lambda: text
+
+
 def _finding_line(finding) -> str:
     line = f"{finding.element_id}: {finding.issue.value}: {finding.detail}"
     if finding.suggested_operator is not None:
@@ -55,67 +66,42 @@ def _finding_line(finding) -> str:
     return line
 
 
-def _note_unknown_world(consistency) -> None:
-    """An undecided world is no defect, so the axiom saturation left
-    unsettled is a note on stderr and the exit code stays."""
+def _findings_report(consistency, findings):
+    """The report of `check` and `lint`: one line per finding. An undecided
+    world is no defect, so the axiom saturation left unsettled is a note on
+    stderr and the exit code stays."""
     from .reasoner import ConsistencyStatus
 
     if consistency.status is ConsistencyStatus.UNKNOWN:
         for line in consistency.explanation:
             print(f"world: unknown: {line}", file=sys.stderr)
+    return _lines(map(_finding_line, findings)), findings, {}, []
 
 
-def _print_findings(findings, as_json: bool) -> int:
-    if as_json:
-        from .findings import emit_report
+def _cmd_fmt(model, args):
+    from .parser import print_model
 
-        print(emit_report(findings, {}, []), end="")
-    else:
-        for finding in findings:
-            print(_finding_line(finding))
-    return 1 if findings else 0
+    return lambda: print_model(model), [], {}, []
 
 
-def _cmd_fmt(args) -> int:
-    model = _load_model(args.file)
-    if args.json:
-        from .findings import emit_report
+def _cmd_check(model, args):
+    from .findings import Issue, LintFinding, world_findings
+    from .reasoner import check_consistency, check_strength_tags
 
-        print(emit_report([], {}, []), end="")
-    else:
-        from .parser import print_model
-
-        print(print_model(model), end="")
-    return 0
-
-
-def _cmd_check(args) -> int:
-    from .findings import Issue, LintFinding
-    from .reasoner import ConsistencyStatus, check_consistency, check_strength_tags
-
-    model = _load_model(args.file)
-    findings = []
-    for diag in check_strength_tags(model):
-        findings.append(
-            LintFinding(
-                f"application[{diag.application_index}]",
-                Issue.INCONSISTENT,
-                diag.message,
-            )
+    findings = [
+        LintFinding(
+            f"application[{diag.application_index}]", Issue.INCONSISTENT, diag.message
         )
+        for diag in check_strength_tags(model)
+    ]
     consistency = check_consistency(model)
-    if consistency.status is ConsistencyStatus.INCONSISTENT:
-        for line in consistency.explanation:
-            findings.append(LintFinding("world", Issue.INCONSISTENT, line))
-    _note_unknown_world(consistency)
-    return _print_findings(findings, args.json)
+    return _findings_report(consistency, findings + world_findings(consistency))
 
 
-def _cmd_lint(args) -> int:
+def _cmd_lint(model, args):
     from .lint import LintConfig, lint_model, parse_config
     from .reasoner import check_consistency
 
-    model = _load_model(args.file)
     config = LintConfig()
     if args.config is not None:
         text = _read_text(args.config)
@@ -123,74 +109,51 @@ def _cmd_lint(args) -> int:
             config = parse_config(text)
         except ValueError as err:
             raise _CliError(str(err)) from err
-    findings = lint_model(model, config)
-    _note_unknown_world(check_consistency(model))  # lint_model kept it on the model
-    return _print_findings(findings, args.json)
+    findings = lint_model(model, config)  # keeps the world's verdict on the model
+    return _findings_report(check_consistency(model), findings)
 
 
-def _cmd_query(args) -> int:
+def _cmd_query(model, args):
     from .parser import parse_description
-    from .reasoner import query
+    from .reasoner import SubsumptionVerdict, VerdictStatus, query
 
-    model = _load_model(args.file)
     pattern = parse_description(args.pattern)
     if isinstance(pattern, list):
         raise _CliError("\n".join(str(d) for d in pattern))
     matches = sorted(query(model, pattern))
-    if args.json:
-        from .findings import emit_report
-        from .reasoner import SubsumptionVerdict, VerdictStatus
-
-        verdict = SubsumptionVerdict(VerdictStatus.PROVEN, method="query")
-        triples = [(match, args.pattern, verdict) for match in matches]
-        print(emit_report([], {}, triples), end="")
-    else:
-        for match in matches:
-            print(match)
-    return 0
+    verdict = SubsumptionVerdict(VerdictStatus.PROVEN, method="query")
+    verdicts = [(match, args.pattern, verdict) for match in matches]
+    return _lines(matches), [], {}, verdicts
 
 
-def _cmd_fulfill(args) -> int:
+def _cmd_fulfill(model, args):
     from .fulfillment import propagate_fulfillment
 
-    model = _load_model(args.file)
     state = propagate_fulfillment(model, args.threshold)
     for warning in state.warnings:
         print(warning, file=sys.stderr)
-    if args.json:
-        from .findings import emit_report
-
-        print(emit_report([], state.states, []), end="")
-    else:
-        for element in model.elements:
-            print(f"{element.id}: {state.states[element.id].value}")
-    return 0
+    lines = [f"{e.id}: {state.states[e.id].value}" for e in model.elements]
+    return _lines(lines), [], state.states, []
 
 
-def _cmd_translate(args) -> int:
+def _cmd_translate(model, args):
     from .export import NestedUNotExportable, emit_owl
 
-    model = _load_model(args.file)
     try:
         document = emit_owl(model)
     except NestedUNotExportable as err:
         print(err, file=sys.stderr)
-        return 1
+        return None
     try:
         Path(args.out).write_text(document, encoding="utf-8")
     except OSError as err:
         raise _CliError(str(err)) from err
-    if args.json:
-        from .findings import emit_report
-
-        print(emit_report([], {}, []), end="")
-    return 0
+    return _lines([]), [], {}, []
 
 
-def _cmd_membership(args) -> int:
+def _cmd_membership(model, args):
     from .membership import format_degree, membership_degrees
 
-    model = _load_model(args.file)
     spec = model.spec_for(args.quality)
     if spec is None or not spec.regions:
         raise _CliError(
@@ -203,23 +166,14 @@ def _cmd_membership(args) -> int:
     degrees = membership_degrees(value, spec.regions)
     # Text prints one line per declared region; a single --region prints its
     # degree alone.
-    names = [region.name for region in spec.regions]
-    if args.region is not None:
-        if args.region not in degrees:
-            raise _CliError(
-                f"region {args.region!r} is not declared for {args.quality}"
-            )
-        names = [args.region]
-    if args.json:
-        from .findings import emit_report
-
-        report = {name: format_degree(degrees[name]) for name in names}
-        print(emit_report([], report, []), end="")
-    else:
-        for name in names:
-            degree = format_degree(degrees[name])
-            print(degree if args.region is not None else f"{name}: {degree}")
-    return 0
+    if args.region is None:
+        grades = {r.name: format_degree(degrees[r.name]) for r in spec.regions}
+        lines = [f"{name}: {grade}" for name, grade in grades.items()]
+        return _lines(lines), [], grades, []
+    if args.region not in degrees:
+        raise _CliError(f"region {args.region!r} is not declared for {args.quality}")
+    grade = format_degree(degrees[args.region])
+    return _lines([grade]), [], {args.region: grade}, []
 
 
 def _threshold(text: str) -> int:
@@ -297,7 +251,17 @@ def main(argv: Optional[list] = None) -> int:
         code = exit_.code
         return 0 if code in (0, None) else 2
     try:
-        return _COMMANDS[args.command](args)
+        report = _COMMANDS[args.command](_load_model(args.file), args)
+        if report is None:
+            return 1
+        text, findings, states, verdicts = report
+        if args.json:
+            from .findings import emit_report
+
+            sys.stdout.write(emit_report(findings, states, verdicts))
+        else:
+            sys.stdout.write(text())
+        return 1 if findings else 0
     except _CliError as err:
         print(err, file=sys.stderr)
         return 2

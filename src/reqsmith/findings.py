@@ -2,7 +2,8 @@
 
 A finding ties one issue of the requirement taxonomy to an element, an
 application or the world. `check` builds its findings from this module
-alone, so it never loads the lint rules; `lint` re-exports both names.
+alone, so it never loads the lint rules; `lint` re-exports both names,
+and both commands turn a clashing world into findings by `world_findings`.
 `emit_report` bundles findings, fulfillment states, and subsumption
 verdicts into one versioned JSON document for scripting; every `--json`
 run loads it from here, without the ontology exporter.
@@ -16,7 +17,7 @@ from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 from .model import Operator, _record
 
 if TYPE_CHECKING:
-    from .reasoner import SubsumptionVerdict
+    from .reasoner import ConsistencyResult, SubsumptionVerdict
 
 
 class Issue(Enum):
@@ -56,6 +57,15 @@ class LintFinding(metaclass=_record):
                 f"suggested_operator must name a transformation operator, "
                 f"not {operator!r}"
             )
+
+
+def world_findings(result: ConsistencyResult) -> list[LintFinding]:
+    """One `world` finding per clash line of an inconsistent world."""
+    from .reasoner import ConsistencyStatus  # loaded by whoever holds a result
+
+    if result.status is not ConsistencyStatus.INCONSISTENT:
+        return []
+    return [LintFinding("world", Issue.INCONSISTENT, line) for line in result.explanation]
 
 
 def _finding_dict(finding: LintFinding) -> dict:

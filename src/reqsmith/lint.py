@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 
-from .findings import Issue, LintFinding
+from .findings import Issue, LintFinding, world_findings
 from .model import (
     QUALITY_KINDS,
     AtomicConcept,
@@ -32,7 +32,7 @@ from .model import (
     mentions,
     subterms,
 )
-from .reasoner import ConsistencyStatus, _Derivation, _norm, check_consistency, derivation
+from .reasoner import _Derivation, _norm, check_consistency, derivation
 from .semantics import DL_NOTHING, DLAnd, DLAtomic, DLConcept, translate_description
 
 
@@ -301,11 +301,7 @@ def _multi_concern(live, config) -> list[LintFinding]:
 def _inconsistent(model: Model, live) -> list[LintFinding]:
     """World clashes, plus terms the reasoner files under declared-disjoint
     classes."""
-    out = []
-    result = check_consistency(model)
-    if result.status is ConsistencyStatus.INCONSISTENT:
-        for line in result.explanation:
-            out.append(LintFinding("world", Issue.INCONSISTENT, line))
+    out = world_findings(check_consistency(model))
 
     # atom sets declared jointly empty: the left sides of `:< Nothing` axioms
     # that are ands of atoms, whose atoms `_norm` sorted and deduplicated;

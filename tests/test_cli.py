@@ -689,6 +689,16 @@ def test_fulfill_threshold_below_one_is_a_usage_error(tmp_path, capsys, threshol
     assert "G: unknown" in capsys.readouterr().out
 
 
+def test_fulfill_threshold_must_be_an_integer(tmp_path, capsys):
+    path = write(tmp_path, BOOKING)
+    assert main(["fulfill", path, "--threshold", "1.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        "reqsmith fulfill: error: argument --threshold: invalid int value: '1.5'"
+    )
+
+
 def test_fulfill_json_maps_ids_to_states(tmp_path, capsys):
     path = write(tmp_path, BOOKING)
     assert main(["fulfill", path, "--json"]) == 0
@@ -774,7 +784,7 @@ def test_conflict_and_axiom_diagnostics_point_at_their_statement(
     assert capsys.readouterr().err == "".join(f"{path}:{line}\n" for line in lines)
 
 
-def test_reasoner_recursion_overflow_exits_two_without_a_traceback(tmp_path):
+def test_reasoner_recursion_overflow_exits_two_without_a_traceback(tmp_path, capsys):
     # Inside the parser's nesting limit, but the structural derivation's
     # recursion grows with nesting times disjunct hops.
     terms = " | ".join(f"A{i}" for i in range(21))
@@ -785,13 +795,14 @@ def test_reasoner_recursion_overflow_exits_two_without_a_traceback(tmp_path):
         "reduce FC1 -> FC2 [strengthen];\n"
     )
     path = write(tmp_path, text)
-    run = run_cli(["check", path])
-    assert run.returncode == 2
-    assert run.stdout == b""
-    assert run.stderr.decode() == (
+    message = (
         f"{path}: error: the model nests too deeply for the reasoner "
         "(recursion limit reached)\n"
     )
+    run = run_cli(["check", path])
+    assert (run.returncode, run.stdout, run.stderr.decode()) == (2, b"", message)
+    assert main(["check", path]) == 2
+    assert capsys.readouterr() == ("", message)
 
 
 DROPPED_SUBSUMPTION = """model d;
@@ -998,9 +1009,24 @@ def test_translate_stacked_annotations_exit_one(tmp_path, capsys):
     )
     path = write(tmp_path, text)
     out_path = tmp_path / "u.ofn"
-    assert main(["translate", path, "--out", str(out_path)]) == 1
-    assert "QG1" in capsys.readouterr().err
-    assert not out_path.exists()
+    message = (
+        "QG1 stacks 2 percentage annotations; a relaxation of a relaxation"
+        " has no exportable logical form\n"
+    )
+    # A failed export prints no report, not even under --json.
+    for json_flag in ([], ["--json"]):
+        assert main(["translate", path, "--out", str(out_path), *json_flag]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", message)
+        assert not out_path.exists()
+
+
+def test_translate_into_a_missing_directory_exits_two(tmp_path, capsys):
+    out_path = tmp_path / "nosuch" / "booking.ofn"
+    assert main(["translate", write(tmp_path, BOOKING), "--out", str(out_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"[Errno 2] No such file or directory: '{out_path}'\n"
 
 
 # ===== membership =====
@@ -1614,6 +1640,89 @@ def test_the_entry_costs_no_memory_on_a_thousand_groups(tmp_path):
     )
     assert entry[:2] == collected[:2] == (0, "EF3\n")
     assert entry[2] <= 1.1 * collected[2]
+
+
+# ===== one output path =====
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+class _Writes:
+    """A stdout that keeps each non-empty write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        if text:
+            self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("fixture", ["booking", "cost"])
+@pytest.mark.parametrize("command", sorted(IMPORT_BUDGET))
+def test_each_command_writes_stdout_at_most_once(
+    tmp_path, capsys, command, fixture, json_flag
+):
+    text = (FIXTURES / f"{fixture}.dsr").read_text(encoding="utf-8")
+    argv = _command_argv(command, tmp_path, text) + json_flag
+    code = main(argv)
+    out = capsys.readouterr().out
+    stdout = _Writes()
+    with contextlib.redirect_stdout(stdout):
+        assert main(argv) == code
+    assert stdout.writes == ([out] if out else [])
+
+
+def test_notes_come_before_the_report(capsys):
+    argv = ["fulfill", str(FIXTURES / "booking.dsr"), "--threshold", "9"]
+    note = "ThresholdUnreachable: no application has 9 outputs\n"
+    states = "G1: unknown\nF2: unknown\nF3: fulfilled\nF4: fulfilled\n"
+    assert main(argv) == 0
+    assert capsys.readouterr() == (states, note)
+    run = subprocess.run(
+        [sys.executable, "-m", "reqsmith.cli", *argv],
+        env=_child_env(),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+        timeout=60,
+    )
+    assert (run.returncode, run.stdout) == (0, note + states)
+
+
+class _ClosedPipe:
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+def test_a_closed_stdout_pipe_exits_zero(tmp_path):
+    path = write(tmp_path, BAD_TAG)
+    with contextlib.redirect_stdout(_ClosedPipe()):
+        assert main(["check", path]) == 0
+
+
+def test_run_exits_with_the_code_of_main_without_the_collector(
+    tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr(sys, "argv", ["reqsmith", "check", write(tmp_path, BAD_TAG)])
+    try:
+        with pytest.raises(SystemExit) as exit_:
+            reqsmith.cli.run()
+        collector = (gc.isenabled(), gc.get_freeze_count() > 0)
+    finally:
+        gc.enable()
+        gc.unfreeze()
+    assert exit_.value.code == 1
+    assert collector == (False, True)
+    assert capsys.readouterr().out.startswith("application[0]: inconsistent: ")
 
 
 # ===== golden output =====
