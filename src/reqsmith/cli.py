@@ -8,13 +8,19 @@ failed and said why on stderr. `main` alone loads the model, writes stdout
 once, as the text or under `--json` as the version-1 report, and picks the
 exit code: 0 for a clean run, 1 for findings or a failed command, 2 for
 usage, file, or parse errors.
+
+The command line is stated once, in `_COMMANDS`. `_read_argv` reads a plain
+line from it, and argparse, built from the same table only for any other
+line, is the one author of help, usage and error text, so a well-formed
+command loads neither argparse nor the `gettext` and `locale` it uses.
 """
 
-import argparse
 import gc
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 from typing import NoReturn, Optional
 
 # Each command imports the modules it runs inside its own function, so a
@@ -159,7 +165,11 @@ def _cmd_membership(model, args):
         raise _CliError(
             f"no membership regions are declared for quality {args.quality!r}"
         )
+    # A number as a model writes it, with an optional sign: an exponent
+    # would make Fraction expand it in full.
     try:
+        if re.fullmatch(r"-?\d+(?:[./]\d+)?", args.value) is None:
+            raise ValueError(args.value)
         value = Fraction(args.value)
     except (ValueError, ZeroDivisionError) as err:
         raise _CliError(f"--value must be a number, not {args.value!r}") from err
@@ -181,77 +191,115 @@ def _threshold(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise _refusal(f"invalid int value: {text!r}") from None
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+        raise _refusal(f"must be at least 1, not {value}")
     return value
 
 
+def _refusal(message: str) -> Exception:
+    """The error by which a converter refuses an option's value; argparse
+    reports it, so only a refused value loads argparse here."""
+    from argparse import ArgumentTypeError
+
+    return ArgumentTypeError(message)
+
+
+# Each command's runner, help text and options. An option is (flag,
+# whether it is required, the converter of its value, help text).
 _COMMANDS = {
-    "fmt": _cmd_fmt,
-    "check": _cmd_check,
-    "lint": _cmd_lint,
-    "query": _cmd_query,
-    "fulfill": _cmd_fulfill,
-    "translate": _cmd_translate,
-    "membership": _cmd_membership,
+    "fmt": (_cmd_fmt, "pretty-print a model in canonical form", []),
+    "check": (_cmd_check, "audit strength tags and world consistency", [
+        ("--bound", False, int, "accepted for compatibility; check reads only proofs"),
+    ]),
+    "lint": (_cmd_lint, "review the model against the issue taxonomy", [
+        ("--config", False, str, "lexicon config file"),
+    ]),
+    "query": (_cmd_query, "list elements matching a description", [
+        ("--pattern", True, str, "description to match"),
+    ]),
+    "fulfill": (_cmd_fulfill, "propagate fulfillment marks", [
+        ("--threshold", False, _threshold,
+         "count of fulfilled fan-out successors that suffices"),
+    ]),
+    "translate": (_cmd_translate, "write the model as an ontology document", [
+        ("--out", True, str, "output path"),
+    ]),
+    "membership": (_cmd_membership, "grade a value against declared regions", [
+        ("--quality", True, str, "quality name"),
+        ("--value", True, str, "observed value"),
+        ("--region", False, str, "single region to grade"),
+    ]),
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _read_argv(argv: list) -> Optional[SimpleNamespace]:
+    """The arguments of a plain command line, as argparse would read them:
+    a command, one FILE, `--json`, and the command's options, each spelt in
+    full and followed by a separate value that does not start with `-`.
+    Any other line, and a value its converter refuses, is None: argparse
+    reads it and writes the help, usage or error."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    command = argv[0]
+    options = _COMMANDS[command][2]
+    converters = {flag: convert for flag, _, convert, _ in options}
+    given: dict = {}
+    file, json_flag = None, False
+    words = iter(argv[1:])
+    for word in words:
+        if word == "--json":
+            json_flag = True
+        elif word in converters:
+            text = next(words, None)
+            if text is None or text.startswith("-"):
+                return None
+            try:
+                given[word] = converters[word](text)
+            except Exception:  # argparse converts it again and reports it
+                return None
+        elif word.startswith("-") or file is not None:
+            return None
+        else:
+            file = word
+    if file is None or any(req and flag not in given for flag, req, _, _ in options):
+        return None
+    values = {flag[2:]: given.get(flag) for flag in converters}
+    return SimpleNamespace(command=command, file=file, json=json_flag, **values)
+
+
+def _build_parser():
+    """argparse over `_COMMANDS`, for the lines `_read_argv` leaves."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="reqsmith",
         description="Work with structured requirement models.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    def command(name: str, help_text: str):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("file", metavar="FILE", help="model file to read")
-        p.add_argument(
+    for name, (_, help_text, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        command.add_argument("file", metavar="FILE", help="model file to read")
+        command.add_argument(
             "--json",
             action="store_true",
             help="emit the machine-readable report schema",
         )
-        return p
-
-    command("fmt", "pretty-print a model in canonical form")
-    check = command("check", "audit strength tags and world consistency")
-    check.add_argument(
-        "--bound",
-        type=int,
-        default=None,
-        help="accepted for compatibility; check reads only proofs",
-    )
-    lint = command("lint", "review the model against the issue taxonomy")
-    lint.add_argument("--config", default=None, help="lexicon config file")
-    query_cmd = command("query", "list elements matching a description")
-    query_cmd.add_argument("--pattern", required=True, help="description to match")
-    fulfill = command("fulfill", "propagate fulfillment marks")
-    fulfill.add_argument(
-        "--threshold",
-        type=_threshold,
-        default=None,
-        help="count of fulfilled fan-out successors that suffices",
-    )
-    translate = command("translate", "write the model as an ontology document")
-    translate.add_argument("--out", required=True, help="output path")
-    membership = command("membership", "grade a value against declared regions")
-    membership.add_argument("--quality", required=True, help="quality name")
-    membership.add_argument("--value", required=True, help="observed value")
-    membership.add_argument("--region", default=None, help="single region to grade")
+        for flag, required, convert, option_help in options:
+            command.add_argument(flag, required=required, type=convert, help=option_help)
     return parser
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    args = _read_argv(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exit_:
+            return 0 if exit_.code in (0, None) else 2
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exit_:
-        code = exit_.code
-        return 0 if code in (0, None) else 2
-    try:
-        report = _COMMANDS[args.command](_load_model(args.file), args)
+        report = _COMMANDS[args.command][0](_load_model(args.file), args)
         if report is None:
             return 1
         text, findings, states, verdicts = report

@@ -1066,6 +1066,38 @@ def test_membership_rejects_non_numeric_values(tmp_path, capsys):
     assert "cheap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "value", ["1e3", "1_000", "+740", ".5", " 740", "740 ", "3/0", "1.5.5", "50%"]
+)
+def test_membership_rejects_values_a_model_cannot_write(tmp_path, capsys, value):
+    path = write(tmp_path, COST_REGIONS)
+    args = ["membership", path, "--quality", "Cost", "--value", value]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"--value must be a number, not {value!r}\n"
+
+
+@pytest.mark.parametrize(
+    ("value", "low"), [("740", "0.595"), ("1480/2", "0.595"), ("740.0", "0.595"), ("-5", "1")]
+)
+def test_membership_reads_values_as_a_model_writes_numbers(tmp_path, capsys, value, low):
+    path = write(tmp_path, COST_REGIONS)
+    args = ["membership", path, "--quality", "Cost", "--value", value, "--region", "low"]
+    assert main(args) == 0
+    assert capsys.readouterr().out == f"{low}\n"
+
+
+@pytest.mark.parametrize("value", ["1e999999999", "1e-999999999"])
+def test_membership_refuses_a_huge_exponent_at_once(tmp_path, value):
+    # Fraction would expand the exponent in full and never finish.
+    path = write(tmp_path, COST_REGIONS)
+    run = run_cli(["membership", path, "--quality", "Cost", "--value", value])
+    assert run.returncode == 2
+    assert run.stdout == b""
+    assert run.stderr.decode() == f"--value must be a number, not {value!r}\n"
+
+
 @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
 def test_membership_on_an_empty_regions_block_exits_two(tmp_path, capsys, json_flag):
     path = write(tmp_path, "model m;\nregions Cost { }\n")
@@ -1324,9 +1356,13 @@ def _run_python(script, *args):
 
 
 # Standard-library modules no command needs: `dataclasses` and the modules
-# it pulls in would cost every command several milliseconds at start-up, and
-# `copy` is loaded only where a counter-model search branches.
-_UNUSED_STDLIB = {"dataclasses", "inspect", "ast", "dis", "tokenize", "copy"}
+# it pulls in would cost every command several milliseconds at start-up,
+# `copy` is loaded only where a counter-model search branches, and argparse,
+# with the `gettext` and `locale` it uses, only for help and usage errors.
+_UNUSED_STDLIB = {
+    "dataclasses", "inspect", "ast", "dis", "tokenize", "copy",
+    "argparse", "gettext", "locale",
+}
 
 
 @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
@@ -1355,6 +1391,24 @@ def test_each_command_imports_only_the_modules_it_runs(tmp_path, command, json_f
     if command == "query":
         assert "reqsmith.saturation" not in modules
     assert ("reqsmith.printer" in modules) == (command == "fmt" and not json_flag)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["-h"], ["check", "-h"], ["polish", "x.dsr"], ["fulfill", "x.dsr", "--threshold", "0"]],
+)
+def test_help_and_usage_errors_load_argparse(argv):
+    script = (
+        "import contextlib, io, sys\n"
+        "from reqsmith import cli\n"
+        "out, err = io.StringIO(), io.StringIO()\n"
+        "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "    code = cli.main(sys.argv[1:])\n"
+        "print(code, 'argparse' in sys.modules, 'gettext' in sys.modules)\n"
+    )
+    run = _run_python(script, *argv)
+    code = "0" if "-h" in argv else "2"
+    assert run.stdout.split() == [code, "True", "True"]
 
 
 @pytest.mark.parametrize(
@@ -1390,6 +1444,7 @@ def test_fmt_run_as_a_module_imports_neither_reasoner_nor_semantics(tmp_path):
         "reqsmith.parser",
         "reqsmith.printer",
     }
+    assert not {"argparse", "gettext", "locale"} & imported
 
 
 def _bench_library_names():

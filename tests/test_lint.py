@@ -12,6 +12,7 @@ from reqsmith.lint import (
     LintConfig,
     LintFinding,
     lint_model,
+    parse_config,
 )
 from reqsmith.model import (
     AtomicConcept,
@@ -165,6 +166,21 @@ def test_refining_removes_the_incomplete_finding():
         Strength.STRENGTHENING,
     )
     assert findings(refined, Issue.INCOMPLETE) == []
+
+
+def test_parse_config_skips_blanks_and_comments_unquotes_and_casefolds():
+    config = parse_config(
+        '\n# lexicon, without an equals sign\n   \n'
+        'universal_tokens = "ALL", Every\n'
+        'required_slots = "object", Actor\n'
+    )
+    assert config.universal_tokens == frozenset({"all", "every"})
+    assert config.required_slots == ("object", "Actor")
+
+
+def test_parse_config_refuses_a_line_without_equals():
+    with pytest.raises(ValueError, match="line 2: expected key = values"):
+        parse_config("required_slots = object\nrequired_slots object\n")
 
 
 def test_required_slot_profiles_come_from_config():

@@ -44,14 +44,17 @@ from reqsmith.model import (
     NaturalLanguage,
     Operator,
     OperatorApplication,
+    PointPrototypes,
     PrototypeRegion,
     QualityStatement,
     Region,
+    ScaleFactor,
     SlotRestriction,
     Strength,
     Subsumption,
     UAnnotation,
     Union,
+    ValueSet,
     at_least,
     body_descriptions,
     children,
@@ -102,6 +105,33 @@ def goal(eid, text="do something"):
 def test_enumeration_rejects_duplicates():
     with pytest.raises(ValueError):
         Enumeration(("a", "a"))
+
+
+# The parser never builds these broken records, but library callers such as
+# `operators` and the benchmark's edit chain build records directly.
+@pytest.mark.parametrize(
+    ("build", "message"),
+    [
+        (lambda: ValueSet(()), "value set must be non-empty"),
+        (lambda: Enumeration(()), "enumeration must be non-empty"),
+        (lambda: ScaleFactor(Fraction(2)), "needs both multipliers"),
+        (lambda: ScaleFactor(None, Fraction(2)), "needs both multipliers"),
+        (lambda: ScaleFactor(Fraction(2), Fraction(3), "Fast"), "not both"),
+        (lambda: ScaleFactor(), "needs multipliers or a region name"),
+        (lambda: PointPrototypes(()), "prototype point set must be non-empty"),
+        (lambda: IntervalPrototypes(Fraction(2), Fraction(2)), "needs a < b"),
+    ],
+)
+def test_records_refuse_empty_or_contradictory_fields(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_model_element_raises_key_error_on_an_unknown_id():
+    model = parse_model("model m;\ngoal G1 := \"x\";\n")
+    assert model.element("G1").id == "G1"
+    with pytest.raises(KeyError):
+        model.element("G2")
 
 
 def test_bounded_modifier_needs_positive_count():

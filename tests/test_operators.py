@@ -418,6 +418,17 @@ def test_focus_rejects_empty_targets():
         apply_focus(SECURITY, "QG41", [])
 
 
+def test_focus_rejects_an_unknown_input():
+    with pytest.raises(OperatorError, match="unknown element QG9"):
+        apply_focus(SECURITY, "QG9", ["Learnability"])
+
+
+@pytest.mark.parametrize("output_ids", [[], ["QG42", "QG43"]])
+def test_focus_rejects_output_ids_that_do_not_match_its_targets(output_ids):
+    with pytest.raises(OperatorError, match="one-to-one"):
+        apply_focus(SECURITY, "QG41", ["Learnability"], output_ids=output_ids)
+
+
 def test_focus_rejects_strengthening():
     with pytest.raises(OperatorError, match="strengthen"):
         apply_focus(
