@@ -314,9 +314,11 @@ def main(argv: Optional[list] = None) -> int:
         print(err, file=sys.stderr)
         return 2
     except RecursionError:
-        # Every pass over a description or concept is a step of `model.fold`,
-        # which keeps its own stack; only the structural derivation recurses,
-        # and it can pass Python's limit on deep, wide models.
+        # No pass of reqsmith recurses: terms are walked by `model.fold` and
+        # proofs by the derivation's own frame loop. CPython's comparison of
+        # two equal but separately built records does recurse, in C, so two
+        # equal concepts nested about 1,000 deep meeting in one dict lookup
+        # pass Python's limit.
         print(
             f"{args.file}: error: the model nests too deeply for the reasoner "
             "(recursion limit reached)",

@@ -258,22 +258,21 @@ def _body_key(body) -> tuple:
 
 
 def _redundant(live) -> list[LintFinding]:
-    out = []
-    seen: dict[tuple, str] = {}
-    for e in live:
-        key = (e.kind, _body_key(e.body))
-        if key in seen:
-            out.append(
-                LintFinding(
-                    e.id,
-                    Issue.REDUNDANT,
-                    f"restates {seen[key]} with an identical body; "
-                    f"keep one of the two",
-                )
-            )
-        else:
-            seen[key] = e.id
-    return out
+    # the element kept of each body is the one with the least id, so the
+    # findings do not depend on the order the elements are declared in
+    keys = [(e.id, (e.kind, _body_key(e.body))) for e in live]
+    kept: dict[tuple, str] = {}
+    for eid, key in keys:
+        kept[key] = min(kept.get(key, eid), eid)
+    return [
+        LintFinding(
+            eid,
+            Issue.REDUNDANT,
+            f"restates {kept[key]} with an identical body; keep one of the two",
+        )
+        for eid, key in keys
+        if kept[key] != eid
+    ]
 
 
 def _multi_concern(live, config) -> list[LintFinding]:
@@ -325,7 +324,9 @@ def _inconsistent(model: Model, live) -> list[LintFinding]:
     if not empty:
         return out
     declared = _Derivation([ax for ax in shared.axioms if ax.sup != DL_NOTHING])
-    first_mention: dict[str, str] = {}
+    # each name -> the least id of the elements that mention it, whatever
+    # their order
+    mentioned_by: dict[str, str] = {}
     for e in live:
         body = e.body
         names = set().union(*map(mentions, body_descriptions(body)))
@@ -333,15 +334,15 @@ def _inconsistent(model: Model, live) -> list[LintFinding]:
             names.add(body.head)
         elif isinstance(body, QualityStatement) and isinstance(body.region, NamedRegion):
             names.add(body.region.name)
-        for name in sorted(names):
-            first_mention.setdefault(name, e.id)
+        for name in names:
+            mentioned_by[name] = min(mentioned_by.get(name, e.id), e.id)
     for term in empty:
         group = next((g for g in groups if declared.proves(DLAtomic(term), g)), groups[0])
         *rest, last = (arg.name for arg in group.args)
         count = "two" if len(group.args) == 2 else len(group.args)
         out.append(
             LintFinding(
-                first_mention.get(term, "model"),
+                mentioned_by.get(term, "model"),
                 Issue.INCONSISTENT,
                 f"term {term} falls under {', '.join(rest)} and {last}, "
                 f"which are declared disjoint; the {count} uses need "

@@ -256,12 +256,16 @@ class _Derivation:
     _VIA_AXIOM, so it depends neither on the order of the axioms nor on the
     goals asked before, and one derivation can serve many queries. Goals
     are tabled (Chen & Warren, JACM 1996) and settled by strongly connected
-    component, as Tarjan (SIAM J. Comput. 1972) finds them: a goal met
-    again while open yields its value so far and lowers `low` to its stack
-    place. A goal whose rules read nothing open below it leads a component,
-    every goal above it on the stack. The component settles when each goal
-    read while open ended the pass at the value it was read at; otherwise
-    it runs again from this pass's values, which stay below the fixpoint.
+    component, as Tarjan (SIAM J. Comput. 1972) finds them, in one loop
+    over a list of frames, not on Python's stack. A goal's rules are a
+    generator that yields each goal it reads and is sent back its value; a
+    goal they decide without reading one is tabled with no frame. An open
+    goal read again answers its value so far, lowers its reader's `low` to
+    its stack place and notes the value it was read at. A goal whose rules
+    read nothing open below it leads a component, every goal above it on
+    the stack. The component settles when each goal read while open ended
+    the pass at the value it was read at; otherwise the leader runs again
+    from this pass's values, which stay below the fixpoint.
     """
 
     def __init__(self, axioms: list[DLSubClassOf]):
@@ -274,7 +278,6 @@ class _Derivation:
         # ran again, and its value is where its next run starts
         self.table: dict = {}
         self.stack: list = []  # (goal, table entry) of each open goal, by place
-        self.low = 0  # the lowest place the running goal has read
         self.normal: dict = {}  # concept -> its _norm, for `proves`
 
     def proves(self, sub: DLConcept, sup: DLConcept) -> bool:
@@ -292,41 +295,60 @@ class _Derivation:
         return normal
 
     def entails(self, sub: DLConcept, sup: DLConcept) -> int:
-        goal = (sub, sup)
-        entry = self.table.get(goal)
-        if entry.__class__ is int:
-            return entry
-        if entry is None or entry[0] is None:
-            return self._solve(goal, entry[1] if entry else _NO)
-        self.low = min(self.low, entry[0])
-        if entry[2] is None:
-            entry[2] = entry[1]
-        return entry[1]
-
-    def _solve(self, goal, value: int) -> int:
-        """Run goal's rules, starting from `value`, until the component it
-        leads settles; return at once if it read an open goal below it."""
-        outer = self.low
-        place = len(self.stack)
-        entry = self.table[goal] = [place, value, None]
-        self.stack.append((goal, entry))
+        table, stack = self.table, self.stack
+        frames: list = []  # [goal, table entry, its running rules, low]
+        read = (sub, sup)
         while True:
-            self.low = place
-            entry[1] = value = self._rules(*goal)
-            low, self.low = self.low, min(outer, self.low)
-            if low < place:
+            # answer `read`, the goal the running rules asked for, or start it
+            entry = table.get(read)
+            if entry.__class__ is int:
+                value = entry
+            elif entry is None or entry[0] is None:
+                rules = self._rules(*read)
+                if rules.__class__ is int:
+                    table[read] = value = rules
+                else:
+                    place = len(stack)
+                    entry = table[read] = [place, entry[1] if entry else _NO, None]
+                    stack.append((read, entry))
+                    frames.append([read, entry, rules, place])
+                    value = None
+            else:
+                frames[-1][3] = min(frames[-1][3], entry[0])
+                if entry[2] is None:
+                    entry[2] = entry[1]
+                value = entry[1]
+            # run the top frame until its rules read a goal; a frame whose
+            # rules return settles or hands its value to the frame below
+            while frames:
+                frame = frames[-1]
+                try:
+                    read = frame[2].send(value)
+                    break
+                except StopIteration as done:
+                    value = done.value
+                goal, entry, _, low = frame
+                entry[1] = value
+                place = entry[0]
+                if low == place:
+                    component = stack[place:]
+                    if any(e[2] is not None and e[2] != e[1] for _, e in component):
+                        # the goals above the leader keep this pass's value
+                        # as a warm start, and the leader runs again
+                        del stack[place + 1 :]
+                        for _, e in component[1:]:
+                            e[0] = None
+                        entry[2] = None
+                        frame[2], value = self._rules(*goal), None
+                        continue
+                    del stack[place:]
+                    for g, e in component:
+                        table[g] = e[1]
+                frames.pop()
+                if low < place:
+                    frames[-1][3] = min(frames[-1][3], low)
+            else:
                 return value
-            component = self.stack[place:]
-            del self.stack[place + 1 :]
-            if all(e[2] is None or e[2] == e[1] for _, e in component):
-                self.stack.pop()
-                for g, e in component:
-                    self.table[g] = e[1]
-                return value
-            # the goals above the leader keep this pass's value as a warm start
-            for _, e in component[1:]:
-                e[0] = None
-            entry[2] = None
 
     def _reach(self, sub: DLConcept) -> tuple:
         """The atoms sub may be below, and the axioms it may fire.
@@ -443,27 +465,29 @@ class _Derivation:
         # the bits of distinct atoms are distinct, so their sum is their union
         self.joins = [(sum(map(self._bit, needs)), self._atoms(names)) for needs, names in joins]
 
-    def _all(self, pairs) -> int:
+    def _all(self, pairs):
         best = _PURE
-        for sub, sup in pairs:
-            r = self.entails(sub, sup)
+        for pair in pairs:
+            r = yield pair
             if not r:
                 return _NO
             best = max(best, r)
         return best
 
-    def _any(self, pairs) -> int:
+    def _any(self, pairs):
         # the best value, not the first: with the first, proving one more
         # pair could lower the value, and the rules would lose their least
         # fixpoint
         best = _NO
-        for sub, sup in pairs:
-            best = max(best, self.entails(sub, sup))
+        for pair in pairs:
+            best = max(best, (yield pair))
             if best == _VIA_AXIOM:
                 break
         return best
 
-    def _rules(self, sub: DLConcept, sup: DLConcept) -> int:
+    def _rules(self, sub: DLConcept, sup: DLConcept):
+        """The value of sub ⊑ sup when the rules decide it without reading a
+        goal, or else the generator `_read_rules`."""
         if sub == sup:
             return _PURE
         if isinstance(sup, DLThing) or isinstance(sub, DLNothing):
@@ -476,43 +500,48 @@ class _Derivation:
                 isinstance(sup, DLNothing) or not atoms & self.bits.get(sup.name, 0)
             ):
                 return _NO
+        return self._read_rules(sub, sup)
+
+    def _read_rules(self, sub: DLConcept, sup: DLConcept):
+        """The rules for sub ⊑ sup: yield each goal they read, take its value
+        back, and return the value of sub ⊑ sup."""
         if isinstance(sub, DLOr):
-            return self._all((arg, sup) for arg in sub.args)
+            return (yield from self._all((arg, sup) for arg in sub.args))
         if isinstance(sup, DLAnd):
-            return self._all((sub, arg) for arg in sup.args)
+            return (yield from self._all((sub, arg) for arg in sup.args))
         if isinstance(sub, DLAnd):
-            r = self._any((arg, sup) for arg in sub.args)
+            r = yield from self._any((arg, sup) for arg in sub.args)
             if r:
                 return r
         if isinstance(sup, DLOr):
-            r = self._any((sub, arg) for arg in sup.args)
+            r = yield from self._any((sub, arg) for arg in sup.args)
             if r:
                 return r
-        r = self._pair_rule(sub, sup)
+        r = yield from self._pair_rule(sub, sup)
         if r:
             return r
         for ax in self._reach(sub)[1]:
-            if self.entails(sub, ax.sub) and self.entails(ax.sup, sup):
+            if (yield sub, ax.sub) and (yield ax.sup, sup):
                 return _VIA_AXIOM
         return _NO
 
-    def _pair_rule(self, sub: DLConcept, sup: DLConcept) -> int:
+    def _pair_rule(self, sub: DLConcept, sup: DLConcept):
         if isinstance(sub, DLCard) and isinstance(sup, DLCard):
             if sub.slot != sup.slot:
                 return _NO
             if sup.kind == "min" and sub.kind in ("min", "exact"):
                 if sub.n >= sup.n:
-                    return self.entails(sub.filler, sup.filler)
+                    return (yield sub.filler, sup.filler)
                 return _NO
             if sup.kind == "max" and sub.kind in ("max", "exact"):
                 if sub.n <= sup.n:
-                    return self.entails(sup.filler, sub.filler)
+                    return (yield sup.filler, sub.filler)
                 return _NO
             if sup.kind == "exact" and sub.kind == "exact" and sub.n == sup.n:
-                forward = self.entails(sub.filler, sup.filler)
+                forward = yield sub.filler, sup.filler
                 if not forward:
                     return _NO
-                backward = self.entails(sup.filler, sub.filler)
+                backward = yield sup.filler, sub.filler
                 if backward:
                     return max(forward, backward)
                 # a strictly smaller filler keeps the same exact count only
@@ -522,14 +551,14 @@ class _Derivation:
             return _NO
         if isinstance(sub, DLForAll) and isinstance(sup, DLForAll):
             if sub.slot == sup.slot:
-                return self.entails(sub.filler, sup.filler)
+                return (yield sub.filler, sup.filler)
             return _NO
         if isinstance(sub, DLExistsInverse) and isinstance(sup, DLExistsInverse):
             if sub.slot == sup.slot:
-                return self.entails(sub.filler, sup.filler)
+                return (yield sub.filler, sup.filler)
             return _NO
         if isinstance(sub, DLNot) and isinstance(sup, DLNot):
-            return self.entails(sup.inner, sub.inner)
+            return (yield sup.inner, sub.inner)
         if isinstance(sub, DLNominal) and isinstance(sup, DLNominal):
             return _PURE if set(sub.ids) <= set(sup.ids) else _NO
         if isinstance(sub, DLDataRange) and isinstance(sup, DLDataRange):

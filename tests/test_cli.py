@@ -784,9 +784,9 @@ def test_conflict_and_axiom_diagnostics_point_at_their_statement(
     assert capsys.readouterr().err == "".join(f"{path}:{line}\n" for line in lines)
 
 
-def test_reasoner_recursion_overflow_exits_two_without_a_traceback(tmp_path, capsys):
-    # Inside the parser's nesting limit, but the structural derivation's
-    # recursion grows with nesting times disjunct hops.
+def test_wide_disjunctions_under_deep_restrictions_are_decided(tmp_path, capsys):
+    # The derivation's goals nest as deep as restrictions times disjunct
+    # hops; its frame loop keeps them off Python's stack.
     terms = " | ".join(f"A{i}" for i in range(21))
     inner = "(" + " | ".join(f"A{i}" for i in range(10)) + ")"
     text = (
@@ -795,14 +795,36 @@ def test_reasoner_recursion_overflow_exits_two_without_a_traceback(tmp_path, cap
         "reduce FC1 -> FC2 [strengthen];\n"
     )
     path = write(tmp_path, text)
+    assert main(["check", path]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
+def _equal_deep_axioms(tmp_path) -> str:
+    # two separately parsed, equal right sides 1,500 links deep: a dict
+    # lookup that compares them recurses in CPython's tuple comparison
+    chain = "B" + ".s" * 1500
+    return write(tmp_path, f"model deep;\naxiom A :< {chain};\naxiom C :< {chain};\n")
+
+
+def test_reasoner_recursion_overflow_exits_two_without_a_traceback(tmp_path, capsys):
+    path = _equal_deep_axioms(tmp_path)
     message = (
         f"{path}: error: the model nests too deeply for the reasoner "
         "(recursion limit reached)\n"
     )
-    run = run_cli(["check", path])
-    assert (run.returncode, run.stdout, run.stderr.decode()) == (2, b"", message)
-    assert main(["check", path]) == 2
-    assert capsys.readouterr() == ("", message)
+    for command in ("check", "lint"):
+        run = run_cli([command, path])
+        assert (run.returncode, run.stdout, run.stderr.decode()) == (2, b"", message)
+        assert main([command, path]) == 2
+        assert capsys.readouterr() == ("", message)
+
+
+def test_equal_deep_axioms_still_format(tmp_path, capsys):
+    path = _equal_deep_axioms(tmp_path)
+    run = run_cli(["fmt", path])
+    assert (run.returncode, run.stderr) == (0, b"")
+    assert main(["fmt", path]) == 0
+    assert capsys.readouterr() == (run.stdout.decode(), "")
 
 
 DROPPED_SUBSUMPTION = """model d;
@@ -897,6 +919,35 @@ def _bench_module(name):
     finally:
         del sys.modules[spec.name]
     return module
+
+
+def test_a_long_ladder_answers_a_query(tmp_path, capsys):
+    # 896 refinement steps: each one is a goal of the derivation, read
+    # through its frame loop at the default recursion limit
+    gen = _bench_module("gen")
+    gen.LADDER_STEPS = 896
+    gen.generate("ladder", 7, tmp_path).write()
+    model = str(tmp_path / "model.dsr")
+    assert main(["query", model, "--pattern", "<object: C0>"]) == 0
+    expected = sorted(f"F{i}" for i in range(896))
+    assert capsys.readouterr() == ("".join(f"{m}\n" for m in expected), "")
+
+
+def test_a_forty_atom_ring_is_checked_and_queried(tmp_path, capsys):
+    # every atom of the ring is below every other: one component of the
+    # derivation, settled at the default recursion limit
+    n = 40
+    lines = ["model ring;"]
+    for i in range(n):
+        lines += [f"axiom A{i} :< <r: SOME A{(i + 1) % n}>;", f"axiom <r: SOME A{i}> :< A{i};"]
+    lines += [f"func F{i} := Keep <object: A{i}>;" for i in range(n)]
+    lines += [f"reduce F{i} -> F{i + 1} [strengthen];" for i in range(n - 1)]
+    path = write(tmp_path, "\n".join(lines) + "\n")
+    assert main(["check", path]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert main(["query", path, "--pattern", "<object: A0>"]) == 0
+    expected = sorted(f"F{i}" for i in range(n))
+    assert capsys.readouterr() == ("".join(f"{m}\n" for m in expected), "")
 
 
 def test_one_disjointness_axiom_keeps_the_ladder_decidable(tmp_path, capsys):

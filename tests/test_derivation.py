@@ -10,6 +10,8 @@ way.
 import random
 from collections import Counter
 
+import pytest
+
 from reqsmith import reasoner
 from reqsmith.reasoner import (
     _VIA_AXIOM,
@@ -66,27 +68,33 @@ def _case(seed):
 
 
 class _RoundRobin(_Derivation):
-    """The same rules, evaluated by iterating every goal seen so far until
-    no value changes: the least fixpoint, with no stack, memo or axiom
-    index."""
-
-    def __init__(self, axioms):
-        super().__init__(axioms)
-        self.table = {}
-
-    def entails(self, sub, sup):
-        return self.table.setdefault((sub, sup), 0)
+    """The same rule generators, evaluated by running every goal seen so far,
+    each goal they read sent its current table value, until no value
+    changes: the least fixpoint, with no stack, component or axiom index."""
 
     def _reach(self, sub):
         return None, self.axioms
 
+    def _value(self, goal):
+        rules, value = self._rules(*goal), None
+        if rules.__class__ is int:
+            return rules
+        try:
+            while True:
+                value = self.table.setdefault(rules.send(value), 0)
+        except StopIteration as done:
+            return done.value
+
     def solve(self, goal):
+        # between calls every goal in the table holds its fixpoint value
+        if goal in self.table:
+            return self.table[goal]
         self.table[goal] = 0
         while True:
             seen = len(self.table)
             changed = False
             for g in list(self.table):
-                value = self._rules(*g)
+                value = self._value(g)
                 if value != self.table[g]:
                     self.table[g] = value
                     changed = True
@@ -284,10 +292,11 @@ def _ring(n):
 
 
 def _dense(seed, n=8):
+    # 10/3 `A :< B | C` and 5/3 `A B :< C` axioms per atom
     rng = random.Random(seed)
     atom = lambda: DLAtomic(f"A{rng.randrange(n)}")
-    axioms = [DLSubClassOf(atom(), DLOr((atom(), atom()))) for _ in range(26)]
-    axioms += [DLSubClassOf(DLAnd((atom(), atom())), atom()) for _ in range(13)]
+    axioms = [DLSubClassOf(atom(), DLOr((atom(), atom()))) for _ in range(10 * n // 3)]
+    axioms += [DLSubClassOf(DLAnd((atom(), atom())), atom()) for _ in range(5 * n // 3)]
     atoms = [DLAtomic(f"A{i}") for i in range(n)]
     return [_as_dl_axiom(ax) for ax in axioms], [(a, b) for a in atoms for b in atoms]
 
@@ -301,6 +310,11 @@ def _assert_components_settle(axioms, goals):
     assert [forward.entails(*goal) for goal in goals] == expected
     backward = _Derivation(axioms)
     assert [backward.entails(*goal) for goal in reversed(goals)] == expected[::-1]
+    # between proofs no goal is open: a goal is settled, or it was left
+    # off the stack to warm-start when a rerun of its leader did not read it
+    for derivation in (forward, backward):
+        assert derivation.stack == []
+        assert all(v.__class__ is int or v[0] is None for v in derivation.table.values())
     return expected
 
 
@@ -310,6 +324,25 @@ def test_a_ring_settles_as_one_component():
     assert all(value == _VIA_AXIOM for (a, b), value in zip(goals, expected) if a != b)
 
 
+def test_a_leader_runs_its_rules_again_through_rules(monkeypatch):
+    # a ring's leaders read goals of their component while those are still
+    # open, so some run again; each run is one run of `_rules`, as the
+    # growth pins count them
+    runs = Counter()
+    real = _Derivation._rules
+
+    def rules(derivation, sub, sup):
+        runs[sub, sup] += 1
+        return real(derivation, sub, sup)
+
+    axioms, goals = _ring(6)
+    derivation = _Derivation(axioms)
+    monkeypatch.setattr(_Derivation, "_rules", rules)
+    for goal in goals:
+        derivation.entails(*goal)
+    assert (sum(runs.values()), len(runs), max(runs.values())) == (195, 134, 2)
+
+
 def test_dense_axiom_sets_keep_the_least_fixpoint():
     proven = 0
     for seed in range(3):
@@ -317,6 +350,24 @@ def test_dense_axiom_sets_keep_the_least_fixpoint():
         expected = _assert_components_settle(axioms, goals)
         proven += sum(1 for (a, b), value in zip(goals, expected) if value and a != b)
     assert proven >= 60
+
+
+def test_a_forty_atom_ring_is_decided():
+    # every atom pair reads every other: one component of the derivation,
+    # settled at the default recursion limit
+    axioms, goals = _ring(40)
+    expected = _assert_components_settle(axioms, goals)
+    assert all(value == _VIA_AXIOM for (a, b), value in zip(goals, expected) if a != b)
+
+
+@pytest.mark.parametrize("n", [20, 25])
+def test_large_dense_axiom_sets_are_decided(n):
+    proven = 0
+    for seed in (1, 2, 3):
+        axioms, goals = _dense(seed, n)
+        expected = _assert_components_settle(axioms, goals)
+        proven += sum(1 for (a, b), value in zip(goals, expected) if value and a != b)
+    assert proven >= 100
 
 
 def test_proves_normalizes_each_concept_once(monkeypatch):

@@ -262,6 +262,17 @@ def test_redundancy_identifies_equivalent_spellings():
     ]
 
 
+def test_redundancy_keeps_the_least_id_whatever_the_order():
+    m = parsed(
+        "model r;\nfg FG3 := T :< B;\nfg FG1 := T :< B;\nfg FG2 := T :< B;\n"
+    )
+    hits = findings(m, Issue.REDUNDANT)
+    assert [(f.element_id, f.detail.split()[1]) for f in hits] == [
+        ("FG3", "FG1"),
+        ("FG2", "FG1"),
+    ]
+
+
 def test_same_body_under_different_kinds_is_not_redundant():
     m = parsed(
         "model r;\nfg FG1 := Ticket :< Booked;\nda DA1 := Ticket :< Booked;\n"
@@ -328,6 +339,22 @@ da DA1 := User :< Information_entity;
 """
     )
     assert findings(m, Issue.INCONSISTENT) == []
+
+
+def test_a_disjoint_term_is_named_by_the_least_id_that_mentions_it():
+    # a quality's named region mentions its name too
+    text = (
+        "model g;\naxiom A B :< Nothing;\naxiom Fast :< A;\naxiom Fast :< B;\n"
+        "qg QG2 := Speed (Car) :: Fast;\nqg QG1 := Speed (Bus) :: Fast;\n"
+    )
+    hits = findings(parsed(text), Issue.INCONSISTENT)
+    assert [(f.element_id, f.detail) for f in hits] == [
+        (
+            "QG1",
+            "term Fast falls under A and B, which are declared disjoint; "
+            "the two uses need distinct names",
+        )
+    ]
 
 
 def test_nary_disjointness_needs_a_term_under_every_atom():
@@ -495,13 +522,13 @@ def _reference_disjointness(model):
                     stack.append(parent)
         return seen
 
-    first_mention = {}
+    mentioned_by = {}
     for e in live:
         names = set().union(*map(mentions, body_descriptions(e.body)))
         if isinstance(e.body, FunctionDesc):
             names.add(e.body.head)
-        for name in sorted(names):
-            first_mention.setdefault(name, e.id)
+        for name in names:
+            mentioned_by[name] = min(mentioned_by.get(name, e.id), e.id)
     out = []
     for term in sorted(supers) if disjoint else ():
         for group in sorted(disjoint, key=sorted):
@@ -512,7 +539,7 @@ def _reference_disjointness(model):
                     f"term {term} falls under {', '.join(rest)} and {last}, which are "
                     f"declared disjoint; the {count} uses need distinct names"
                 )
-                out.append((first_mention.get(term, "model"), detail))
+                out.append((mentioned_by.get(term, "model"), detail))
                 break
     return out
 

@@ -11,6 +11,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -455,6 +456,25 @@ def test_deep_descriptions_validate_and_collect_without_recursion():
     assert mentions(deep) == {"C0", "C1", "C2", "C3", "C4", "C5", "C6", "Leaf"}
 
 
+@pytest.mark.parametrize(
+    ("source", "messages"),
+    [
+        (
+            'goal G := "x";\n',
+            [
+                "application[0]: [kind-routing] scaling applies to quality elements",
+                "application[0]: [kind-routing] scaled output Q2 must keep its kind",
+            ],
+        ),
+        ("", ["application[0]: [dangling-reference] unknown id G"]),
+    ],
+    ids=["goal", "unknown"],
+)
+def test_a_scale_of_no_quality_is_a_routing_diagnostic_not_a_scale_one(source, messages):
+    text = f"model m;\n{source}qc Q2 := Cost (S) :: [0, 10];\nscale_up G -> Q2 by (2, 1/2);\n"
+    assert [d.message for d in parse_model(text)] == messages
+
+
 # ===== traversal =====
 
 
@@ -607,6 +627,11 @@ def test_decimal_renderers_agree_on_the_pinned_table(value, rational, literal, d
 
 
 # ===== record value semantics =====
+
+
+def test_a_world_leaves_a_foreign_comparison_to_the_other_operand():
+    assert World() == mock.ANY
+    assert World() != World(individuals=frozenset({"a"}))
 
 
 def _bench_models(workdir):

@@ -406,6 +406,20 @@ def test_regions_block():
     )
 
 
+def test_a_braced_region_of_names_is_a_value_set():
+    region = parsed("qc Q := Colour (Car) :: {red, blue};").elements[0].body.region
+    assert region == ValueSet(("red", "blue"))
+
+
+def test_a_dot_after_a_unit_and_a_semicolon_after_regions_change_nothing():
+    world = "world {{\n  individual c;\n  data w(c) = 5 kg{0};\n  quality q1 : Cost inheres c value 5 usd{0};\n}}\n"
+    regions = "regions Cost {{\n  low = interval [1, 2];\n}}{1}\n"
+    plain = parsed(world.format("", "") + regions.format("", ""))
+    assert parsed(world.format(".", "") + regions.format("", ";")) == plain
+    assert plain.world.data_values[("c", "w")] == Quantity(Fraction(5), "kg")
+    assert plain.world.quality_records[0].unit == "usd"
+
+
 def test_model_name_statement():
     assert parsed("model Traffic;").name == "Traffic"
 
@@ -859,6 +873,27 @@ def test_print_function_element_exact():
 def test_print_preserves_percent_rendering():
     model = parsed("qg Q := Style (UI) :: Simple u(?X, inheres_in, 80%);")
     assert "u(?X, inheres_in, 80%)" in print_model(model)
+
+
+def test_a_fractional_percent_prints_as_its_rational():
+    model = parsed("qg Q := Style (UI) :: Simple u(?X, inheres_in, 12.5%);")
+    printed = print_model(model)
+    assert "u(?X, inheres_in, 0.125)" in printed
+    assert parsed(printed) == model
+
+
+def test_a_bare_data_value_prints_as_a_rational():
+    model = parsed("world {\n  individual c;\n  data w(c) = 5/2;\n}\n")
+    printed = print_model(model)
+    assert "  data w(c) = 2.5;" in printed.splitlines()
+    assert parsed(printed) == model
+
+
+def test_format_description_refuses_what_is_not_a_description():
+    from reqsmith.semantics import DLAtomic
+
+    with pytest.raises(TypeError, match="unknown description: DLAtomic"):
+        format_description(DLAtomic("A"))
 
 
 def test_format_rational_cases():

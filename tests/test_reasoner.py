@@ -848,6 +848,18 @@ def test_audit_and_apply_scale_share_the_region_ordering_rule():
     apply_scale(ordered, "QG1", ScaleFactor(region_name="Slow"), ScaleDirection.UP)
 
 
+def test_the_region_ordering_rule_reads_only_a_named_input_region():
+    # validation refuses both inputs; the library rule still answers None
+    model = parsed(ORDER_MODEL.format(axiom=""))
+    app, by_id, shared = model.applications[0], model.by_id(), reasoner.derivation(model)
+    message = "no declared ordering links Fast and Slow for a up-scaling"
+    assert reasoner.scale_order_error(app, by_id, shared) == message
+    assert reasoner.scale_order_error(app, {}, shared) is None
+    source = by_id["QG1"]
+    interval = replace(source, body=replace(source.body, region=Interval(Fraction(0), Fraction(1))))
+    assert reasoner.scale_order_error(app, {**by_id, "QG1": interval}, shared) is None
+
+
 OBSERVE_MODEL = """
 model observing;
 qc QC1 := Processing_time (File_search) :: [0, 30 (Sec.)];
@@ -1284,3 +1296,34 @@ def test_worklist_fulfillment_matches_the_round_loop():
         assert list(states.items()) == list(expected.items())
         fulfilled += list(states.values()).count(FulfillmentStatus.FULFILLED)
     assert fulfilled > 600
+
+
+def test_subsumes_refuses_what_is_not_an_axiom():
+    with pytest.raises(TypeError, match="not an axiom: DLAtomic"):
+        subsumes(DLAtomic("A"), DLAtomic("B"), axioms=[DLAtomic("A")])
+
+
+def test_subsumes_searches_to_the_default_bound(monkeypatch):
+    bounds = []
+
+    def counter_world(sub, sup, axioms, bound):
+        bounds.append(bound)
+
+    monkeypatch.setattr(saturation, "counter_world", counter_world)
+    assert subsumes(DLAtomic("A"), DLAtomic("B")).status is VerdictStatus.UNKNOWN
+    assert bounds == [reasoner.DEFAULT_BOUND]
+
+
+def test_one_data_value_is_not_below_another():
+    five, six = DLDataRange("eq", Fraction(5)), DLDataRange("eq", Fraction(6))
+    assert subsumes(five, five).status is VerdictStatus.PROVEN
+    assert reasoner._Derivation([]).entails(five, six) == reasoner._NO
+
+
+def test_the_counter_model_search_stops_at_its_branch_cap(monkeypatch):
+    # refuting A ⊑ B under A :< B | C needs a guess between B and C
+    a, b, c = DLAtomic("A"), DLAtomic("B"), DLAtomic("C")
+    axioms = [DLSubClassOf(a, DLOr((b, c)))]
+    assert subsumes(a, b, axioms).status is VerdictStatus.REFUTED
+    monkeypatch.setattr(saturation, "_BRANCHES", 1)
+    assert subsumes(a, b, axioms).status is VerdictStatus.UNKNOWN

@@ -10,7 +10,8 @@ standard library; no coverage package is used.
 CLI subprocesses that tests start are not traced, so a `cli.py` line that
 only such tests run is listed too. Tests that time themselves may fail
 under the tracer; their lines are still recorded, and the exit status of
-the suite does not change the report.
+the suite does not change the report. The script exits 1 when it lists
+any line, so that CI fails on it, and 0 otherwise.
 
     PYTHONPATH=src python tests/unexecuted.py [pytest arguments]
 
@@ -86,7 +87,7 @@ class _Tracer:
             self.install()
 
 
-def main(args: list) -> None:
+def main(args: list) -> int:
     tracer = _Tracer()
     tracer.install()
     try:
@@ -113,7 +114,8 @@ def main(args: list) -> None:
                 where = name
             print(f"  {line:5}  {source[line - 1].strip()}")
     print(f"{total} lines")
+    return total
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    sys.exit(1 if main(sys.argv[1:]) else 0)
